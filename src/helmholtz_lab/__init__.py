@@ -14,7 +14,6 @@ from . import spaces
 from . import assembly
 from . import analysis
 from . import methods
-from . import cli
 
 __all__ = [
     "numerics",
@@ -23,5 +22,4 @@ __all__ = [
     "assembly",
     "analysis",
     "methods",
-    "cli",
 ]

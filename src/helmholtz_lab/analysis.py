@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import _edge_traces, _interval_rule, _triangle_rule, edge_rule
+from .assembly import (_edge_points, _edge_traces, _flat, _reference_rule,
+                       edge_rule)
 from .numerics import oscillatory_degree
 
 
@@ -54,99 +55,20 @@ def _error_degree(space, k):
     return min(oscillatory_degree(base, k, space.mesh.h, 3.0, 2), 40)
 
 
-def _element_rule(mesh, ei, deg):
-    if mesh.dim == 1:
-        t, w = _interval_rule(deg)
-        x0, x1 = np.sort(mesh.nodes[mesh.elements[ei]])
-        return x0 + (x1 - x0) * t, (x1 - x0) * w
-    ref, w = _triangle_rule(deg)
-    v0 = mesh.nodes[mesh.elements[ei, 0]]
-    pts = v0 + ref @ mesh.jacobians()[ei].T
-    return pts, 2.0 * mesh.areas()[ei] * w
-
-
-def _apply_exclusion(pts, w, radius, center, safe_point):
+def _apply_exclusion(pts, w, radius, center, safe_points):
     """Zero the weights of points inside the excluded disk.
 
-    The excluded points are also moved to `safe_point` before the exact
-    solution is evaluated, so singular formulas never see r ~ 0.
+    The excluded points of element e are also moved to safe_points[e]
+    before the exact solution is evaluated, so singular formulas never
+    see r ~ 0.
     """
     r2 = ((pts - center) ** 2).sum(axis=-1)
     mask = r2 < radius * radius
     if not mask.any():
         return pts, w
     w = np.where(mask, 0.0, w)
-    pts = pts.copy()
-    pts[mask] = safe_point
+    pts = np.where(mask[..., None], safe_points[:, None, :], pts)
     return pts, w
-
-
-def _generic_error_sums(space, coeffs, exact_value, exact_grad, deg,
-                        radius, center):
-    mesh = space.mesh
-    num_l2 = den_l2 = num_h1 = den_h1 = 0.0
-    for ei in range(mesh.n_elements):
-        pts, w = _element_rule(mesh, ei, deg)
-        if radius > 0.0 and mesh.dim == 2:
-            pts, w = _apply_exclusion(pts, w, radius, center,
-                                      mesh.centroids()[ei])
-        vals, grads = space.eval_basis(ei, pts)
-        c = coeffs[space.element_dofs(ei)]
-        u_n = vals @ c
-        g_n = np.einsum("qld,l->qd", grads.astype(complex), c)
-        u_e = np.asarray(exact_value(pts), dtype=complex)
-        g_e = np.asarray(exact_grad(pts), dtype=complex).reshape(len(w), -1)
-        num_l2 += float(w @ np.abs(u_e - u_n) ** 2)
-        den_l2 += float(w @ np.abs(u_e) ** 2)
-        num_h1 += float(w @ (np.abs(g_e - g_n) ** 2).sum(axis=1))
-        den_h1 += float(w @ (np.abs(g_e) ** 2).sum(axis=1))
-    return num_l2, den_l2, num_h1, den_h1
-
-
-def _h1_fast_error_sums(space, coeffs, exact_value, exact_grad, deg,
-                        radius, center):
-    """Chunked reference-table error sums for 2D polynomial spaces."""
-    mesh = space.mesh
-    ref, w = _triangle_rule(deg)
-    vals_ref, grads_ref = space.reference_tables(ref)
-    dofs = space.dof_matrix()
-    signs = space.orientation_signs()
-    v0 = mesh.nodes[mesh.elements[:, 0]]
-    jac = mesh.jacobians()
-    inv_jt = mesh.inv_jacobians_t()
-    det = 2.0 * mesh.areas()
-    centroids = mesh.centroids() if radius > 0.0 else None
-    ne, nloc = dofs.shape
-    nq = ref.shape[0]
-    chunk = max(1, 2_000_000 // max(1, nq * nloc))
-    num_l2 = den_l2 = num_h1 = den_h1 = 0.0
-    for lo in range(0, ne, chunk):
-        hi = min(ne, lo + chunk)
-        c = coeffs[dofs[lo:hi]] * signs[lo:hi]
-        u_n = np.einsum("ql,el->eq", vals_ref, c)
-        g_n = np.einsum("qlr,edr,el->eqd", grads_ref, inv_jt[lo:hi], c)
-        pts = v0[lo:hi, None, :] + np.einsum("qr,edr->eqd", ref, jac[lo:hi])
-        wdet = det[lo:hi, None] * w[None, :]
-        if radius > 0.0:
-            flat_p = pts.reshape(-1, 2)
-            flat_w = wdet.reshape(-1)
-            safe = np.repeat(centroids[lo:hi], nq, axis=0)
-            r2 = ((flat_p - center) ** 2).sum(axis=1)
-            mask = r2 < radius * radius
-            if mask.any():
-                flat_w = np.where(mask, 0.0, flat_w)
-                flat_p = flat_p.copy()
-                flat_p[mask] = safe[mask]
-            pts = flat_p.reshape(hi - lo, nq, 2)
-            wdet = flat_w.reshape(hi - lo, nq)
-        flat = pts.reshape(-1, 2)
-        u_e = np.asarray(exact_value(flat), dtype=complex).reshape(hi - lo, nq)
-        g_e = np.asarray(exact_grad(flat), dtype=complex).reshape(hi - lo, nq, 2)
-        num_l2 += float(np.sum(wdet * np.abs(u_e - u_n) ** 2))
-        den_l2 += float(np.sum(wdet * np.abs(u_e) ** 2))
-        num_h1 += float(np.sum(wdet * (np.abs(g_e - g_n) ** 2).sum(axis=2)))
-        den_h1 += float(np.sum(wdet * (np.abs(g_e) ** 2).sum(axis=2)))
-    return num_l2, den_l2, num_h1, den_h1
 
 
 def _rel(num, den):
@@ -172,13 +94,21 @@ def relative_errors(space, coeffs, exact_value, exact_grad, k,
     coeffs = np.asarray(coeffs, dtype=complex)
     deg = _error_degree(space, k) if degree is None else int(degree)
     center = np.asarray(exclude_center, dtype=float)
-    if space.mesh.dim == 2 and space.kind == "h1_polynomial":
-        sums = _h1_fast_error_sums(space, coeffs, exact_value, exact_grad,
-                                   deg, exclude_radius, center)
-    else:
-        sums = _generic_error_sums(space, coeffs, exact_value, exact_grad,
-                                   deg, exclude_radius, center)
-    num_l2, den_l2, num_h1, den_h1 = sums
+    mesh = space.mesh
+    rule = _reference_rule(mesh.dim, deg)
+    num_l2 = den_l2 = num_h1 = den_h1 = 0.0
+    for elems in space.element_batches(len(rule.weights)):
+        pts, w = mesh.map_rule(elems, rule)
+        if exclude_radius > 0.0 and mesh.dim == 2:
+            pts, w = _apply_exclusion(pts, w, exclude_radius, center,
+                                      mesh.centroids()[elems])
+        u_n, g_n = space.field(elems, coeffs, rule)
+        u_e = np.asarray(exact_value(_flat(pts)), dtype=complex).reshape(w.shape)
+        g_e = np.asarray(exact_grad(_flat(pts)), dtype=complex).reshape(g_n.shape)
+        num_l2 += float(np.sum(w * np.abs(u_e - u_n) ** 2))
+        den_l2 += float(np.sum(w * np.abs(u_e) ** 2))
+        num_h1 += float(np.sum(w * (np.abs(g_e - g_n) ** 2).sum(axis=-1)))
+        den_h1 += float(np.sum(w * (np.abs(g_e) ** 2).sum(axis=-1)))
     kk = float(k) ** 2
     return (
         _rel(num_h1, den_h1),
@@ -192,11 +122,11 @@ def nodal_max_error(space, coeffs, exact_value):
     mesh = space.mesh
     coeffs = np.asarray(coeffs, dtype=complex)
     vals = np.zeros(mesh.n_nodes, dtype=complex)
-    for ei in range(mesh.n_elements):
-        nd = mesh.elements[ei]
-        pts = np.asarray(mesh.nodes[nd], dtype=float)
-        bv, _ = space.eval_basis(ei, pts)
-        vals[nd] = bv @ coeffs[space.element_dofs(ei)]
+    for elems in space.element_batches(mesh.elements.shape[1]):
+        nd = mesh.elements[elems]
+        bv, _ = space.eval_basis(elems, mesh.nodes[nd])
+        c = coeffs[space.dof_matrix()[elems]]
+        vals[nd] = np.matmul(bv.astype(complex), c[:, :, None])[..., 0]
     exact = np.asarray(exact_value(mesh.nodes), dtype=complex)
     return float(np.max(np.abs(vals - exact)))
 
@@ -232,7 +162,7 @@ def _dg_square(space, coeffs, flux, k, plus, policy,
         gn_p = gp @ coeffs[dp]
         gn_m = gm @ coeffs[dm]
         if exact_value is not None:
-            pts = _trace_points(mesh, edge, t)
+            pts = _edge_points(mesh, edge, t)
             u_e = np.asarray(exact_value(pts), dtype=complex)
             gn_e = np.asarray(exact_grad(pts), dtype=complex) @ edge.normal
             u_p, u_m = u_e - u_p, u_e - u_m
@@ -251,7 +181,7 @@ def _dg_square(space, coeffs, flux, k, plus, policy,
         u = vp @ coeffs[dp]
         gn = gp @ coeffs[dp]
         if exact_value is not None:
-            pts = _trace_points(mesh, edge, t)
+            pts = _edge_points(mesh, edge, t)
             u = np.asarray(exact_value(pts), dtype=complex) - u
             gn = np.asarray(exact_grad(pts), dtype=complex) @ edge.normal - gn
         total += delta / k * float(ds @ np.abs(gn) ** 2)
@@ -259,12 +189,6 @@ def _dg_square(space, coeffs, flux, k, plus, policy,
         if plus:
             total += k / delta * float(ds @ np.abs(u) ** 2)
     return total
-
-
-def _trace_points(mesh, edge, t):
-    a = mesh.nodes[edge.nodes[0]]
-    b = mesh.nodes[edge.nodes[1]]
-    return a[None, :] + t[:, None] * (b - a)[None, :]
 
 
 def dg_norm(space, coeffs, flux, k, policy=None):
@@ -331,7 +255,7 @@ def j_functional(space, coeffs, k, g, w1=None, w2=None, policy=None):
         ((dp, vp, gp),) = _edge_traces(space, edge, t)
         u = vp @ coeffs[dp]
         gn = gp @ coeffs[dp]
-        gv = np.asarray(g(_trace_points(mesh, edge, t)), dtype=complex)
+        gv = np.asarray(g(_edge_points(mesh, edge, t)), dtype=complex)
         total += w2**2 * float(ds @ np.abs(gn + 1j * k * u - gv) ** 2)
     return total
 

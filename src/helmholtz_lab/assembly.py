@@ -2,7 +2,16 @@
 
 Every matrix follows one convention: forms are linear in the first
 (trial) argument and conjugate-linear in the second (test) argument, and
-A[i, j] = form(b_j, b_i), so x^H A x is the quadratic form of x.
+A[i, j] = form(b_j, b_i), so x^H A x is the quadratic form of x.  Every
+assembled matrix is a scipy CSR matrix summed from (row, col, value)
+triplets; only the dense solve strategies and the inf-sup probe make a
+dense copy, and they refuse systems above _DENSE_LIMIT unknowns.
+
+Volume integrals run one loop over element batches from
+`space.element_batches`, taking local matrices from
+`space.element_matrices` and basis values from `space.eval_basis`;
+boundary integrals batch the boundary edges that share an edge rule.
+The skeleton forms of the Trefftz methods loop over edges.
 
 The Galerkin matrix, the L2 mass matrix and the (1,k) Gram matrix are all
 built from one set of shared parts (stiffness, mass, boundary mass), so
@@ -12,7 +21,6 @@ quadrature accuracy.
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 import scipy.linalg
@@ -21,7 +29,10 @@ import scipy.sparse.linalg
 
 from .numerics import gauss_interval, oscillatory_degree, quad_triangle
 
-_DENSE_LIMIT = 2000
+# Largest system the dense strategies and the inf-sup probe accept (a
+# 4608 x 4608 complex matrix takes 340 MB); covers the plane-wave least
+# squares run at h = 1/16, p = 9.
+_DENSE_LIMIT = 4608
 
 
 @dataclass(frozen=True)
@@ -68,6 +79,7 @@ class SolveResult:
     x: np.ndarray
     residual: float
     strategy: str
+    svd_dropped: int = 0
 
 
 @dataclass(frozen=True)
@@ -118,10 +130,12 @@ def h_version_fluxes(space, a=1.0, beta=0.5, delta=0.25):
 # -- quadrature helpers ----------------------------------------------------
 
 
-@lru_cache(maxsize=64)
-def _triangle_rule(degree):
-    rule = quad_triangle(degree)
-    return rule.points, rule.weights
+def _reference_rule(dim, degree):
+    """Rule exact to `degree` on the reference element: Gauss-Legendre on
+    [0, 1] in 1D, the collapsed rule on the reference triangle in 2D."""
+    if dim == 1:
+        return gauss_interval(min(64, max(2, (degree + 1) // 2 + 1)))
+    return quad_triangle(degree)
 
 
 def _volume_degree(space, k, policy):
@@ -141,117 +155,57 @@ def edge_rule(k, length, base=4, policy=None):
     """Points and weights on [0,1] resolving wave products on one edge."""
     policy = policy or _DEFAULT_POLICY
     deg = oscillatory_degree(base, k, length, policy.edge_factor, policy.edge_offset)
-    n = min(64, max(2, (deg + 1) // 2 + 1))
-    rule = gauss_interval(n)
+    rule = _reference_rule(1, deg)
     return rule.points, rule.weights
 
 
-def _interval_rule(degree):
-    n = min(64, max(2, (degree + 1) // 2 + 1))
-    rule = gauss_interval(n)
-    return rule.points, rule.weights
+# -- sparse triplets ---------------------------------------------------------
+
+
+def _accumulate(triplets, rows, cols, local):
+    """Append local[..., i, j] at (rows[..., i], cols[..., j]).
+
+    Leading axes of `local` batch blocks, and `rows`/`cols` carry the
+    same leading axes; entries are appended in row-major block order.
+    """
+    r, c, v = triplets
+    r.append(np.broadcast_to(rows[..., :, None], local.shape).ravel())
+    c.append(np.broadcast_to(cols[..., None, :], local.shape).ravel())
+    v.append(local.ravel())
+
+
+def _to_csr(triplets, n):
+    """CSR matrix summing the triplets; empty triplets give a complex zero."""
+    rows, cols, vals = triplets
+    if not rows:
+        return scipy.sparse.csr_matrix((n, n), dtype=complex)
+    return scipy.sparse.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(n, n),
+    ).tocsr()
+
+
+def _flat(pts):
+    """Batched points (nb, nq[, 2]) as the (n,) or (n, 2) array that
+    data callbacks take."""
+    return pts.reshape((-1,) + pts.shape[2:])
 
 
 # -- conforming volume/boundary parts ---------------------------------------
 
 
-def _accumulate(triplets, dofs, local):
-    rows, cols, vals = triplets
-    L = dofs.shape[0]
-    rows.append(np.repeat(dofs, L))
-    cols.append(np.tile(dofs, L))
-    vals.append(local.ravel())
-
-
-def _to_matrix(triplets, n, force_dense):
-    rows, cols, vals = triplets
-    if not rows:
-        data = np.zeros(0, dtype=complex)
-        mat = scipy.sparse.coo_matrix((data, (np.zeros(0, int), np.zeros(0, int))),
-                                      shape=(n, n))
-    else:
-        mat = scipy.sparse.coo_matrix(
-            (np.concatenate(vals),
-             (np.concatenate(rows), np.concatenate(cols))),
-            shape=(n, n),
-        )
-    if force_dense:
-        return mat.toarray()
-    return mat.tocsr()
-
-
-def _h1_fast_parts(space, policy):
-    """Vectorized stiffness/mass for 2D polynomial spaces on affine meshes."""
-    mesh = space.mesh
-    deg = _volume_degree(space, 0.0, policy)
-    ref, w = _triangle_rule(deg)
-    vals, grads = space.reference_tables(ref)
-    m_ref = np.einsum("q,ql,qm->lm", w, vals, vals)
-    g_ref = np.einsum("q,qlr,qms->lrms", w, grads, grads)
+def _volume_parts(space, k, policy):
+    """Stiffness and mass matrices over all elements, as CSR."""
+    rule = _reference_rule(space.mesh.dim, _volume_degree(space, k, policy))
     dofs = space.dof_matrix()
-    signs = space.orientation_signs()
-    det = 2.0 * mesh.areas()
-    inv_jt = mesh.inv_jacobians_t()
-    ne, L = dofs.shape
-    n = space.ndof
-    chunk = max(1, 4_000_000 // (L * L))
-    srows, scols, svals, mvals = [], [], [], []
-    for lo in range(0, ne, chunk):
-        hi = min(ne, lo + chunk)
-        c = np.einsum("edr,eds->ers", inv_jt[lo:hi], inv_jt[lo:hi])
-        s_loc = det[lo:hi, None, None] * np.einsum("lrms,ers->elm", g_ref, c)
-        m_loc = det[lo:hi, None, None] * m_ref[None, :, :]
-        ss = signs[lo:hi, :, None] * signs[lo:hi, None, :]
-        s_loc *= ss
-        m_loc *= ss
-        d = dofs[lo:hi]
-        srows.append(np.repeat(d, L, axis=1).ravel())
-        scols.append(np.tile(d, (1, L)).ravel())
-        svals.append(s_loc.ravel())
-        mvals.append(m_loc.ravel())
-    force_dense = n <= _DENSE_LIMIT
-    stiff = _to_matrix((srows, scols, svals), n, force_dense)
-    mass = _to_matrix((srows, scols, mvals), n, force_dense)
-    return stiff, mass
-
-
-def _element_volume_rule(space, ei, k, policy):
-    """Physical quadrature points and weights for one element."""
-    mesh = space.mesh
-    deg = _volume_degree(space, k, policy)
-    if mesh.dim == 1:
-        t, w = _interval_rule(deg)
-        x0, x1 = np.sort(mesh.nodes[mesh.elements[ei]])
-        return x0 + (x1 - x0) * t, (x1 - x0) * w
-    ref, w = _triangle_rule(deg)
-    v0 = mesh.nodes[mesh.elements[ei, 0]]
-    jac = mesh.jacobians()[ei]
-    pts = v0 + ref @ jac.T
-    return pts, 2.0 * mesh.areas()[ei] * w
-
-
-def _generic_parts(space, k, policy):
-    """Elementwise stiffness and mass for any space kind."""
-    mesh = space.mesh
-    n = space.ndof
-    force_dense = n <= _DENSE_LIMIT
     st = ([], [], [])
     ms = ([], [], [])
-    for ei in range(mesh.n_elements):
-        pts, w = _element_volume_rule(space, ei, k, policy)
-        vals, grads = space.eval_basis(ei, pts)
-        s_loc = np.einsum("q,qld,qmd->lm", w, np.conj(grads), grads)
-        m_loc = np.einsum("q,ql,qm->lm", w, np.conj(vals), vals)
-        dofs = space.element_dofs(ei)
-        _accumulate((st[0], st[1], st[2]), dofs, s_loc)
-        _accumulate((ms[0], ms[1], ms[2]), dofs, m_loc)
-    return _to_matrix(st, n, force_dense), _to_matrix(ms, n, force_dense)
-
-
-def _conforming_parts(space, k, policy):
-    if space.mesh.dim == 2 and space.kind == "h1_polynomial":
-        return _h1_fast_parts(space, policy)
-    return _generic_parts(space, k, policy)
+    for elems in space.element_batches(len(rule.weights)):
+        s_loc, m_loc = space.element_matrices(elems, rule)
+        d = dofs[elems]
+        _accumulate(st, d, d, s_loc)
+        _accumulate(ms, d, d, m_loc)
+    return _to_csr(st, space.ndof), _to_csr(ms, space.ndof)
 
 
 def _edge_points(mesh, edge, t):
@@ -260,68 +214,73 @@ def _edge_points(mesh, edge, t):
     return a[None, :] + t[:, None] * (b - a)[None, :]
 
 
-def _boundary_mass(space, k, tags, policy):
-    """Boundary mass matrix over edges whose tag lies in `tags`."""
-    mesh = space.mesh
-    n = space.ndof
-    tri = ([], [], [])
-    for edge in mesh.boundary_edges():
-        if edge.tag not in tags:
-            continue
-        ei = edge.elems[0]
-        dofs = space.element_dofs(ei)
-        if mesh.dim == 1:
-            x = mesh.nodes[edge.nodes[0]]
-            vals, _ = space.eval_basis(ei, np.array([x]))
-            loc = np.conj(vals[0])[:, None] * vals[0][None, :]
-        else:
-            t, w = edge_rule(k, edge.length, base=_edge_base(space), policy=policy)
-            pts = _edge_points(mesh, edge, t)
-            vals, _ = space.eval_basis(ei, pts)
-            loc = np.einsum("q,ql,qm->lm", edge.length * w, np.conj(vals), vals)
-        _accumulate(tri, dofs, loc)
-    return _to_matrix(tri, n, n <= _DENSE_LIMIT)
-
-
 def _edge_base(space):
     return 2 * getattr(space, "p", 1) + 2 if space.kind == "h1_polynomial" else 4
 
 
-def _volume_load(space, f, k, policy):
-    rhs = np.zeros(space.ndof, dtype=complex)
-    if f is None:
-        return rhs
-    fv = f if callable(f) else (lambda pts, c=complex(f): np.full(pts.shape[0], c))
+def _boundary_batches(space, k, tags, policy):
+    """Boundary edges whose tag lies in `tags`, grouped by edge rule.
+
+    Yields (elements, points, weights) per group, points shaped like
+    batched element points.  In 1D a boundary "edge" is an end node with
+    unit point measure.
+    """
     mesh = space.mesh
-    for ei in range(mesh.n_elements):
-        pts, w = _element_volume_rule(space, ei, k, policy)
-        vals, _ = space.eval_basis(ei, pts)
-        rhs[space.element_dofs(ei)] += np.einsum(
-            "q,ql->l", w * np.asarray(fv(pts), dtype=complex), np.conj(vals)
-        )
-    return rhs
+    idx = np.array([i for i in np.flatnonzero(mesh.boundary_mask)
+                    if mesh.edge_tags[i] in tags], dtype=np.int64)
+    if len(idx) == 0:
+        return
+    if mesh.dim == 1:
+        x = mesh.nodes[mesh.edge_nodes[idx, 0]]
+        yield mesh.edge_elems[idx, 0], x[:, None], np.ones((len(idx), 1))
+        return
+    groups = {}
+    for i in idx:
+        t, w = edge_rule(k, mesh.edge_lengths[i], base=_edge_base(space),
+                         policy=policy)
+        groups.setdefault(len(t), (t, w, []))[2].append(i)
+    for t, w, members in groups.values():
+        members = np.array(members, dtype=np.int64)
+        a = mesh.nodes[mesh.edge_nodes[members, 0]]
+        b = mesh.nodes[mesh.edge_nodes[members, 1]]
+        pts = a[:, None, :] + t[None, :, None] * (b - a)[:, None, :]
+        yield (mesh.edge_elems[members, 0], pts,
+               mesh.edge_lengths[members][:, None] * w[None, :])
 
 
-def _boundary_load(space, g, k, tags, policy):
+def _boundary_mass(space, k, tags, policy):
+    """Boundary mass matrix over edges whose tag lies in `tags`."""
+    dofs = space.dof_matrix()
+    tri = ([], [], [])
+    for elems, pts, w in _boundary_batches(space, k, tags, policy):
+        vals, _ = space.eval_basis(elems, pts)
+        loc = np.einsum("eq,eql,eqm->elm", w, np.conj(vals), vals)
+        d = dofs[elems]
+        _accumulate(tri, d, d, loc)
+    return _to_csr(tri, space.ndof)
+
+
+def _volume_batches(space, k, policy):
+    """Element batches with their physical quadrature points and weights."""
+    rule = _reference_rule(space.mesh.dim, _volume_degree(space, k, policy))
+    for elems in space.element_batches(len(rule.weights)):
+        yield (elems,) + space.mesh.map_rule(elems, rule)
+
+
+def _load(space, batches, value_fn, grad_fn=None, scale=1.0):
+    """Load vector scale * (u, b_i) [+ (grad u, grad b_i)] summed over
+    (elements, points, weights) batches."""
     rhs = np.zeros(space.ndof, dtype=complex)
-    if g is None:
-        return rhs
-    mesh = space.mesh
-    for edge in mesh.boundary_edges():
-        if edge.tag not in tags:
-            continue
-        ei = edge.elems[0]
-        dofs = space.element_dofs(ei)
-        if mesh.dim == 1:
-            x = mesh.nodes[edge.nodes[0]]
-            vals, _ = space.eval_basis(ei, np.array([x]))
-            rhs[dofs] += complex(np.asarray(g(np.array([x])))[0]) * np.conj(vals[0])
-        else:
-            t, w = edge_rule(k, edge.length, base=_edge_base(space), policy=policy)
-            pts = _edge_points(mesh, edge, t)
-            vals, _ = space.eval_basis(ei, pts)
-            gv = np.asarray(g(pts), dtype=complex)
-            rhs[dofs] += np.einsum("q,ql->l", edge.length * w * gv, np.conj(vals))
+    dofs = space.dof_matrix()
+    for elems, pts, w in batches:
+        vals, grads = space.eval_basis(elems, pts)
+        uq = np.asarray(value_fn(_flat(pts)), dtype=complex).reshape(w.shape)
+        loc = scale * np.einsum("eq,eql->el", w * uq, np.conj(vals))
+        if grad_fn is not None:
+            gq = np.asarray(grad_fn(_flat(pts)), dtype=complex).reshape(
+                grads.shape[:2] + grads.shape[3:])
+            loc = loc + np.einsum("eq,eqd,eqld->el", w, gq, np.conj(grads))
+        np.add.at(rhs, dofs[elems], loc)
     return rhs
 
 
@@ -373,12 +332,15 @@ def assemble_galerkin(space, k, f=None, g=None, bc=None, robin_sign=1.0,
     present = {e.tag for e in mesh.boundary_edges()}
     robin_tags = {t for t in present if bc.get(t, "robin") == "robin"}
     dirichlet_tags = {t for t in present if bc.get(t) == "dirichlet"}
-    stiff, mass = _conforming_parts(space, k, policy)
+    stiff, mass = _volume_parts(space, k, policy)
     bd = _boundary_mass(space, k, robin_tags, policy)
     A = stiff - k**2 * mass + robin_sign * 1j * k * bd
-    rhs = _volume_load(space, f, k, policy) + _boundary_load(
-        space, g, k, robin_tags, policy
-    )
+    rhs = np.zeros(space.ndof, dtype=complex)
+    if f is not None:
+        fv = f if callable(f) else (lambda pts, c=complex(f): np.full(pts.shape[0], c))
+        rhs += _load(space, _volume_batches(space, k, policy), fv)
+    if g is not None:
+        rhs += _load(space, _boundary_batches(space, k, robin_tags, policy), g)
     free = None
     if dirichlet_tags:
         fixed = _dirichlet_dofs(space, dirichlet_tags)
@@ -400,10 +362,7 @@ def assemble_gram_1k(space, k, policy=None):
     """Gram matrix of the weighted norm k^2 ||u||^2 + ||grad u||^2."""
     policy = policy or _DEFAULT_POLICY
     k = float(k)
-    if space.conforming:
-        stiff, mass = _conforming_parts(space, k, policy)
-    else:
-        stiff, mass = _generic_parts(space, k, policy)
+    stiff, mass = _volume_parts(space, k, policy)
     return stiff + k**2 * mass
 
 
@@ -415,17 +374,8 @@ def project_rhs_1k(space, k, value_fn, grad_fn, policy=None):
     """
     policy = policy or _DEFAULT_POLICY
     k = float(k)
-    rhs = np.zeros(space.ndof, dtype=complex)
-    mesh = space.mesh
-    for ei in range(mesh.n_elements):
-        pts, w = _element_volume_rule(space, ei, k, policy)
-        vals, grads = space.eval_basis(ei, pts)
-        uv = np.asarray(value_fn(pts), dtype=complex)
-        ug = np.asarray(grad_fn(pts), dtype=complex)
-        rhs[space.element_dofs(ei)] += k**2 * np.einsum(
-            "q,ql->l", w * uv, np.conj(vals)
-        ) + np.einsum("q,qd,qld->l", w, ug, np.conj(grads))
-    return rhs
+    return _load(space, _volume_batches(space, k, policy), value_fn, grad_fn,
+                 scale=k**2)
 
 
 # -- skeleton assembly for Trefftz methods -----------------------------------
@@ -464,7 +414,7 @@ def assemble_least_squares(space, k, g, w1=None, w2=None, policy=None):
     w2 = 1.0 if w2 is None else float(w2)
     mesh = space.mesh
     n = space.ndof
-    A = np.zeros((n, n), dtype=complex)
+    tri = ([], [], [])
     rhs = np.zeros(n, dtype=complex)
     g_norm2 = 0.0
     for edge in mesh.interior_edges():
@@ -476,15 +426,15 @@ def assemble_least_squares(space, k, g, w1=None, w2=None, policy=None):
         jump_g = np.hstack([gp, -gm])
         loc = w1**2 * np.einsum("q,ql,qm->lm", ds, np.conj(jump_v), jump_v)
         loc += w2**2 * np.einsum("q,ql,qm->lm", ds, np.conj(jump_g), jump_g)
-        A[np.ix_(dofs, dofs)] += loc
+        _accumulate(tri, dofs, dofs, loc)
     for edge in mesh.boundary_edges():
         t, w = edge_rule(k, edge.length, policy=policy)
         ds = edge.length * w
         ((dofs, vals, gn),) = _edge_traces(space, edge, t)
         imp = gn + 1j * k * vals
-        A[np.ix_(dofs, dofs)] += w2**2 * np.einsum(
+        _accumulate(tri, dofs, dofs, w2**2 * np.einsum(
             "q,ql,qm->lm", ds, np.conj(imp), imp
-        )
+        ))
         pts = _edge_points(mesh, edge, t)
         gv = np.asarray(g(pts), dtype=complex)
         rhs[dofs] += w2**2 * np.einsum("q,ql->l", ds * gv, np.conj(imp))
@@ -498,7 +448,7 @@ def assemble_least_squares(space, k, g, w1=None, w2=None, policy=None):
         "w2": w2,
         "g_norm2": g_norm2,
     }
-    return ComplexSystem(A=A, rhs=rhs, meta=meta)
+    return ComplexSystem(A=_to_csr(tri, n), rhs=rhs, meta=meta)
 
 
 def assemble_pwdg(space, k, g, flux, policy=None):
@@ -514,7 +464,7 @@ def assemble_pwdg(space, k, g, flux, policy=None):
     k = float(k)
     mesh = space.mesh
     n = space.ndof
-    A = np.zeros((n, n), dtype=complex)
+    tri = ([], [], [])
     rhs = np.zeros(n, dtype=complex)
     for edge in mesh.interior_edges():
         alpha, beta, _ = flux.on_edge(edge.index)
@@ -533,7 +483,7 @@ def assemble_pwdg(space, k, g, flux, policy=None):
                 loc += 1j * k * alpha * s * d_t * np.einsum(
                     "q,qm,ql->lm", ds, v_s, np.conj(v_t)
                 )
-                A[np.ix_(dofs_t, dofs_s)] += loc
+                _accumulate(tri, dofs_t, dofs_s, loc)
     for edge in mesh.boundary_edges():
         _, _, delta = flux.on_edge(edge.index)
         if not 0.0 < delta < 1.0:
@@ -547,26 +497,34 @@ def assemble_pwdg(space, k, g, flux, policy=None):
         loc += 1j * k * (1.0 - delta) * np.einsum(
             "q,qm,ql->lm", ds, vals, np.conj(vals)
         )
-        A[np.ix_(dofs, dofs)] += loc
+        _accumulate(tri, dofs, dofs, loc)
         pts = _edge_points(mesh, edge, t)
         gv = np.asarray(g(pts), dtype=complex)
         rhs[dofs] += (1j / k) * delta * np.einsum("q,ql->l", ds * gv, np.conj(gn))
         rhs[dofs] += (1.0 - delta) * np.einsum("q,ql->l", ds * gv, np.conj(vals))
     meta = {"method": "pwdg", "k": k, "h": mesh.h, "p": space.nloc, "flux": flux}
-    return ComplexSystem(A=A, rhs=rhs, meta=meta)
+    return ComplexSystem(A=_to_csr(tri, n), rhs=rhs, meta=meta)
 
 
 # -- linear algebra ----------------------------------------------------------
 
 
+def _dense(a):
+    """Dense copy of a CSR matrix; refuses more than _DENSE_LIMIT rows
+    before allocating anything."""
+    n = a.shape[0]
+    if n > _DENSE_LIMIT:
+        raise ValueError(f"dense linear algebra on n={n} unknowns exceeds "
+                         f"the limit of {_DENSE_LIMIT}")
+    return a.toarray()
+
+
 def _reduce(system):
-    A, rhs = system.A, system.rhs
+    A = scipy.sparse.csr_matrix(system.A, dtype=complex)
     if system.free is None:
-        return A, rhs
+        return A, system.rhs
     free = system.free
-    if scipy.sparse.issparse(A):
-        return A.tocsr()[free][:, free], rhs[free]
-    return A[np.ix_(free, free)], rhs[free]
+    return A[free][:, free], system.rhs[free]
 
 
 def solve(system, strategy="sparse_lu", svd_cutoff=1e-12):
@@ -575,32 +533,29 @@ def solve(system, strategy="sparse_lu", svd_cutoff=1e-12):
     Strategies: 'sparse_lu' (default), 'dense_lu', and 'truncated_svd'
     which zeroes singular values below svd_cutoff * sigma_max and returns
     the minimum-norm least-squares solution (the rescue path for badly
-    conditioned Trefftz bases).
+    conditioned Trefftz bases); `svd_dropped` counts the zeroed values.
+    The matrix may be given in any form scipy.sparse accepts; the two
+    dense strategies refuse systems above _DENSE_LIMIT unknowns.
     """
     A, rhs = _reduce(system)
     nred = rhs.shape[0]
     if A.shape != (nred, nred):
         raise ValueError("system matrix and right-hand side sizes disagree")
+    dropped = 0
     if strategy == "sparse_lu":
         # COLAMD keeps the fill-in of the hierarchic high-order patterns
         # moderate; minimum-degree orderings blow up on them.
-        lu = scipy.sparse.linalg.splu(
-            scipy.sparse.csc_matrix(A), permc_spec="COLAMD"
-        )
+        lu = scipy.sparse.linalg.splu(A.tocsc(), permc_spec="COLAMD")
         x = lu.solve(rhs)
     elif strategy == "dense_lu":
-        dense = A.toarray() if scipy.sparse.issparse(A) else np.asarray(A)
-        x = scipy.linalg.solve(dense, rhs)
+        x = scipy.linalg.solve(_dense(A), rhs)
     elif strategy == "truncated_svd":
-        if scipy.sparse.issparse(A):
-            if max(A.shape) > 2 * _DENSE_LIMIT:
-                raise ValueError("truncated_svd requires dense assembly")
-            A = A.toarray()
-        u, s, vh = np.linalg.svd(np.asarray(A))
+        u, s, vh = np.linalg.svd(_dense(A))
         keep = s > svd_cutoff * s[0]
         inv = np.zeros_like(s)
         inv[keep] = 1.0 / s[keep]
         x = vh.conj().T @ (inv * (u.conj().T @ rhs))
+        dropped = int(np.count_nonzero(~keep))
     else:
         raise ValueError(f"unknown solve strategy '{strategy}'")
     if not np.all(np.isfinite(x)):
@@ -611,33 +566,21 @@ def solve(system, strategy="sparse_lu", svd_cutoff=1e-12):
         full = np.zeros(system.ndof, dtype=complex)
         full[system.free] = x
         x = full
-    return SolveResult(x=x, residual=residual, strategy=strategy)
+    return SolveResult(x=x, residual=residual, strategy=strategy,
+                       svd_dropped=dropped)
 
 
 def infsup_probe(b_matrix, gram):
     """Discrete inf-sup constant sigma_min(L^-1 B L^-H) with gram = L L^H.
 
     This is the modulus-based constant; the Cholesky factorization fails
-    loudly when the Gram matrix is not positive definite.
+    loudly when the Gram matrix is not positive definite.  Both matrices
+    may be given in any form scipy.sparse accepts.
     """
-    B = b_matrix.toarray() if scipy.sparse.issparse(b_matrix) else np.asarray(b_matrix)
-    M = gram.toarray() if scipy.sparse.issparse(gram) else np.asarray(gram)
-    n = B.shape[0]
-    if n > _DENSE_LIMIT:
-        raise ValueError("inf-sup probe is restricted to dense-size systems")
+    B = _dense(scipy.sparse.csr_matrix(b_matrix))
+    M = _dense(scipy.sparse.csr_matrix(gram))
     M = 0.5 * (M + M.conj().T)
     L = np.linalg.cholesky(M)
     tmp = scipy.linalg.solve_triangular(L, B, lower=True)
     white = scipy.linalg.solve_triangular(L, tmp.conj().T, lower=True).conj().T
     return float(np.linalg.svd(white, compute_uv=False)[-1])
-
-
-def dump_system(system, path):
-    """Write a dense system as text: N, then rows of re,im pairs."""
-    A = system.A.toarray() if scipy.sparse.issparse(system.A) else np.asarray(system.A)
-    n = A.shape[0]
-    lines = [str(n)]
-    for i in range(n):
-        lines.append(" ".join(f"{float(z.real)!r},{float(z.imag)!r}" for z in A[i]))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")

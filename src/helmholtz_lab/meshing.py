@@ -96,8 +96,10 @@ class Mesh:
     nodes:     (nv,) in 1D, (nv, 2) in 2D
     elements:  (ne, 2) or (ne, 3) int, counterclockwise in 2D
     Edge normals point out of edge_elems[:, 0]; boundary edges have
-    edge_elems[:, 1] == -1.  h is the max element diameter, shape_reg the
-    max ratio diameter/inradius over elements (2D).
+    edge_elems[:, 1] == -1.  In 2D, element_edges (ne, 3) holds the edge
+    index of the sides joining local vertices (0,1), (1,2) and (2,0).
+    h is the max element diameter, shape_reg the max ratio
+    diameter/inradius over elements (2D).
     """
 
     def __init__(self, dim, nodes, elements, edge_tags=None, domain_name=""):
@@ -165,6 +167,8 @@ class Mesh:
         own_s = owner[order]
         new_edge = np.ones(len(key_s), dtype=bool)
         new_edge[1:] = np.any(key_s[1:] != key_s[:-1], axis=1)
+        edge_of = np.empty(len(key_s), dtype=np.int64)
+        edge_of[order] = np.cumsum(new_edge) - 1
         first_ids = np.flatnonzero(new_edge)
         n_edges = len(first_ids)
         run_len = np.diff(np.append(first_ids, len(key_s)))
@@ -188,6 +192,7 @@ class Mesh:
         normals = np.column_stack([t[:, 1], -t[:, 0]]) / lengths[:, None]
         self.edge_nodes = edge_nodes
         self.edge_elems = np.column_stack([plus, minus])
+        self.element_edges = np.ascontiguousarray(edge_of.reshape(3, ne).T)
         self.edge_normals = normals
         self.edge_lengths = lengths
         self.edge_tags = [None] * n_edges
@@ -263,6 +268,23 @@ class Mesh:
             inv[:, 1, 1] = jac[:, 0, 0]
             self._cache["invjt"] = inv / det[:, None, None]
         return self._cache["invjt"]
+
+    def map_rule(self, elems, rule):
+        """Physical points and weights of a reference rule on elements.
+
+        `elems` is an index array; `rule` a quadrature rule on [0, 1] (1D)
+        or on the reference triangle (2D).  Returns points of shape
+        (nb, nq) in 1D or (nb, nq, 2) in 2D, and weights (nb, nq).
+        """
+        if self.dim == 1:
+            ends = np.sort(self.nodes[self.elements[elems]], axis=1)
+            x0 = ends[:, :1]
+            h = ends[:, 1:] - x0
+            return x0 + h * rule.points, h * rule.weights
+        v0 = self.nodes[self.elements[elems, 0]]
+        jac_t = self.jacobians()[elems].transpose(0, 2, 1)
+        pts = v0[:, None, :] + rule.points @ jac_t
+        return pts, (2.0 * self.areas()[elems])[:, None] * rule.weights
 
     def centroids(self):
         if "centroids" not in self._cache:

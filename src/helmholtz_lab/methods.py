@@ -541,12 +541,9 @@ def h1_best_approximation(problem, space):
     system = assembly.assemble_galerkin(
         space, problem.k, f=problem.f, g=problem.g, bc=problem.bc,
         robin_sign=problem.robin_sign)
-    a_full = system.A.toarray() if hasattr(system.A, "toarray") else np.asarray(system.A)
-    m_full = system.mass.toarray() if hasattr(system.mass, "toarray") else np.asarray(system.mass)
-    stiff = a_full.real + problem.k**2 * m_full
-    free = system.free if system.free is not None else np.arange(space.ndof)
-    coeffs = np.zeros(space.ndof, dtype=complex)
-    coeffs[free] = np.linalg.solve(stiff[np.ix_(free, free)], b[free])
+    stiff = system.A.real + problem.k**2 * system.mass
+    coeffs = assembly.solve(
+        assembly.ComplexSystem(A=stiff, rhs=b, free=system.free)).x
     h1, _, _ = analysis.relative_errors(
         space, coeffs, exact.value, exact.gradient, problem.k)
     return coeffs, h1
@@ -694,17 +691,12 @@ def _make_basis(kind, k, order):
 
 def _best_approximation(space, k, target, cutoff):
     gram = assembly.assemble_gram_1k(space, k)
-    gram = gram.toarray() if hasattr(gram, "toarray") else np.asarray(gram)
     rhs = assembly.project_rhs_1k(space, k, target.value, target.gradient)
-    u, s, vh = np.linalg.svd(gram)
-    keep = s > cutoff * s[0]
-    inv = np.zeros_like(s)
-    inv[keep] = 1.0 / s[keep]
-    x = vh.conj().T @ (inv * (u.conj().T @ rhs))
-    reliable = bool(np.all(keep))
-    h1, l2, e1k = analysis.relative_errors(space, x, target.value,
+    result = assembly.solve(assembly.ComplexSystem(A=gram, rhs=rhs),
+                            strategy="truncated_svd", svd_cutoff=cutoff)
+    h1, l2, e1k = analysis.relative_errors(space, result.x, target.value,
                                            target.gradient, k)
-    return x, reliable, h1, l2, e1k
+    return result.x, result.svd_dropped == 0, h1, l2, e1k
 
 
 def approx_study(target, basis_kind, mode, domain=None, orders=None,

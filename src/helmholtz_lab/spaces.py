@@ -7,13 +7,25 @@ with wave enrichment attached to mesh nodes, and discontinuous Trefftz
 spaces carrying plane waves or generalized harmonic polynomials on each
 element.
 
-All spaces expose the same small surface: `kind`, `mesh`, `ndof`,
-`conforming`, `element_dofs(ei)` and `eval_basis(ei, pts)`.  Basis values
-come back as an (npts, nloc) array and gradients as (npts, nloc, dim).
+All spaces expose the same batched surface: `kind`, `mesh`, `ndof`,
+`nloc`, `conforming`, `dof_matrix()` (global DOFs per element, shape
+(n_elements, nloc)) and `eval_basis(elems, pts)`.  For an index array
+`elems` of nb elements and per-element points `pts` of shape (nb, nq) in
+1D or (nb, nq, 2) in 2D, basis values come back as (nb, nq, nloc) and
+gradients as (nb, nq, nloc, dim); an int `elems` with points (nq,) or
+(nq, 2) drops the leading axis.  On top of these, `element_matrices`
+(local stiffness and mass) and `field` (values and gradients of a
+discrete function) integrate a reference quadrature rule over a batch of
+elements; the 2D polynomial space computes both by pulling reference
+tables back through each element's Jacobian, the others from
+`eval_basis` at the mapped points.  `element_batches` splits the mesh
+into batches whose per-point basis tables hold at most `_BATCH_ENTRIES`
+numbers.
 """
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,6 +33,11 @@ from .numerics import bessel_j
 
 _REF_GRAD_LAM = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
 _LOCAL_EDGES = ((0, 1), (1, 2), (0, 2))
+
+# Bound on the numbers held by one batch's basis table or local matrices
+# (16 MB as floats, 32 MB as complex); sets the element batch size of
+# every volume loop.
+_BATCH_ENTRIES = 2_000_000
 
 
 def _legendre_table(x, nmax):
@@ -67,62 +84,129 @@ def _h1_local_dim_2d(p):
     return 3 + 3 * (p - 1) + (p - 1) * (p - 2) // 2
 
 
-def _shape_functions_2d(p, lam, grad_lam, signs):
+def _lam(ref):
+    """Barycentric coordinates of reference-triangle points (..., 2)."""
+    return np.stack([1.0 - ref[..., 0] - ref[..., 1], ref[..., 0], ref[..., 1]],
+                    axis=-1)
+
+
+def _barycentric(mesh, elems, pts):
+    """Barycentric coordinates (nb, nq, 3) of physical points and the
+    constant barycentric gradients (nb, 3, 2) of each element."""
+    inv_jt = mesh.inv_jacobians_t()[elems]
+    v0 = mesh.nodes[mesh.elements[elems, 0]]
+    ref = (pts - v0[:, None, :]) @ inv_jt
+    return _lam(ref), _REF_GRAD_LAM @ inv_jt.transpose(0, 2, 1)
+
+
+def _shape_functions_2d(p, lam, grad_lam):
     """Hierarchical triangle shape functions from barycentric data.
 
-    `lam` has shape (npts, 3), `grad_lam` (3, 2) holds the constant
-    barycentric gradients, and `signs` is the per-mode orientation vector
-    of length nloc (vertices and bubbles carry +1).
+    `lam` has shape (nb, nq, 3) and `grad_lam` (nb, 3, 2) holds each
+    element's constant barycentric gradients.  Edge modes follow the local
+    vertex order; the caller applies the orientation signs.
     """
-    npts = lam.shape[0]
+    nb, nq = lam.shape[:2]
     nloc = _h1_local_dim_2d(p)
-    vals = np.zeros((npts, nloc))
-    grads = np.zeros((npts, nloc, 2))
+    vals = np.zeros((nb, nq, nloc))
+    grads = np.zeros((nb, nq, nloc, 2))
+    gl = grad_lam[:, None, :, :]
     for v in range(3):
-        vals[:, v] = lam[:, v]
-        grads[:, v, :] = grad_lam[v]
+        vals[..., v] = lam[..., v]
+        grads[..., v, :] = gl[..., v, :]
     pos = 3
     if p >= 2:
         for a, b in _LOCAL_EDGES:
-            xi = lam[:, b] - lam[:, a]
+            xi = lam[..., b] - lam[..., a]
             _, der1, der2 = _legendre_table(xi, p - 1)
-            prod = lam[:, a] * lam[:, b]
-            dprod = np.outer(lam[:, b], grad_lam[a]) + np.outer(lam[:, a], grad_lam[b])
-            dxi = grad_lam[b] - grad_lam[a]
+            prod = lam[..., a] * lam[..., b]
+            dprod = lam[..., b, None] * gl[..., a, :] + lam[..., a, None] * gl[..., b, :]
+            dxi = gl[..., b, :] - gl[..., a, :]
             for q in range(2, p + 1):
                 c = _edge_kernel_coeff(q)
                 kern = c * der1[q - 1]
                 dkern = c * der2[q - 1]
-                s = signs[pos]
-                vals[:, pos] = s * prod * kern
-                grads[:, pos, :] = s * (
-                    dprod * kern[:, None] + np.outer(prod * dkern, dxi)
-                )
+                vals[..., pos] = prod * kern
+                grads[..., pos, :] = dprod * kern[..., None] + (prod * dkern)[..., None] * dxi
                 pos += 1
     if p >= 3:
-        eta1 = lam[:, 1] - lam[:, 0]
-        eta2 = 2.0 * lam[:, 2] - 1.0
+        eta1 = lam[..., 1] - lam[..., 0]
+        eta2 = 2.0 * lam[..., 2] - 1.0
         p1, d1, _ = _legendre_table(eta1, p - 3)
         p2, d2, _ = _legendre_table(eta2, p - 3)
-        bub = lam[:, 0] * lam[:, 1] * lam[:, 2]
+        bub = lam[..., 0] * lam[..., 1] * lam[..., 2]
         dbub = (
-            np.outer(lam[:, 1] * lam[:, 2], grad_lam[0])
-            + np.outer(lam[:, 0] * lam[:, 2], grad_lam[1])
-            + np.outer(lam[:, 0] * lam[:, 1], grad_lam[2])
+            (lam[..., 1] * lam[..., 2])[..., None] * gl[..., 0, :]
+            + (lam[..., 0] * lam[..., 2])[..., None] * gl[..., 1, :]
+            + (lam[..., 0] * lam[..., 1])[..., None] * gl[..., 2, :]
         )
-        deta1 = grad_lam[1] - grad_lam[0]
-        deta2 = 2.0 * grad_lam[2]
+        deta1 = gl[..., 1, :] - gl[..., 0, :]
+        deta2 = 2.0 * gl[..., 2, :]
         for i in range(p - 2):
             for j in range(p - 2 - i):
                 f = p1[i] * p2[j]
-                df = np.outer(d1[i] * p2[j], deta1) + np.outer(p1[i] * d2[j], deta2)
-                vals[:, pos] = bub * f
-                grads[:, pos, :] = dbub * f[:, None] + bub[:, None] * df
+                df = (d1[i] * p2[j])[..., None] * deta1 + (p1[i] * d2[j])[..., None] * deta2
+                vals[..., pos] = bub * f
+                grads[..., pos, :] = dbub * f[..., None] + bub[..., None] * df
                 pos += 1
     return vals, grads
 
 
-class H1Space:
+def _batched(eval_basis):
+    """Let an int `elems` evaluate one element with unbatched shapes."""
+
+    @functools.wraps(eval_basis)
+    def wrapper(self, elems, pts):
+        pts = np.asarray(pts, dtype=float)
+        if np.ndim(elems) == 0:
+            vals, grads = eval_basis(self, np.array([int(elems)]), pts[None])
+            return vals[0], grads[0]
+        return eval_basis(self, np.asarray(elems), pts)
+
+    return wrapper
+
+
+class _Space:
+    """Element integrals shared by all spaces, built on `eval_basis`."""
+
+    def element_dofs(self, ei):
+        return self.dof_matrix()[ei]
+
+    def element_batches(self, npts):
+        """Element index arrays covering the mesh in order, sized so that
+        a batch's basis gradients at npts points per element or its local
+        matrices hold at most _BATCH_ENTRIES numbers."""
+        per_element = self.nloc * max(self.nloc, npts * self.mesh.dim)
+        step = max(1, _BATCH_ENTRIES // per_element)
+        ne = self.mesh.n_elements
+        for lo in range(0, ne, step):
+            yield np.arange(lo, min(ne, lo + step))
+
+    def element_matrices(self, elems, rule):
+        """Local stiffness and mass matrices, each (nb, nloc, nloc).
+
+        Entry [e, l, m] integrates grad b_m . conj(grad b_l), resp.
+        b_m conj(b_l), over element elems[e] with the reference `rule`.
+        """
+        pts, w = self.mesh.map_rule(elems, rule)
+        vals, grads = self.eval_basis(elems, pts)
+        stiff = np.einsum("eq,eqld,eqmd->elm", w, np.conj(grads), grads)
+        mass = np.einsum("eq,eql,eqm->elm", w, np.conj(vals), vals)
+        return stiff, mass
+
+    def field(self, elems, coeffs, rule):
+        """Values (nb, nq) and gradients (nb, nq, dim) of the discrete
+        function with global coefficients `coeffs` at the images of the
+        reference `rule` points."""
+        pts, _ = self.mesh.map_rule(elems, rule)
+        vals, grads = self.eval_basis(elems, pts)
+        c = coeffs[self.dof_matrix()[elems]]
+        u = np.matmul(vals.astype(complex, copy=False), c[:, :, None])[..., 0]
+        g = np.einsum("eqld,el->eqd", grads.astype(complex, copy=False), c)
+        return u, g
+
+
+class H1Space(_Space):
     """Conforming hierarchical polynomial space of elementwise degree p.
 
     Vertex hat functions plus integrated-Legendre edge modes (degree 2..p)
@@ -141,54 +225,39 @@ class H1Space:
             self.ndof = mesh.n_nodes + mesh.n_elements * (p - 1)
         else:
             self.nloc = _h1_local_dim_2d(p)
-            self._edge_index = {
-                (min(a, b), max(a, b)): i
-                for i, (a, b) in enumerate(mesh.edge_nodes)
-            }
             n_edges = len(mesh.edge_nodes)
             n_bub = (p - 1) * (p - 2) // 2
             self.ndof = mesh.n_nodes + n_edges * (p - 1) + mesh.n_elements * n_bub
-            self._edge_dof_base = mesh.n_nodes
-            self._bubble_dof_base = mesh.n_nodes + n_edges * (p - 1)
         self._dofs = None
         self._signs = None
 
     # -- connectivity ---------------------------------------------------
 
-    def element_dofs(self, ei):
-        return self.dof_matrix()[ei]
-
     def dof_matrix(self):
-        """Global DOF indices per element, shape (n_elements, nloc)."""
+        """Global DOF indices per element, shape (n_elements, nloc).
+
+        Numbering: vertices, then p-1 modes per mesh edge in edge order,
+        then the bubbles of each element in element order.
+        """
         if self._dofs is not None:
             return self._dofs
         mesh, p = self.mesh, self.p
-        ne = mesh.n_elements
+        ne, nn = mesh.n_elements, mesh.n_nodes
         dofs = np.empty((ne, self.nloc), dtype=np.int64)
         if mesh.dim == 1:
             dofs[:, :2] = mesh.elements
             for q in range(2, p + 1):
-                dofs[:, q] = mesh.n_nodes + np.arange(ne) * (p - 1) + (q - 2)
+                dofs[:, q] = nn + np.arange(ne) * (p - 1) + (q - 2)
         else:
             dofs[:, :3] = mesh.elements
             pos = 3
-            if p >= 2:
-                for a, b in _LOCAL_EDGES:
-                    ga = mesh.elements[:, a]
-                    gb = mesh.elements[:, b]
-                    eidx = np.array(
-                        [
-                            self._edge_index[(min(x, y), max(x, y))]
-                            for x, y in zip(ga, gb)
-                        ],
-                        dtype=np.int64,
-                    )
-                    for q in range(2, p + 1):
-                        dofs[:, pos] = self._edge_dof_base + eidx * (p - 1) + (q - 2)
-                        pos += 1
+            for j in range(3):
+                for q in range(2, p + 1):
+                    dofs[:, pos] = nn + mesh.element_edges[:, j] * (p - 1) + (q - 2)
+                    pos += 1
             n_bub = (p - 1) * (p - 2) // 2
             if n_bub:
-                base = self._bubble_dof_base + np.arange(ne) * n_bub
+                base = nn + len(mesh.edge_nodes) * (p - 1) + np.arange(ne) * n_bub
                 for b in range(n_bub):
                     dofs[:, pos + b] = base + b
         self._dofs = dofs
@@ -217,64 +286,83 @@ class H1Space:
 
     # -- evaluation ------------------------------------------------------
 
-    def _barycentric(self, ei, pts):
-        mesh = self.mesh
-        v0 = mesh.nodes[mesh.elements[ei, 0]]
-        inv_jt = mesh.inv_jacobians_t()[ei]
-        ref = (pts - v0) @ inv_jt
-        lam = np.empty((pts.shape[0], 3))
-        lam[:, 0] = 1.0 - ref[:, 0] - ref[:, 1]
-        lam[:, 1] = ref[:, 0]
-        lam[:, 2] = ref[:, 1]
-        grad_lam = _REF_GRAD_LAM @ inv_jt.T
-        return lam, grad_lam
-
-    def eval_basis(self, ei, pts):
-        pts = np.asarray(pts, dtype=float)
+    @_batched
+    def eval_basis(self, elems, pts):
         if self.mesh.dim == 1:
-            return self._eval_basis_1d(ei, pts)
-        lam, grad_lam = self._barycentric(ei, pts)
-        return _shape_functions_2d(self.p, lam, grad_lam, self.orientation_signs()[ei])
+            return self._eval_basis_1d(elems, pts)
+        lam, grad_lam = _barycentric(self.mesh, elems, pts)
+        vals, grads = _shape_functions_2d(self.p, lam, grad_lam)
+        signs = self.orientation_signs()[elems][:, None, :]
+        return vals * signs, grads * signs[..., None]
 
-    def _eval_basis_1d(self, ei, pts):
+    def _eval_basis_1d(self, elems, pts):
         mesh, p = self.mesh, self.p
-        n0, n1 = mesh.elements[ei]
-        x0, x1 = mesh.nodes[n0], mesh.nodes[n1]
+        x0 = mesh.nodes[mesh.elements[elems, 0]][:, None]
+        x1 = mesh.nodes[mesh.elements[elems, 1]][:, None]
         h = x1 - x0
         xi = (pts - x0) / h
-        npts = pts.shape[0]
-        vals = np.zeros((npts, p + 1))
-        grads = np.zeros((npts, p + 1, 1))
-        vals[:, 0] = 1.0 - xi
-        vals[:, 1] = xi
-        grads[:, 0, 0] = -1.0 / h
-        grads[:, 1, 0] = 1.0 / h
+        vals = np.zeros(pts.shape + (p + 1,))
+        grads = np.zeros(pts.shape + (p + 1, 1))
+        vals[..., 0] = 1.0 - xi
+        vals[..., 1] = xi
+        grads[..., 0, 0] = -1.0 / h
+        grads[..., 1, 0] = 1.0 / h
         if p >= 2:
             t = 2.0 * xi - 1.0
             tab, der1, _ = _legendre_table(t, p)
             for q in range(2, p + 1):
                 scale = math.sqrt(2.0 * (2 * q - 1))
-                vals[:, q] = (tab[q] - tab[q - 2]) / scale
-                grads[:, q, 0] = 2.0 / h * (der1[q] - der1[q - 2]) / scale
+                vals[..., q] = (tab[q] - tab[q - 2]) / scale
+                grads[..., q, 0] = 2.0 / h * (der1[q] - der1[q - 2]) / scale
         return vals, grads
 
     def reference_tables(self, ref_pts):
         """Shape values and reference gradients at reference points.
 
-        2D fast path for assembly: the returned gradients are with respect
-        to reference coordinates for a canonically oriented element; the
-        caller applies per-element Jacobians and `orientation_signs`.
+        2D only: the returned gradients are with respect to reference
+        coordinates for a canonically oriented element; `element_matrices`
+        and `field` apply each element's Jacobian and `orientation_signs`.
         """
-        if self.mesh.dim != 1 and ref_pts.shape[1] == 2:
-            lam = np.column_stack(
-                [1.0 - ref_pts[:, 0] - ref_pts[:, 1], ref_pts[:, 0], ref_pts[:, 1]]
-            )
-            unit = np.ones(self.nloc)
-            return _shape_functions_2d(self.p, lam, _REF_GRAD_LAM, unit)
-        raise ValueError("reference tables are a 2D facility")
+        if self.mesh.dim != 2 or np.shape(ref_pts)[-1] != 2:
+            raise ValueError("reference tables are a 2D facility")
+        vals, grads = _shape_functions_2d(self.p, _lam(ref_pts)[None],
+                                          _REF_GRAD_LAM[None])
+        return vals[0], grads[0]
+
+    # The 2D element integrals pull one reference table back through each
+    # element's affine map instead of evaluating the basis at physical
+    # points (the shared _Space path): on a 2-CPU machine that path took
+    # 3-9x longer for the element matrices and 1.2-4.6x longer for the
+    # error sums, from p=1 at 73k elements to p=8 at 32 elements.
+
+    def element_matrices(self, elems, rule):
+        if self.mesh.dim == 1:
+            return super().element_matrices(elems, rule)
+        vals, grads = self.reference_tables(rule.points)
+        w = rule.weights
+        m_ref = np.einsum("q,ql,qm->lm", w, vals, vals)
+        g_ref = np.einsum("q,qlr,qms->lrms", w, grads, grads)
+        inv_jt = self.mesh.inv_jacobians_t()[elems]
+        det = 2.0 * self.mesh.areas()[elems]
+        metric = np.einsum("edr,eds->ers", inv_jt, inv_jt)
+        signs = self.orientation_signs()[elems]
+        ss = signs[:, :, None] * signs[:, None, :]
+        stiff = det[:, None, None] * np.einsum("lrms,ers->elm", g_ref, metric)
+        mass = det[:, None, None] * m_ref[None, :, :]
+        return stiff * ss, mass * ss
+
+    def field(self, elems, coeffs, rule):
+        if self.mesh.dim == 1:
+            return super().field(elems, coeffs, rule)
+        vals, grads = self.reference_tables(rule.points)
+        c = coeffs[self.dof_matrix()[elems]] * self.orientation_signs()[elems]
+        u = np.einsum("ql,el->eq", vals, c)
+        g = np.einsum("qlr,edr,el->eqd", grads,
+                      self.mesh.inv_jacobians_t()[elems], c)
+        return u, g
 
 
-class NodallyExact1D:
+class NodallyExact1D(_Space):
     """1D space whose hat-like shape functions solve -u'' - k^2 u = 0.
 
     On each element the two shape functions are sin(k(x_r - x))/sin(k h)
@@ -297,22 +385,21 @@ class NodallyExact1D:
         self.ndof = mesh.n_nodes
         self.nloc = 2
 
-    def element_dofs(self, ei):
-        return self.mesh.elements[ei]
+    def dof_matrix(self):
+        return self.mesh.elements
 
-    def eval_basis(self, ei, pts):
-        pts = np.asarray(pts, dtype=float)
+    @_batched
+    def eval_basis(self, elems, pts):
         mesh, k = self.mesh, self.k
-        n0, n1 = mesh.elements[ei]
-        x0, x1 = mesh.nodes[n0], mesh.nodes[n1]
-        s = math.sin(k * (x1 - x0))
-        npts = pts.shape[0]
-        vals = np.empty((npts, 2))
-        grads = np.empty((npts, 2, 1))
-        vals[:, 0] = np.sin(k * (x1 - pts)) / s
-        vals[:, 1] = np.sin(k * (pts - x0)) / s
-        grads[:, 0, 0] = -k * np.cos(k * (x1 - pts)) / s
-        grads[:, 1, 0] = k * np.cos(k * (pts - x0)) / s
+        x0 = mesh.nodes[mesh.elements[elems, 0]][:, None]
+        x1 = mesh.nodes[mesh.elements[elems, 1]][:, None]
+        s = np.sin(k * (x1 - x0))
+        vals = np.empty(pts.shape + (2,))
+        grads = np.empty(pts.shape + (2, 1))
+        vals[..., 0] = np.sin(k * (x1 - pts)) / s
+        vals[..., 1] = np.sin(k * (pts - x0)) / s
+        grads[..., 0, 0] = -k * np.cos(k * (x1 - pts)) / s
+        grads[..., 1, 0] = k * np.cos(k * (pts - x0)) / s
         return vals, grads
 
 
@@ -407,7 +494,7 @@ class GhpBasis:
         return vals, grads
 
 
-class PumSpace:
+class PumSpace(_Space):
     """Partition-of-unity space: hat functions times shifted wave enrichment.
 
     Global basis functions are phi_i(x) * b_m(x - x_i) for every mesh node
@@ -431,36 +518,35 @@ class PumSpace:
         self.nloc = 3 * enrichment.dim
         self.ndof = mesh.n_nodes * enrichment.dim
 
-    def element_dofs(self, ei):
+    def dof_matrix(self):
         m = self.enrichment.dim
-        verts = self.mesh.elements[ei]
-        return (verts[:, None] * m + np.arange(m)[None, :]).ravel()
+        verts = self.mesh.elements
+        return (verts[:, :, None] * m + np.arange(m)).reshape(len(verts), -1)
 
-    def eval_basis(self, ei, pts):
-        pts = np.asarray(pts, dtype=float)
+    @_batched
+    def eval_basis(self, elems, pts):
         mesh = self.mesh
         m = self.enrichment.dim
-        verts = mesh.elements[ei]
-        v0 = mesh.nodes[verts[0]]
-        inv_jt = mesh.inv_jacobians_t()[ei]
-        ref = (pts - v0) @ inv_jt
-        lam = np.column_stack([1.0 - ref[:, 0] - ref[:, 1], ref[:, 0], ref[:, 1]])
-        grad_lam = _REF_GRAD_LAM @ inv_jt.T
-        npts = pts.shape[0]
-        vals = np.empty((npts, self.nloc), dtype=complex)
-        grads = np.empty((npts, self.nloc, 2), dtype=complex)
-        for v in range(3):
-            bvals, bgrads = self.enrichment.eval(pts - mesh.nodes[verts[v]])
-            sl = slice(v * m, (v + 1) * m)
-            vals[:, sl] = lam[:, v, None] * bvals
-            grads[:, sl, :] = (
-                bvals[:, :, None] * grad_lam[v][None, None, :]
-                + lam[:, v, None, None] * bgrads
-            )
+        verts = mesh.elements[elems]
+        lam, grad_lam = _barycentric(mesh, elems, pts)
+        vals = np.empty(pts.shape[:2] + (self.nloc,), dtype=complex)
+        grads = np.empty(pts.shape[:2] + (self.nloc, 2), dtype=complex)
+        # One element per enrichment call: bessel_j picks its Miller start
+        # from the largest argument of a call, so a GHP evaluation batched
+        # across elements would change the basis values.
+        for e in range(len(elems)):
+            for v in range(3):
+                bvals, bgrads = self.enrichment.eval(pts[e] - mesh.nodes[verts[e, v]])
+                sl = slice(v * m, (v + 1) * m)
+                vals[e, :, sl] = lam[e, :, v, None] * bvals
+                grads[e, :, sl, :] = (
+                    bvals[:, :, None] * grad_lam[e, v][None, None, :]
+                    + lam[e, :, v, None, None] * bgrads
+                )
         return vals, grads
 
 
-class TrefftzSpace:
+class TrefftzSpace(_Space):
     """Discontinuous space with an independent wave basis per element.
 
     Each element carries a copy of the local basis centered at its
@@ -483,14 +569,19 @@ class TrefftzSpace:
         self.nloc = local.dim
         self.ndof = mesh.n_elements * local.dim
 
-    def element_dofs(self, ei):
-        m = self.nloc
-        return np.arange(ei * m, (ei + 1) * m)
+    def dof_matrix(self):
+        return np.arange(self.ndof).reshape(self.mesh.n_elements, self.nloc)
 
-    def eval_basis(self, ei, pts):
-        pts = np.asarray(pts, dtype=float)
-        center = self.mesh.centroids()[ei]
-        return self.local.eval(pts - center)
+    @_batched
+    def eval_basis(self, elems, pts):
+        centers = self.mesh.centroids()[elems]
+        vals = np.empty(pts.shape[:2] + (self.nloc,), dtype=complex)
+        grads = np.empty(pts.shape[:2] + (self.nloc, 2), dtype=complex)
+        # One element per call of the local basis, for the reason given in
+        # PumSpace.eval_basis.
+        for e in range(len(elems)):
+            vals[e], grads[e] = self.local.eval(pts[e] - centers[e])
+        return vals, grads
 
 
 # -- factories -----------------------------------------------------------
@@ -538,9 +629,7 @@ def evaluate(space, coeffs, point, element_hint):
             raise ValueError("point lies outside the hinted element")
     else:
         pts = point.reshape(1, 2)
-        v0 = mesh.nodes[mesh.elements[ei, 0]]
-        ref = (pts - v0) @ mesh.inv_jacobians_t()[ei]
-        lam = np.array([1.0 - ref[0, 0] - ref[0, 1], ref[0, 0], ref[0, 1]])
+        lam, _ = _barycentric(mesh, np.array([ei]), pts[None])
         if np.min(lam) < -tol:
             raise ValueError("point lies outside the hinted element")
     vals, grads = space.eval_basis(ei, pts)
@@ -592,10 +681,10 @@ def near_unity_deficit(space, samples_per_elem=10, rng=None):
     if rng is None:
         rng = np.random.default_rng(0)
     worst = 0.0
-    for ei in range(mesh.n_elements):
-        bary = rng.dirichlet(np.ones(3), size=samples_per_elem)
-        pts = bary @ mesh.nodes[mesh.elements[ei]]
-        vals, _ = space.eval_basis(ei, pts)
-        psi = vals @ coeffs[space.element_dofs(ei)]
+    for elems in space.element_batches(samples_per_elem):
+        bary = rng.dirichlet(np.ones(3), size=(len(elems), samples_per_elem))
+        pts = bary @ mesh.nodes[mesh.elements[elems]]
+        vals, _ = space.eval_basis(elems, pts)
+        psi = np.einsum("eql,el->eq", vals, coeffs[space.dof_matrix()[elems]])
         worst = max(worst, float(np.max(np.abs(1.0 - psi))))
     return worst

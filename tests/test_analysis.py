@@ -110,9 +110,13 @@ class TestRelativeErrors:
         want = math.sqrt((k**2 * num_l2 + num_h1) / (k**2 * den_l2 + den_h1))
         assert abs(e1k - want) < 1e-12
 
-    def test_fast_path_matches_generic(self):
+    @pytest.mark.parametrize("p", [1, 2, 3, 4])
+    def test_pull_back_matches_physical_evaluation(self, p, monkeypatch):
+        # The 2D polynomial space integrates by pulling reference tables
+        # back through each element's Jacobian; the shared path evaluates
+        # the basis at physical points.  Matrices and error sums agree.
         mesh = meshing.triangulate(meshing.l_shape(), 0.5)
-        space = spaces.h1_space(mesh, 3)
+        space = spaces.h1_space(mesh, p)
         rng = np.random.default_rng(11)
         coeffs = random_complex(rng, space.ndof)
         k = 3.0
@@ -124,13 +128,19 @@ class TestRelativeErrors:
         def grad(pts):
             return 1j * k * d[None, :] * np.exp(1j * k * (pts @ d))[:, None]
 
-        deg = analysis._error_degree(space, k)
-        fast = analysis._h1_fast_error_sums(
-            space, coeffs, value, grad, deg, 0.0, np.zeros(2))
-        slow = analysis._generic_error_sums(
-            space, coeffs, value, grad, deg, 0.0, np.zeros(2))
-        for a, b in zip(fast, slow):
-            assert abs(a - b) < 1e-11 * max(1.0, abs(b))
+        def run():
+            errs = analysis.relative_errors(space, coeffs, value, grad, k,
+                                            exclude_radius=0.3)
+            return np.array(errs), assembly.assemble_galerkin(space, k).A.toarray()
+
+        pulled_errs, pulled_a = run()
+        monkeypatch.setattr(spaces.H1Space, "field", spaces._Space.field)
+        monkeypatch.setattr(spaces.H1Space, "element_matrices",
+                            spaces._Space.element_matrices)
+        physical_errs, physical_a = run()
+        np.testing.assert_allclose(pulled_errs, physical_errs, rtol=1e-11)
+        np.testing.assert_allclose(pulled_a, physical_a, rtol=0,
+                                   atol=1e-12 * np.abs(physical_a).max())
 
     def test_trefftz_plane_wave_zero_error(self):
         k = 6.0
@@ -382,7 +392,7 @@ class TestJFunctional:
     def test_matches_normal_equation_algebra(self):
         k = 5.0
         space, system, g = self.setup_system(k)
-        a = np.asarray(system.A)
+        a = system.A
         rng = np.random.default_rng(3)
         for _ in range(5):
             x = random_complex(rng, space.ndof)

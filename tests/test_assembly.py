@@ -1,11 +1,13 @@
 """Assembled forms and linear algebra against hand-computed oracles."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.sparse
 
+from helmholtz_lab import assembly
 from helmholtz_lab.assembly import (
     ComplexSystem,
     FluxParams,
@@ -13,7 +15,6 @@ from helmholtz_lab.assembly import (
     assemble_gram_1k,
     assemble_least_squares,
     assemble_pwdg,
-    dump_system,
     h_version_fluxes,
     hmp_fluxes,
     infsup_probe,
@@ -180,7 +181,7 @@ class TestLeastSquares:
         space = trefftz_space(mesh, k, PlaneWaveBasis(k=k, p=5))
         g = lambda pts: np.exp(1j * k * pts[:, 0])
         system = assemble_least_squares(space, k, g)
-        A = system.A
+        A = dense(system.A)
         np.testing.assert_allclose(A, A.conj().T, atol=1e-10)
         w = np.linalg.eigvalsh(0.5 * (A + A.conj().T))
         assert w.min() > -1e-10 * w.max()
@@ -317,6 +318,7 @@ class TestSolve:
         system = ComplexSystem(A=A, rhs=np.array([2.0, 1.0], dtype=complex))
         res = solve(system, strategy="truncated_svd", svd_cutoff=1e-12)
         np.testing.assert_allclose(res.x, [2.0, 0.0], atol=1e-12)
+        assert res.svd_dropped == 1
 
     def test_dimension_mismatch(self):
         system = ComplexSystem(A=np.eye(3, dtype=complex), rhs=np.zeros(2, complex))
@@ -337,6 +339,57 @@ class TestSolve:
         xs = solve(system, "sparse_lu").x
         xd = solve(system, "dense_lu").x
         np.testing.assert_allclose(xs, xd, atol=1e-10 * np.abs(xd).max())
+
+
+class TestDenseLimit:
+    def test_one_above_limit_refused_without_allocation(self):
+        n = assembly._DENSE_LIMIT + 1
+        A = scipy.sparse.identity(n, dtype=complex, format="csr")
+        system = ComplexSystem(A=A, rhs=np.ones(n, dtype=complex))
+        message = f"n={n} .* limit of {assembly._DENSE_LIMIT}"
+        tracemalloc.start()
+        try:
+            for strategy in ("dense_lu", "truncated_svd"):
+                with pytest.raises(ValueError, match=message):
+                    solve(system, strategy)
+            with pytest.raises(ValueError, match=message):
+                infsup_probe(A, A)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.01 * 16 * n * n
+
+    def test_limit_covers_the_largest_least_squares_run(self):
+        # plane-wave LS on the unit square at h = 1/16 with p = 9
+        assert assembly._DENSE_LIMIT >= 2 * 16**2 * 9
+
+
+class TestSparseForm:
+    def test_every_assembler_returns_csr(self):
+        k = 3.0
+        h1 = h1_space(triangulate(unit_square(), 0.5), 2)
+        tz = trefftz_space(triangulate(unit_square(), 0.5), k,
+                           PlaneWaveBasis(k=k, p=3))
+        g = lambda pts: np.exp(1j * k * pts[:, 0])
+        system = assemble_galerkin(h1, k, g=g)
+        mats = [system.A, system.mass, system.meta["boundary_mass"],
+                assemble_gram_1k(h1, k), assemble_gram_1k(tz, k),
+                assemble_least_squares(tz, k, g).A,
+                assemble_pwdg(tz, k, g, uwvf_fluxes()).A]
+        for mat in mats:
+            assert scipy.sparse.issparse(mat) and mat.format == "csr"
+
+    @pytest.mark.parametrize("kind", ["h1_1d", "h1_2d", "nodal"])
+    def test_galerkin_complex_symmetric(self, kind):
+        k = 5.0
+        if kind == "h1_1d":
+            space = h1_space(uniform_interval_mesh(8), 4)
+        elif kind == "h1_2d":
+            space = h1_space(triangulate(unit_square(), 0.25), 3)
+        else:
+            space = nodally_exact_space_1d(uniform_interval_mesh(12), k)
+        A = assemble_galerkin(space, k).A
+        assert abs(A - A.T).max() <= 1e-14 * abs(A).max()
 
 
 class TestInfsupProbe:
@@ -371,18 +424,6 @@ class TestInfsupProbe:
         assert vals[1] < 0.5 * vals[0]
 
 
-class TestDump:
-    def test_round_trip(self, tmp_path):
-        A = np.array([[1.0 + 2j, 0.0], [3.5, -1j]])
-        system = ComplexSystem(A=A, rhs=np.zeros(2, dtype=complex))
-        path = tmp_path / "system.txt"
-        dump_system(system, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "2"
-        row0 = [tuple(map(float, pair.split(","))) for pair in lines[1].split()]
-        assert row0 == [(1.0, 2.0), (0.0, 0.0)]
-
-
 class TestDeterminism:
     def test_assembly_bitwise_stable(self):
         mesh = triangulate(unit_square(), 0.5)
@@ -391,5 +432,5 @@ class TestDeterminism:
         g = lambda pts: np.exp(1j * k * pts[:, 0])
         s1 = assemble_pwdg(space, k, g, uwvf_fluxes())
         s2 = assemble_pwdg(space, k, g, uwvf_fluxes())
-        assert np.array_equal(s1.A, s2.A)
+        assert np.array_equal(dense(s1.A), dense(s2.A))
         assert np.array_equal(s1.rhs, s2.rhs)

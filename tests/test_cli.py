@@ -1,10 +1,13 @@
 """Config parsing, presets, CSV output and exit codes of the CLI harness."""
 
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import helmholtz_lab
 from helmholtz_lab import cli, meshing
 
 
@@ -259,3 +262,16 @@ def _read_rows(path):
     import csv as csv_mod
     with open(path) as fh:
         return list(csv_mod.DictReader(fh))
+
+
+def test_module_entry_point_runs_without_runtime_warning():
+    # Importing the package must not import the cli module, or running it
+    # as `python -m helmholtz_lab.cli` warns that it is already imported.
+    src = os.path.dirname(os.path.dirname(helmholtz_lab.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m",
+         "helmholtz_lab.cli", "list-presets"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "fig1_1d_pollution" in proc.stdout

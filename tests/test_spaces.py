@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from helmholtz_lab.meshing import (
+    geometric_refine,
     l_shape,
     triangulate,
     uniform_interval_mesh,
@@ -185,6 +186,78 @@ class TestH1Shape:
         inv_jt = mesh.inv_jacobians_t()[ei]
         push = np.einsum("plr,dr->pld", tab_grads, inv_jt) * signs[None, :, None]
         np.testing.assert_allclose(grads, push, atol=1e-12)
+
+
+def dict_dof_matrix(space):
+    """DOF numbering of a 2D polynomial space built from an edge dict."""
+    mesh, p = space.mesh, space.p
+    index = {(min(a, b), max(a, b)): i
+             for i, (a, b) in enumerate(mesh.edge_nodes)}
+    n_bub = (p - 1) * (p - 2) // 2
+    bubble_base = mesh.n_nodes + len(mesh.edge_nodes) * (p - 1)
+    rows = []
+    for ei, tri in enumerate(mesh.elements):
+        row = [int(v) for v in tri]
+        for a, b in ((0, 1), (1, 2), (0, 2)):
+            e = index[(min(tri[a], tri[b]), max(tri[a], tri[b]))]
+            row += [mesh.n_nodes + e * (p - 1) + q - 2 for q in range(2, p + 1)]
+        row += range(bubble_base + ei * n_bub, bubble_base + (ei + 1) * n_bub)
+        rows.append(row)
+    return np.array(rows)
+
+
+class TestDofNumbering:
+    @pytest.mark.parametrize("name", ["square", "lshape", "graded"])
+    def test_matches_dict_reference(self, name):
+        if name == "square":
+            mesh = triangulate(unit_square(), 0.25)
+        elif name == "lshape":
+            mesh = triangulate(l_shape(), 0.5)
+        else:
+            mesh = geometric_refine(triangulate(l_shape(), 0.5), [(0.0, 0.0)],
+                                    0.25, 3)
+        for p in (1, 2, 4):
+            space = h1_space(mesh, p)
+            np.testing.assert_array_equal(space.dof_matrix(),
+                                          dict_dof_matrix(space))
+
+
+def batch_points(mesh, elems, n, rng):
+    return np.stack([random_points_in(mesh, ei, n, rng) for ei in elems])
+
+
+class TestBatchedEval:
+    @pytest.mark.parametrize("kind", ["h1_1d", "h1_2d", "nodal", "pum",
+                                      "trefftz_pw", "trefftz_ghp"])
+    def test_batch_equals_per_element(self, kind):
+        k = 4.0
+        square = triangulate(unit_square(), 0.5)
+        if kind == "h1_1d":
+            space = h1_space(uniform_interval_mesh(6), 4)
+        elif kind == "h1_2d":
+            space = h1_space(square, 4)
+        elif kind == "nodal":
+            space = nodally_exact_space_1d(uniform_interval_mesh(6), k)
+        elif kind == "pum":
+            space = pum_space(square, k, GhpBasis(k=k, p=2))
+        elif kind == "trefftz_pw":
+            space = trefftz_space(square, k, PlaneWaveBasis(k=k, p=5))
+        else:
+            space = trefftz_space(square, k, GhpBasis(k=k, p=3))
+        rng = np.random.default_rng(7)
+        elems = np.array([3, 0, 5, 1])
+        pts = batch_points(space.mesh, elems, 6, rng)
+        vals, grads = space.eval_basis(elems, pts)
+        dim = space.mesh.dim
+        assert vals.shape == (4, 6, space.nloc)
+        assert grads.shape == (4, 6, space.nloc, dim)
+        for i, ei in enumerate(elems):
+            v, g = space.eval_basis(int(ei), pts[i])
+            np.testing.assert_allclose(vals[i], v, rtol=0, atol=1e-13)
+            np.testing.assert_allclose(grads[i], g, rtol=0,
+                                       atol=1e-13 * np.abs(g).max())
+            np.testing.assert_array_equal(space.dof_matrix()[ei],
+                                          space.element_dofs(int(ei)))
 
 
 class TestNodallyExact:
