@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import (_edge_points, _edge_traces, _flat, _reference_rule,
-                       edge_rule)
+from .assembly import (_edge_groups, _edge_traces, _edge_values, _flat,
+                       _reference_rule, _skeleton_edges)
 from .numerics import oscillatory_degree
 
 
@@ -134,11 +134,29 @@ def nodal_max_error(space, coeffs, exact_value):
 # -- skeleton DG norms --------------------------------------------------------
 
 
-def _check_flux(alpha, beta, delta):
-    if alpha <= 0.0 or beta <= 0.0:
+def _check_flux(flux, edges):
+    alpha, beta, delta = flux.on_edges(edges)
+    if np.any(alpha <= 0.0) or np.any(beta <= 0.0):
         raise ValueError("flux parameters alpha and beta must be positive")
-    if not 0.0 < delta < 1.0:
+    if not np.all((delta > 0.0) & (delta < 1.0)):
         raise ValueError("flux parameter delta must lie in (0, 1)")
+
+
+def _edge_fields(space, coeffs, edges, t):
+    """Points (E, Q, 2) and, per side, the values and plus-normal
+    derivatives (E, Q) of the discrete function on a batch of edges."""
+    pts, sides = _edge_traces(space, edges, t)
+    fields = [(np.einsum("eql,el->eq", vals, coeffs[dofs]),
+               np.einsum("eql,el->eq", dn, coeffs[dofs]))
+              for dofs, vals, dn in sides]
+    return pts, fields
+
+
+def _exact_traces(space, edges, pts, exact_value, exact_grad):
+    """Values and plus-normal derivatives (E, Q) of the exact solution."""
+    u = _edge_values(exact_value, pts)
+    g = np.asarray(exact_grad(_flat(pts)), dtype=complex).reshape(pts.shape)
+    return u, np.einsum("eqd,ed->eq", g, space.mesh.edge_normals[edges])
 
 
 def _dg_square(space, coeffs, flux, k, plus, policy,
@@ -150,44 +168,34 @@ def _dg_square(space, coeffs, flux, k, plus, policy,
         raise ValueError("DG norms are defined on 2D meshes")
     coeffs = np.asarray(coeffs, dtype=complex)
     k = float(k)
+    interior, boundary = _skeleton_edges(mesh)
+    _check_flux(flux, np.arange(len(mesh.edge_lengths)))
     total = 0.0
-    for edge in mesh.interior_edges():
-        alpha, beta, delta = flux.on_edge(edge.index)
-        _check_flux(alpha, beta, delta)
-        t, w = edge_rule(k, edge.length, policy=policy)
-        ds = edge.length * w
-        (dp, vp, gp), (dm, vm, gm) = _edge_traces(space, edge, t)
-        u_p = vp @ coeffs[dp]
-        u_m = vm @ coeffs[dm]
-        gn_p = gp @ coeffs[dp]
-        gn_m = gm @ coeffs[dm]
+    for edges, t, ds in _edge_groups(space, k, interior, policy):
+        alpha, beta, _ = (a[:, None] for a in flux.on_edges(edges))
+        pts, ((u_p, gn_p), (u_m, gn_m)) = _edge_fields(space, coeffs, edges, t)
         if exact_value is not None:
-            pts = _edge_points(mesh, edge, t)
-            u_e = np.asarray(exact_value(pts), dtype=complex)
-            gn_e = np.asarray(exact_grad(pts), dtype=complex) @ edge.normal
+            u_e, gn_e = _exact_traces(space, edges, pts, exact_value,
+                                      exact_grad)
             u_p, u_m = u_e - u_p, u_e - u_m
             gn_p, gn_m = gn_e - gn_p, gn_e - gn_m
-        total += beta / k * float(ds @ np.abs(gn_p - gn_m) ** 2)
-        total += k * alpha * float(ds @ np.abs(u_p - u_m) ** 2)
+        sq = (beta / k * np.abs(gn_p - gn_m) ** 2
+              + k * alpha * np.abs(u_p - u_m) ** 2)
         if plus:
-            avg2 = np.abs(0.5 * (u_p + u_m)) ** 2
-            total += (k / beta + 1.0 / (k * alpha)) * float(ds @ avg2)
-    for edge in mesh.boundary_edges():
-        alpha, beta, delta = flux.on_edge(edge.index)
-        _check_flux(alpha, beta, delta)
-        t, w = edge_rule(k, edge.length, policy=policy)
-        ds = edge.length * w
-        ((dp, vp, gp),) = _edge_traces(space, edge, t)
-        u = vp @ coeffs[dp]
-        gn = gp @ coeffs[dp]
+            sq = sq + ((k / beta + 1.0 / (k * alpha))
+                       * np.abs(0.5 * (u_p + u_m)) ** 2)
+        total += float(np.sum(ds * sq))
+    for edges, t, ds in _edge_groups(space, k, boundary, policy):
+        delta = flux.on_edges(edges)[2][:, None]
+        pts, ((u, gn),) = _edge_fields(space, coeffs, edges, t)
         if exact_value is not None:
-            pts = _edge_points(mesh, edge, t)
-            u = np.asarray(exact_value(pts), dtype=complex) - u
-            gn = np.asarray(exact_grad(pts), dtype=complex) @ edge.normal - gn
-        total += delta / k * float(ds @ np.abs(gn) ** 2)
-        total += k * (1.0 - delta) * float(ds @ np.abs(u) ** 2)
+            u_e, gn_e = _exact_traces(space, edges, pts, exact_value,
+                                      exact_grad)
+            u, gn = u_e - u, gn_e - gn
+        sq = delta / k * np.abs(gn) ** 2 + k * (1.0 - delta) * np.abs(u) ** 2
         if plus:
-            total += k / delta * float(ds @ np.abs(u) ** 2)
+            sq = sq + k / delta * np.abs(u) ** 2
+        total += float(np.sum(ds * sq))
     return total
 
 
@@ -240,23 +248,16 @@ def j_functional(space, coeffs, k, g, w1=None, w2=None, policy=None):
     k = float(k)
     w1 = k if w1 is None else float(w1)
     w2 = 1.0 if w2 is None else float(w2)
+    interior, boundary = _skeleton_edges(mesh)
     total = 0.0
-    for edge in mesh.interior_edges():
-        t, w = edge_rule(k, edge.length, policy=policy)
-        ds = edge.length * w
-        (dp, vp, gp), (dm, vm, gm) = _edge_traces(space, edge, t)
-        jump_v = vp @ coeffs[dp] - vm @ coeffs[dm]
-        jump_g = gp @ coeffs[dp] - gm @ coeffs[dm]
-        total += w1**2 * float(ds @ np.abs(jump_v) ** 2)
-        total += w2**2 * float(ds @ np.abs(jump_g) ** 2)
-    for edge in mesh.boundary_edges():
-        t, w = edge_rule(k, edge.length, policy=policy)
-        ds = edge.length * w
-        ((dp, vp, gp),) = _edge_traces(space, edge, t)
-        u = vp @ coeffs[dp]
-        gn = gp @ coeffs[dp]
-        gv = np.asarray(g(_edge_points(mesh, edge, t)), dtype=complex)
-        total += w2**2 * float(ds @ np.abs(gn + 1j * k * u - gv) ** 2)
+    for edges, t, ds in _edge_groups(space, k, interior, policy):
+        _, ((u_p, gn_p), (u_m, gn_m)) = _edge_fields(space, coeffs, edges, t)
+        total += float(np.sum(ds * (w1**2 * np.abs(u_p - u_m) ** 2
+                                    + w2**2 * np.abs(gn_p - gn_m) ** 2)))
+    for edges, t, ds in _edge_groups(space, k, boundary, policy):
+        pts, ((u, gn),) = _edge_fields(space, coeffs, edges, t)
+        gv = _edge_values(g, pts)
+        total += w2**2 * float(np.sum(ds * np.abs(gn + 1j * k * u - gv) ** 2))
     return total
 
 

@@ -9,9 +9,16 @@ dense copy, and they refuse systems above _DENSE_LIMIT unknowns.
 
 Volume integrals run one loop over element batches from
 `space.element_batches`, taking local matrices from
-`space.element_matrices` and basis values from `space.eval_basis`;
-boundary integrals batch the boundary edges that share an edge rule.
-The skeleton forms of the Trefftz methods loop over edges.
+`space.element_matrices` and basis values from `space.eval_basis`.
+Boundary integrals and the skeleton forms of the Trefftz methods loop
+over batches of edges that share an edge rule (`_edge_groups`; a
+structured mesh has three edge lengths), with both sides' traces from
+one batched `_edge_traces`.
+
+`solve` with 'truncated_svd' runs the dense SVD only when a sparse LU
+cannot certify, through its residual and a 1-norm condition estimate,
+that truncation would drop nothing; `SolveResult` records the path that
+ran, the estimate and the dropped singular values.
 
 The Galerkin matrix, the L2 mass matrix and the (1,k) Gram matrix are all
 built from one set of shared parts (stiffness, mass, boundary mass), so
@@ -27,6 +34,7 @@ import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
+from . import spaces
 from .numerics import gauss_interval, oscillatory_degree, quad_triangle
 
 # Largest system the dense strategies and the inf-sup probe accept (a
@@ -76,10 +84,18 @@ class ComplexSystem:
 
 @dataclass
 class SolveResult:
+    """A solution, its relative residual and how it was computed.
+
+    `strategy` names the path that ran, `svd_dropped` counts singular
+    values zeroed by truncation, and `cond_est` is the 1-norm condition
+    estimate of the truncated-SVD certificate (None when none was made).
+    """
+
     x: np.ndarray
     residual: float
     strategy: str
     svd_dropped: int = 0
+    cond_est: float = None
 
 
 @dataclass(frozen=True)
@@ -90,18 +106,15 @@ class FluxParams:
     beta: object
     delta: object
 
+    def on_edges(self, idx):
+        """(alpha, beta, delta) on the edges `idx`, as float arrays shaped
+        like idx."""
+        return tuple(np.broadcast_to(v, np.shape(idx)).astype(float)
+                     if np.isscalar(v) else np.asarray(v, dtype=float)[idx]
+                     for v in (self.alpha, self.beta, self.delta))
+
     def on_edge(self, idx):
-        return (
-            _flux_value(self.alpha, idx),
-            _flux_value(self.beta, idx),
-            _flux_value(self.delta, idx),
-        )
-
-
-def _flux_value(v, idx):
-    if np.isscalar(v):
-        return float(v)
-    return float(np.asarray(v)[idx])
+        return tuple(float(v) for v in self.on_edges(idx))
 
 
 def uwvf_fluxes():
@@ -208,14 +221,39 @@ def _volume_parts(space, k, policy):
     return _to_csr(st, space.ndof), _to_csr(ms, space.ndof)
 
 
-def _edge_points(mesh, edge, t):
-    a = mesh.nodes[edge.nodes[0]]
-    b = mesh.nodes[edge.nodes[1]]
-    return a[None, :] + t[:, None] * (b - a)[None, :]
+def _edge_points(mesh, edges, t):
+    """Points (E, Q, 2) at parameters t along each edge of `edges`."""
+    a = mesh.nodes[mesh.edge_nodes[edges, 0]]
+    b = mesh.nodes[mesh.edge_nodes[edges, 1]]
+    return a[:, None, :] + t[None, :, None] * (b - a)[:, None, :]
 
 
 def _edge_base(space):
     return 2 * getattr(space, "p", 1) + 2 if space.kind == "h1_polynomial" else 4
+
+
+def _edge_groups(space, k, edges, policy, base=4):
+    """The 2D mesh edges `edges` grouped by edge rule, in batches.
+
+    Yields (batch, t, ds): an index array of edges sharing one rule,
+    that rule's points t on [0, 1] and the physical weights ds (E, Q).
+    Batches are sized so that both sides' basis gradients or a local
+    matrix of the two sides hold at most spaces._BATCH_ENTRIES numbers.
+    """
+    mesh = space.mesh
+    edges = np.asarray(edges, dtype=np.int64)
+    lengths = mesh.edge_lengths[edges]
+    unique, inverse = np.unique(lengths, return_inverse=True)
+    rules = [edge_rule(k, h, base=base, policy=policy) for h in unique]
+    npts = np.array([len(t) for t, _ in rules], dtype=np.int64)[inverse]
+    for nq in np.unique(npts):
+        t, w = rules[inverse[np.argmax(npts == nq)]]
+        members = edges[npts == nq]
+        per_edge = 2 * space.nloc * max(2 * space.nloc, nq * mesh.dim)
+        step = max(1, spaces._BATCH_ENTRIES // per_edge)
+        for lo in range(0, len(members), step):
+            batch = members[lo:lo + step]
+            yield batch, t, mesh.edge_lengths[batch][:, None] * w
 
 
 def _boundary_batches(space, k, tags, policy):
@@ -226,26 +264,17 @@ def _boundary_batches(space, k, tags, policy):
     unit point measure.
     """
     mesh = space.mesh
-    idx = np.array([i for i in np.flatnonzero(mesh.boundary_mask)
-                    if mesh.edge_tags[i] in tags], dtype=np.int64)
+    idx = np.flatnonzero(mesh.boundary_mask)
+    idx = idx[[mesh.edge_tags[i] in tags for i in idx]]
     if len(idx) == 0:
         return
     if mesh.dim == 1:
         x = mesh.nodes[mesh.edge_nodes[idx, 0]]
         yield mesh.edge_elems[idx, 0], x[:, None], np.ones((len(idx), 1))
         return
-    groups = {}
-    for i in idx:
-        t, w = edge_rule(k, mesh.edge_lengths[i], base=_edge_base(space),
-                         policy=policy)
-        groups.setdefault(len(t), (t, w, []))[2].append(i)
-    for t, w, members in groups.values():
-        members = np.array(members, dtype=np.int64)
-        a = mesh.nodes[mesh.edge_nodes[members, 0]]
-        b = mesh.nodes[mesh.edge_nodes[members, 1]]
-        pts = a[:, None, :] + t[None, :, None] * (b - a)[:, None, :]
-        yield (mesh.edge_elems[members, 0], pts,
-               mesh.edge_lengths[members][:, None] * w[None, :])
+    for batch, t, ds in _edge_groups(space, k, idx, policy,
+                                     base=_edge_base(space)):
+        yield mesh.edge_elems[batch, 0], _edge_points(mesh, batch, t), ds
 
 
 def _boundary_mass(space, k, tags, policy):
@@ -386,17 +415,60 @@ def _require_trefftz(space):
         raise ValueError("this assembly path needs a Trefftz space")
 
 
-def _edge_traces(space, edge, t):
-    """Both-side values and plus-normal derivatives at edge points."""
+def _edge_traces(space, edges, t):
+    """Basis traces on both sides of a batch of edges.
+
+    Returns the edge points (E, Q, 2) and, for the plus side and, on
+    interior edges, the minus side, a tuple of the side's DOFs (E, L),
+    basis values (E, Q, L) and derivatives along the plus normal
+    (E, Q, L).
+    """
     mesh = space.mesh
-    pts = _edge_points(mesh, edge, t)
-    out = []
-    for ei in edge.elems:
-        if ei < 0:
+    pts = _edge_points(mesh, edges, t)
+    normals = mesh.edge_normals[edges][:, None, :, None]
+    sides = []
+    for elems in mesh.edge_elems[edges].T:
+        if elems[0] < 0:
             break
-        vals, grads = space.eval_basis(ei, pts)
-        out.append((space.element_dofs(ei), vals, grads @ edge.normal))
-    return out
+        vals, grads = space.eval_basis(elems, pts)
+        sides.append((space.dof_matrix()[elems], vals,
+                      (grads @ normals)[..., 0]))
+    return pts, sides
+
+
+def _skeleton_edges(mesh):
+    return np.flatnonzero(~mesh.boundary_mask), np.flatnonzero(mesh.boundary_mask)
+
+
+def _gram(ds, x):
+    """Edge integrals (E, L, L) of conj(x[.., l]) * x[.., m] with the
+    weights ds (E, Q), for traces x of shape (E, Q, L)."""
+    return np.matmul(np.conj(x).transpose(0, 2, 1), ds[:, :, None] * x)
+
+
+def _products(ds, vals, dn):
+    """Edge integrals of the pairwise trace products, each (E, L, L).
+
+    Returns (VV, VG, GV, GG) with, e.g., VG[e, l, m] the integral of
+    conj(vals[.., l]) * dn[.., m] over edge e with weights ds.
+    """
+    m = _gram(ds, np.concatenate([vals, dn], axis=2))
+    n = vals.shape[2]
+    return m[:, :n, :n], m[:, :n, n:], m[:, n:, :n], m[:, n:, n:]
+
+
+def _two_sided(sides):
+    """Both sides' DOFs, values and normal derivatives side by side, and
+    the sign (+1 plus, -1 minus) of each local column."""
+    (dp, vp, gp), (dm, vm, gm) = sides
+    sign = np.repeat([1.0, -1.0], dp.shape[1])
+    return (np.concatenate([dp, dm], axis=1), np.concatenate([vp, vm], axis=2),
+            np.concatenate([gp, gm], axis=2), sign)
+
+
+def _edge_values(fn, pts):
+    """Complex values (E, Q) of a point callback at edge points (E, Q, 2)."""
+    return np.asarray(fn(_flat(pts)), dtype=complex).reshape(pts.shape[:2])
 
 
 def assemble_least_squares(space, k, g, w1=None, w2=None, policy=None):
@@ -417,27 +489,19 @@ def assemble_least_squares(space, k, g, w1=None, w2=None, policy=None):
     tri = ([], [], [])
     rhs = np.zeros(n, dtype=complex)
     g_norm2 = 0.0
-    for edge in mesh.interior_edges():
-        t, w = edge_rule(k, edge.length, policy=policy)
-        ds = edge.length * w
-        (dp, vp, gp), (dm, vm, gm) = _edge_traces(space, edge, t)
-        dofs = np.concatenate([dp, dm])
-        jump_v = np.hstack([vp, -vm])
-        jump_g = np.hstack([gp, -gm])
-        loc = w1**2 * np.einsum("q,ql,qm->lm", ds, np.conj(jump_v), jump_v)
-        loc += w2**2 * np.einsum("q,ql,qm->lm", ds, np.conj(jump_g), jump_g)
-        _accumulate(tri, dofs, dofs, loc)
-    for edge in mesh.boundary_edges():
-        t, w = edge_rule(k, edge.length, policy=policy)
-        ds = edge.length * w
-        ((dofs, vals, gn),) = _edge_traces(space, edge, t)
-        imp = gn + 1j * k * vals
-        _accumulate(tri, dofs, dofs, w2**2 * np.einsum(
-            "q,ql,qm->lm", ds, np.conj(imp), imp
-        ))
-        pts = _edge_points(mesh, edge, t)
-        gv = np.asarray(g(pts), dtype=complex)
-        rhs[dofs] += w2**2 * np.einsum("q,ql->l", ds * gv, np.conj(imp))
+    interior, boundary = _skeleton_edges(mesh)
+    for edges, t, ds in _edge_groups(space, k, interior, policy):
+        _, sides = _edge_traces(space, edges, t)
+        dofs, vals, dn, sign = _two_sided(sides)
+        _accumulate(tri, dofs, dofs, w1**2 * _gram(ds, vals * sign)
+                    + w2**2 * _gram(ds, dn * sign))
+    for edges, t, ds in _edge_groups(space, k, boundary, policy):
+        pts, ((dofs, vals, dn),) = _edge_traces(space, edges, t)
+        imp = dn + 1j * k * vals
+        _accumulate(tri, dofs, dofs, w2**2 * _gram(ds, imp))
+        gv = _edge_values(g, pts)
+        np.add.at(rhs, dofs, w2**2 * np.einsum("eq,eql->el", ds * gv,
+                                                np.conj(imp)))
         g_norm2 += w2**2 * float(np.sum(ds * np.abs(gv) ** 2))
     meta = {
         "method": "least_squares",
@@ -464,44 +528,35 @@ def assemble_pwdg(space, k, g, flux, policy=None):
     k = float(k)
     mesh = space.mesh
     n = space.ndof
+    interior, boundary = _skeleton_edges(mesh)
+    alpha, beta, _ = flux.on_edges(interior)
+    if np.any(alpha <= 0) or np.any(beta <= 0):
+        raise ValueError("flux parameters alpha, beta must be positive")
+    _, _, delta = flux.on_edges(boundary)
+    if not np.all((delta > 0.0) & (delta < 1.0)):
+        raise ValueError("flux parameter delta must lie in (0,1)")
     tri = ([], [], [])
     rhs = np.zeros(n, dtype=complex)
-    for edge in mesh.interior_edges():
-        alpha, beta, _ = flux.on_edge(edge.index)
-        if alpha <= 0 or beta <= 0:
-            raise ValueError("flux parameters alpha, beta must be positive")
-        t, w = edge_rule(k, edge.length, policy=policy)
-        ds = edge.length * w
-        traces = _edge_traces(space, edge, t)
-        for s, (dofs_s, v_s, gn_s) in zip((1.0, -1.0), traces):
-            for d_t, (dofs_t, v_t, gn_t) in zip((1.0, -1.0), traces):
-                loc = 0.5 * d_t * np.einsum("q,qm,ql->lm", ds, v_s, np.conj(gn_t))
-                loc += (1j / k) * beta * s * d_t * np.einsum(
-                    "q,qm,ql->lm", ds, gn_s, np.conj(gn_t)
-                )
-                loc -= 0.5 * d_t * np.einsum("q,qm,ql->lm", ds, gn_s, np.conj(v_t))
-                loc += 1j * k * alpha * s * d_t * np.einsum(
-                    "q,qm,ql->lm", ds, v_s, np.conj(v_t)
-                )
-                _accumulate(tri, dofs_t, dofs_s, loc)
-    for edge in mesh.boundary_edges():
-        _, _, delta = flux.on_edge(edge.index)
-        if not 0.0 < delta < 1.0:
-            raise ValueError("flux parameter delta must lie in (0,1)")
-        t, w = edge_rule(k, edge.length, policy=policy)
-        ds = edge.length * w
-        ((dofs, vals, gn),) = _edge_traces(space, edge, t)
-        loc = (1.0 - delta) * np.einsum("q,qm,ql->lm", ds, vals, np.conj(gn))
-        loc += (1j / k) * delta * np.einsum("q,qm,ql->lm", ds, gn, np.conj(gn))
-        loc -= delta * np.einsum("q,qm,ql->lm", ds, gn, np.conj(vals))
-        loc += 1j * k * (1.0 - delta) * np.einsum(
-            "q,qm,ql->lm", ds, vals, np.conj(vals)
-        )
+    for edges, t, ds in _edge_groups(space, k, interior, policy):
+        _, sides = _edge_traces(space, edges, t)
+        dofs, vals, dn, sign = _two_sided(sides)
+        vv, vg, gv, gg = _products(ds, vals, dn)
+        alpha, beta, _ = (a[:, None, None] for a in flux.on_edges(edges))
+        # row l tests with side sign[l]; column m is trial side sign[m]
+        loc = sign[:, None] * 0.5 * (gv - vg)
+        loc += np.outer(sign, sign) * ((1j / k) * beta * gg
+                                       + 1j * k * alpha * vv)
         _accumulate(tri, dofs, dofs, loc)
-        pts = _edge_points(mesh, edge, t)
-        gv = np.asarray(g(pts), dtype=complex)
-        rhs[dofs] += (1j / k) * delta * np.einsum("q,ql->l", ds * gv, np.conj(gn))
-        rhs[dofs] += (1.0 - delta) * np.einsum("q,ql->l", ds * gv, np.conj(vals))
+    for edges, t, ds in _edge_groups(space, k, boundary, policy):
+        pts, ((dofs, vals, dn),) = _edge_traces(space, edges, t)
+        vv, vg, gv, gg = _products(ds, vals, dn)
+        d = flux.on_edges(edges)[2][:, None, None]
+        loc = ((1.0 - d) * gv + (1j / k) * d * gg - d * vg
+               + 1j * k * (1.0 - d) * vv)
+        _accumulate(tri, dofs, dofs, loc)
+        test = (1j / k) * d * np.conj(dn) + (1.0 - d) * np.conj(vals)
+        np.add.at(rhs, dofs, np.einsum("eq,eql->el",
+                                       ds * _edge_values(g, pts), test))
     meta = {"method": "pwdg", "k": k, "h": mesh.h, "p": space.nloc, "flux": flux}
     return ComplexSystem(A=_to_csr(tri, n), rhs=rhs, meta=meta)
 
@@ -509,13 +564,17 @@ def assemble_pwdg(space, k, g, flux, policy=None):
 # -- linear algebra ----------------------------------------------------------
 
 
-def _dense(a):
-    """Dense copy of a CSR matrix; refuses more than _DENSE_LIMIT rows
-    before allocating anything."""
-    n = a.shape[0]
+def _check_dense_size(n):
+    """Refuse dense linear algebra on more than _DENSE_LIMIT unknowns."""
     if n > _DENSE_LIMIT:
         raise ValueError(f"dense linear algebra on n={n} unknowns exceeds "
                          f"the limit of {_DENSE_LIMIT}")
+
+
+def _dense(a):
+    """Dense copy of a CSR matrix; refuses more than _DENSE_LIMIT rows
+    before allocating anything."""
+    _check_dense_size(a.shape[0])
     return a.toarray()
 
 
@@ -527,21 +586,67 @@ def _reduce(system):
     return A[free][:, free], system.rhs[free]
 
 
+def _relative_residual(A, x, rhs):
+    denom = np.linalg.norm(rhs)
+    return float(np.linalg.norm(A @ x - rhs) / (denom if denom > 0 else 1.0))
+
+
+def _certified_lu(A, rhs, svd_cutoff):
+    """Sparse LU solution that provably equals the truncated-SVD one.
+
+    Returns (x, kappa_1), with x None when the certificate fails:
+    `splu` finds A singular, x is not finite, its relative residual
+    exceeds 1e-10, or 10 n kappa_1 >= 1/svd_cutoff, where kappa_1 is the
+    1-norm condition number estimated by `onenormest` on A and on A^-1
+    applied through the LU factors.  Since kappa_2 <= n kappa_1, a
+    passing certificate shows that truncation would drop no singular
+    value, so the LU solution is the minimum-norm solution; the factor 10
+    allows for the estimate falling short of kappa_1.
+    """
+    n = rhs.shape[0]
+    try:
+        lu = scipy.sparse.linalg.splu(A.tocsc(), permc_spec="COLAMD")
+    except RuntimeError:
+        return None, None
+    x = lu.solve(rhs)
+    if not np.all(np.isfinite(x)) or _relative_residual(A, x, rhs) > 1e-10:
+        return None, None
+    inverse = scipy.sparse.linalg.LinearOperator(
+        (n, n), dtype=complex, matvec=lu.solve, matmat=lu.solve,
+        rmatvec=lambda v: lu.solve(v, trans="H"),
+        rmatmat=lambda v: lu.solve(v, trans="H"))
+    # an A^-1 near overflow reads as an infinite, failing estimate
+    with np.errstate(over="ignore", invalid="ignore"):
+        kappa = float(scipy.sparse.linalg.onenormest(A)
+                      * scipy.sparse.linalg.onenormest(inverse))
+    if not 10.0 * n * kappa < 1.0 / svd_cutoff:
+        return None, kappa
+    return x, kappa
+
+
 def solve(system, strategy="sparse_lu", svd_cutoff=1e-12):
     """Solve the assembled system; returns the solution and its residual.
 
-    Strategies: 'sparse_lu' (default), 'dense_lu', and 'truncated_svd'
-    which zeroes singular values below svd_cutoff * sigma_max and returns
-    the minimum-norm least-squares solution (the rescue path for badly
-    conditioned Trefftz bases); `svd_dropped` counts the zeroed values.
-    The matrix may be given in any form scipy.sparse accepts; the two
-    dense strategies refuse systems above _DENSE_LIMIT unknowns.
+    Strategies: 'sparse_lu' (default), 'dense_lu', and 'truncated_svd',
+    which returns the minimum-norm least-squares solution after zeroing
+    singular values below svd_cutoff * sigma_max (the rescue path for
+    badly conditioned Trefftz bases).  'truncated_svd' first tries a
+    sparse LU that certifies, by its residual and a condition estimate,
+    that no singular value would be dropped (`_certified_lu`); only
+    systems failing that certificate reach the dense SVD.
+    `SolveResult.strategy` names the path that ran ('sparse_lu' or
+    'truncated_svd' for this strategy), `cond_est` carries the condition
+    estimate when one was made, and `svd_dropped` counts the zeroed
+    values.  The matrix may be given in any form scipy.sparse accepts;
+    the two dense strategies refuse systems above _DENSE_LIMIT unknowns.
     """
     A, rhs = _reduce(system)
     nred = rhs.shape[0]
     if A.shape != (nred, nred):
         raise ValueError("system matrix and right-hand side sizes disagree")
     dropped = 0
+    cond_est = None
+    ran = strategy
     if strategy == "sparse_lu":
         # COLAMD keeps the fill-in of the hierarchic high-order patterns
         # moderate; minimum-degree orderings blow up on them.
@@ -550,24 +655,28 @@ def solve(system, strategy="sparse_lu", svd_cutoff=1e-12):
     elif strategy == "dense_lu":
         x = scipy.linalg.solve(_dense(A), rhs)
     elif strategy == "truncated_svd":
-        u, s, vh = np.linalg.svd(_dense(A))
-        keep = s > svd_cutoff * s[0]
-        inv = np.zeros_like(s)
-        inv[keep] = 1.0 / s[keep]
-        x = vh.conj().T @ (inv * (u.conj().T @ rhs))
-        dropped = int(np.count_nonzero(~keep))
+        _check_dense_size(nred)
+        x, cond_est = _certified_lu(A, rhs, svd_cutoff)
+        if x is not None:
+            ran = "sparse_lu"
+        else:
+            u, s, vh = np.linalg.svd(_dense(A))
+            keep = s > svd_cutoff * s[0]
+            inv = np.zeros_like(s)
+            inv[keep] = 1.0 / s[keep]
+            x = vh.conj().T @ (inv * (u.conj().T @ rhs))
+            dropped = int(np.count_nonzero(~keep))
     else:
         raise ValueError(f"unknown solve strategy '{strategy}'")
     if not np.all(np.isfinite(x)):
         raise np.linalg.LinAlgError("solver produced non-finite values")
-    denom = np.linalg.norm(rhs)
-    residual = float(np.linalg.norm(A @ x - rhs) / (denom if denom > 0 else 1.0))
+    residual = _relative_residual(A, x, rhs)
     if system.free is not None:
         full = np.zeros(system.ndof, dtype=complex)
         full[system.free] = x
         x = full
-    return SolveResult(x=x, residual=residual, strategy=strategy,
-                       svd_dropped=dropped)
+    return SolveResult(x=x, residual=residual, strategy=ran,
+                       svd_dropped=dropped, cond_est=cond_est)
 
 
 def infsup_probe(b_matrix, gram):

@@ -122,36 +122,26 @@ class Mesh:
             self._build_edges_2d()
 
     def _build_edges_1d(self):
-        ne = len(self.elements)
-        counts = np.zeros(len(self.nodes), dtype=int)
-        for a, b in self.elements:
-            counts[a] += 1
-            counts[b] += 1
-        left_of = -np.ones(len(self.nodes), dtype=np.int64)
-        right_of = -np.ones(len(self.nodes), dtype=np.int64)
-        for ei, (a, b) in enumerate(self.elements):
-            right_of[a] = ei  # element to the right of node a
-            left_of[b] = ei
-        edge_nodes, edge_elems, normals, tags = [], [], [], []
-        for v in range(len(self.nodes)):
-            if counts[v] == 0:
-                continue
-            plus = left_of[v] if left_of[v] >= 0 else right_of[v]
-            minus = right_of[v] if left_of[v] >= 0 else -1
-            if plus == minus:
-                minus = -1
-            edge_nodes.append((v, v))
-            edge_elems.append((plus, minus if minus != plus else -1))
-            # outward from the plus element: +1 at its right end, -1 at left
-            sign = 1.0 if left_of[v] == plus and left_of[v] >= 0 else -1.0
-            normals.append((sign,))
-            tags.append(None)
-        self.edge_nodes = np.array(edge_nodes, dtype=np.int64)
-        self.edge_elems = np.array(edge_elems, dtype=np.int64)
-        self.edge_normals = np.array(normals, dtype=float)
-        self.edge_lengths = np.ones(len(edge_nodes))  # point measure
-        self.edge_tags = tags
-        self.boundary_mask = self.edge_elems[:, 1] == -1
+        nn = len(self.nodes)
+        ids = np.arange(len(self.elements), dtype=np.int64)
+        # the element to the right of each node (the node is its left
+        # end) and to its left; the later element wins on repeats
+        right_of = np.full(nn, -1, dtype=np.int64)
+        left_of = np.full(nn, -1, dtype=np.int64)
+        np.maximum.at(right_of, self.elements[:, 0], ids)
+        np.maximum.at(left_of, self.elements[:, 1], ids)
+        v = np.flatnonzero(np.bincount(self.elements.ravel(), minlength=nn))
+        has_left = left_of[v] >= 0
+        plus = np.where(has_left, left_of[v], right_of[v])
+        minus = np.where(has_left, right_of[v], -1)
+        minus[minus == plus] = -1
+        self.edge_nodes = np.column_stack([v, v])
+        self.edge_elems = np.column_stack([plus, minus])
+        # outward from the plus element: +1 at its right end, -1 at left
+        self.edge_normals = np.where(has_left, 1.0, -1.0)[:, None]
+        self.edge_lengths = np.ones(len(v))  # point measure
+        self.edge_tags = [None] * len(v)
+        self.boundary_mask = minus == -1
 
     def _build_edges_2d(self):
         tri = self.elements

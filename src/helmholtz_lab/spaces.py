@@ -421,16 +421,21 @@ class PlaneWaveBasis:
     def dim(self):
         return self.p
 
-    @property
+    @functools.cached_property
     def directions(self):
+        """Unit directions (p, 2), built once per basis and read-only."""
         angles = 2.0 * math.pi * np.arange(self.p) / self.p
-        return np.column_stack([np.cos(angles), np.sin(angles)])
+        d = np.column_stack([np.cos(angles), np.sin(angles)])
+        d.flags.writeable = False
+        return d
 
     def eval(self, y):
-        """Values and gradients of e^{ik w_n . y} at displacements y."""
+        """Values (..., p) and gradients (..., p, 2) of e^{ik w_n . y} at
+        displacements y of any leading shape (..., 2)."""
         y = np.asarray(y, dtype=float)
-        phase = np.exp(1j * self.k * (y @ self.directions.T))
-        grads = 1j * self.k * phase[:, :, None] * self.directions[None, :, :]
+        d = self.directions
+        phase = np.exp(1j * self.k * (y @ d.T))
+        grads = 1j * self.k * phase[..., None] * d
         return phase, grads
 
 
@@ -456,11 +461,24 @@ class GhpBasis:
     def eval(self, y):
         """Values and gradients of the circular wave modes at displacements y.
 
+        y has shape (..., nq, 2); values come back as (..., nq, dim) and
+        gradients as (..., nq, dim, 2).  Every (nq, 2) slab is evaluated
+        on its own: bessel_j picks its Miller start from the largest
+        argument of a call, so batching slabs (one per element) into one
+        call would change the basis values.
+
         The radial derivative uses J'_n = (J_{n-1} - J_{n+1})/2; at the
         center the values reduce to the n=0 Kronecker limit and only the
         |n| = 1 modes carry a nonzero gradient, (k/2)(1, i sign n).
         """
         y = np.asarray(y, dtype=float)
+        if y.ndim > 2:
+            lead, nq = y.shape[:-2], y.shape[-2]
+            vals = np.empty(lead + (nq, self.dim), dtype=complex)
+            grads = np.empty(lead + (nq, self.dim, 2), dtype=complex)
+            for i in np.ndindex(lead):
+                vals[i], grads[i] = self.eval(y[i])
+            return vals, grads
         k, p = self.k, self.p
         r = np.hypot(y[:, 0], y[:, 1])
         phi = np.arctan2(y[:, 1], y[:, 0])
@@ -531,18 +549,13 @@ class PumSpace(_Space):
         lam, grad_lam = _barycentric(mesh, elems, pts)
         vals = np.empty(pts.shape[:2] + (self.nloc,), dtype=complex)
         grads = np.empty(pts.shape[:2] + (self.nloc, 2), dtype=complex)
-        # One element per enrichment call: bessel_j picks its Miller start
-        # from the largest argument of a call, so a GHP evaluation batched
-        # across elements would change the basis values.
-        for e in range(len(elems)):
-            for v in range(3):
-                bvals, bgrads = self.enrichment.eval(pts[e] - mesh.nodes[verts[e, v]])
-                sl = slice(v * m, (v + 1) * m)
-                vals[e, :, sl] = lam[e, :, v, None] * bvals
-                grads[e, :, sl, :] = (
-                    bvals[:, :, None] * grad_lam[e, v][None, None, :]
-                    + lam[e, :, v, None, None] * bgrads
-                )
+        for v in range(3):
+            bvals, bgrads = self.enrichment.eval(
+                pts - mesh.nodes[verts[:, v]][:, None, :])
+            sl = slice(v * m, (v + 1) * m)
+            vals[..., sl] = lam[..., v, None] * bvals
+            grads[..., sl, :] = (bvals[..., None] * grad_lam[:, None, None, v, :]
+                                 + lam[..., v, None, None] * bgrads)
         return vals, grads
 
 
@@ -574,14 +587,7 @@ class TrefftzSpace(_Space):
 
     @_batched
     def eval_basis(self, elems, pts):
-        centers = self.mesh.centroids()[elems]
-        vals = np.empty(pts.shape[:2] + (self.nloc,), dtype=complex)
-        grads = np.empty(pts.shape[:2] + (self.nloc, 2), dtype=complex)
-        # One element per call of the local basis, for the reason given in
-        # PumSpace.eval_basis.
-        for e in range(len(elems)):
-            vals[e], grads[e] = self.local.eval(pts[e] - centers[e])
-        return vals, grads
+        return self.local.eval(pts - self.mesh.centroids()[elems][:, None, :])
 
 
 # -- factories -----------------------------------------------------------

@@ -320,6 +320,36 @@ class TestSolve:
         np.testing.assert_allclose(res.x, [2.0, 0.0], atol=1e-12)
         assert res.svd_dropped == 1
 
+    def test_certified_lu_on_least_squares(self):
+        mesh = triangulate(unit_square(), 0.25)
+        k = 10.0
+        space = trefftz_space(mesh, k, PlaneWaveBasis(k=k, p=7))
+        g = lambda pts: np.exp(1j * k * (0.6 * pts[:, 0] + 0.8 * pts[:, 1]))
+        system = assemble_least_squares(space, k, g)
+        res = solve(system, strategy="truncated_svd", svd_cutoff=1e-12)
+        assert res.strategy == "sparse_lu"
+        assert res.svd_dropped == 0
+        assert 1.0 <= res.cond_est < 1e12 / (10 * space.ndof)
+        u, sv, vh = np.linalg.svd(system.A.toarray())
+        assert sv[-1] > 1e-12 * sv[0]
+        x_svd = vh.conj().T @ ((u.conj().T @ system.rhs) / sv)
+        np.testing.assert_allclose(res.x, x_svd, rtol=0,
+                                   atol=1e-8 * np.abs(x_svd).max())
+
+    def test_svd_fallback_reports_its_path(self):
+        near = ComplexSystem(A=np.diag([1.0, 1e-16]).astype(complex),
+                             rhs=np.array([2.0, 1.0], dtype=complex))
+        res = solve(near, strategy="truncated_svd", svd_cutoff=1e-12)
+        assert res.strategy == "truncated_svd"
+        assert res.cond_est == pytest.approx(1e16)
+        singular = ComplexSystem(A=np.ones((2, 2), dtype=complex),
+                                 rhs=np.array([2.0, 1.0], dtype=complex))
+        res = solve(singular, strategy="truncated_svd")
+        assert res.strategy == "truncated_svd"
+        assert res.cond_est is None
+        assert res.svd_dropped == 1
+        np.testing.assert_allclose(res.x, [0.75, 0.75], atol=1e-12)
+
     def test_dimension_mismatch(self):
         system = ComplexSystem(A=np.eye(3, dtype=complex), rhs=np.zeros(2, complex))
         with pytest.raises(ValueError):

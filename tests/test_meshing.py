@@ -51,6 +51,53 @@ class TestInterval:
             assert edge.elems[0] >= 0 and edge.elems[1] >= 0
 
 
+def _edges_1d_reference(nodes, elements):
+    """Interval-mesh edge arrays built by the per-node loop."""
+    counts = np.zeros(len(nodes), dtype=int)
+    left_of = -np.ones(len(nodes), dtype=np.int64)
+    right_of = -np.ones(len(nodes), dtype=np.int64)
+    for ei, (a, b) in enumerate(elements):
+        counts[a] += 1
+        counts[b] += 1
+        right_of[a] = ei
+        left_of[b] = ei
+    edge_nodes, edge_elems, normals = [], [], []
+    for v in range(len(nodes)):
+        if counts[v] == 0:
+            continue
+        plus = left_of[v] if left_of[v] >= 0 else right_of[v]
+        minus = right_of[v] if left_of[v] >= 0 else -1
+        edge_nodes.append((v, v))
+        edge_elems.append((plus, -1 if minus == plus else minus))
+        normals.append((1.0 if left_of[v] >= 0 else -1.0,))
+    return (np.array(edge_nodes, dtype=np.int64),
+            np.array(edge_elems, dtype=np.int64), np.array(normals))
+
+
+class TestIntervalEdges:
+    @pytest.mark.parametrize("case", ["uniform", "graded", "shuffled"])
+    def test_matches_loop_reference(self, case):
+        if case == "uniform":
+            mesh = uniform_interval_mesh(7)
+        elif case == "graded":
+            mesh = geometric_refine(uniform_interval_mesh(4), [0.0], 0.2, 5)
+        else:
+            rng = np.random.default_rng(5)
+            nodes = np.sort(rng.uniform(0.0, 1.0, 9))
+            nodes[0], nodes[-1] = 0.0, 1.0
+            elements = np.column_stack([np.arange(8), np.arange(1, 9)])
+            mesh = mesh_from_arrays(1, nodes, elements[rng.permutation(8)])
+        edge_nodes, edge_elems, normals = _edges_1d_reference(mesh.nodes,
+                                                              mesh.elements)
+        np.testing.assert_array_equal(mesh.edge_nodes, edge_nodes)
+        np.testing.assert_array_equal(mesh.edge_elems, edge_elems)
+        np.testing.assert_array_equal(mesh.edge_normals, normals)
+        np.testing.assert_array_equal(mesh.edge_lengths, np.ones(len(normals)))
+        np.testing.assert_array_equal(mesh.boundary_mask, edge_elems[:, 1] == -1)
+        assert len(mesh.edge_tags) == len(normals)
+        assert mesh.boundary_mask.sum() == 2
+
+
 class TestTriangulate:
     def test_square_single_cell(self):
         mesh = triangulate(unit_square(), 1.0)
