@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import (_edge_groups, _edge_traces, _edge_values, _flat,
-                       _reference_rule, _skeleton_edges)
+from .assembly import (_check_flux, _edge_groups, _edge_traces, _edge_values,
+                       _flat, _reference_rule, _skeleton_edges)
 from .numerics import oscillatory_degree
 
 
@@ -55,14 +55,15 @@ def _error_degree(space, k):
     return min(oscillatory_degree(base, k, space.mesh.h, 3.0, 2), 40)
 
 
-def _apply_exclusion(pts, w, radius, center, safe_points):
-    """Zero the weights of points inside the excluded disk.
+def _apply_exclusion(pts, w, radius, safe_points):
+    """Zero the weights of points inside the disk of `radius` around the
+    origin.
 
     The excluded points of element e are also moved to safe_points[e]
     before the exact solution is evaluated, so singular formulas never
     see r ~ 0.
     """
-    r2 = ((pts - center) ** 2).sum(axis=-1)
+    r2 = (pts ** 2).sum(axis=-1)
     mask = r2 < radius * radius
     if not mask.any():
         return pts, w
@@ -79,28 +80,26 @@ def _rel(num, den):
 
 
 def relative_errors(space, coeffs, exact_value, exact_grad, k,
-                    exclude_radius=0.0, exclude_center=(0.0, 0.0),
-                    degree=None):
+                    exclude_radius=0.0):
     """Relative L2, H1-seminorm, and (1,k)-norm errors vs an exact solution.
 
     exact_value maps an array of points to complex values, exact_grad to
     complex gradients (analytic, not differenced).  Relative norms divide
     by the exact solution's norm computed with the same quadrature.  A
     positive exclude_radius drops quadrature points inside the disk around
-    exclude_center; used for solutions whose gradient is singular there.
+    the origin, the re-entrant corner of the L-shape; used for solutions
+    whose gradient is singular there.
 
     Returns (h1_semi_rel, l2_rel, norm_1k_rel).
     """
     coeffs = np.asarray(coeffs, dtype=complex)
-    deg = _error_degree(space, k) if degree is None else int(degree)
-    center = np.asarray(exclude_center, dtype=float)
     mesh = space.mesh
-    rule = _reference_rule(mesh.dim, deg)
+    rule = _reference_rule(mesh.dim, _error_degree(space, k))
     num_l2 = den_l2 = num_h1 = den_h1 = 0.0
     for elems in space.element_batches(len(rule.weights)):
         pts, w = mesh.map_rule(elems, rule)
         if exclude_radius > 0.0 and mesh.dim == 2:
-            pts, w = _apply_exclusion(pts, w, exclude_radius, center,
+            pts, w = _apply_exclusion(pts, w, exclude_radius,
                                       mesh.centroids()[elems])
         u_n, g_n = space.field(elems, coeffs, rule)
         u_e = np.asarray(exact_value(_flat(pts)), dtype=complex).reshape(w.shape)
@@ -134,14 +133,6 @@ def nodal_max_error(space, coeffs, exact_value):
 # -- skeleton DG norms --------------------------------------------------------
 
 
-def _check_flux(flux, edges):
-    alpha, beta, delta = flux.on_edges(edges)
-    if np.any(alpha <= 0.0) or np.any(beta <= 0.0):
-        raise ValueError("flux parameters alpha and beta must be positive")
-    if not np.all((delta > 0.0) & (delta < 1.0)):
-        raise ValueError("flux parameter delta must lie in (0, 1)")
-
-
 def _edge_fields(space, coeffs, edges, t):
     """Points (E, Q, 2) and, per side, the values and plus-normal
     derivatives (E, Q) of the discrete function on a batch of edges."""
@@ -159,7 +150,7 @@ def _exact_traces(space, edges, pts, exact_value, exact_grad):
     return u, np.einsum("eqd,ed->eq", g, space.mesh.edge_normals[edges])
 
 
-def _dg_square(space, coeffs, flux, k, plus, policy,
+def _dg_square(space, coeffs, flux, k, plus,
                exact_value=None, exact_grad=None):
     """Squared skeleton norm of u_N, or of (exact - u_N) when callbacks
     for the exact value and gradient are supplied."""
@@ -169,9 +160,9 @@ def _dg_square(space, coeffs, flux, k, plus, policy,
     coeffs = np.asarray(coeffs, dtype=complex)
     k = float(k)
     interior, boundary = _skeleton_edges(mesh)
-    _check_flux(flux, np.arange(len(mesh.edge_lengths)))
+    _check_flux(flux, mesh)
     total = 0.0
-    for edges, t, ds in _edge_groups(space, k, interior, policy):
+    for edges, t, ds in _edge_groups(space, k, interior):
         alpha, beta, _ = (a[:, None] for a in flux.on_edges(edges))
         pts, ((u_p, gn_p), (u_m, gn_m)) = _edge_fields(space, coeffs, edges, t)
         if exact_value is not None:
@@ -185,7 +176,7 @@ def _dg_square(space, coeffs, flux, k, plus, policy,
             sq = sq + ((k / beta + 1.0 / (k * alpha))
                        * np.abs(0.5 * (u_p + u_m)) ** 2)
         total += float(np.sum(ds * sq))
-    for edges, t, ds in _edge_groups(space, k, boundary, policy):
+    for edges, t, ds in _edge_groups(space, k, boundary):
         delta = flux.on_edges(edges)[2][:, None]
         pts, ((u, gn),) = _edge_fields(space, coeffs, edges, t)
         if exact_value is not None:
@@ -199,28 +190,28 @@ def _dg_square(space, coeffs, flux, k, plus, policy,
     return total
 
 
-def dg_norm(space, coeffs, flux, k, policy=None):
+def dg_norm(space, coeffs, flux, k):
     """Skeleton DG norm of a piecewise discrete function.
 
     Interior edges contribute (beta/k)||[grad u]||^2 + k alpha ||[u]||^2,
     boundary edges (delta/k)||du/dn||^2 + k(1-delta)||u||^2.  On Trefftz
     spaces the square equals Im A_N(u, u) of the assembled DG form.
     """
-    return math.sqrt(max(_dg_square(space, coeffs, flux, k, False, policy), 0.0))
+    return math.sqrt(max(_dg_square(space, coeffs, flux, k, False), 0.0))
 
 
-def dg_plus_norm(space, coeffs, flux, k, policy=None):
+def dg_plus_norm(space, coeffs, flux, k):
     """Augmented DG norm adding mean-value and boundary-trace terms.
 
     On top of the DG norm: k||beta^{-1/2}{u}||^2 and (1/k)||alpha^{-1/2}{u}||^2
     on interior edges and k||delta^{-1/2} u||^2 on boundary edges, with {u}
     the two-sided average.
     """
-    return math.sqrt(max(_dg_square(space, coeffs, flux, k, True, policy), 0.0))
+    return math.sqrt(max(_dg_square(space, coeffs, flux, k, True), 0.0))
 
 
 def dg_error_norm(space, coeffs, flux, k, exact_value, exact_grad,
-                  policy=None, plus=False):
+                  plus=False):
     """Skeleton DG norm of the error (exact - u_N).
 
     The exact solution's traces enter through the analytic value and
@@ -228,7 +219,7 @@ def dg_error_norm(space, coeffs, flux, k, exact_value, exact_grad,
     reduce to the discrete jumps while boundary terms see the true residual
     traces.
     """
-    sq = _dg_square(space, coeffs, flux, k, plus, policy,
+    sq = _dg_square(space, coeffs, flux, k, plus,
                     exact_value=exact_value, exact_grad=exact_grad)
     return math.sqrt(max(sq, 0.0))
 
@@ -236,7 +227,7 @@ def dg_error_norm(space, coeffs, flux, k, exact_value, exact_grad,
 # -- least squares functional -------------------------------------------------
 
 
-def j_functional(space, coeffs, k, g, w1=None, w2=None, policy=None):
+def j_functional(space, coeffs, k, g, w1=None, w2=None):
     """Least squares functional evaluated by direct edge quadrature.
 
     J(v) = sum_int w1^2 ||[v]||^2 + w2^2 ||[dv/dn]||^2
@@ -250,11 +241,11 @@ def j_functional(space, coeffs, k, g, w1=None, w2=None, policy=None):
     w2 = 1.0 if w2 is None else float(w2)
     interior, boundary = _skeleton_edges(mesh)
     total = 0.0
-    for edges, t, ds in _edge_groups(space, k, interior, policy):
+    for edges, t, ds in _edge_groups(space, k, interior):
         _, ((u_p, gn_p), (u_m, gn_m)) = _edge_fields(space, coeffs, edges, t)
         total += float(np.sum(ds * (w1**2 * np.abs(u_p - u_m) ** 2
                                     + w2**2 * np.abs(gn_p - gn_m) ** 2)))
-    for edges, t, ds in _edge_groups(space, k, boundary, policy):
+    for edges, t, ds in _edge_groups(space, k, boundary):
         pts, ((u, gn),) = _edge_fields(space, coeffs, edges, t)
         gv = _edge_values(g, pts)
         total += w2**2 * float(np.sum(ds * np.abs(gn + 1j * k * u - gv) ** 2))

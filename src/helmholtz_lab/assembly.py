@@ -43,24 +43,6 @@ from .numerics import gauss_interval, oscillatory_degree, quad_triangle
 _DENSE_LIMIT = 4608
 
 
-@dataclass(frozen=True)
-class QuadPolicy:
-    """Quadrature enrichment for oscillatory integrands.
-
-    Degrees grow linearly in k*h so that products of plane waves are
-    integrated to near machine precision even on coarse meshes (kh ~ 4).
-    Polynomial integrands (plain H1 assembly) ignore the enrichment.
-    """
-
-    volume_factor: float = 3.0
-    volume_offset: int = 12
-    edge_factor: float = 3.0
-    edge_offset: int = 8
-
-
-_DEFAULT_POLICY = QuadPolicy()
-
-
 @dataclass
 class ComplexSystem:
     """An assembled complex linear system plus companion matrices.
@@ -72,7 +54,6 @@ class ComplexSystem:
 
     A: object
     rhs: np.ndarray
-    gram: object = None
     mass: object = None
     free: object = None
     meta: dict = field(default_factory=dict)
@@ -151,24 +132,21 @@ def _reference_rule(dim, degree):
     return quad_triangle(degree)
 
 
-def _volume_degree(space, k, policy):
-    base = 2 * getattr(space, "p", 1) + 2
+def _volume_degree(space, k):
+    """Volume rule degree: exact for polynomial integrands; wave spaces
+    grow it linearly in k*h so that products of waves are integrated to
+    near machine precision even on coarse meshes (kh ~ 4)."""
     if space.kind == "h1_polynomial":
-        return min(base, 40)
-    if space.kind == "nodally_exact_1d":
-        return min(oscillatory_degree(base, k, space.mesh.h,
-                                      policy.volume_factor, policy.volume_offset), 40)
-    # wave-enriched 2D spaces: phases up to ~2k * diameter per element
-    base = 6
-    return min(oscillatory_degree(base, k, space.mesh.h,
-                                  policy.volume_factor, policy.volume_offset), 40)
+        return min(2 * space.p + 2, 40)
+    # the 1D wave space is of order 1; wave-enriched 2D spaces have phases
+    # up to ~2k * diameter per element
+    base = 4 if space.kind == "nodally_exact_1d" else 6
+    return min(oscillatory_degree(base, k, space.mesh.h, 3.0, 12), 40)
 
 
-def edge_rule(k, length, base=4, policy=None):
+def edge_rule(k, length, base=4):
     """Points and weights on [0,1] resolving wave products on one edge."""
-    policy = policy or _DEFAULT_POLICY
-    deg = oscillatory_degree(base, k, length, policy.edge_factor, policy.edge_offset)
-    rule = _reference_rule(1, deg)
+    rule = _reference_rule(1, oscillatory_degree(base, k, length, 3.0, 8))
     return rule.points, rule.weights
 
 
@@ -207,9 +185,9 @@ def _flat(pts):
 # -- conforming volume/boundary parts ---------------------------------------
 
 
-def _volume_parts(space, k, policy):
+def _volume_parts(space, k):
     """Stiffness and mass matrices over all elements, as CSR."""
-    rule = _reference_rule(space.mesh.dim, _volume_degree(space, k, policy))
+    rule = _reference_rule(space.mesh.dim, _volume_degree(space, k))
     dofs = space.dof_matrix()
     st = ([], [], [])
     ms = ([], [], [])
@@ -232,7 +210,7 @@ def _edge_base(space):
     return 2 * getattr(space, "p", 1) + 2 if space.kind == "h1_polynomial" else 4
 
 
-def _edge_groups(space, k, edges, policy, base=4):
+def _edge_groups(space, k, edges, base=4):
     """The 2D mesh edges `edges` grouped by edge rule, in batches.
 
     Yields (batch, t, ds): an index array of edges sharing one rule,
@@ -244,7 +222,7 @@ def _edge_groups(space, k, edges, policy, base=4):
     edges = np.asarray(edges, dtype=np.int64)
     lengths = mesh.edge_lengths[edges]
     unique, inverse = np.unique(lengths, return_inverse=True)
-    rules = [edge_rule(k, h, base=base, policy=policy) for h in unique]
+    rules = [edge_rule(k, h, base=base) for h in unique]
     npts = np.array([len(t) for t, _ in rules], dtype=np.int64)[inverse]
     for nq in np.unique(npts):
         t, w = rules[inverse[np.argmax(npts == nq)]]
@@ -256,7 +234,7 @@ def _edge_groups(space, k, edges, policy, base=4):
             yield batch, t, mesh.edge_lengths[batch][:, None] * w
 
 
-def _boundary_batches(space, k, tags, policy):
+def _boundary_batches(space, k, tags):
     """Boundary edges whose tag lies in `tags`, grouped by edge rule.
 
     Yields (elements, points, weights) per group, points shaped like
@@ -272,16 +250,15 @@ def _boundary_batches(space, k, tags, policy):
         x = mesh.nodes[mesh.edge_nodes[idx, 0]]
         yield mesh.edge_elems[idx, 0], x[:, None], np.ones((len(idx), 1))
         return
-    for batch, t, ds in _edge_groups(space, k, idx, policy,
-                                     base=_edge_base(space)):
+    for batch, t, ds in _edge_groups(space, k, idx, base=_edge_base(space)):
         yield mesh.edge_elems[batch, 0], _edge_points(mesh, batch, t), ds
 
 
-def _boundary_mass(space, k, tags, policy):
+def _boundary_mass(space, k, tags):
     """Boundary mass matrix over edges whose tag lies in `tags`."""
     dofs = space.dof_matrix()
     tri = ([], [], [])
-    for elems, pts, w in _boundary_batches(space, k, tags, policy):
+    for elems, pts, w in _boundary_batches(space, k, tags):
         vals, _ = space.eval_basis(elems, pts)
         loc = np.einsum("eq,eql,eqm->elm", w, np.conj(vals), vals)
         d = dofs[elems]
@@ -289,9 +266,9 @@ def _boundary_mass(space, k, tags, policy):
     return _to_csr(tri, space.ndof)
 
 
-def _volume_batches(space, k, policy):
+def _volume_batches(space, k):
     """Element batches with their physical quadrature points and weights."""
-    rule = _reference_rule(space.mesh.dim, _volume_degree(space, k, policy))
+    rule = _reference_rule(space.mesh.dim, _volume_degree(space, k))
     for elems in space.element_batches(len(rule.weights)):
         yield (elems,) + space.mesh.map_rule(elems, rule)
 
@@ -321,12 +298,7 @@ def _dirichlet_dofs(space, tags):
         if edge.tag not in tags:
             continue
         if mesh.dim == 1:
-            node = int(edge.nodes[0])
-            if space.kind == "pum":
-                m = space.enrichment.dim
-                fixed.update(range(node * m, (node + 1) * m))
-            else:
-                fixed.add(node)
+            fixed.add(int(edge.nodes[0]))
         else:
             a, b = int(edge.nodes[0]), int(edge.nodes[1])
             if space.kind == "pum":
@@ -342,8 +314,7 @@ def _dirichlet_dofs(space, tags):
     return np.array(sorted(fixed), dtype=np.int64)
 
 
-def assemble_galerkin(space, k, f=None, g=None, bc=None, robin_sign=1.0,
-                      policy=None):
+def assemble_galerkin(space, k, f=None, g=None, bc=None, robin_sign=1.0):
     """Galerkin matrix and load of the Robin/mixed Helmholtz problem.
 
     A = stiffness - k^2 mass + robin_sign * ik * (boundary mass on Robin
@@ -354,22 +325,21 @@ def assemble_galerkin(space, k, f=None, g=None, bc=None, robin_sign=1.0,
     """
     if not space.conforming:
         raise ValueError("assemble_galerkin needs a conforming space")
-    policy = policy or _DEFAULT_POLICY
     k = float(k)
     bc = bc or {}
     mesh = space.mesh
     present = {e.tag for e in mesh.boundary_edges()}
     robin_tags = {t for t in present if bc.get(t, "robin") == "robin"}
     dirichlet_tags = {t for t in present if bc.get(t) == "dirichlet"}
-    stiff, mass = _volume_parts(space, k, policy)
-    bd = _boundary_mass(space, k, robin_tags, policy)
+    stiff, mass = _volume_parts(space, k)
+    bd = _boundary_mass(space, k, robin_tags)
     A = stiff - k**2 * mass + robin_sign * 1j * k * bd
     rhs = np.zeros(space.ndof, dtype=complex)
     if f is not None:
         fv = f if callable(f) else (lambda pts, c=complex(f): np.full(pts.shape[0], c))
-        rhs += _load(space, _volume_batches(space, k, policy), fv)
+        rhs += _load(space, _volume_batches(space, k), fv)
     if g is not None:
-        rhs += _load(space, _boundary_batches(space, k, robin_tags, policy), g)
+        rhs += _load(space, _boundary_batches(space, k, robin_tags), g)
     free = None
     if dirichlet_tags:
         fixed = _dirichlet_dofs(space, dirichlet_tags)
@@ -387,23 +357,21 @@ def assemble_galerkin(space, k, f=None, g=None, bc=None, robin_sign=1.0,
     return ComplexSystem(A=A, rhs=rhs, mass=mass, free=free, meta=meta)
 
 
-def assemble_gram_1k(space, k, policy=None):
+def assemble_gram_1k(space, k):
     """Gram matrix of the weighted norm k^2 ||u||^2 + ||grad u||^2."""
-    policy = policy or _DEFAULT_POLICY
     k = float(k)
-    stiff, mass = _volume_parts(space, k, policy)
+    stiff, mass = _volume_parts(space, k)
     return stiff + k**2 * mass
 
 
-def project_rhs_1k(space, k, value_fn, grad_fn, policy=None):
+def project_rhs_1k(space, k, value_fn, grad_fn):
     """Load vector of the (1,k) inner product against a target function.
 
     rhs_i = k^2 (u, b_i) + (grad u, grad b_i); used for best-approximation
     studies via the normal equations with the (1,k) Gram matrix.
     """
-    policy = policy or _DEFAULT_POLICY
     k = float(k)
-    return _load(space, _volume_batches(space, k, policy), value_fn, grad_fn,
+    return _load(space, _volume_batches(space, k), value_fn, grad_fn,
                  scale=k**2)
 
 
@@ -440,6 +408,19 @@ def _skeleton_edges(mesh):
     return np.flatnonzero(~mesh.boundary_mask), np.flatnonzero(mesh.boundary_mask)
 
 
+def _check_flux(flux, mesh):
+    """Refuse flux parameters out of range on the edges that use them:
+    alpha, beta > 0 on interior edges and 0 < delta < 1 on boundary edges."""
+    interior, boundary = _skeleton_edges(mesh)
+    alpha, beta, _ = flux.on_edges(interior)
+    for name, value in (("alpha", alpha), ("beta", beta)):
+        if not np.all(value > 0.0):
+            raise ValueError(f"flux parameter {name} must be positive")
+    delta = flux.on_edges(boundary)[2]
+    if not np.all((delta > 0.0) & (delta < 1.0)):
+        raise ValueError("flux parameter delta must lie in (0, 1)")
+
+
 def _gram(ds, x):
     """Edge integrals (E, L, L) of conj(x[.., l]) * x[.., m] with the
     weights ds (E, Q), for traces x of shape (E, Q, L)."""
@@ -471,7 +452,7 @@ def _edge_values(fn, pts):
     return np.asarray(fn(_flat(pts)), dtype=complex).reshape(pts.shape[:2])
 
 
-def assemble_least_squares(space, k, g, w1=None, w2=None, policy=None):
+def assemble_least_squares(space, k, g, w1=None, w2=None):
     """Normal equations of the least squares functional on a Trefftz space.
 
     J(v) sums w1^2 ||[v]||^2 + w2^2 ||[dv/dn]||^2 over interior edges and
@@ -480,7 +461,6 @@ def assemble_least_squares(space, k, g, w1=None, w2=None, policy=None):
     functional can be reconstructed from the algebra.
     """
     _require_trefftz(space)
-    policy = policy or _DEFAULT_POLICY
     k = float(k)
     w1 = k if w1 is None else float(w1)
     w2 = 1.0 if w2 is None else float(w2)
@@ -490,12 +470,12 @@ def assemble_least_squares(space, k, g, w1=None, w2=None, policy=None):
     rhs = np.zeros(n, dtype=complex)
     g_norm2 = 0.0
     interior, boundary = _skeleton_edges(mesh)
-    for edges, t, ds in _edge_groups(space, k, interior, policy):
+    for edges, t, ds in _edge_groups(space, k, interior):
         _, sides = _edge_traces(space, edges, t)
         dofs, vals, dn, sign = _two_sided(sides)
         _accumulate(tri, dofs, dofs, w1**2 * _gram(ds, vals * sign)
                     + w2**2 * _gram(ds, dn * sign))
-    for edges, t, ds in _edge_groups(space, k, boundary, policy):
+    for edges, t, ds in _edge_groups(space, k, boundary):
         pts, ((dofs, vals, dn),) = _edge_traces(space, edges, t)
         imp = dn + 1j * k * vals
         _accumulate(tri, dofs, dofs, w2**2 * _gram(ds, imp))
@@ -515,7 +495,7 @@ def assemble_least_squares(space, k, g, w1=None, w2=None, policy=None):
     return ComplexSystem(A=_to_csr(tri, n), rhs=rhs, meta=meta)
 
 
-def assemble_pwdg(space, k, g, flux, policy=None):
+def assemble_pwdg(space, k, g, flux):
     """Skeleton form of the plane-wave DG method on a Trefftz space.
 
     Interior edges carry the average/jump consistency terms plus the
@@ -524,20 +504,14 @@ def assemble_pwdg(space, k, g, flux, policy=None):
     side is (i/k) delta (g, dv/dn) + (1-delta)(g, v) over boundary edges.
     """
     _require_trefftz(space)
-    policy = policy or _DEFAULT_POLICY
     k = float(k)
     mesh = space.mesh
     n = space.ndof
     interior, boundary = _skeleton_edges(mesh)
-    alpha, beta, _ = flux.on_edges(interior)
-    if np.any(alpha <= 0) or np.any(beta <= 0):
-        raise ValueError("flux parameters alpha, beta must be positive")
-    _, _, delta = flux.on_edges(boundary)
-    if not np.all((delta > 0.0) & (delta < 1.0)):
-        raise ValueError("flux parameter delta must lie in (0,1)")
+    _check_flux(flux, mesh)
     tri = ([], [], [])
     rhs = np.zeros(n, dtype=complex)
-    for edges, t, ds in _edge_groups(space, k, interior, policy):
+    for edges, t, ds in _edge_groups(space, k, interior):
         _, sides = _edge_traces(space, edges, t)
         dofs, vals, dn, sign = _two_sided(sides)
         vv, vg, gv, gg = _products(ds, vals, dn)
@@ -547,7 +521,7 @@ def assemble_pwdg(space, k, g, flux, policy=None):
         loc += np.outer(sign, sign) * ((1j / k) * beta * gg
                                        + 1j * k * alpha * vv)
         _accumulate(tri, dofs, dofs, loc)
-    for edges, t, ds in _edge_groups(space, k, boundary, policy):
+    for edges, t, ds in _edge_groups(space, k, boundary):
         pts, ((dofs, vals, dn),) = _edge_traces(space, edges, t)
         vv, vg, gv, gg = _products(ds, vals, dn)
         d = flux.on_edges(edges)[2][:, None, None]

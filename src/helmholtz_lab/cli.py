@@ -214,13 +214,8 @@ _KEY_PARSERS = {
     "strategy": _parse_choice(_STRATEGIES),
     "svd_cutoff": _parse_float,
     "khp": _parse_float,
-    "volume_factor": _parse_float,
-    "volume_offset": _parse_int,
-    "edge_factor": _parse_float,
-    "edge_offset": _parse_int,
     "robin_sign": _parse_float,
     "out": _parse_str,
-    "seed": _parse_int,
     "threads": _parse_int,
     "timing": _parse_bool,
 }
@@ -345,6 +340,11 @@ def build_config(raw):
         if any(v is None for v in flux_overrides):
             raise ConfigError("alpha",
                               "flux overrides need alpha, beta and delta")
+        for key in ("alpha", "beta"):
+            if not cfg[key] > 0.0:
+                raise ConfigError(key, "flux parameter must be positive")
+        if not 0.0 < cfg["delta"] < 1.0:
+            raise ConfigError("delta", "flux parameter must lie in (0, 1)")
         cfg["flux_params"] = assembly.FluxParams(
             alpha=cfg["alpha"], beta=cfg["beta"], delta=cfg["delta"])
     else:
@@ -361,27 +361,8 @@ def build_config(raw):
     if cfg["khp"] <= 0:
         raise ConfigError("khp", "resolution ratio must be positive")
 
-    quad_keys = ("volume_factor", "volume_offset", "edge_factor",
-                 "edge_offset")
-    if any(cfg[qk] is not None for qk in quad_keys):
-        defaults = assembly.QuadPolicy()
-        cfg["policy"] = assembly.QuadPolicy(
-            volume_factor=cfg["volume_factor"] if cfg["volume_factor"]
-            is not None else defaults.volume_factor,
-            volume_offset=cfg["volume_offset"] if cfg["volume_offset"]
-            is not None else defaults.volume_offset,
-            edge_factor=cfg["edge_factor"] if cfg["edge_factor"]
-            is not None else defaults.edge_factor,
-            edge_offset=cfg["edge_offset"] if cfg["edge_offset"]
-            is not None else defaults.edge_offset,
-        )
-    else:
-        cfg["policy"] = None
-
     if cfg["out"] is None:
         cfg["out"] = "results.csv"
-    if cfg["seed"] is None:
-        cfg["seed"] = 0
     if cfg["timing"] is None:
         cfg["timing"] = False
     if cfg["threads"] is not None and cfg["threads"] < 1:
@@ -498,8 +479,7 @@ def _run_fem(cfg, task, row):
             row["sigma"] = cfg["sigma"]
             row["L"] = cfg["layers"]
     space = spaces.h1_space(mesh, task["p"])
-    out = methods.solve_fem(problem, space, strategy=cfg["strategy"],
-                            policy=cfg["policy"])
+    out = methods.solve_fem(problem, space, strategy=cfg["strategy"])
     _report_into_row(row, out)
 
 
@@ -544,8 +524,8 @@ def _run_infsup(cfg, task, row):
     space = spaces.h1_space(mesh, p)
     system = assembly.assemble_galerkin(
         space, k, f=problem.f, g=problem.g, bc=problem.bc,
-        robin_sign=problem.robin_sign, policy=cfg["policy"])
-    gram = assembly.assemble_gram_1k(space, k, policy=cfg["policy"])
+        robin_sign=problem.robin_sign)
+    gram = assembly.assemble_gram_1k(space, k)
     a_mat, g_mat = system.A, gram
     if system.free is not None:
         a_mat = a_mat[system.free][:, system.free]

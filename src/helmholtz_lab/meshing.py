@@ -46,9 +46,6 @@ class Polygon:
     vertices: tuple
     side_tags: tuple
 
-    def side_count(self):
-        return len(self.side_tags)
-
 
 def unit_interval():
     return Polygon(
@@ -281,18 +278,6 @@ class Mesh:
             self._cache["centroids"] = self.nodes[self.elements].mean(axis=1)
         return self._cache["centroids"]
 
-    def diameters(self):
-        if "diam" not in self._cache:
-            if self.dim == 1:
-                self._cache["diam"] = self.areas().copy()
-            else:
-                p = self.nodes[self.elements]
-                a = np.linalg.norm(p[:, 1] - p[:, 0], axis=1)
-                b = np.linalg.norm(p[:, 2] - p[:, 1], axis=1)
-                c = np.linalg.norm(p[:, 0] - p[:, 2], axis=1)
-                self._cache["diam"] = np.maximum(a, np.maximum(b, c))
-        return self._cache["diam"]
-
     # -- edge views ------------------------------------------------------
 
     def _edge_view(self, idx):
@@ -420,32 +405,37 @@ def triangulate(domain, target_h):
     gxx, gyy = np.meshgrid(xs, ys, indexing="ij")
     nodes = np.column_stack([gxx.ravel()[used], gyy.ravel()[used]])
     mesh = Mesh(2, nodes, tris, domain_name=domain.name)
-    _tag_from_polygon(mesh, domain)
+    verts = np.asarray(domain.vertices, dtype=float)
+    _tag_boundary(mesh, verts, np.roll(verts, -1, axis=0), domain.side_tags)
     return mesh
 
 
-def _tag_from_polygon(mesh, domain):
-    """Assign each boundary edge the tag of the polygon side containing it."""
-    verts = np.asarray(domain.vertices, dtype=float)
-    nv = len(verts)
-    for idx in np.flatnonzero(mesh.boundary_mask):
-        a, b = mesh.edge_nodes[idx]
-        mid = 0.5 * (mesh.nodes[a] + mesh.nodes[b])
-        tag = None
-        for s in range(nv):
-            p = verts[s]
-            q = verts[(s + 1) % nv]
-            d = q - p
-            ll = float(np.dot(d, d))
-            t = float(np.dot(mid - p, d)) / ll
-            if -1e-12 <= t <= 1.0 + 1e-12:
-                off = mid - (p + t * d)
-                if float(np.dot(off, off)) <= (1e-9 * math.sqrt(ll)) ** 2:
-                    tag = domain.side_tags[s]
-                    break
-        if tag is None:
-            raise ValueError("boundary edge not on any polygon side")
-        mesh.edge_tags[idx] = tag
+def _tag_boundary(mesh, starts, ends, tags):
+    """Give each boundary edge of a 2D mesh the tag of the segment that
+    contains its midpoint.
+
+    Segment s runs from starts[s] to ends[s] and carries tags[s]; the
+    midpoint must lie within 1e-9 segment lengths of it.  Where several
+    segments hold a midpoint (near a corner of a strongly graded mesh),
+    the nearest one wins.  Raises when an edge lies on no segment.
+    """
+    idx = np.flatnonzero(mesh.boundary_mask)
+    if len(tags) == 0:
+        raise ValueError("no tagged boundary segments")
+    mid = 0.5 * mesh.nodes[mesh.edge_nodes[idx]].sum(axis=1)
+    d = ends - starts
+    ll = np.sum(d * d, axis=1)
+    rx = mid[:, None, 0] - starts[:, 0]
+    ry = mid[:, None, 1] - starts[:, 1]
+    t = (rx * d[:, 0] + ry * d[:, 1]) / ll
+    # squared distance to the segment's line, (edges, segments)
+    dist2 = (rx * d[:, 1] - ry * d[:, 0]) ** 2 / ll
+    dist2[(t < -1e-12) | (t > 1.0 + 1e-12)] = np.inf
+    best = np.argmin(dist2, axis=1)
+    if not np.all(dist2[np.arange(len(idx)), best] <= 1e-18 * ll[best]):
+        raise ValueError("boundary edge not on any tagged boundary segment")
+    for i, s in zip(idx, best):
+        mesh.edge_tags[i] = tags[s]
 
 
 def geometric_refine(mesh, corners, sigma, layers):
@@ -477,16 +467,6 @@ def _corner_node(mesh, corner):
     if dist[idx] > 1e-9:
         raise ValueError(f"corner {corner} is not a mesh node")
     return idx
-
-
-def _boundary_tag_triples(mesh):
-    out = []
-    for idx in np.flatnonzero(mesh.boundary_mask):
-        tag = mesh.edge_tags[idx]
-        if tag is not None:
-            a, b = mesh.edge_nodes[idx]
-            out.append((int(a), int(b), tag, mesh.nodes[a].copy(), mesh.nodes[b].copy()))
-    return out
 
 
 def _geometric_refine_1d(mesh, corners, sigma, layers):
@@ -559,25 +539,13 @@ def _geometric_refine_2d(mesh, corners, sigma, layers):
             new_elements.append((ring_a[j], ring_b[j - 1], ring_b[j]))
     nodes = np.array(node_list, dtype=float)
     out = Mesh(2, nodes, np.array(new_elements, dtype=np.int64), domain_name=mesh.domain_name)
-    _retag_from_parent(out, mesh)
+    # the refined boundary edges lie on the parent's tagged boundary edges
+    tagged = [i for i in np.flatnonzero(mesh.boundary_mask)
+              if mesh.edge_tags[i] is not None]
+    ends = mesh.nodes[mesh.edge_nodes[tagged]]
+    _tag_boundary(out, ends[:, 0], ends[:, 1],
+                  [mesh.edge_tags[i] for i in tagged])
     return out
-
-
-def _retag_from_parent(mesh, parent):
-    """Tag boundary edges of a refined mesh from the parent boundary."""
-    segs = _boundary_tag_triples(parent)
-    for idx in np.flatnonzero(mesh.boundary_mask):
-        a, b = mesh.edge_nodes[idx]
-        mid = 0.5 * (mesh.nodes[a] + mesh.nodes[b])
-        for _, _, tag, p, q in segs:
-            d = q - p
-            ll = float(np.dot(d, d))
-            t = float(np.dot(mid - p, d)) / ll
-            if -1e-12 <= t <= 1.0 + 1e-12:
-                off = mid - (p + t * d)
-                if float(np.dot(off, off)) <= 1e-18 + 1e-12 * ll:
-                    mesh.edge_tags[idx] = tag
-                    break
 
 
 def n_lambda(ndof, k, dim):

@@ -490,13 +490,13 @@ def _make_report(problem, space, method, n_unknowns):
     )
 
 
-def solve_fem(problem, space, strategy="sparse_lu", policy=None):
+def solve_fem(problem, space, strategy="sparse_lu"):
     """Conforming Galerkin solve of the impedance problem on `space`."""
     if not space.conforming:
         raise ValueError("solve_fem requires a conforming space")
     system = assembly.assemble_galerkin(
         space, problem.k, f=problem.f, g=problem.g, bc=problem.bc,
-        robin_sign=problem.robin_sign, policy=policy)
+        robin_sign=problem.robin_sign)
     result = assembly.solve(system, strategy=strategy)
     x = result.x
     nfree = len(system.free) if system.free is not None else system.ndof

@@ -22,6 +22,7 @@ from helmholtz_lab.assembly import (
     uwvf_fluxes,
 )
 from helmholtz_lab.meshing import (
+    Polygon,
     triangulate,
     uniform_interval_mesh,
     unit_square,
@@ -234,6 +235,26 @@ class TestLeastSquares:
         x1 = solve(assemble_least_squares(space, k, g1), "truncated_svd").x
         x2 = solve(assemble_least_squares(space, k, g2), "truncated_svd").x
         np.testing.assert_allclose(x2, 2.0 * x1, atol=1e-8 * np.abs(x1).max())
+
+
+class TestDirichlet2D:
+    @pytest.mark.parametrize("kind", ["h1_p1", "h1_p2", "h1_p3", "pum"])
+    def test_fixed_dofs_are_the_wall_traces(self, kind):
+        # the fixed DOFs are exactly those with a nonzero trace on the wall
+        domain = Polygon(
+            name="square", dim=2,
+            vertices=((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)),
+            side_tags=("robin", "wall", "robin", "robin"))
+        mesh = triangulate(domain, 0.25)
+        k = 4.0
+        space = (pum_space(mesh, k, PlaneWaveBasis(k=k, p=3)) if kind == "pum"
+                 else h1_space(mesh, int(kind[-1])))
+        system = assemble_galerkin(space, k, bc={"wall": "dirichlet"})
+        fixed = np.setdiff1d(np.arange(space.ndof), system.free)
+        diag = np.abs(assembly._boundary_mass(space, k, {"wall"}).diagonal())
+        np.testing.assert_array_equal(
+            fixed, np.flatnonzero(diag > 1e-12 * diag.max()))
+        assert 0 < len(fixed) < space.ndof
 
 
 class TestPwdg:

@@ -1,6 +1,7 @@
 """Config parsing, presets, CSV output and exit codes of the CLI harness."""
 
 import os
+import re
 import subprocess
 import sys
 
@@ -28,6 +29,19 @@ out = {out}
 """
 
 
+# keys of earlier versions: the quadrature-degree overrides and the seed
+REMOVED_KEYS = ("volume_factor", "volume_offset", "edge_factor",
+                "edge_offset", "seed")
+
+SMALL_UWVF = """
+method = uwvf
+k = 4
+p = 3,5
+h = 0.5
+out = {out}
+"""
+
+
 class TestConfigParsing:
     def test_flat_key_value_with_comments_and_lists(self):
         raw = cli.parse_config_text(
@@ -36,9 +50,10 @@ class TestConfigParsing:
         assert raw["method"] == "fem"
 
     def test_unknown_key_is_named(self):
-        with pytest.raises(cli.ConfigError) as err:
-            cli.parse_config_text("wavenumber = 4\n")
-        assert err.value.key == "wavenumber"
+        for key in ("wavenumber",) + REMOVED_KEYS:
+            with pytest.raises(cli.ConfigError) as err:
+                cli.parse_config_text(f"{key} = 4\n")
+            assert err.value.key == key
 
     def test_malformed_line_rejected(self):
         with pytest.raises(cli.ConfigError):
@@ -111,6 +126,19 @@ class TestConfigParsing:
         assert cfg["flux_params"] is not None
 
 
+    def test_key_table_in_readme_matches_parsers(self):
+        readme = os.path.join(os.path.dirname(__file__), os.pardir,
+                              "README.md")
+        with open(readme) as fh:
+            text = fh.read()
+        table = text.split("### Config keys", 1)[1].split("###", 1)[0]
+        names = set()
+        for line in table.splitlines():
+            if line.startswith("| `"):
+                names.update(re.findall(r"`([^`]+)`", line.split("|")[1]))
+        assert names == set(cli._KEY_PARSERS)
+
+
 class TestWorkerCount:
     def test_env_override(self, monkeypatch):
         cfg = cli.build_config({"method": "fem", "domain": "interval",
@@ -163,6 +191,40 @@ class TestRunCommand:
         first = out.read_bytes()
         assert cli.main(["run", path]) == 0
         assert out.read_bytes() == first
+
+    def test_thread_count_does_not_change_csv(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("HELMHOLTZ_THREADS", raising=False)
+        for template in (SMALL_1D, SMALL_UWVF):
+            outputs = []
+            for threads in (1, 2):
+                out = tmp_path / f"res{threads}.csv"
+                text = template.format(out=out) + f"threads = {threads}\n"
+                path = write_config(tmp_path, text)
+                assert cli.main(["run", path]) == 0
+                outputs.append(out.read_bytes())
+            assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("key", REMOVED_KEYS)
+    def test_removed_key_exit_2(self, tmp_path, capsys, key):
+        out = tmp_path / "res.csv"
+        path = write_config(tmp_path,
+                            SMALL_1D.format(out=out) + f"{key} = 1\n")
+        assert cli.main(["run", path]) == 2
+        assert f"'{key}'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("alpha", "-1"), ("alpha", "0"), ("beta", "0"), ("beta", "nan"),
+        ("delta", "0"), ("delta", "1"), ("delta", "1.5")])
+    def test_flux_parameter_out_of_range_exit_2(self, tmp_path, capsys,
+                                                key, value):
+        flux = dict({"alpha": "0.5", "beta": "0.5", "delta": "0.5"},
+                    **{key: value})
+        text = SMALL_UWVF.format(out=tmp_path / "res.csv") + "".join(
+            f"{name} = {v}\n" for name, v in flux.items())
+        path = write_config(tmp_path, text)
+        assert cli.main(["run", path]) == 2
+        assert f"'{key}'" in capsys.readouterr().err
 
     def test_config_error_exit_2(self, tmp_path, capsys):
         path = write_config(

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from helmholtz_lab.meshing import (
+    Polygon,
     geometric_refine,
     l_shape,
     load_mesh,
@@ -202,6 +203,66 @@ class TestGeometricRefine:
         mesh = triangulate(unit_square(), 0.5)
         with pytest.raises(ValueError):
             geometric_refine(mesh, [(0.0, 0.0)], 1.5, 2)
+
+
+def _side_tags_reference(mesh, domain):
+    """Per-edge tags from the polygon itself: each boundary edge takes the
+    tag of the one side that holds both of its end nodes."""
+    verts = np.asarray(domain.vertices, dtype=float)
+    tags = [None] * len(mesh.edge_tags)
+    for i in np.flatnonzero(mesh.boundary_mask):
+        hits = []
+        for s, tag in enumerate(domain.side_tags):
+            p, d = verts[s], verts[(s + 1) % len(verts)] - verts[s]
+            on_side = True
+            for x in mesh.nodes[mesh.edge_nodes[i]]:
+                r = x - p
+                t = float(r @ d) / float(d @ d)
+                on_side &= (abs(r[0] * d[1] - r[1] * d[0]) <= 1e-12
+                            and -1e-12 <= t <= 1.0 + 1e-12)
+            if on_side:
+                hits.append(tag)
+        assert len(hits) == 1, (i, hits)
+        tags[i] = hits[0]
+    return tags
+
+
+_FOUR_TAG_SQUARE = Polygon(
+    name="square", dim=2,
+    vertices=((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)),
+    side_tags=("south", "east", "north", "west"))
+
+
+class TestBoundaryTags:
+    @pytest.mark.parametrize("domain, h", [
+        (unit_square(), 0.25),
+        (unit_square(), 1.0 / 192),
+        (_FOUR_TAG_SQUARE, 0.25),
+        (l_shape(), 0.25),
+        (l_shape(neumann_gamma=True), 0.25),
+    ], ids=["square", "square_h192", "four_tags", "lshape", "lshape_neumann"])
+    def test_triangulate_matches_reference(self, domain, h):
+        mesh = triangulate(domain, h)
+        assert mesh.edge_tags == _side_tags_reference(mesh, domain)
+
+    @pytest.mark.parametrize("domain, corner", [
+        (l_shape(), (0.0, 0.0)),
+        (l_shape(neumann_gamma=True), (0.0, 0.0)),
+        # the sides meeting at (1, 0) carry different tags, and the
+        # innermost edges lie within 1e-9 lengths of both
+        (l_shape(neumann_gamma=True), (1.0, 0.0)),
+        (_FOUR_TAG_SQUARE, (1.0, 1.0)),
+    ], ids=["lshape", "lshape_neumann", "lshape_neumann_corner_1_0",
+            "four_tags"])
+    def test_graded_matches_reference(self, domain, corner):
+        fine = geometric_refine(triangulate(domain, 0.5), [corner], 0.125, 10)
+        assert fine.edge_tags == _side_tags_reference(fine, domain)
+
+    def test_untagged_parent_edge_rejected(self):
+        mesh = triangulate(unit_square(), 0.5)
+        mesh.edge_tags[np.flatnonzero(mesh.boundary_mask)[0]] = None
+        with pytest.raises(ValueError, match="boundary segment"):
+            geometric_refine(mesh, [(1.0, 1.0)], 0.5, 2)
 
 
 class TestNLambda:

@@ -230,3 +230,23 @@ def test_invalid_flux_on_one_edge_rejected(mesh):
         assembly.assemble_pwdg(space, K, g_data, bad)
     with pytest.raises(ValueError, match="alpha"):
         analysis.dg_norm(space, x, bad, K)
+
+
+@pytest.mark.parametrize("name, bad", [("alpha", 0.0), ("beta", -1.0),
+                                       ("delta", 1.0)])
+def test_flux_checked_only_where_used(mesh, name, bad):
+    # alpha and beta enter on interior edges only, delta on boundary edges
+    space = make_space(mesh, "pw")
+    x = coefficients(space)
+    used = mesh.boundary_mask if name == "delta" else ~mesh.boundary_mask
+    values = {"alpha": 0.5, "beta": 0.5, "delta": 0.5}
+    unused = dict(values, **{name: np.where(used, values[name], bad)})
+    flux = assembly.FluxParams(**unused)
+    assembly.assemble_pwdg(space, K, g_data, flux)
+    analysis.dg_norm(space, x, flux, K)
+    wrong = dict(values, **{name: np.where(used, bad, values[name])})
+    flux = assembly.FluxParams(**wrong)
+    with pytest.raises(ValueError, match=name):
+        assembly.assemble_pwdg(space, K, g_data, flux)
+    with pytest.raises(ValueError, match=name):
+        analysis.dg_norm(space, x, flux, K)
