@@ -15,10 +15,16 @@ over batches of edges that share an edge rule (`_edge_groups`; a
 structured mesh has three edge lengths), with both sides' traces from
 one batched `_edge_traces`.
 
-`solve` with 'truncated_svd' runs the dense SVD only when a sparse LU
-cannot certify, through its residual and a 1-norm condition estimate,
-that truncation would drop nothing; `SolveResult` records the path that
-ran, the estimate and the dropped singular values.
+`solve` with 'sparse_lu' first factorizes in SuperLU's symmetric mode
+(a minimum-degree ordering of A + A^T, diagonal pivots), made for the
+complex symmetric Galerkin matrices, and keeps that solution only when
+it is finite with a relative residual of at most _LU_RESIDUAL_LIMIT;
+otherwise, and for every system assembled on a 1D mesh, it factorizes
+with COLAMD and partial pivoting.  'truncated_svd' runs the dense SVD
+only when a COLAMD LU cannot certify, through its residual and a 1-norm
+condition estimate, that truncation would drop nothing.  `SolveResult`
+records the path that ran, the LU ordering and fill, the estimate and
+the dropped singular values.
 
 The Galerkin matrix, the L2 mass matrix and the (1,k) Gram matrix are all
 built from one set of shared parts (stiffness, mass, boundary mass), so
@@ -41,6 +47,11 @@ from .numerics import gauss_interval, oscillatory_degree, quad_triangle
 # 4608 x 4608 complex matrix takes 340 MB); covers the plane-wave least
 # squares run at h = 1/16, p = 9.
 _DENSE_LIMIT = 4608
+
+# Largest relative residual of a sparse LU solution that `solve` keeps:
+# a symmetric-mode solution above it is recomputed with COLAMD, and a
+# truncated-SVD certificate above it fails.
+_LU_RESIDUAL_LIMIT = 1e-10
 
 
 @dataclass
@@ -70,6 +81,10 @@ class SolveResult:
     `strategy` names the path that ran, `svd_dropped` counts singular
     values zeroed by truncation, and `cond_est` is the 1-norm condition
     estimate of the truncated-SVD certificate (None when none was made).
+    `ordering` is the column ordering of the sparse LU that produced x
+    ('MMD_AT_PLUS_A' in symmetric mode, 'COLAMD' otherwise; None on the
+    dense paths) and `lu_nnz` the entries SuperLU stores for its L and U
+    factors.
     """
 
     x: np.ndarray
@@ -77,6 +92,8 @@ class SolveResult:
     strategy: str
     svd_dropped: int = 0
     cond_est: float = None
+    ordering: str = None
+    lu_nnz: int = None
 
 
 @dataclass(frozen=True)
@@ -351,6 +368,7 @@ def assemble_galerkin(space, k, f=None, g=None, bc=None, robin_sign=1.0):
         "k": k,
         "h": mesh.h,
         "p": getattr(space, "p", 1),
+        "dim": mesh.dim,
         "robin_sign": float(robin_sign),
         "boundary_mass": bd,
     }
@@ -565,26 +583,63 @@ def _relative_residual(A, x, rhs):
     return float(np.linalg.norm(A @ x - rhs) / (denom if denom > 0 else 1.0))
 
 
+def _finite_and_small(A, x, rhs):
+    """True when x is finite and its relative residual in A x = rhs is at
+    most _LU_RESIDUAL_LIMIT."""
+    return (bool(np.all(np.isfinite(x)))
+            and _relative_residual(A, x, rhs) <= _LU_RESIDUAL_LIMIT)
+
+
+def _sparse_lu(A, rhs, symmetric):
+    """Sparse LU solution of A x = rhs; returns (x, ordering, lu_nnz).
+
+    With `symmetric`, SuperLU first runs in symmetric mode: one minimum
+    degree ordering of A + A^T for rows and columns and diagonal pivots
+    (an off-diagonal pivot only where the diagonal entry is exactly
+    zero), so the factors keep the fill the ordering predicts.  On the
+    2D Galerkin systems of the square at k = 40, p = 1..3 and 5k-37k
+    unknowns that halves COLAMD's fill; the same ordering under partial
+    pivoting is what blows up (more than 60 s at p = 3).  That solution
+    is kept when `splu` does not raise and `_finite_and_small` holds;
+    otherwise, or without `symmetric`, A is factorized with COLAMD and
+    partial pivoting.  lu_nnz is `SuperLU.nnz`, the entries stored for
+    L and U, zeros padded into supernodes included.
+    """
+    if symmetric:
+        try:
+            lu = scipy.sparse.linalg.splu(
+                A.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                options={"SymmetricMode": True})
+        except RuntimeError:
+            pass
+        else:
+            x = lu.solve(rhs)
+            if _finite_and_small(A, x, rhs):
+                return x, "MMD_AT_PLUS_A", lu.nnz
+    lu = scipy.sparse.linalg.splu(A.tocsc(), permc_spec="COLAMD")
+    return lu.solve(rhs), "COLAMD", lu.nnz
+
+
 def _certified_lu(A, rhs, svd_cutoff):
     """Sparse LU solution that provably equals the truncated-SVD one.
 
-    Returns (x, kappa_1), with x None when the certificate fails:
-    `splu` finds A singular, x is not finite, its relative residual
-    exceeds 1e-10, or 10 n kappa_1 >= 1/svd_cutoff, where kappa_1 is the
-    1-norm condition number estimated by `onenormest` on A and on A^-1
-    applied through the LU factors.  Since kappa_2 <= n kappa_1, a
-    passing certificate shows that truncation would drop no singular
-    value, so the LU solution is the minimum-norm solution; the factor 10
-    allows for the estimate falling short of kappa_1.
+    Returns (x, kappa_1, lu_nnz), with x None when the certificate
+    fails: `splu` finds A singular, `_finite_and_small` fails, or
+    10 n kappa_1 >= 1/svd_cutoff, where kappa_1 is the 1-norm condition
+    number estimated by `onenormest` on A and on A^-1 applied through
+    the LU factors.  Since kappa_2 <= n kappa_1, a passing certificate
+    shows that truncation would drop no singular value, so the LU
+    solution is the minimum-norm solution; the factor 10 allows for the
+    estimate falling short of kappa_1.
     """
     n = rhs.shape[0]
     try:
         lu = scipy.sparse.linalg.splu(A.tocsc(), permc_spec="COLAMD")
     except RuntimeError:
-        return None, None
+        return None, None, None
     x = lu.solve(rhs)
-    if not np.all(np.isfinite(x)) or _relative_residual(A, x, rhs) > 1e-10:
-        return None, None
+    if not _finite_and_small(A, x, rhs):
+        return None, None, None
     inverse = scipy.sparse.linalg.LinearOperator(
         (n, n), dtype=complex, matvec=lu.solve, matmat=lu.solve,
         rmatvec=lambda v: lu.solve(v, trans="H"),
@@ -594,8 +649,8 @@ def _certified_lu(A, rhs, svd_cutoff):
         kappa = float(scipy.sparse.linalg.onenormest(A)
                       * scipy.sparse.linalg.onenormest(inverse))
     if not 10.0 * n * kappa < 1.0 / svd_cutoff:
-        return None, kappa
-    return x, kappa
+        return None, kappa, None
+    return x, kappa, lu.nnz
 
 
 def solve(system, strategy="sparse_lu", svd_cutoff=1e-12):
@@ -604,12 +659,15 @@ def solve(system, strategy="sparse_lu", svd_cutoff=1e-12):
     Strategies: 'sparse_lu' (default), 'dense_lu', and 'truncated_svd',
     which returns the minimum-norm least-squares solution after zeroing
     singular values below svd_cutoff * sigma_max (the rescue path for
-    badly conditioned Trefftz bases).  'truncated_svd' first tries a
-    sparse LU that certifies, by its residual and a condition estimate,
-    that no singular value would be dropped (`_certified_lu`); only
-    systems failing that certificate reach the dense SVD.
-    `SolveResult.strategy` names the path that ran ('sparse_lu' or
-    'truncated_svd' for this strategy), `cond_est` carries the condition
+    badly conditioned Trefftz bases).  'sparse_lu' tries SuperLU's
+    symmetric mode first and falls back to COLAMD with partial pivoting
+    (`_sparse_lu`); systems whose meta['dim'] is 1 go to COLAMD directly.
+    'truncated_svd' first tries a COLAMD LU that certifies, by its
+    residual and a condition estimate, that no singular value would be
+    dropped (`_certified_lu`); only systems failing that certificate
+    reach the dense SVD.  `SolveResult.strategy` names the path that ran
+    ('sparse_lu' or 'truncated_svd' for this strategy), `ordering` and
+    `lu_nnz` the LU that produced x, `cond_est` carries the condition
     estimate when one was made, and `svd_dropped` counts the zeroed
     values.  The matrix may be given in any form scipy.sparse accepts;
     the two dense strategies refuse systems above _DENSE_LIMIT unknowns.
@@ -619,20 +677,20 @@ def solve(system, strategy="sparse_lu", svd_cutoff=1e-12):
     if A.shape != (nred, nred):
         raise ValueError("system matrix and right-hand side sizes disagree")
     dropped = 0
-    cond_est = None
+    cond_est = ordering = lu_nnz = None
     ran = strategy
     if strategy == "sparse_lu":
-        # COLAMD keeps the fill-in of the hierarchic high-order patterns
-        # moderate; minimum-degree orderings blow up on them.
-        lu = scipy.sparse.linalg.splu(A.tocsc(), permc_spec="COLAMD")
-        x = lu.solve(rhs)
+        # In 1D no ordering saves fill, and the roundoff-level errors of
+        # the high-order 1D rows would move with any other factorization.
+        x, ordering, lu_nnz = _sparse_lu(
+            A, rhs, symmetric=system.meta.get("dim") != 1)
     elif strategy == "dense_lu":
         x = scipy.linalg.solve(_dense(A), rhs)
     elif strategy == "truncated_svd":
         _check_dense_size(nred)
-        x, cond_est = _certified_lu(A, rhs, svd_cutoff)
+        x, cond_est, lu_nnz = _certified_lu(A, rhs, svd_cutoff)
         if x is not None:
-            ran = "sparse_lu"
+            ran, ordering = "sparse_lu", "COLAMD"
         else:
             u, s, vh = np.linalg.svd(_dense(A))
             keep = s > svd_cutoff * s[0]
@@ -650,7 +708,8 @@ def solve(system, strategy="sparse_lu", svd_cutoff=1e-12):
         full[system.free] = x
         x = full
     return SolveResult(x=x, residual=residual, strategy=ran,
-                       svd_dropped=dropped, cond_est=cond_est)
+                       svd_dropped=dropped, cond_est=cond_est,
+                       ordering=ordering, lu_nnz=lu_nnz)
 
 
 def infsup_probe(b_matrix, gram):

@@ -239,6 +239,11 @@ def parse_config_text(text):
     return raw
 
 
+# Keys that only one method reads; a config giving one of them for any
+# other method is refused rather than silently ignored.
+_METHOD_KEYS = {"flux": "uwvf", "alpha": "uwvf", "beta": "uwvf",
+                "delta": "uwvf", "w1": "ls", "w2": "ls", "khp": "infsup"}
+
 _DOMAIN_DEFAULT = {"fem": None, "nodal": "interval", "ls": "square",
                    "uwvf": "square", "infsup": "interval", "approx": "square"}
 _EXACT_DEFAULT = {"interval": "model1d", "square": "pw2d",
@@ -264,6 +269,10 @@ def build_config(raw):
     method = cfg["method"]
     if method is None:
         raise ConfigError("method", "required (or give a preset)")
+    for key, owner in _METHOD_KEYS.items():
+        if key in raw and method != owner:
+            raise ConfigError(key, f"only method '{owner}' reads it, "
+                                   f"not '{method}'")
     if cfg["domain"] is None:
         cfg["domain"] = _DOMAIN_DEFAULT[method]
         if cfg["domain"] is None:

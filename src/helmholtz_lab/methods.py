@@ -543,7 +543,8 @@ def h1_best_approximation(problem, space):
         robin_sign=problem.robin_sign)
     stiff = system.A.real + problem.k**2 * system.mass
     coeffs = assembly.solve(
-        assembly.ComplexSystem(A=stiff, rhs=b, free=system.free)).x
+        assembly.ComplexSystem(A=stiff, rhs=b, free=system.free,
+                               meta={"dim": system.meta["dim"]})).x
     h1, _, _ = analysis.relative_errors(
         space, coeffs, exact.value, exact.gradient, problem.k)
     return coeffs, h1

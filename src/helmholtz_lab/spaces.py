@@ -356,9 +356,13 @@ class H1Space(_Space):
             return super().field(elems, coeffs, rule)
         vals, grads = self.reference_tables(rule.points)
         c = coeffs[self.dof_matrix()[elems]] * self.orientation_signs()[elems]
-        u = np.einsum("ql,el->eq", vals, c)
-        g = np.einsum("qlr,edr,el->eqd", grads,
-                      self.mesh.inv_jacobians_t()[elems], c)
+        nq = len(vals)
+        u = c @ vals.T
+        # reference gradients of all points in one (E, L) @ (L, 2Q)
+        # product, then each element's 2x2 inverse transposed Jacobian
+        g_ref = (c @ grads.transpose(1, 0, 2).reshape(self.nloc, 2 * nq)
+                 ).reshape(len(elems), nq, 2)
+        g = g_ref @ self.mesh.inv_jacobians_t()[elems].transpose(0, 2, 1)
         return u, g
 
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from helmholtz_lab import analysis, assembly, meshing, spaces
+from helmholtz_lab import analysis, assembly, meshing, numerics, spaces
 
 
 def square_mesh(h=0.5):
@@ -141,6 +141,30 @@ class TestRelativeErrors:
         np.testing.assert_allclose(pulled_errs, physical_errs, rtol=1e-11)
         np.testing.assert_allclose(pulled_a, physical_a, rtol=0,
                                    atol=1e-12 * np.abs(physical_a).max())
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 4])
+    @pytest.mark.parametrize("graded", [False, True],
+                             ids=["lshape", "graded"])
+    def test_pull_back_field_matches_physical_evaluation(self, p, graded):
+        # H1Space.field contracts reference tables with GEMMs and applies
+        # each element's inverse transposed Jacobian; the shared path
+        # evaluates the basis at the mapped points.
+        mesh = meshing.triangulate(meshing.l_shape(), 0.5)
+        if graded:
+            mesh = meshing.geometric_refine(mesh, [(0.0, 0.0)], 0.125, 6)
+        space = spaces.h1_space(mesh, p)
+        coeffs = random_complex(np.random.default_rng(5), space.ndof)
+        rule = numerics.quad_triangle(2 * p + 2)
+        elems = np.arange(mesh.n_elements)
+        pulled = space.field(elems, coeffs, rule)
+        physical = spaces._Space.field(space, elems, coeffs, rule)
+        for got, want in zip(pulled, physical):
+            assert got.shape == want.shape
+            # per element, relative to the element's largest value, since
+            # gradients grow like 1/diameter into the graded corner
+            scale = np.abs(want).reshape(len(elems), -1).max(axis=1)
+            diff = np.abs(got - want).reshape(len(elems), -1).max(axis=1)
+            assert np.all(diff <= 1e-13 * scale)
 
     def test_trefftz_plane_wave_zero_error(self):
         k = 6.0

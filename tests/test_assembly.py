@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse
+import scipy.sparse.linalg
 
 from helmholtz_lab import assembly
 from helmholtz_lab.assembly import (
@@ -313,6 +314,7 @@ class TestSolve:
         res = solve(system, strategy="dense_lu")
         np.testing.assert_allclose(res.x, rhs)
         assert res.residual < 1e-15
+        assert res.ordering is None and res.lu_nnz is None
 
     def test_hand_2x2(self):
         A = np.array([[1.0, 1j], [-1j, 2.0]])
@@ -349,6 +351,7 @@ class TestSolve:
         system = assemble_least_squares(space, k, g)
         res = solve(system, strategy="truncated_svd", svd_cutoff=1e-12)
         assert res.strategy == "sparse_lu"
+        assert res.ordering == "COLAMD" and res.lu_nnz > 0
         assert res.svd_dropped == 0
         assert 1.0 <= res.cond_est < 1e12 / (10 * space.ndof)
         u, sv, vh = np.linalg.svd(system.A.toarray())
@@ -367,6 +370,7 @@ class TestSolve:
                                  rhs=np.array([2.0, 1.0], dtype=complex))
         res = solve(singular, strategy="truncated_svd")
         assert res.strategy == "truncated_svd"
+        assert res.ordering is None and res.lu_nnz is None
         assert res.cond_est is None
         assert res.svd_dropped == 1
         np.testing.assert_allclose(res.x, [0.75, 0.75], atol=1e-12)
@@ -390,6 +394,61 @@ class TestSolve:
         xs = solve(system, "sparse_lu").x
         xd = solve(system, "dense_lu").x
         np.testing.assert_allclose(xs, xd, atol=1e-10 * np.abs(xd).max())
+
+    def test_symmetric_mode_on_2d_galerkin_system(self):
+        # 2401 unknowns; on the smallest meshes COLAMD may fill in less
+        mesh = triangulate(unit_square(), 1.0 / 24)
+        space = h1_space(mesh, 2)
+        k = 10.0
+        g = lambda pts: np.exp(1j * k * pts[:, 0])
+        system = assemble_galerkin(space, k, g=g)
+        res = solve(system, "sparse_lu")
+        assert res.ordering == "MMD_AT_PLUS_A"
+        assert res.residual <= 1e-10
+        lu = scipy.sparse.linalg.splu(system.A.tocsc(), permc_spec="COLAMD")
+        x_colamd = lu.solve(system.rhs)
+        assert (np.linalg.norm(res.x - x_colamd)
+                <= 1e-10 * np.linalg.norm(x_colamd))
+        assert res.lu_nnz < lu.nnz
+
+    @pytest.mark.parametrize("tiny", [1e-20, 1e-310],
+                             ids=["residual", "singular_pivot"])
+    def test_unstable_diagonal_pivots_fall_back_to_colamd(self, tiny):
+        # Every symmetric ordering keeps the tiny diagonal pivot first:
+        # at 1e-20 its solution has residual ~0.4, at 1e-310 splu raises.
+        A = np.array([[tiny, 1.0], [1.0, tiny]], dtype=complex)
+        rhs = np.array([1.0, 2.0], dtype=complex)
+        res = solve(ComplexSystem(A=A, rhs=rhs), "sparse_lu")
+        assert res.ordering == "COLAMD"
+        np.testing.assert_allclose(res.x, [2.0, 1.0], rtol=1e-15)
+        assert res.residual <= 1e-15
+
+    @pytest.mark.parametrize("A", [
+        np.eye(5)[[1, 2, 3, 4, 0]],
+        np.array([[1e-20, 1.0], [1.0, 1.0]]),
+    ], ids=["zero_diagonal_permutation", "tiny_first_diagonal"])
+    def test_solutions_that_pass_the_guard_are_exact(self, A):
+        # SuperLU still takes an off-diagonal pivot where a diagonal entry
+        # is exactly zero, and the minimum-degree ordering of the 2x2
+        # matrix eliminates the unit diagonal entry first; both solutions
+        # pass the residual guard.
+        rhs = np.arange(1.0, len(A) + 1.0).astype(complex)
+        res = solve(ComplexSystem(A=A.astype(complex), rhs=rhs), "sparse_lu")
+        np.testing.assert_allclose(res.x, np.linalg.solve(A, rhs),
+                                   rtol=1e-15)
+        assert res.residual <= 1e-15
+
+    def test_1d_system_keeps_colamd_bitwise(self):
+        space = h1_space(uniform_interval_mesh(24), 4)
+        k = 10.0
+        g = lambda x: np.full(x.shape[0], 1.0 + 0j)
+        system = assemble_galerkin(space, k, f=1.0, g=g)
+        assert system.meta["dim"] == 1
+        res = solve(system, "sparse_lu")
+        assert res.ordering == "COLAMD"
+        lu = scipy.sparse.linalg.splu(system.A.tocsc(), permc_spec="COLAMD")
+        assert np.array_equal(res.x, lu.solve(system.rhs))
+        assert res.lu_nnz == lu.nnz
 
 
 class TestDenseLimit:

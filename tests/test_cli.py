@@ -226,6 +226,23 @@ class TestRunCommand:
         assert cli.main(["run", path]) == 2
         assert f"'{key}'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("method, key, value", [
+        ("ls", "flux", "uwvf"), ("ls", "alpha", "0.5"), ("ls", "beta", "0.5"),
+        ("ls", "delta", "0.5"), ("fem", "flux", "hmp"),
+        ("uwvf", "w1", "2"), ("uwvf", "w2", "2"), ("fem", "w1", "2"),
+        ("ls", "khp", "9"), ("fem", "khp", "0.25"),
+    ])
+    def test_key_the_method_never_reads_exit_2(self, tmp_path, capsys,
+                                               method, key, value):
+        text = {"fem": SMALL_1D, "uwvf": SMALL_UWVF,
+                "ls": SMALL_UWVF.replace("method = uwvf", "method = ls")}
+        out = tmp_path / "res.csv"
+        path = write_config(tmp_path, text[method].format(out=out)
+                            + f"{key} = {value}\n")
+        assert cli.main(["run", path]) == 2
+        assert f"'{key}'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_config_error_exit_2(self, tmp_path, capsys):
         path = write_config(
             tmp_path, "method = fem\ndomain = interval\nn_elements = 4\nk = \n")
