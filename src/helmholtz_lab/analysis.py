@@ -79,13 +79,13 @@ def _rel(num, den):
     return math.sqrt(num / den)
 
 
-def relative_errors(space, coeffs, exact_value, exact_grad, k,
-                    exclude_radius=0.0):
+def relative_errors(space, coeffs, exact, k, exclude_radius=0.0):
     """Relative L2, H1-seminorm, and (1,k)-norm errors vs an exact solution.
 
-    exact_value maps an array of points to complex values, exact_grad to
-    complex gradients (analytic, not differenced).  Relative norms divide
-    by the exact solution's norm computed with the same quadrature.  A
+    exact maps an array of points to (complex values, complex gradients),
+    the gradients analytic, not differenced, such as `ExactSolution.eval`;
+    it is called once per element batch.  Relative norms divide by the
+    exact solution's norm computed with the same quadrature.  A
     positive exclude_radius drops quadrature points inside the disk around
     the origin, the re-entrant corner of the L-shape; used for solutions
     whose gradient is singular there.
@@ -102,8 +102,9 @@ def relative_errors(space, coeffs, exact_value, exact_grad, k,
             pts, w = _apply_exclusion(pts, w, exclude_radius,
                                       mesh.centroids()[elems])
         u_n, g_n = space.field(elems, coeffs, rule)
-        u_e = np.asarray(exact_value(_flat(pts)), dtype=complex).reshape(w.shape)
-        g_e = np.asarray(exact_grad(_flat(pts)), dtype=complex).reshape(g_n.shape)
+        u_e, g_e = exact(_flat(pts))
+        u_e = np.asarray(u_e, dtype=complex).reshape(w.shape)
+        g_e = np.asarray(g_e, dtype=complex).reshape(g_n.shape)
         num_l2 += float(np.sum(w * np.abs(u_e - u_n) ** 2))
         den_l2 += float(np.sum(w * np.abs(u_e) ** 2))
         num_h1 += float(np.sum(w * (np.abs(g_e - g_n) ** 2).sum(axis=-1)))
@@ -143,17 +144,17 @@ def _edge_fields(space, coeffs, edges, t):
     return pts, fields
 
 
-def _exact_traces(space, edges, pts, exact_value, exact_grad):
+def _exact_traces(space, edges, pts, exact):
     """Values and plus-normal derivatives (E, Q) of the exact solution."""
-    u = _edge_values(exact_value, pts)
-    g = np.asarray(exact_grad(_flat(pts)), dtype=complex).reshape(pts.shape)
+    u, g = exact(_flat(pts))
+    u = np.asarray(u, dtype=complex).reshape(pts.shape[:2])
+    g = np.asarray(g, dtype=complex).reshape(pts.shape)
     return u, np.einsum("eqd,ed->eq", g, space.mesh.edge_normals[edges])
 
 
-def _dg_square(space, coeffs, flux, k, plus,
-               exact_value=None, exact_grad=None):
-    """Squared skeleton norm of u_N, or of (exact - u_N) when callbacks
-    for the exact value and gradient are supplied."""
+def _dg_square(space, coeffs, flux, k, plus, exact=None):
+    """Squared skeleton norm of u_N, or of (exact - u_N) when the exact
+    solution's (values, gradients) callback is supplied."""
     mesh = space.mesh
     if mesh.dim != 2:
         raise ValueError("DG norms are defined on 2D meshes")
@@ -165,9 +166,8 @@ def _dg_square(space, coeffs, flux, k, plus,
     for edges, t, ds in _edge_groups(space, k, interior):
         alpha, beta, _ = (a[:, None] for a in flux.on_edges(edges))
         pts, ((u_p, gn_p), (u_m, gn_m)) = _edge_fields(space, coeffs, edges, t)
-        if exact_value is not None:
-            u_e, gn_e = _exact_traces(space, edges, pts, exact_value,
-                                      exact_grad)
+        if exact is not None:
+            u_e, gn_e = _exact_traces(space, edges, pts, exact)
             u_p, u_m = u_e - u_p, u_e - u_m
             gn_p, gn_m = gn_e - gn_p, gn_e - gn_m
         sq = (beta / k * np.abs(gn_p - gn_m) ** 2
@@ -179,9 +179,8 @@ def _dg_square(space, coeffs, flux, k, plus,
     for edges, t, ds in _edge_groups(space, k, boundary):
         delta = flux.on_edges(edges)[2][:, None]
         pts, ((u, gn),) = _edge_fields(space, coeffs, edges, t)
-        if exact_value is not None:
-            u_e, gn_e = _exact_traces(space, edges, pts, exact_value,
-                                      exact_grad)
+        if exact is not None:
+            u_e, gn_e = _exact_traces(space, edges, pts, exact)
             u, gn = u_e - u, gn_e - gn
         sq = delta / k * np.abs(gn) ** 2 + k * (1.0 - delta) * np.abs(u) ** 2
         if plus:
@@ -210,17 +209,15 @@ def dg_plus_norm(space, coeffs, flux, k):
     return math.sqrt(max(_dg_square(space, coeffs, flux, k, True), 0.0))
 
 
-def dg_error_norm(space, coeffs, flux, k, exact_value, exact_grad,
-                  plus=False):
+def dg_error_norm(space, coeffs, flux, k, exact, plus=False):
     """Skeleton DG norm of the error (exact - u_N).
 
-    The exact solution's traces enter through the analytic value and
-    gradient callbacks; its interior jumps vanish, so the interior terms
-    reduce to the discrete jumps while boundary terms see the true residual
-    traces.
+    The exact solution's traces enter through `exact`, which maps points
+    to analytic (values, gradients); its interior jumps vanish, so the
+    interior terms reduce to the discrete jumps while boundary terms see
+    the true residual traces.
     """
-    sq = _dg_square(space, coeffs, flux, k, plus,
-                    exact_value=exact_value, exact_grad=exact_grad)
+    sq = _dg_square(space, coeffs, flux, k, plus, exact=exact)
     return math.sqrt(max(sq, 0.0))
 
 

@@ -290,17 +290,22 @@ def _volume_batches(space, k):
         yield (elems,) + space.mesh.map_rule(elems, rule)
 
 
-def _load(space, batches, value_fn, grad_fn=None, scale=1.0):
+def _load(space, batches, fn, scale=1.0, gradient=False):
     """Load vector scale * (u, b_i) [+ (grad u, grad b_i)] summed over
-    (elements, points, weights) batches."""
+    (elements, points, weights) batches.  fn maps points to the values
+    of u, or to (values, gradients) in one call when `gradient` is set."""
     rhs = np.zeros(space.ndof, dtype=complex)
     dofs = space.dof_matrix()
     for elems, pts, w in batches:
         vals, grads = space.eval_basis(elems, pts)
-        uq = np.asarray(value_fn(_flat(pts)), dtype=complex).reshape(w.shape)
+        if gradient:
+            u, g = fn(_flat(pts))
+        else:
+            u = fn(_flat(pts))
+        uq = np.asarray(u, dtype=complex).reshape(w.shape)
         loc = scale * np.einsum("eq,eql->el", w * uq, np.conj(vals))
-        if grad_fn is not None:
-            gq = np.asarray(grad_fn(_flat(pts)), dtype=complex).reshape(
+        if gradient:
+            gq = np.asarray(g, dtype=complex).reshape(
                 grads.shape[:2] + grads.shape[3:])
             loc = loc + np.einsum("eq,eqd,eqld->el", w, gq, np.conj(grads))
         np.add.at(rhs, dofs[elems], loc)
@@ -382,15 +387,17 @@ def assemble_gram_1k(space, k):
     return stiff + k**2 * mass
 
 
-def project_rhs_1k(space, k, value_fn, grad_fn):
+def project_rhs_1k(space, k, target):
     """Load vector of the (1,k) inner product against a target function.
 
-    rhs_i = k^2 (u, b_i) + (grad u, grad b_i); used for best-approximation
-    studies via the normal equations with the (1,k) Gram matrix.
+    rhs_i = k^2 (u, b_i) + (grad u, grad b_i), with target mapping points
+    to (values of u, gradients of u), such as `ExactSolution.eval`; used
+    for best-approximation studies via the normal equations with the
+    (1,k) Gram matrix.
     """
     k = float(k)
-    return _load(space, _volume_batches(space, k), value_fn, grad_fn,
-                 scale=k**2)
+    return _load(space, _volume_batches(space, k), target, scale=k**2,
+                 gradient=True)
 
 
 # -- skeleton assembly for Trefftz methods -----------------------------------

@@ -23,18 +23,26 @@ from .numerics import bessel_j
 
 @dataclass(frozen=True)
 class ExactSolution:
-    """Analytic reference solution: value and gradient evaluators.
+    """Analytic reference solution.
 
-    `value` maps an array of points to complex values; `gradient` to
-    complex gradients (shape (n, dim), or (n,) in 1D).  `source` is the
+    `eval` maps an array of points to (values, gradients): complex values
+    and complex gradients (shape (n, dim), or (n,) in 1D), computed
+    together so that shared factors are evaluated once.  `source` is the
     volume term f that the solution satisfies in -Delta u - k^2 u = f.
     """
 
     id: str
     k: float
-    value: object
-    gradient: object
+    eval: object
     source: object = None
+
+    def value(self, pts):
+        """Values of the solution at pts."""
+        return self.eval(pts)[0]
+
+    def gradient(self, pts):
+        """Gradients of the solution at pts."""
+        return self.eval(pts)[1]
 
 
 def plane_wave_2d(k, direction=None):
@@ -45,15 +53,12 @@ def plane_wave_2d(k, direction=None):
     d = np.asarray(direction, dtype=float)
     d = d / np.linalg.norm(d)
 
-    def value(pts):
+    def evaluate(pts):
         pts = np.asarray(pts, dtype=float)
-        return np.exp(1j * k * (pts @ d))
+        u = np.exp(1j * k * (pts @ d))
+        return u, 1j * k * d[None, :] * u[:, None]
 
-    def gradient(pts):
-        pts = np.asarray(pts, dtype=float)
-        return 1j * k * d[None, :] * np.exp(1j * k * (pts @ d))[:, None]
-
-    return ExactSolution(id="pw2d", k=k, value=value, gradient=gradient)
+    return ExactSolution(id="pw2d", k=k, eval=evaluate)
 
 
 def _corner_polar(pts):
@@ -75,24 +80,25 @@ def bessel_singular(k):
     k = float(k)
     nu = 2.0 / 3.0
 
-    def value(pts):
+    def evaluate(pts):
         r, phi = _corner_polar(pts)
-        return bessel_j(nu, k * r) * np.cos(nu * phi) + 0.0j
-
-    def gradient(pts):
-        r, phi = _corner_polar(pts)
+        # J_{nu-1} is singular at 0: the gradient sees r >= 1e-300, the
+        # value the true r, which differs only below 1e-300
         r_safe = np.maximum(r, 1e-300)
-        jm = bessel_j(nu - 1.0, k * r_safe)
-        jp = bessel_j(nu + 1.0, k * r_safe)
+        jm, jn, jp = bessel_j((nu - 1.0, nu, nu + 1.0), k * r_safe)
+        tiny = r < r_safe
+        ju = jn.copy()
+        if np.any(tiny):
+            ju[tiny] = bessel_j(nu, k * r[tiny])
         du_dr = k * 0.5 * (jm - jp) * np.cos(nu * phi)
-        du_dphi_over_r = -nu * bessel_j(nu, k * r_safe) * np.sin(nu * phi) / r_safe
+        du_dphi_over_r = -nu * jn * np.sin(nu * phi) / r_safe
         cos_p, sin_p = np.cos(phi), np.sin(phi)
         gx = du_dr * cos_p - du_dphi_over_r * sin_p
         gy = du_dr * sin_p + du_dphi_over_r * cos_p
-        return np.stack([gx, gy], axis=1) + 0.0j
+        return (ju * np.cos(nu * phi) + 0.0j,
+                np.stack([gx, gy], axis=1) + 0.0j)
 
-    return ExactSolution(id="bessel_singular", k=k, value=value,
-                         gradient=gradient)
+    return ExactSolution(id="bessel_singular", k=k, eval=evaluate)
 
 
 def model_1d(k, robin_sign=1.0):
@@ -117,7 +123,8 @@ def model_1d(k, robin_sign=1.0):
         return (s * 1j / k) * (np.exp(-s * 1j * k) * np.cos(k * x)
                                - np.exp(-s * 1j * k * x))
 
-    return ExactSolution(id="model1d", k=k, value=value, gradient=gradient,
+    return ExactSolution(id="model1d", k=k,
+                         eval=lambda pts: (value(pts), gradient(pts)),
                          source=1.0)
 
 
@@ -209,8 +216,9 @@ def impedance_data(exact, domain, robin_sign=1.0):
         lengths = np.linalg.norm(n, axis=1)
         if np.any(lengths < 0.5):
             raise ValueError("impedance data requested off the boundary")
-        grads = np.asarray(exact.gradient(pts), dtype=complex)
-        vals = np.asarray(exact.value(pts), dtype=complex)
+        vals, grads = exact.eval(pts)
+        vals = np.asarray(vals, dtype=complex)
+        grads = np.asarray(grads, dtype=complex)
         return np.einsum("qd,qd->q", grads, n) + s * 1j * k * vals
 
     return g
@@ -410,14 +418,16 @@ def _boundary_data_residual(problem):
         if mesh.dim == 1:
             pts = np.asarray([mesh.nodes[edge.nodes[0]]])
             normal = np.asarray([edge.normal[0]])
-            vals = np.asarray(exact.value(pts), dtype=complex)
-            grads = np.asarray(exact.gradient(pts), dtype=complex)
+            vals, grads = exact.eval(pts)
+            vals = np.asarray(vals, dtype=complex)
+            grads = np.asarray(grads, dtype=complex)
             dn = grads * normal
         else:
             a, b = mesh.nodes[edge.nodes[0]], mesh.nodes[edge.nodes[1]]
             pts = a[None, :] + rule[:, None] * (b - a)[None, :]
-            vals = np.asarray(exact.value(pts), dtype=complex)
-            grads = np.asarray(exact.gradient(pts), dtype=complex)
+            vals, grads = exact.eval(pts)
+            vals = np.asarray(vals, dtype=complex)
+            grads = np.asarray(grads, dtype=complex)
             dn = grads @ edge.normal
         if kind == "dirichlet":
             resid = vals
@@ -472,8 +482,7 @@ def _error_fields(problem, space, coeffs, report):
         return
     exclude = 1e-8 if problem.exact.id == "bessel_singular" else 0.0
     h1, l2, e1k = analysis.relative_errors(
-        space, coeffs, problem.exact.value, problem.exact.gradient,
-        problem.k, exclude_radius=exclude)
+        space, coeffs, problem.exact.eval, problem.k, exclude_radius=exclude)
     report.h1_semi_rel = h1
     report.l2_rel = l2
     report.norm_1k_rel = e1k
@@ -529,15 +538,11 @@ def h1_best_approximation(problem, space):
         raise ValueError("h1_best_approximation requires a conforming space")
     exact = problem.exact
 
-    def zero_vals(pts):
-        pts = np.atleast_1d(np.asarray(pts, dtype=float))
-        return np.zeros(pts.shape[0], dtype=complex)
-
-    def grad_cols(pts):
+    def gradient_only(pts):
         g = np.asarray(exact.gradient(pts), dtype=complex)
-        return g.reshape(g.shape[0], -1)
+        return np.zeros(g.shape[0], dtype=complex), g.reshape(g.shape[0], -1)
 
-    b = assembly.project_rhs_1k(space, problem.k, zero_vals, grad_cols)
+    b = assembly.project_rhs_1k(space, problem.k, gradient_only)
     system = assembly.assemble_galerkin(
         space, problem.k, f=problem.f, g=problem.g, bc=problem.bc,
         robin_sign=problem.robin_sign)
@@ -545,8 +550,7 @@ def h1_best_approximation(problem, space):
     coeffs = assembly.solve(
         assembly.ComplexSystem(A=stiff, rhs=b, free=system.free,
                                meta={"dim": system.meta["dim"]})).x
-    h1, _, _ = analysis.relative_errors(
-        space, coeffs, exact.value, exact.gradient, problem.k)
+    h1, _, _ = analysis.relative_errors(space, coeffs, exact.eval, problem.k)
     return coeffs, h1
 
 
@@ -638,11 +642,9 @@ def solve_pwdg(problem, space, flux="uwvf", strategy="sparse_lu"):
     _error_fields(problem, space, x, report)
     if problem.exact is not None:
         report.dg_norm = analysis.dg_error_norm(
-            space, x, flux, problem.k,
-            problem.exact.value, problem.exact.gradient)
+            space, x, flux, problem.k, problem.exact.eval)
         report.dg_plus_norm = analysis.dg_error_norm(
-            space, x, flux, problem.k,
-            problem.exact.value, problem.exact.gradient, plus=True)
+            space, x, flux, problem.k, problem.exact.eval, plus=True)
     a = system.A
     im_lhs = float(np.imag(np.vdot(x, a @ x)))
     im_rhs = float(np.imag(np.vdot(x, system.rhs)))
@@ -692,11 +694,10 @@ def _make_basis(kind, k, order):
 
 def _best_approximation(space, k, target, cutoff):
     gram = assembly.assemble_gram_1k(space, k)
-    rhs = assembly.project_rhs_1k(space, k, target.value, target.gradient)
+    rhs = assembly.project_rhs_1k(space, k, target.eval)
     result = assembly.solve(assembly.ComplexSystem(A=gram, rhs=rhs),
                             strategy="truncated_svd", svd_cutoff=cutoff)
-    h1, l2, e1k = analysis.relative_errors(space, result.x, target.value,
-                                           target.gradient, k)
+    h1, l2, e1k = analysis.relative_errors(space, result.x, target.eval, k)
     return result.x, result.svd_dropped == 0, h1, l2, e1k
 
 

@@ -70,58 +70,114 @@ def bessel_j(order, x):
 
     Supported orders: integers 0..60 and non-integer real orders > -1
     (fractional orders appear in corner-singular solutions).  Scalar or
-    array x.  Small arguments use the power series; larger arguments use
-    downward recurrence normalized either by the even-order sum identity
-    (integer order) or by the Neumann series for (x/2)^order (fractional
-    order), which avoids the catastrophic series cancellation at x >> 1.
-    """
-    order = float(order)
-    is_int = order.is_integer()
-    if is_int:
-        n = int(order)
-        if n < 0 or n > _MAX_INT_ORDER:
-            raise ValueError(f"unsupported integer order {n}")
-    elif order <= -1.0:
-        raise ValueError(f"unsupported order {order}")
+    array x.  Small arguments (x <= 9) use the power series; larger
+    arguments use downward recurrence normalized either by the even-order
+    sum identity (integer order) or by the Neumann series for (x/2)^order
+    (fractional order), which avoids the catastrophic series cancellation
+    at x >> 1.
 
+    `order` may also be a non-empty 1-D sequence of orders (a ladder such
+    as 0..p+1); the result then carries the orders along a new leading
+    axis, shape (len(order),) + x.shape.  Every row is bitwise equal to
+    the call with that order alone on the same x: the series runs once
+    for all orders, and the recurrence, whose start depends on the order
+    and the largest argument above 9, runs per order as in a scalar call.
+    Orders are checked before anything is allocated; a bad one raises
+    ValueError naming it.
+    """
+    ladder = np.ndim(order) > 0
+    orders = _checked_orders(order)
     arr = np.asarray(x, dtype=float)
-    scalar = arr.ndim == 0
-    flat = np.atleast_1d(arr).ravel().astype(float)
+    flat = arr.ravel()
     if np.any(flat < 0.0):
         raise ValueError("bessel_j requires x >= 0")
-    if not is_int and order < 0.0 and np.any(flat == 0.0):
-        raise ValueError("bessel_j diverges at x = 0 for negative order")
+    negative = [nu for nu in orders if nu < 0.0]
+    if negative and np.any(flat == 0.0):
+        raise ValueError(f"bessel_j diverges at x = 0 for negative order "
+                         f"{negative[0]}")
 
-    out = np.empty_like(flat)
+    out = np.empty((len(orders), flat.size))
     small = flat <= _SERIES_CUTOFF
     if np.any(small):
-        out[small] = _bessel_series(order, flat[small])
-    if np.any(~small):
+        out[:, small] = _bessel_series(orders, flat[small])
+    if not np.all(small):
         big = flat[~small]
-        if is_int:
-            out[~small] = _bessel_miller_int(int(order), big)
-        else:
-            out[~small] = _bessel_miller_frac(order, big)
+        for row, nu in zip(out, orders):
+            if nu.is_integer():
+                row[~small] = _bessel_miller_int(int(nu), big)
+            else:
+                row[~small] = _bessel_miller_frac(nu, big)
 
-    if scalar:
-        return float(out[0])
-    return out.reshape(arr.shape)
+    if ladder:
+        return out.reshape((len(orders),) + arr.shape)
+    if arr.ndim == 0:
+        return float(out[0, 0])
+    return out[0].reshape(arr.shape)
 
 
-def _bessel_series(nu, x):
-    """Defining power series; reliable for x <= ~9."""
+def _bessel_ladder_slabs(orders, x):
+    """bessel_j(orders, row) for every row of the 2-D array x, stacked as
+    (len(orders),) + x.shape.
+
+    The series points of all rows go through one bessel_j call.  The
+    recurrence starts from the largest argument above 9 of a call, so a
+    row with such arguments gets its own call on them alone: every row
+    equals a bessel_j call on that row.
+    """
+    out = np.empty((len(orders),) + x.shape)
+    series = x <= _SERIES_CUTOFF
+    if np.any(series):
+        out[:, series] = bessel_j(orders, x[series])
+    for s in np.flatnonzero(~series.all(axis=1)):
+        miller = ~series[s]
+        out[:, s, miller] = bessel_j(orders, x[s, miller])
+    return out
+
+
+def _checked_orders(order):
+    """The orders of a bessel_j call as Python floats; raises ValueError
+    naming the first unsupported one."""
+    nus = np.asarray(order, dtype=float)
+    if nus.ndim > 1 or nus.size == 0:
+        raise ValueError(f"bessel_j takes a scalar order or a non-empty 1-D "
+                         f"sequence of orders, got shape {nus.shape}")
+    orders = [float(nu) for nu in nus.ravel()]
+    for nu in orders:
+        if not math.isfinite(nu):
+            raise ValueError(f"unsupported order {nu}")
+        if nu.is_integer():
+            if nu < 0.0 or nu > _MAX_INT_ORDER:
+                raise ValueError(f"unsupported integer order {int(nu)}")
+        elif nu <= -1.0:
+            raise ValueError(f"unsupported order {nu}")
+    return orders
+
+
+def _bessel_series(orders, x):
+    """Defining power series for every order at every x, rows following
+    `orders`; reliable for x <= ~9.
+
+    The recurrence runs until every point of every order has converged.
+    A term added after a point converged is below 1e-20 of its sum, so it
+    leaves the double unchanged, and m*(m+nu) rounds the same for a
+    scalar nu and a column of orders: each row equals a one-order call.
+    """
+    nu_col = np.array(orders)[:, None]
     half2 = (0.5 * x) ** 2
-    term = np.ones_like(x)
-    total = np.ones_like(x)
+    term = np.ones((len(orders), x.size))
+    total = np.ones_like(term)
     for m in range(1, 80):
-        term = term * (-half2) / (m * (m + nu))
+        term = term * (-half2) / (m * (m + nu_col))
         total = total + term
         if np.all(np.abs(term) <= 1e-20 * np.maximum(np.abs(total), 1e-280)):
             break
-    out = np.empty_like(x)
+    out = np.empty_like(total)
     pos = x > 0.0
-    out[pos] = np.power(0.5 * x[pos], nu) * total[pos] / gamma(nu + 1.0)
-    out[~pos] = 1.0 if nu == 0.0 else 0.0
+    # One order at a time with a Python-float exponent: np.power with a
+    # broadcast array of exponents rounds differently (order 2 by 1 ulp).
+    for row, tot, nu in zip(out, total, orders):
+        row[pos] = np.power(0.5 * x[pos], nu) * tot[pos] / gamma(nu + 1.0)
+        row[~pos] = 1.0 if nu == 0.0 else 0.0
     return out
 
 

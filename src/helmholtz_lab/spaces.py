@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import bessel_j
+from .numerics import _bessel_ladder_slabs
 
 _REF_GRAD_LAM = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
 _LOCAL_EDGES = ((0, 1), (1, 2), (0, 2))
@@ -466,54 +466,47 @@ class GhpBasis:
         """Values and gradients of the circular wave modes at displacements y.
 
         y has shape (..., nq, 2); values come back as (..., nq, dim) and
-        gradients as (..., nq, dim, 2).  Every (nq, 2) slab is evaluated
-        on its own: bessel_j picks its Miller start from the largest
-        argument of a call, so batching slabs (one per element) into one
-        call would change the basis values.
+        gradients as (..., nq, dim, 2).  J_0..J_{p+1} come from one
+        bessel_j call over every point with kr <= 9 of every (nq, 2) slab;
+        only the points with kr > 9 are evaluated per slab, because the
+        recurrence starts from the largest such argument of a call.  Each
+        slab keeps the values of a bessel_j call on that slab alone.
 
         The radial derivative uses J'_n = (J_{n-1} - J_{n+1})/2; at the
         center the values reduce to the n=0 Kronecker limit and only the
         |n| = 1 modes carry a nonzero gradient, (k/2)(1, i sign n).
         """
         y = np.asarray(y, dtype=float)
-        if y.ndim > 2:
-            lead, nq = y.shape[:-2], y.shape[-2]
-            vals = np.empty(lead + (nq, self.dim), dtype=complex)
-            grads = np.empty(lead + (nq, self.dim, 2), dtype=complex)
-            for i in np.ndindex(lead):
-                vals[i], grads[i] = self.eval(y[i])
-            return vals, grads
+        lead = y.shape[:-1]
+        y = y.reshape((-1,) + y.shape[-2:])
         k, p = self.k, self.p
-        r = np.hypot(y[:, 0], y[:, 1])
-        phi = np.arctan2(y[:, 1], y[:, 0])
+        r = np.hypot(y[..., 0], y[..., 1])
+        phi = np.arctan2(y[..., 1], y[..., 0])
         origin = r < 1e-13
         r_safe = np.where(origin, 1.0, r)
         # J_0 .. J_{p+1} at kr, plus J_{-1} = -J_1 for the n=0 derivative
-        jn = np.stack([bessel_j(m, k * r_safe) for m in range(p + 2)])
-        npts = y.shape[0]
-        vals = np.empty((npts, 2 * p + 1), dtype=complex)
-        grads = np.empty((npts, 2 * p + 1, 2), dtype=complex)
-        cos_phi, sin_phi = np.cos(phi), np.sin(phi)
-        for idx, n in enumerate(range(-p, p + 1)):
-            m = abs(n)
-            ang = np.exp(1j * n * phi)
-            jm = jn[m]
-            lower = -jn[1] if m == 0 else jn[m - 1]
-            dj = 0.5 * (lower - jn[m + 1])
-            dr = k * dj * ang
-            dphi_over_r = 1j * n * jm * ang / r_safe
-            vals[:, idx] = jm * ang
-            grads[:, idx, 0] = cos_phi * dr - sin_phi * dphi_over_r
-            grads[:, idx, 1] = sin_phi * dr + cos_phi * dphi_over_r
-            if np.any(origin):
-                vals[origin, idx] = 1.0 if n == 0 else 0.0
-                gx = gy = 0.0
-                if m == 1:
-                    gx = 0.5 * k
-                    gy = 0.5j * k * np.sign(n)
-                grads[origin, idx, 0] = gx
-                grads[origin, idx, 1] = gy
-        return vals, grads
+        jn = np.moveaxis(_bessel_ladder_slabs(np.arange(p + 2), k * r_safe),
+                         0, -1)
+        n = self.modes
+        m = np.abs(n)
+        jm = jn[..., m]
+        lower = jn[..., np.maximum(m - 1, 0)]
+        lower[..., p] = -jn[..., 1]
+        ang = np.exp(1j * n * phi[..., None])
+        dj = 0.5 * (lower - jn[..., m + 1])
+        dr = k * dj * ang
+        dphi_over_r = 1j * n * jm * ang / r_safe[..., None]
+        vals = jm * ang
+        cos_phi, sin_phi = np.cos(phi)[..., None], np.sin(phi)[..., None]
+        grads = np.stack([cos_phi * dr - sin_phi * dphi_over_r,
+                          sin_phi * dr + cos_phi * dphi_over_r], axis=-1)
+        if np.any(origin):
+            vals[origin] = np.where(n == 0, 1.0, 0.0)
+            grads[origin] = np.stack(
+                [np.where(m == 1, 0.5 * k, 0.0),
+                 np.where(m == 1, 0.5j * k * np.sign(n), 0.0)], axis=-1)
+        return (vals.reshape(lead + (self.dim,)),
+                grads.reshape(lead + (self.dim, 2)))
 
 
 class PumSpace(_Space):

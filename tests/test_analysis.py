@@ -21,6 +21,11 @@ def random_complex(rng, n):
     return rng.standard_normal(n) + 1j * rng.standard_normal(n)
 
 
+def pair(value, grad):
+    """The (values, gradients) callback the error functionals take."""
+    return lambda pts: (value(pts), grad(pts))
+
+
 class TestFitRate:
     def test_exact_power_law(self):
         xs = [1.0, 2.0, 4.0, 8.0, 16.0]
@@ -83,7 +88,7 @@ class TestRelativeErrors:
             g[:, 1] = -1.0
             return g
 
-        h1, l2, e1k = analysis.relative_errors(space, coeffs, value, grad, 3.0)
+        h1, l2, e1k = analysis.relative_errors(space, coeffs, pair(value, grad), 3.0)
         assert h1 < 1e-13
         assert l2 < 1e-13
         assert e1k < 1e-13
@@ -101,7 +106,7 @@ class TestRelativeErrors:
         def grad(pts):
             return 2.0 * pts
 
-        h1, l2, e1k = analysis.relative_errors(space, coeffs, value, grad, k)
+        h1, l2, e1k = analysis.relative_errors(space, coeffs, pair(value, grad), k)
         h = 1.0 / n
         num_h1, den_h1 = h**2 / 3.0, 4.0 / 3.0
         num_l2, den_l2 = h**4 / 30.0, 1.0 / 5.0
@@ -129,7 +134,7 @@ class TestRelativeErrors:
             return 1j * k * d[None, :] * np.exp(1j * k * (pts @ d))[:, None]
 
         def run():
-            errs = analysis.relative_errors(space, coeffs, value, grad, k,
+            errs = analysis.relative_errors(space, coeffs, pair(value, grad), k,
                                             exclude_radius=0.3)
             return np.array(errs), assembly.assemble_galerkin(space, k).A.toarray()
 
@@ -182,7 +187,7 @@ class TestRelativeErrors:
         def grad(pts):
             return 1j * k * d[None, :] * np.exp(1j * k * (pts @ d))[:, None]
 
-        h1, l2, e1k = analysis.relative_errors(space, coeffs, value, grad, k)
+        h1, l2, e1k = analysis.relative_errors(space, coeffs, pair(value, grad), k)
         assert h1 < 1e-10
         assert l2 < 1e-10
         assert e1k < 1e-10
@@ -200,7 +205,7 @@ class TestRelativeErrors:
             g[:, 0] = 1.0
             return g
 
-        h1, l2, e1k = analysis.relative_errors(space, coeffs, value, grad, 2.0)
+        h1, l2, e1k = analysis.relative_errors(space, coeffs, pair(value, grad), 2.0)
         assert abs(h1 - 1.0) < 1e-14
         assert abs(l2 - 1.0) < 1e-14
         assert abs(e1k - 1.0) < 1e-14
@@ -220,10 +225,10 @@ class TestRelativeErrors:
             g = np.where(r < radius, np.nan, 1.0).astype(complex)
             return np.stack([g, np.zeros_like(g)], axis=1)
 
-        poisoned = analysis.relative_errors(space, coeffs, value, grad, 2.0)
+        poisoned = analysis.relative_errors(space, coeffs, pair(value, grad), 2.0)
         assert all(math.isnan(v) for v in poisoned)
         clean = analysis.relative_errors(
-            space, coeffs, value, grad, 2.0, exclude_radius=radius)
+            space, coeffs, pair(value, grad), 2.0, exclude_radius=radius)
         assert all(abs(v - 1.0) < 1e-14 for v in clean)
 
 
@@ -372,7 +377,7 @@ class TestDgErrorNorm:
         mesh = square_mesh(0.5)
         space, coeffs, value, grad = self.make_wave(k, mesh)
         flux = assembly.uwvf_fluxes()
-        err = analysis.dg_error_norm(space, coeffs, flux, k, value, grad)
+        err = analysis.dg_error_norm(space, coeffs, flux, k, pair(value, grad))
         assert err < 1e-10
 
     def test_zero_coeffs_give_exact_boundary_norm(self):
@@ -381,7 +386,7 @@ class TestDgErrorNorm:
         space, _, value, grad = self.make_wave(k, mesh)
         flux = assembly.uwvf_fluxes()
         zero = np.zeros(space.ndof, dtype=complex)
-        err = analysis.dg_error_norm(space, zero, flux, k, value, grad)
+        err = analysis.dg_error_norm(space, zero, flux, k, pair(value, grad))
         d = space.local.directions[0]
         delta = 0.5
         want_sq = 0.0
@@ -397,8 +402,8 @@ class TestDgErrorNorm:
         flux = assembly.uwvf_fluxes()
         rng = np.random.default_rng(23)
         v = random_complex(rng, space.ndof)
-        base = analysis.dg_error_norm(space, v, flux, k, value, grad)
-        plus = analysis.dg_error_norm(space, v, flux, k, value, grad, plus=True)
+        base = analysis.dg_error_norm(space, v, flux, k, pair(value, grad))
+        plus = analysis.dg_error_norm(space, v, flux, k, pair(value, grad), plus=True)
         assert plus >= base
 
 

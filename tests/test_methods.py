@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from helmholtz_lab import analysis, assembly, meshing, methods, spaces
-from helmholtz_lab.numerics import gauss_interval
+from helmholtz_lab.numerics import bessel_j, gauss_interval
 
 
 def greens_quadrature_1d(k, x, n=60):
@@ -25,6 +25,48 @@ def greens_quadrature_1d(k, x, n=60):
     left = panel(0.0, x, lambda y: np.sin(k * y) / k * np.exp(1j * k * x))
     right = panel(x, 1.0, lambda y: np.sin(k * x) / k * np.exp(1j * k * y))
     return left + right
+
+
+def separate_evaluators(exact):
+    """The value and gradient of pw2d and bessel_singular, each computed
+    on its own, as reference for the fused evaluation."""
+    k = exact.k
+    if exact.id == "pw2d":
+        d = np.array([1.0, -1.0]) / math.sqrt(2.0)
+        d = d / np.linalg.norm(d)
+
+        def value(pts):
+            return np.exp(1j * k * (pts @ d))
+
+        def gradient(pts):
+            return 1j * k * d[None, :] * np.exp(1j * k * (pts @ d))[:, None]
+
+        return value, gradient
+    nu = 2.0 / 3.0
+
+    def polar(pts):
+        r = np.hypot(pts[:, 0], pts[:, 1])
+        phi = np.arctan2(pts[:, 1], pts[:, 0])
+        return r, np.where(phi < 0.0, phi + 2.0 * math.pi, phi)
+
+    def value(pts):
+        r, phi = polar(pts)
+        return bessel_j(nu, k * r) * np.cos(nu * phi) + 0.0j
+
+    def gradient(pts):
+        r, phi = polar(pts)
+        r_safe = np.maximum(r, 1e-300)
+        jm = bessel_j(nu - 1.0, k * r_safe)
+        jp = bessel_j(nu + 1.0, k * r_safe)
+        du_dr = k * 0.5 * (jm - jp) * np.cos(nu * phi)
+        du_dphi_over_r = (-nu * bessel_j(nu, k * r_safe) * np.sin(nu * phi)
+                          / r_safe)
+        cos_p, sin_p = np.cos(phi), np.sin(phi)
+        gx = du_dr * cos_p - du_dphi_over_r * sin_p
+        gy = du_dr * sin_p + du_dphi_over_r * cos_p
+        return np.stack([gx, gy], axis=1) + 0.0j
+
+    return value, gradient
 
 
 class TestExactSolutions:
@@ -64,6 +106,34 @@ class TestExactSolutions:
         leg2 = np.stack([np.zeros_like(xs), -xs], axis=1)
         g2 = exact.gradient(leg2)
         assert np.max(np.abs(g2[:, 0])) < 1e-12 * np.max(np.abs(g2))
+
+    @pytest.mark.parametrize("name", ["pw2d", "bessel_singular"])
+    def test_fused_eval_bitwise_equals_separate_evaluators(self, name):
+        # L-shape points, the corner r = 0 and r = 1e-310 (below the
+        # 1e-300 floor of the gradient) included; k r crosses x = 9
+        exact = methods.exact_solution(name, 12.0)
+        rng = np.random.default_rng(6)
+        pts = rng.uniform(-1.0, 1.0, size=(300, 2))
+        pts = pts[(pts[:, 0] < 0.0) | (pts[:, 1] > 0.0)]
+        pts = np.vstack([pts, [[0.0, 0.0], [1e-310, 0.0], [0.0, 1e-310]]])
+        value, gradient = separate_evaluators(exact)
+        u, g = exact.eval(pts)
+        for got, want in ((u, value(pts)), (g, gradient(pts)),
+                          (exact.value(pts), value(pts)),
+                          (exact.gradient(pts), gradient(pts))):
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("name", ["model1d", "pw2d", "bessel_singular"])
+    def test_value_and_gradient_are_eval_outputs(self, name):
+        exact = methods.exact_solution(name, 3.0)
+        if name == "model1d":
+            x = np.linspace(0.0, 1.0, 9)
+        else:
+            x = np.array([[0.0, 0.0], [0.3, 0.4], [-0.5, 0.25]])
+        u, g = exact.eval(x)
+        assert u.tobytes() == exact.value(x).tobytes()
+        assert g.tobytes() == exact.gradient(x).tobytes()
 
     def test_factory_dispatch(self):
         assert methods.exact_solution("pw2d", 3.0).id == "pw2d"

@@ -8,10 +8,13 @@ Quadrature rules are checked against closed-form monomial integrals.
 """
 
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helmholtz_lab.numerics import (
     QuadratureRule,
@@ -170,6 +173,106 @@ class TestBesselFractional:
             bessel_j(-1.5, 1.0)
         with pytest.raises(ValueError):
             bessel_j(-1.0 / 3.0, 0.0)
+
+
+def one_order_series(nu, x):
+    """The power series for one order with a scalar exponent, as a
+    one-order bessel_j call computes it for 0 <= x <= 9."""
+    half2 = (0.5 * x) ** 2
+    term = np.ones_like(x)
+    total = np.ones_like(x)
+    for m in range(1, 80):
+        term = term * (-half2) / (m * (m + nu))
+        total = total + term
+        if np.all(np.abs(term) <= 1e-20 * np.maximum(np.abs(total), 1e-280)):
+            break
+    out = np.where(x > 0.0, 0.0, 1.0 if nu == 0.0 else 0.0)
+    pos = x > 0.0
+    out[pos] = np.power(0.5 * x[pos], nu) * total[pos] / gamma(nu + 1.0)
+    return out
+
+
+# Fixed example sequence, no example database: tier-1 runs stay the same.
+LADDER_SETTINGS = settings(derandomize=True, deadline=None, database=None,
+                           max_examples=60)
+
+series_x = st.floats(0.0, 9.0)
+miller_x = st.floats(9.0, 60.0, exclude_min=True)
+
+
+@st.composite
+def ladders(draw):
+    """An integer ladder within 0..60 or a fractional one starting above
+    -1, with x on the series branch, the recurrence branch or both."""
+    if draw(st.booleans()):
+        lo = draw(st.integers(0, 60))
+        orders = list(range(lo, draw(st.integers(lo, 60)) + 1))
+    else:
+        start = draw(st.floats(-0.99, 4.0).filter(
+            lambda v: not float(v).is_integer()))
+        orders = [start + i for i in range(draw(st.integers(1, 8)))]
+    regime = draw(st.sampled_from(["series", "miller", "mixed"]))
+    points = {"series": series_x, "miller": miller_x,
+              "mixed": st.one_of(series_x, miller_x)}[regime]
+    x = draw(st.lists(points, min_size=1, max_size=40))
+    if orders[0] >= 0.0 and draw(st.booleans()):
+        x += [0.0, 0.0]
+    return orders, np.array(x)
+
+
+class TestBesselLadder:
+    @LADDER_SETTINGS
+    @given(ladders())
+    def test_rows_bitwise_equal_single_order_calls(self, case):
+        orders, x = case
+        rows = bessel_j(orders, x)
+        assert rows.shape == (len(orders),) + x.shape
+        for row, nu in zip(rows, orders):
+            assert row.tobytes() == bessel_j(nu, x).tobytes()
+
+    def test_order_two_keeps_scalar_exponent(self):
+        # np.power with a broadcast column of exponents rounds order 2
+        # differently from the scalar exponent at about 5% of points
+        x = np.random.default_rng(0).uniform(0.0, 9.0, 400)
+        want = one_order_series(2.0, x)
+        assert bessel_j([0, 1, 2, 3], x)[2].tobytes() == want.tobytes()
+        assert bessel_j(2, x).tobytes() == want.tobytes()
+
+    def test_shapes(self):
+        x = np.linspace(0.0, 20.0, 12).reshape(3, 4)
+        assert bessel_j(range(5), x).shape == (5, 3, 4)
+        assert bessel_j((0.5, 1.5), 2.0).shape == (2,)
+        one = bessel_j(np.array([3]), x)
+        assert one[0].tobytes() == bessel_j(3, x).tobytes()
+        assert bessel_j(np.float64(1.0), x).shape == (3, 4)
+        assert isinstance(bessel_j(1, 2.0), float)
+
+    @pytest.mark.parametrize("orders, x, message", [
+        ([0, 1, 61], 1.0, "integer order 61"),
+        ([0.5, -1.0], 1.0, "integer order -1"),
+        ([0.5, -1.5], 1.0, "order -1.5"),
+        ([2.0 / 3.0, -1.0 / 3.0], [1.0, 0.0], "negative order -0.333"),
+        ([], 1.0, r"shape \(0,\)"),
+        ([[0, 1], [2, 3]], 1.0, r"shape \(2, 2\)"),
+        ([0, float("nan")], 1.0, "order nan"),
+        (float("nan"), 1.0, "order nan"),
+    ], ids=["above_60", "minus_one", "below_minus_one", "negative_at_zero",
+            "empty", "two_d", "nan_in_ladder", "nan"])
+    def test_bad_orders_raise_before_allocating(self, orders, x, message):
+        big = np.full(200_000, 1.0)
+        if np.ndim(x):
+            big[-1] = 0.0
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=message):
+                bessel_j(orders, big)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one row of the result would be 1.6 MB
+        assert peak < big.nbytes // 4
+        with pytest.raises(ValueError, match=message):
+            bessel_j(orders, x)
 
 
 class TestGaussInterval:

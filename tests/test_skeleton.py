@@ -208,8 +208,9 @@ def test_dg_norms_match_reference(mesh, flux, batch_entries):
         want = np.sqrt(dg_square_reference(space, x, params, plus))
         assert norm(space, x, params, K) == pytest.approx(want, rel=1e-13)
         want = np.sqrt(dg_square_reference(space, x, params, plus, exact=True))
-        got = analysis.dg_error_norm(space, x, params, K, exact_value,
-                                     exact_grad, plus=plus)
+        got = analysis.dg_error_norm(
+            space, x, params, K,
+            lambda pts: (exact_value(pts), exact_grad(pts)), plus=plus)
         assert got == pytest.approx(want, rel=1e-13)
 
 

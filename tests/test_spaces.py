@@ -386,6 +386,113 @@ class TestWaveBases:
             assert np.max(np.abs(resid)) < 1e-12
 
 
+def ghp_reference(basis, y):
+    """GhpBasis.eval one (nq, 2) slab and one mode at a time, with one
+    bessel_j call per order on the whole slab."""
+    y = np.asarray(y, dtype=float)
+    if y.ndim > 2:
+        lead, nq = y.shape[:-2], y.shape[-2]
+        vals = np.empty(lead + (nq, basis.dim), dtype=complex)
+        grads = np.empty(lead + (nq, basis.dim, 2), dtype=complex)
+        for i in np.ndindex(lead):
+            vals[i], grads[i] = ghp_reference(basis, y[i])
+        return vals, grads
+    k, p = basis.k, basis.p
+    r = np.hypot(y[:, 0], y[:, 1])
+    phi = np.arctan2(y[:, 1], y[:, 0])
+    origin = r < 1e-13
+    r_safe = np.where(origin, 1.0, r)
+    jn = np.stack([bessel_j(m, k * r_safe) for m in range(p + 2)])
+    vals = np.empty((y.shape[0], 2 * p + 1), dtype=complex)
+    grads = np.empty((y.shape[0], 2 * p + 1, 2), dtype=complex)
+    cos_phi, sin_phi = np.cos(phi), np.sin(phi)
+    for idx, n in enumerate(range(-p, p + 1)):
+        m = abs(n)
+        ang = np.exp(1j * n * phi)
+        jm = jn[m]
+        lower = -jn[1] if m == 0 else jn[m - 1]
+        dj = 0.5 * (lower - jn[m + 1])
+        dr = k * dj * ang
+        dphi_over_r = 1j * n * jm * ang / r_safe
+        vals[:, idx] = jm * ang
+        grads[:, idx, 0] = cos_phi * dr - sin_phi * dphi_over_r
+        grads[:, idx, 1] = sin_phi * dr + cos_phi * dphi_over_r
+        if np.any(origin):
+            vals[origin, idx] = 1.0 if n == 0 else 0.0
+            gx = gy = 0.0
+            if m == 1:
+                gx = 0.5 * k
+                gy = 0.5j * k * np.sign(n)
+            grads[origin, idx, 0] = gx
+            grads[origin, idx, 1] = gy
+    return vals, grads
+
+
+def assert_bitwise(got, want):
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and a.dtype == b.dtype
+        assert a.tobytes() == b.tobytes()
+
+
+def ghp_slabs(k, radii, nq=9, seed=3):
+    """(len(radii), nq, 2) displacements, slab s within radius radii[s]
+    and its last point on that circle; slab 0 holds the origin."""
+    rng = np.random.default_rng(seed)
+    y = np.empty((len(radii), nq, 2))
+    for s, rad in enumerate(radii):
+        r = rad * np.sqrt(rng.uniform(0.0, 1.0, nq))
+        r[-1] = rad
+        t = rng.uniform(0.0, 2.0 * math.pi, nq)
+        y[s] = np.column_stack([r * np.cos(t), r * np.sin(t)])
+    y[0, 0] = 0.0
+    return y
+
+
+class TestGhpBatched:
+    # k = 12: slabs of radius 0.7 stay on the power series (kr <= 8.4);
+    # radii 1.2 and 1.6 reach the recurrence with different largest kr
+    K = 12.0
+
+    @pytest.mark.parametrize("p", [0, 11])
+    @pytest.mark.parametrize("radii", [(0.7, 1.2, 0.5, 0.7),
+                                       (0.7, 1.2, 0.6, 1.6)],
+                             ids=["one_miller_slab", "two_miller_slabs"])
+    def test_matches_per_slab_reference(self, p, radii):
+        basis = GhpBasis(k=self.K, p=p)
+        y = ghp_slabs(self.K, radii)
+        assert_bitwise(basis.eval(y), ghp_reference(basis, y))
+        assert_bitwise(basis.eval(y[0]), ghp_reference(basis, y[0]))
+
+    @pytest.mark.parametrize("p", [0, 11])
+    def test_series_only_and_origin_only(self, p):
+        basis = GhpBasis(k=self.K, p=p)
+        y = ghp_slabs(self.K, (0.3, 0.7))
+        assert_bitwise(basis.eval(y), ghp_reference(basis, y))
+        # the origin alone evaluates J at r = 1, kr = 12 > 9
+        y = np.zeros((2, 3, 2))
+        assert_bitwise(basis.eval(y), ghp_reference(basis, y))
+
+    @pytest.mark.parametrize("p", [1, 11])  # PUM needs dim >= 2
+    def test_pum_space_matches_reference(self, p, monkeypatch):
+        # Points up to 1.41 from the nodes of the h = 1 L-shape, kr up to
+        # 11.3: slabs reach the recurrence with different largest kr.
+        # One point sits on a vertex, the origin of its enrichment.
+        k = 8.0
+        mesh = triangulate(l_shape(), 1.0)
+        space = pum_space(mesh, k, GhpBasis(k=k, p=p))
+        elems = np.arange(mesh.n_elements)
+        verts = mesh.nodes[mesh.elements[elems]]
+        rng = np.random.default_rng(4)
+        pts = rng.dirichlet(np.ones(3), size=(len(elems), 20)) @ verts
+        pts[0, 0] = verts[0, 0]
+        dist = np.linalg.norm(pts[:, None] - verts[:, :, None], axis=-1)
+        kr_max = k * dist.max(axis=-1)
+        assert len(np.unique(kr_max[kr_max > 9.0])) > 1
+        got = space.eval_basis(elems, pts)
+        monkeypatch.setattr(GhpBasis, "eval", ghp_reference)
+        assert_bitwise(got, space.eval_basis(elems, pts))
+
+
 class TestTrefftzSpace:
     def test_dimensions(self):
         mesh = triangulate(unit_square(), 1.0)
