@@ -152,9 +152,10 @@ def _exact_traces(space, edges, pts, exact):
     return u, np.einsum("eqd,ed->eq", g, space.mesh.edge_normals[edges])
 
 
-def _dg_square(space, coeffs, flux, k, plus, exact=None):
-    """Squared skeleton norm of u_N, or of (exact - u_N) when the exact
-    solution's (values, gradients) callback is supplied."""
+def _dg_squares(space, coeffs, flux, k, exact=None):
+    """Squared skeleton DG and DG+ norms of u_N, or of (exact - u_N) when
+    the exact solution's (values, gradients) callback is supplied, from
+    one pass over the skeleton."""
     mesh = space.mesh
     if mesh.dim != 2:
         raise ValueError("DG norms are defined on 2D meshes")
@@ -162,7 +163,7 @@ def _dg_square(space, coeffs, flux, k, plus, exact=None):
     k = float(k)
     interior, boundary = _skeleton_edges(mesh)
     _check_flux(flux, mesh)
-    total = 0.0
+    total = total_plus = 0.0
     for edges, t, ds in _edge_groups(space, k, interior):
         alpha, beta, _ = (a[:, None] for a in flux.on_edges(edges))
         pts, ((u_p, gn_p), (u_m, gn_m)) = _edge_fields(space, coeffs, edges, t)
@@ -172,10 +173,10 @@ def _dg_square(space, coeffs, flux, k, plus, exact=None):
             gn_p, gn_m = gn_e - gn_p, gn_e - gn_m
         sq = (beta / k * np.abs(gn_p - gn_m) ** 2
               + k * alpha * np.abs(u_p - u_m) ** 2)
-        if plus:
-            sq = sq + ((k / beta + 1.0 / (k * alpha))
-                       * np.abs(0.5 * (u_p + u_m)) ** 2)
+        sq_plus = sq + ((k / beta + 1.0 / (k * alpha))
+                        * np.abs(0.5 * (u_p + u_m)) ** 2)
         total += float(np.sum(ds * sq))
+        total_plus += float(np.sum(ds * sq_plus))
     for edges, t, ds in _edge_groups(space, k, boundary):
         delta = flux.on_edges(edges)[2][:, None]
         pts, ((u, gn),) = _edge_fields(space, coeffs, edges, t)
@@ -183,10 +184,14 @@ def _dg_square(space, coeffs, flux, k, plus, exact=None):
             u_e, gn_e = _exact_traces(space, edges, pts, exact)
             u, gn = u_e - u, gn_e - gn
         sq = delta / k * np.abs(gn) ** 2 + k * (1.0 - delta) * np.abs(u) ** 2
-        if plus:
-            sq = sq + k / delta * np.abs(u) ** 2
+        sq_plus = sq + k / delta * np.abs(u) ** 2
         total += float(np.sum(ds * sq))
-    return total
+        total_plus += float(np.sum(ds * sq_plus))
+    return total, total_plus
+
+
+def _root(sq):
+    return math.sqrt(max(sq, 0.0))
 
 
 def dg_norm(space, coeffs, flux, k):
@@ -196,7 +201,7 @@ def dg_norm(space, coeffs, flux, k):
     boundary edges (delta/k)||du/dn||^2 + k(1-delta)||u||^2.  On Trefftz
     spaces the square equals Im A_N(u, u) of the assembled DG form.
     """
-    return math.sqrt(max(_dg_square(space, coeffs, flux, k, False), 0.0))
+    return _root(_dg_squares(space, coeffs, flux, k)[0])
 
 
 def dg_plus_norm(space, coeffs, flux, k):
@@ -206,7 +211,7 @@ def dg_plus_norm(space, coeffs, flux, k):
     on interior edges and k||delta^{-1/2} u||^2 on boundary edges, with {u}
     the two-sided average.
     """
-    return math.sqrt(max(_dg_square(space, coeffs, flux, k, True), 0.0))
+    return _root(_dg_squares(space, coeffs, flux, k)[1])
 
 
 def dg_error_norm(space, coeffs, flux, k, exact, plus=False):
@@ -217,8 +222,15 @@ def dg_error_norm(space, coeffs, flux, k, exact, plus=False):
     interior terms reduce to the discrete jumps while boundary terms see
     the true residual traces.
     """
-    sq = _dg_square(space, coeffs, flux, k, plus, exact=exact)
-    return math.sqrt(max(sq, 0.0))
+    return dg_error_norms(space, coeffs, flux, k, exact)[int(plus)]
+
+
+def dg_error_norms(space, coeffs, flux, k, exact):
+    """Both skeleton norms of the error (exact - u_N), (DG, DG+), from one
+    pass over the skeleton; each equals its `dg_error_norm` call bit for
+    bit."""
+    sq, sq_plus = _dg_squares(space, coeffs, flux, k, exact=exact)
+    return _root(sq), _root(sq_plus)
 
 
 # -- least squares functional -------------------------------------------------

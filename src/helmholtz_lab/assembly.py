@@ -9,7 +9,9 @@ dense copy, and they refuse systems above _DENSE_LIMIT unknowns.
 
 Volume integrals run one loop over element batches from
 `space.element_batches`, taking local matrices from
-`space.element_matrices` and basis values from `space.eval_basis`.
+`space.element_matrices` and basis values from `space.eval_basis`; the
+(1,k) projection takes its Gram matrix and load from one
+`space.element_tables` call per batch.
 Boundary integrals and the skeleton forms of the Trefftz methods loop
 over batches of edges that share an edge rule (`_edge_groups`; a
 structured mesh has three edge lengths), with both sides' traces from
@@ -111,9 +113,6 @@ class FluxParams:
                      if np.isscalar(v) else np.asarray(v, dtype=float)[idx]
                      for v in (self.alpha, self.beta, self.delta))
 
-    def on_edge(self, idx):
-        return tuple(float(v) for v in self.on_edges(idx))
-
 
 def uwvf_fluxes():
     """The ultra weak variational formulation: alpha = beta = delta = 1/2."""
@@ -202,18 +201,43 @@ def _flat(pts):
 # -- conforming volume/boundary parts ---------------------------------------
 
 
-def _volume_parts(space, k):
-    """Stiffness and mass matrices over all elements, as CSR."""
+def _volume_parts(space, k, matrices=True, target=None):
+    """One loop over element batches for the volume terms.
+
+    Returns (stiff, mass, rhs): the stiffness and mass matrices as CSR
+    when `matrices` is set, and with a `target` mapping points to (values
+    of u, gradients of u) the load k^2 (u, b_i) + (grad u, grad b_i);
+    what is not asked for is None.  A batch that needs both takes them
+    from one `element_tables` call.
+    """
     rule = _reference_rule(space.mesh.dim, _volume_degree(space, k))
     dofs = space.dof_matrix()
     st = ([], [], [])
     ms = ([], [], [])
+    rhs = None if target is None else np.zeros(space.ndof, dtype=complex)
     for elems in space.element_batches(len(rule.weights)):
-        s_loc, m_loc = space.element_matrices(elems, rule)
         d = dofs[elems]
-        _accumulate(st, d, d, s_loc)
-        _accumulate(ms, d, d, m_loc)
-    return _to_csr(st, space.ndof), _to_csr(ms, space.ndof)
+        tables = None
+        if target is not None:
+            tables = space.element_tables(elems, rule)
+            np.add.at(rhs, d, _load_1k(k, target, *tables))
+        if matrices:
+            s_loc, m_loc = space.element_matrices(elems, rule, tables)
+            _accumulate(st, d, d, s_loc)
+            _accumulate(ms, d, d, m_loc)
+    if not matrices:
+        return None, None, rhs
+    return _to_csr(st, space.ndof), _to_csr(ms, space.ndof), rhs
+
+
+def _load_1k(k, target, pts, w, vals, grads):
+    """Local (1,k) load k^2 (u, b_l) + (grad u, grad b_l), (nb, nloc), of
+    one element batch from its `element_tables`."""
+    u, g = target(_flat(pts))
+    uq = np.asarray(u, dtype=complex).reshape(w.shape)
+    gq = np.asarray(g, dtype=complex).reshape(grads.shape[:2] + grads.shape[3:])
+    return (k**2 * np.einsum("eq,eql->el", w * uq, np.conj(vals))
+            + np.einsum("eq,eqd,eqld->el", w, gq, np.conj(grads)))
 
 
 def _edge_points(mesh, edges, t):
@@ -290,25 +314,16 @@ def _volume_batches(space, k):
         yield (elems,) + space.mesh.map_rule(elems, rule)
 
 
-def _load(space, batches, fn, scale=1.0, gradient=False):
-    """Load vector scale * (u, b_i) [+ (grad u, grad b_i)] summed over
-    (elements, points, weights) batches.  fn maps points to the values
-    of u, or to (values, gradients) in one call when `gradient` is set."""
+def _load(space, batches, fn):
+    """Load vector (u, b_i) summed over (elements, points, weights)
+    batches; fn maps points to the values of u."""
     rhs = np.zeros(space.ndof, dtype=complex)
     dofs = space.dof_matrix()
     for elems, pts, w in batches:
-        vals, grads = space.eval_basis(elems, pts)
-        if gradient:
-            u, g = fn(_flat(pts))
-        else:
-            u = fn(_flat(pts))
-        uq = np.asarray(u, dtype=complex).reshape(w.shape)
-        loc = scale * np.einsum("eq,eql->el", w * uq, np.conj(vals))
-        if gradient:
-            gq = np.asarray(g, dtype=complex).reshape(
-                grads.shape[:2] + grads.shape[3:])
-            loc = loc + np.einsum("eq,eqd,eqld->el", w, gq, np.conj(grads))
-        np.add.at(rhs, dofs[elems], loc)
+        vals, _ = space.eval_basis(elems, pts)
+        uq = np.asarray(fn(_flat(pts)), dtype=complex).reshape(w.shape)
+        np.add.at(rhs, dofs[elems],
+                  np.einsum("eq,eql->el", w * uq, np.conj(vals)))
     return rhs
 
 
@@ -353,7 +368,7 @@ def assemble_galerkin(space, k, f=None, g=None, bc=None, robin_sign=1.0):
     present = {e.tag for e in mesh.boundary_edges()}
     robin_tags = {t for t in present if bc.get(t, "robin") == "robin"}
     dirichlet_tags = {t for t in present if bc.get(t) == "dirichlet"}
-    stiff, mass = _volume_parts(space, k)
+    stiff, mass, _ = _volume_parts(space, k)
     bd = _boundary_mass(space, k, robin_tags)
     A = stiff - k**2 * mass + robin_sign * 1j * k * bd
     rhs = np.zeros(space.ndof, dtype=complex)
@@ -383,7 +398,7 @@ def assemble_galerkin(space, k, f=None, g=None, bc=None, robin_sign=1.0):
 def assemble_gram_1k(space, k):
     """Gram matrix of the weighted norm k^2 ||u||^2 + ||grad u||^2."""
     k = float(k)
-    stiff, mass = _volume_parts(space, k)
+    stiff, mass, _ = _volume_parts(space, k)
     return stiff + k**2 * mass
 
 
@@ -396,8 +411,19 @@ def project_rhs_1k(space, k, target):
     (1,k) Gram matrix.
     """
     k = float(k)
-    return _load(space, _volume_batches(space, k), target, scale=k**2,
-                 gradient=True)
+    return _volume_parts(space, k, matrices=False, target=target)[2]
+
+
+def assemble_projection_1k(space, k, target):
+    """Normal equations of the (1,k) best approximation of a target.
+
+    A is `assemble_gram_1k(space, k)` and rhs `project_rhs_1k(space, k,
+    target)`, bit for bit, from one volume loop that evaluates the basis
+    once per element batch for both.
+    """
+    k = float(k)
+    stiff, mass, rhs = _volume_parts(space, k, target=target)
+    return ComplexSystem(A=stiff + k**2 * mass, rhs=rhs)
 
 
 # -- skeleton assembly for Trefftz methods -----------------------------------
@@ -590,15 +616,18 @@ def _relative_residual(A, x, rhs):
     return float(np.linalg.norm(A @ x - rhs) / (denom if denom > 0 else 1.0))
 
 
-def _finite_and_small(A, x, rhs):
-    """True when x is finite and its relative residual in A x = rhs is at
-    most _LU_RESIDUAL_LIMIT."""
-    return (bool(np.all(np.isfinite(x)))
-            and _relative_residual(A, x, rhs) <= _LU_RESIDUAL_LIMIT)
+def _accepted_residual(A, x, rhs):
+    """The relative residual of x in A x = rhs when x is finite and the
+    residual is at most _LU_RESIDUAL_LIMIT, else None."""
+    if not np.all(np.isfinite(x)):
+        return None
+    residual = _relative_residual(A, x, rhs)
+    return residual if residual <= _LU_RESIDUAL_LIMIT else None
 
 
 def _sparse_lu(A, rhs, symmetric):
-    """Sparse LU solution of A x = rhs; returns (x, ordering, lu_nnz).
+    """Sparse LU solution of A x = rhs; returns (x, ordering, lu_nnz,
+    residual), the residual None where none was computed.
 
     With `symmetric`, SuperLU first runs in symmetric mode: one minimum
     degree ordering of A + A^T for rows and columns and diagonal pivots
@@ -607,10 +636,11 @@ def _sparse_lu(A, rhs, symmetric):
     2D Galerkin systems of the square at k = 40, p = 1..3 and 5k-37k
     unknowns that halves COLAMD's fill; the same ordering under partial
     pivoting is what blows up (more than 60 s at p = 3).  That solution
-    is kept when `splu` does not raise and `_finite_and_small` holds;
-    otherwise, or without `symmetric`, A is factorized with COLAMD and
-    partial pivoting.  lu_nnz is `SuperLU.nnz`, the entries stored for
-    L and U, zeros padded into supernodes included.
+    is kept, with the residual that checked it, when `splu` does not
+    raise and `_accepted_residual` accepts x; otherwise, or without
+    `symmetric`, A is factorized with COLAMD and partial pivoting.
+    lu_nnz is `SuperLU.nnz`, the entries stored for L and U, zeros
+    padded into supernodes included.
     """
     if symmetric:
         try:
@@ -621,17 +651,19 @@ def _sparse_lu(A, rhs, symmetric):
             pass
         else:
             x = lu.solve(rhs)
-            if _finite_and_small(A, x, rhs):
-                return x, "MMD_AT_PLUS_A", lu.nnz
+            residual = _accepted_residual(A, x, rhs)
+            if residual is not None:
+                return x, "MMD_AT_PLUS_A", lu.nnz, residual
     lu = scipy.sparse.linalg.splu(A.tocsc(), permc_spec="COLAMD")
-    return lu.solve(rhs), "COLAMD", lu.nnz
+    return lu.solve(rhs), "COLAMD", lu.nnz, None
 
 
 def _certified_lu(A, rhs, svd_cutoff):
     """Sparse LU solution that provably equals the truncated-SVD one.
 
-    Returns (x, kappa_1, lu_nnz), with x None when the certificate
-    fails: `splu` finds A singular, `_finite_and_small` fails, or
+    Returns (x, kappa_1, lu_nnz, residual), residual being the relative
+    residual of x, with x None when the certificate fails: `splu` finds
+    A singular, `_accepted_residual` refuses x, or
     10 n kappa_1 >= 1/svd_cutoff, where kappa_1 is the 1-norm condition
     number estimated by `onenormest` on A and on A^-1 applied through
     the LU factors.  Since kappa_2 <= n kappa_1, a passing certificate
@@ -643,10 +675,11 @@ def _certified_lu(A, rhs, svd_cutoff):
     try:
         lu = scipy.sparse.linalg.splu(A.tocsc(), permc_spec="COLAMD")
     except RuntimeError:
-        return None, None, None
+        return None, None, None, None
     x = lu.solve(rhs)
-    if not _finite_and_small(A, x, rhs):
-        return None, None, None
+    residual = _accepted_residual(A, x, rhs)
+    if residual is None:
+        return None, None, None, None
     inverse = scipy.sparse.linalg.LinearOperator(
         (n, n), dtype=complex, matvec=lu.solve, matmat=lu.solve,
         rmatvec=lambda v: lu.solve(v, trans="H"),
@@ -656,8 +689,8 @@ def _certified_lu(A, rhs, svd_cutoff):
         kappa = float(scipy.sparse.linalg.onenormest(A)
                       * scipy.sparse.linalg.onenormest(inverse))
     if not 10.0 * n * kappa < 1.0 / svd_cutoff:
-        return None, kappa, None
-    return x, kappa, lu.nnz
+        return None, kappa, None, None
+    return x, kappa, lu.nnz, residual
 
 
 def solve(system, strategy="sparse_lu", svd_cutoff=1e-12):
@@ -684,18 +717,18 @@ def solve(system, strategy="sparse_lu", svd_cutoff=1e-12):
     if A.shape != (nred, nred):
         raise ValueError("system matrix and right-hand side sizes disagree")
     dropped = 0
-    cond_est = ordering = lu_nnz = None
+    cond_est = ordering = lu_nnz = residual = None
     ran = strategy
     if strategy == "sparse_lu":
         # In 1D no ordering saves fill, and the roundoff-level errors of
         # the high-order 1D rows would move with any other factorization.
-        x, ordering, lu_nnz = _sparse_lu(
+        x, ordering, lu_nnz, residual = _sparse_lu(
             A, rhs, symmetric=system.meta.get("dim") != 1)
     elif strategy == "dense_lu":
         x = scipy.linalg.solve(_dense(A), rhs)
     elif strategy == "truncated_svd":
         _check_dense_size(nred)
-        x, cond_est, lu_nnz = _certified_lu(A, rhs, svd_cutoff)
+        x, cond_est, lu_nnz, residual = _certified_lu(A, rhs, svd_cutoff)
         if x is not None:
             ran, ordering = "sparse_lu", "COLAMD"
         else:
@@ -709,7 +742,8 @@ def solve(system, strategy="sparse_lu", svd_cutoff=1e-12):
         raise ValueError(f"unknown solve strategy '{strategy}'")
     if not np.all(np.isfinite(x)):
         raise np.linalg.LinAlgError("solver produced non-finite values")
-    residual = _relative_residual(A, x, rhs)
+    if residual is None:
+        residual = _relative_residual(A, x, rhs)
     if system.free is not None:
         full = np.zeros(system.ndof, dtype=complex)
         full[system.free] = x

@@ -18,7 +18,9 @@ gradients as (nb, nq, nloc, dim); an int `elems` with points (nq,) or
 discrete function) integrate a reference quadrature rule over a batch of
 elements; the 2D polynomial space computes both by pulling reference
 tables back through each element's Jacobian, the others from
-`eval_basis` at the mapped points.  `element_batches` splits the mesh
+`element_tables` (the mapped rule and `eval_basis` there), which a caller
+needing both the tables and the matrices hands to `element_matrices`.
+`element_batches` splits the mesh
 into batches whose per-point basis tables hold at most `_BATCH_ENTRIES`
 numbers.
 """
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import _bessel_ladder_slabs
+from .numerics import _bessel_ladder_slabs, _expi
 
 _REF_GRAD_LAM = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
 _LOCAL_EDGES = ((0, 1), (1, 2), (0, 2))
@@ -182,27 +184,43 @@ class _Space:
         for lo in range(0, ne, step):
             yield np.arange(lo, min(ne, lo + step))
 
-    def element_matrices(self, elems, rule):
+    def element_tables(self, elems, rule):
+        """The images (nb, nq[, 2]) of the reference `rule` points in each
+        element, their weights (nb, nq), and the basis values and
+        gradients there, as (pts, w, vals, grads)."""
+        pts, w = self.mesh.map_rule(elems, rule)
+        return (pts, w) + self.eval_basis(elems, pts)
+
+    def element_matrices(self, elems, rule, tables=None):
         """Local stiffness and mass matrices, each (nb, nloc, nloc).
 
         Entry [e, l, m] integrates grad b_m . conj(grad b_l), resp.
         b_m conj(b_l), over element elems[e] with the reference `rule`.
+        A caller that already holds `element_tables(elems, rule)` passes
+        them as `tables`, so the basis is not evaluated again.  The
+        weights go onto the conjugated factor before a two-operand
+        contraction; that gives the bits of the three-operand contraction
+        with the weights as a third operand (tests/test_spaces.py checks
+        every space kind) in less time.
         """
-        pts, w = self.mesh.map_rule(elems, rule)
-        vals, grads = self.eval_basis(elems, pts)
-        stiff = np.einsum("eq,eqld,eqmd->elm", w, np.conj(grads), grads)
-        mass = np.einsum("eq,eql,eqm->elm", w, np.conj(vals), vals)
+        if tables is None:
+            tables = self.element_tables(elems, rule)
+        _, w, vals, grads = tables
+        stiff = np.einsum("eqld,eqmd->elm", w[..., None, None] * np.conj(grads),
+                          grads)
+        mass = np.einsum("eql,eqm->elm", w[..., None] * np.conj(vals), vals)
         return stiff, mass
 
     def field(self, elems, coeffs, rule):
         """Values (nb, nq) and gradients (nb, nq, dim) of the discrete
         function with global coefficients `coeffs` at the images of the
         reference `rule` points."""
-        pts, _ = self.mesh.map_rule(elems, rule)
-        vals, grads = self.eval_basis(elems, pts)
+        _, _, vals, grads = self.element_tables(elems, rule)
         c = coeffs[self.dof_matrix()[elems]]
         u = np.matmul(vals.astype(complex, copy=False), c[:, :, None])[..., 0]
-        g = np.einsum("eqld,el->eqd", grads.astype(complex, copy=False), c)
+        # one gradient component at a time: no complex copy of the table
+        g = np.stack([np.einsum("eql,el->eq", grads[..., d], c)
+                      for d in range(grads.shape[-1])], axis=-1)
         return u, g
 
 
@@ -333,11 +351,12 @@ class H1Space(_Space):
     # element's affine map instead of evaluating the basis at physical
     # points (the shared _Space path): on a 2-CPU machine that path took
     # 3-9x longer for the element matrices and 1.2-4.6x longer for the
-    # error sums, from p=1 at 73k elements to p=8 at 32 elements.
+    # error sums, from p=1 at 73k elements to p=8 at 32 elements.  So the
+    # 2D element matrices do not use `tables` (see _Space).
 
-    def element_matrices(self, elems, rule):
+    def element_matrices(self, elems, rule, tables=None):
         if self.mesh.dim == 1:
-            return super().element_matrices(elems, rule)
+            return super().element_matrices(elems, rule, tables)
         vals, grads = self.reference_tables(rule.points)
         w = rule.weights
         m_ref = np.einsum("q,ql,qm->lm", w, vals, vals)
@@ -438,7 +457,7 @@ class PlaneWaveBasis:
         displacements y of any leading shape (..., 2)."""
         y = np.asarray(y, dtype=float)
         d = self.directions
-        phase = np.exp(1j * self.k * (y @ d.T))
+        phase = _expi(self.k * (y @ d.T))
         grads = 1j * self.k * phase[..., None] * d
         return phase, grads
 

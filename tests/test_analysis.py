@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helmholtz_lab import analysis, assembly, meshing, numerics, spaces
+from helmholtz_lab import analysis, assembly, meshing, methods, numerics, spaces
 
 
 def square_mesh(h=0.5):
@@ -405,6 +407,67 @@ class TestDgErrorNorm:
         base = analysis.dg_error_norm(space, v, flux, k, pair(value, grad))
         plus = analysis.dg_error_norm(space, v, flux, k, pair(value, grad), plus=True)
         assert plus >= base
+
+
+def one_norm_square(space, coeffs, flux, k, plus, exact=None):
+    """Squared skeleton norm, the DG or the DG+ one, from its own pass
+    over the skeleton."""
+    mesh = space.mesh
+    coeffs = np.asarray(coeffs, dtype=complex)
+    interior, boundary = assembly._skeleton_edges(mesh)
+    total = 0.0
+    for edges, t, ds in assembly._edge_groups(space, k, interior):
+        alpha, beta, _ = (a[:, None] for a in flux.on_edges(edges))
+        pts, ((u_p, gn_p), (u_m, gn_m)) = analysis._edge_fields(
+            space, coeffs, edges, t)
+        if exact is not None:
+            u_e, gn_e = analysis._exact_traces(space, edges, pts, exact)
+            u_p, u_m = u_e - u_p, u_e - u_m
+            gn_p, gn_m = gn_e - gn_p, gn_e - gn_m
+        sq = (beta / k * np.abs(gn_p - gn_m) ** 2
+              + k * alpha * np.abs(u_p - u_m) ** 2)
+        if plus:
+            sq = sq + ((k / beta + 1.0 / (k * alpha))
+                       * np.abs(0.5 * (u_p + u_m)) ** 2)
+        total += float(np.sum(ds * sq))
+    for edges, t, ds in assembly._edge_groups(space, k, boundary):
+        delta = flux.on_edges(edges)[2][:, None]
+        pts, ((u, gn),) = analysis._edge_fields(space, coeffs, edges, t)
+        if exact is not None:
+            u_e, gn_e = analysis._exact_traces(space, edges, pts, exact)
+            u, gn = u_e - u, gn_e - gn
+        sq = delta / k * np.abs(gn) ** 2 + k * (1.0 - delta) * np.abs(u) ** 2
+        if plus:
+            sq = sq + k / delta * np.abs(u) ** 2
+        total += float(np.sum(ds * sq))
+    return total
+
+
+class TestDgErrorNorms:
+    @settings(derandomize=True, deadline=None, database=None, max_examples=30)
+    @given(st.sampled_from(["uwvf", "hmp", "h_version"]),
+           st.sampled_from(["pw", "ghp"]), st.integers(1, 9),
+           st.floats(2.0, 12.0), st.sampled_from([1.0, 0.5, 0.35]),
+           st.integers(0, 2**16))
+    def test_one_pass_equals_one_norm_per_pass(self, flux_name, basis, p, k,
+                                               h, seed):
+        mesh = meshing.triangulate(meshing.unit_square(), h)
+        local = (spaces.PlaneWaveBasis(k, p + 1) if basis == "pw"
+                 else spaces.GhpBasis(k, p))
+        space = spaces.trefftz_space(mesh, k, local)
+        flux = methods._resolve_flux(flux_name, space)
+        coeffs = random_complex(np.random.default_rng(seed), space.ndof)
+        exact = methods.plane_wave_2d(k).eval
+        want = [math.sqrt(max(one_norm_square(space, coeffs, flux, k, plus,
+                                              exact), 0.0))
+                for plus in (False, True)]
+        assert analysis.dg_error_norms(space, coeffs, flux, k, exact) == tuple(want)
+        assert [analysis.dg_error_norm(space, coeffs, flux, k, exact, plus=plus)
+                for plus in (False, True)] == want
+        assert [analysis.dg_norm(space, coeffs, flux, k),
+                analysis.dg_plus_norm(space, coeffs, flux, k)] == [
+            math.sqrt(max(one_norm_square(space, coeffs, flux, k, plus), 0.0))
+            for plus in (False, True)]
 
 
 class TestJFunctional:

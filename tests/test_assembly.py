@@ -7,23 +7,28 @@ import numpy as np
 import pytest
 import scipy.sparse
 import scipy.sparse.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helmholtz_lab import assembly
+from helmholtz_lab import assembly, methods
 from helmholtz_lab.assembly import (
     ComplexSystem,
     FluxParams,
     assemble_galerkin,
     assemble_gram_1k,
     assemble_least_squares,
+    assemble_projection_1k,
     assemble_pwdg,
     h_version_fluxes,
     hmp_fluxes,
     infsup_probe,
+    project_rhs_1k,
     solve,
     uwvf_fluxes,
 )
 from helmholtz_lab.meshing import (
     Polygon,
+    l_shape,
     triangulate,
     uniform_interval_mesh,
     unit_square,
@@ -119,6 +124,84 @@ class TestGram:
             gram = dense(assemble_gram_1k(space, 3.0))
             np.testing.assert_allclose(gram, gram.conj().T, atol=1e-11)
             np.linalg.cholesky(0.5 * (gram + gram.conj().T))
+
+
+def separate_pass_rhs_1k(space, k, target):
+    """The (1,k) load from its own volume loop, with the gradient term as
+    one three-operand contraction."""
+    k = float(k)
+    rule = assembly._reference_rule(space.mesh.dim,
+                                    assembly._volume_degree(space, k))
+    rhs = np.zeros(space.ndof, dtype=complex)
+    for elems in space.element_batches(len(rule.weights)):
+        pts, w = space.mesh.map_rule(elems, rule)
+        vals, grads = space.eval_basis(elems, pts)
+        u, g = target(pts.reshape((-1,) + pts.shape[2:]))
+        uq = np.asarray(u, dtype=complex).reshape(w.shape)
+        loc = k**2 * np.einsum("eq,eql->el", w * uq, np.conj(vals))
+        gq = np.asarray(g, dtype=complex).reshape(
+            grads.shape[:2] + grads.shape[3:])
+        loc = loc + np.einsum("eq,eqd,eqld->el", w, gq, np.conj(grads))
+        np.add.at(rhs, space.dof_matrix()[elems], loc)
+    return rhs
+
+
+def assert_same_csr(a, b):
+    assert a.shape == b.shape and a.dtype == b.dtype
+    for name in ("indptr", "indices", "data"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+
+
+@st.composite
+def projection_cases(draw):
+    """A space of any kind with its wavenumber and a target solution."""
+    kind = draw(st.sampled_from(["h1_1d", "nodal", "h1_2d", "pw", "ghp",
+                                 "pum"]))
+    k = draw(st.floats(1.0, 10.0))
+    if kind in ("h1_1d", "nodal"):
+        mesh = uniform_interval_mesh(draw(st.integers(max(1, int(k)), 10)))
+        space = (h1_space(mesh, draw(st.integers(1, 4))) if kind == "h1_1d"
+                 else nodally_exact_space_1d(mesh, k))
+        return space, k, methods.model_1d(k).eval
+    mesh = triangulate(draw(st.sampled_from([unit_square(), l_shape()])),
+                       draw(st.sampled_from([1.0, 0.5, 0.35])))
+    if kind == "h1_2d":
+        space = h1_space(mesh, draw(st.integers(1, 4)))
+    elif kind == "pum":
+        space = pum_space(mesh, k, PlaneWaveBasis(k=k, p=draw(st.integers(2, 5))))
+    else:
+        local = PlaneWaveBasis if kind == "pw" else GhpBasis
+        space = trefftz_space(mesh, k, local(k=k, p=draw(st.integers(1, 11))))
+    angle = draw(st.floats(-math.pi, math.pi))
+    target = methods.plane_wave_2d(k, (math.cos(angle), math.sin(angle)))
+    return space, k, target.eval
+
+
+class TestProjection1k:
+    @settings(derandomize=True, deadline=None, database=None, max_examples=40)
+    @given(projection_cases())
+    def test_one_pass_equals_separate_assemblies(self, case):
+        space, k, target = case
+        system = assemble_projection_1k(space, k, target)
+        assert_same_csr(system.A, assemble_gram_1k(space, k))
+        want = separate_pass_rhs_1k(space, k, target)
+        assert system.rhs.tobytes() == want.tobytes()
+        assert project_rhs_1k(space, k, target).tobytes() == want.tobytes()
+
+    def test_ghp_basis_evaluated_once_per_batch(self, monkeypatch):
+        mesh = triangulate(unit_square(), 0.5)
+        k = 6.0
+        space = trefftz_space(mesh, k, GhpBasis(k=k, p=4))
+        calls = []
+        evaluate = GhpBasis.eval
+        monkeypatch.setattr(GhpBasis, "eval",
+                            lambda basis, y: calls.append(1) or evaluate(basis, y))
+        assemble_projection_1k(space, k, methods.plane_wave_2d(k).eval)
+        one_pass = len(calls)
+        calls.clear()
+        assemble_gram_1k(space, k)
+        project_rhs_1k(space, k, methods.plane_wave_2d(k).eval)
+        assert one_pass >= 1 and len(calls) == 2 * one_pass
 
 
 class TestGardingIdentity:
@@ -264,16 +347,17 @@ class TestPwdg:
         k = 4.0
         space = trefftz_space(mesh, k, PlaneWaveBasis(k=k, p=5))
         uwvf = uwvf_fluxes()
-        assert uwvf.on_edge(0) == (0.5, 0.5, 0.5)
+        assert [float(v) for v in uwvf.on_edges(0)] == [0.5, 0.5, 0.5]
         hmp = hmp_fluxes(space)
         e0 = mesh.interior_edges()[0].index
         h_e = mesh.edge_lengths[e0]
         lg = math.log(space.nloc + 1.0)
-        assert hmp.on_edge(e0)[0] == pytest.approx(space.nloc / (k * h_e * lg))
-        assert hmp.on_edge(e0)[1] == pytest.approx(k * h_e * lg / space.nloc)
-        assert hmp.on_edge(e0)[2] <= 0.49
+        alpha, beta, delta = (float(v) for v in hmp.on_edges(e0))
+        assert alpha == pytest.approx(space.nloc / (k * h_e * lg))
+        assert beta == pytest.approx(k * h_e * lg / space.nloc)
+        assert delta <= 0.49
         hv = h_version_fluxes(space, a=2.0)
-        assert hv.on_edge(e0)[0] == pytest.approx(2.0 / (k * h_e))
+        assert float(hv.on_edges(e0)[0]) == pytest.approx(2.0 / (k * h_e))
 
     def test_invalid_flux_rejected(self):
         mesh = triangulate(unit_square(), 0.5)
@@ -335,6 +419,29 @@ class TestSolve:
         assert res.x[0] == 0.0
         assert res.residual < 1e-10
         assert res.x.shape == (space.ndof,)
+
+    def test_residual_computed_once_on_checked_paths(self, monkeypatch):
+        # the symmetric-mode solution and the certified LU each carry the
+        # residual that accepted them; solve does not form A x again
+        calls = []
+        residual = assembly._relative_residual
+        monkeypatch.setattr(assembly, "_relative_residual",
+                            lambda *args: calls.append(1) or residual(*args))
+        mesh = triangulate(unit_square(), 0.25)
+        k = 6.0
+        galerkin = assemble_galerkin(h1_space(mesh, 2), k,
+                                     g=lambda pts: np.ones(len(pts), complex))
+        tz = trefftz_space(mesh, k, PlaneWaveBasis(k=k, p=5))
+        gram = ComplexSystem(A=assemble_gram_1k(tz, k),
+                             rhs=np.arange(tz.ndof) + 0.5j)
+        for system, strategy, path in ((galerkin, "sparse_lu", "MMD_AT_PLUS_A"),
+                                       (gram, "truncated_svd", "COLAMD")):
+            calls.clear()
+            res = solve(system, strategy=strategy)
+            assert res.strategy == "sparse_lu" and res.ordering == path
+            assert len(calls) == 1
+            A, rhs = assembly._reduce(system)
+            assert res.residual == residual(A, res.x, rhs)
 
     def test_truncated_svd_minimum_norm(self):
         A = np.diag([1.0, 1e-16]).astype(complex)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helmholtz_lab import analysis, assembly, meshing, methods, spaces
 from helmholtz_lab.numerics import bessel_j, gauss_interval
@@ -123,6 +125,22 @@ class TestExactSolutions:
                           (exact.gradient(pts), gradient(pts))):
             assert got.shape == want.shape and got.dtype == want.dtype
             assert got.tobytes() == want.tobytes()
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=40)
+    @given(st.floats(1.0, 60.0), st.floats(-math.pi, math.pi),
+           st.integers(0, 2**16))
+    def test_pw2d_phase_bitwise_equals_complex_exp(self, k, angle, seed):
+        # any direction, so phases of both signs; the origin gives a phase
+        # of exactly 0 or -0
+        direction = (math.cos(angle), math.sin(angle))
+        pts = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(50, 2))
+        pts[0] = 0.0
+        d = np.asarray(direction) / np.linalg.norm(direction)
+        u_want = np.exp(1j * k * (pts @ d))
+        g_want = 1j * k * d[None, :] * u_want[:, None]
+        u, g = methods.plane_wave_2d(k, direction).eval(pts)
+        assert u.tobytes() == u_want.tobytes()
+        assert g.tobytes() == g_want.tobytes()
 
     @pytest.mark.parametrize("name", ["model1d", "pw2d", "bessel_singular"])
     def test_value_and_gradient_are_eval_outputs(self, name):

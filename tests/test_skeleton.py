@@ -95,7 +95,7 @@ def pwdg_reference(space, flux):
     A = np.zeros((n, n), dtype=complex)
     rhs = np.zeros(n, dtype=complex)
     for edge, t, ds in edges_with_rules(space):
-        alpha, beta, delta = flux.on_edge(edge.index)
+        alpha, beta, delta = flux.on_edges(edge.index)
         pts, sides = edge_traces(space, edge, t)
         if len(sides) == 2:
             for s, (d_s, v_s, g_s) in zip((1.0, -1.0), sides):
@@ -121,7 +121,7 @@ def pwdg_reference(space, flux):
 def dg_square_reference(space, coeffs, flux, plus, exact=False):
     total = 0.0
     for edge, t, ds in edges_with_rules(space):
-        alpha, beta, delta = flux.on_edge(edge.index)
+        alpha, beta, delta = flux.on_edges(edge.index)
         pts, sides = edge_traces(space, edge, t)
         traces = [(v @ coeffs[d], g @ coeffs[d]) for d, v, g in sides]
         if exact:

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helmholtz_lab.meshing import (
     geometric_refine,
@@ -12,7 +14,7 @@ from helmholtz_lab.meshing import (
     uniform_interval_mesh,
     unit_square,
 )
-from helmholtz_lab.numerics import bessel_j
+from helmholtz_lab.numerics import _expi, bessel_j, gauss_interval, quad_triangle
 from helmholtz_lab.spaces import (
     GhpBasis,
     PlaneWaveBasis,
@@ -659,3 +661,120 @@ class TestEvaluate:
         val, grad = evaluate(space, coeffs, pt, 0)
         w = basis.directions[1]
         np.testing.assert_allclose(grad, 1j * k * w * val, atol=1e-12)
+
+
+# -- byte identity with the three-operand contractions and complex exp -------
+
+# Fixed example sequence, no example database: tier-1 runs stay the same.
+BYTES_SETTINGS = settings(derandomize=True, deadline=None, database=None,
+                          max_examples=40)
+CONTRACTION_SETTINGS = settings(BYTES_SETTINGS, max_examples=10)
+
+
+def three_operand_element_matrices(space, elems, rule):
+    """The shared element matrices as three-operand contractions."""
+    pts, w = space.mesh.map_rule(elems, rule)
+    vals, grads = space.eval_basis(elems, pts)
+    return (np.einsum("eq,eqld,eqmd->elm", w, np.conj(grads), grads),
+            np.einsum("eq,eql,eqm->elm", w, np.conj(vals), vals))
+
+
+def three_operand_field(space, elems, coeffs, rule):
+    """The shared field with all gradient components in one contraction
+    of a complex copy of the gradient table."""
+    pts, _ = space.mesh.map_rule(elems, rule)
+    vals, grads = space.eval_basis(elems, pts)
+    c = coeffs[space.dof_matrix()[elems]]
+    u = np.matmul(vals.astype(complex, copy=False), c[:, :, None])[..., 0]
+    g = np.einsum("eqld,el->eqd", grads.astype(complex, copy=False), c)
+    return u, g
+
+
+# (kind, order) of every space on the shared `_Space` path: H1 in 1D at
+# p = 1..4, the nodally exact space, plane-wave and GHP Trefftz spaces at
+# p = 1..11, and PUM with either enrichment
+SHARED_PATH_CASES = ([("h1_1d", p) for p in range(1, 5)] + [("nodal", 1)]
+                     + [(kind, p) for kind in ("pw", "ghp") for p in range(1, 12)]
+                     + [("pum_pw", 3), ("pum_pw", 6), ("pum_ghp", 1),
+                        ("pum_ghp", 4)])
+
+
+@st.composite
+def shared_path_batches(draw, kind, p):
+    """A space of the given kind and order on a drawn mesh and
+    wavenumber, a batch of its elements, a reference rule and a seed
+    for coefficients."""
+    k = draw(st.floats(1.0, 12.0))
+    if kind in ("h1_1d", "nodal"):
+        mesh = uniform_interval_mesh(draw(st.integers(max(1, int(k)), 12)))
+        rule = gauss_interval(draw(st.integers(2, 12)))
+        space = (h1_space(mesh, p) if kind == "h1_1d"
+                 else nodally_exact_space_1d(mesh, k))
+    else:
+        mesh = triangulate(draw(st.sampled_from([unit_square(), l_shape()])),
+                           draw(st.sampled_from([1.0, 0.5, 0.35])))
+        rule = quad_triangle(draw(st.integers(2, 16)))
+        local = (GhpBasis if kind.endswith("ghp") else PlaneWaveBasis)(k=k, p=p)
+        space = (pum_space(mesh, k, local) if kind.startswith("pum")
+                 else trefftz_space(mesh, k, local))
+    ne = mesh.n_elements
+    elems = np.sort(draw(st.lists(st.integers(0, ne - 1), min_size=1,
+                                  max_size=ne, unique=True)))
+    return space, elems, rule, draw(st.integers(0, 2**16))
+
+
+def assert_same_bytes(got, want):
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("kind, p", SHARED_PATH_CASES,
+                         ids=[f"{kind}-p{p}" for kind, p in SHARED_PATH_CASES])
+class TestTwoOperandContractions:
+    @CONTRACTION_SETTINGS
+    @given(data=st.data())
+    def test_element_matrices_bitwise(self, kind, p, data):
+        space, elems, rule, _ = data.draw(shared_path_batches(kind, p))
+        want = three_operand_element_matrices(space, elems, rule)
+        assert_same_bytes(space.element_matrices(elems, rule), want)
+        tables = space.element_tables(elems, rule)
+        assert_same_bytes(space.element_matrices(elems, rule, tables), want)
+
+    @CONTRACTION_SETTINGS
+    @given(data=st.data())
+    def test_field_bitwise(self, kind, p, data):
+        space, elems, rule, seed = data.draw(shared_path_batches(kind, p))
+        rng = np.random.default_rng(seed)
+        coeffs = (rng.standard_normal(space.ndof)
+                  + 1j * rng.standard_normal(space.ndof))
+        assert_same_bytes(space.field(elems, coeffs, rule),
+                          three_operand_field(space, elems, coeffs, rule))
+
+
+def plane_wave_exp(basis, y):
+    """PlaneWaveBasis.eval with the phase from the complex exponential."""
+    d = basis.directions
+    phase = np.exp(1j * basis.k * (np.asarray(y, dtype=float) @ d.T))
+    return phase, 1j * basis.k * phase[..., None] * d
+
+
+class TestPhaseFromCosSin:
+    @BYTES_SETTINGS
+    @given(st.lists(st.floats(-1e4, 1e4), min_size=1, max_size=60))
+    def test_expi_equals_complex_exp(self, theta):
+        theta = np.array(theta + [0.0, -0.0, -1e-300, -math.pi])
+        assert _expi(theta).tobytes() == np.exp(1j * theta).tobytes()
+
+    def test_expi_on_many_phases(self):
+        theta = np.random.default_rng(7).uniform(-300.0, 300.0, 200_000)
+        assert _expi(theta).tobytes() == np.exp(1j * theta).tobytes()
+        assert _expi(-theta).tobytes() == np.exp(1j * -theta).tobytes()
+
+    @BYTES_SETTINGS
+    @given(st.floats(0.5, 40.0), st.integers(1, 13), st.integers(0, 2**16))
+    def test_plane_wave_basis_bitwise(self, k, p, seed):
+        basis = PlaneWaveBasis(k=k, p=p)
+        y = np.random.default_rng(seed).uniform(-1.0, 1.0, (3, 5, 2))
+        y[0, 0] = 0.0  # a point on the center: phase exactly 0 or -0
+        assert_same_bytes(basis.eval(y), plane_wave_exp(basis, y))
