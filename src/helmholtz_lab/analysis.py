@@ -14,8 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assembly import (_check_flux, _edge_groups, _edge_traces, _edge_values,
-                       _flat, _reference_rule, _skeleton_edges)
-from .numerics import oscillatory_degree
+                       _flat, _skeleton_edges)
 
 
 @dataclass
@@ -43,16 +42,6 @@ class ErrorReport:
 
 
 # -- error quadrature --------------------------------------------------------
-
-
-def _error_degree(space, k):
-    """Quadrature degree for error integrals: resolves both the discrete
-    basis and the oscillation of the exact solution at wavenumber k."""
-    if space.kind in ("h1_polynomial", "nodally_exact_1d"):
-        base = 2 * getattr(space, "p", 1) + 4
-    else:
-        base = 2 * min(space.nloc, 12) + 4
-    return min(oscillatory_degree(base, k, space.mesh.h, 3.0, 2), 40)
 
 
 def _apply_exclusion(pts, w, radius, safe_points):
@@ -94,7 +83,7 @@ def relative_errors(space, coeffs, exact, k, exclude_radius=0.0):
     """
     coeffs = np.asarray(coeffs, dtype=complex)
     mesh = space.mesh
-    rule = _reference_rule(mesh.dim, _error_degree(space, k))
+    rule = space.error_rule(k)
     num_l2 = den_l2 = num_h1 = den_h1 = 0.0
     for elems in space.element_batches(len(rule.weights)):
         pts, w = mesh.map_rule(elems, rule)

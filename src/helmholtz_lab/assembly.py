@@ -7,15 +7,19 @@ assembled matrix is a scipy CSR matrix summed from (row, col, value)
 triplets; only the dense solve strategies and the inf-sup probe make a
 dense copy, and they refuse systems above _DENSE_LIMIT unknowns.
 
-Volume integrals run one loop over element batches from
-`space.element_batches`, taking local matrices from
-`space.element_matrices` and basis values from `space.eval_basis`; the
-(1,k) projection takes its Gram matrix and load from one
-`space.element_tables` call per batch.
-Boundary integrals and the skeleton forms of the Trefftz methods loop
-over batches of edges that share an edge rule (`_edge_groups`; a
-structured mesh has three edge lengths), with both sides' traces from
-one batched `_edge_traces`.
+Every quadrature rule comes from the space (`space.volume_rule`,
+`space.edge_rule`), and so do the DOFs that a Dirichlet edge fixes
+(`space.boundary_dofs`).  Volume integrals run one loop over element
+batches from `space.element_batches` (`_volume_parts`), taking local
+matrices from `space.element_matrices` and, where a load is asked for,
+the Galerkin source load or the (1,k) projection load from the same
+`space.element_tables` call.  Boundary integrals of the Galerkin form
+make one pass over the Robin edges (`_boundary_parts`) that returns the
+boundary mass and the Robin load from one `space.eval_basis` call per
+batch.  Those and the skeleton forms of the Trefftz methods loop over
+batches of edges that share an edge rule (`_edge_groups`; a structured
+mesh has three edge lengths), with both sides' traces from one batched
+`_edge_traces`.
 
 `solve` with 'sparse_lu' first factorizes in SuperLU's symmetric mode
 (a minimum-degree ordering of A + A^T, diagonal pivots), made for the
@@ -34,6 +38,7 @@ matrix-level identities between them hold to roundoff rather than to
 quadrature accuracy.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -43,7 +48,6 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from . import spaces
-from .numerics import gauss_interval, oscillatory_degree, quad_triangle
 
 # Largest system the dense strategies and the inf-sup probe accept (a
 # 4608 x 4608 complex matrix takes 340 MB); covers the plane-wave least
@@ -137,35 +141,6 @@ def h_version_fluxes(space, a=1.0, beta=0.5, delta=0.25):
     return FluxParams(alpha=a / (space.k * h_e), beta=beta, delta=delta)
 
 
-# -- quadrature helpers ----------------------------------------------------
-
-
-def _reference_rule(dim, degree):
-    """Rule exact to `degree` on the reference element: Gauss-Legendre on
-    [0, 1] in 1D, the collapsed rule on the reference triangle in 2D."""
-    if dim == 1:
-        return gauss_interval(min(64, max(2, (degree + 1) // 2 + 1)))
-    return quad_triangle(degree)
-
-
-def _volume_degree(space, k):
-    """Volume rule degree: exact for polynomial integrands; wave spaces
-    grow it linearly in k*h so that products of waves are integrated to
-    near machine precision even on coarse meshes (kh ~ 4)."""
-    if space.kind == "h1_polynomial":
-        return min(2 * space.p + 2, 40)
-    # the 1D wave space is of order 1; wave-enriched 2D spaces have phases
-    # up to ~2k * diameter per element
-    base = 4 if space.kind == "nodally_exact_1d" else 6
-    return min(oscillatory_degree(base, k, space.mesh.h, 3.0, 12), 40)
-
-
-def edge_rule(k, length, base=4):
-    """Points and weights on [0,1] resolving wave products on one edge."""
-    rule = _reference_rule(1, oscillatory_degree(base, k, length, 3.0, 8))
-    return rule.points, rule.weights
-
-
 # -- sparse triplets ---------------------------------------------------------
 
 
@@ -201,26 +176,29 @@ def _flat(pts):
 # -- conforming volume/boundary parts ---------------------------------------
 
 
-def _volume_parts(space, k, matrices=True, target=None):
+def _volume_parts(space, k, matrices=True, load=None):
     """One loop over element batches for the volume terms.
 
     Returns (stiff, mass, rhs): the stiffness and mass matrices as CSR
-    when `matrices` is set, and with a `target` mapping points to (values
-    of u, gradients of u) the load k^2 (u, b_i) + (grad u, grad b_i);
-    what is not asked for is None.  A batch that needs both takes them
-    from one `element_tables` call.
+    when `matrices` is set, and the load vector summed from
+    `load(pts, w, vals, grads)`, the local loads (nb, nloc) of one batch
+    from its `element_tables`, when a `load` is given; what is not asked
+    for is None.  A batch that needs both takes them from one
+    `element_tables` call; without a load, `element_matrices` evaluates
+    what it needs itself (no physical-point tables for the 2D
+    polynomial space).
     """
-    rule = _reference_rule(space.mesh.dim, _volume_degree(space, k))
+    rule = space.volume_rule(k)
     dofs = space.dof_matrix()
     st = ([], [], [])
     ms = ([], [], [])
-    rhs = None if target is None else np.zeros(space.ndof, dtype=complex)
+    rhs = None if load is None else np.zeros(space.ndof, dtype=complex)
     for elems in space.element_batches(len(rule.weights)):
         d = dofs[elems]
         tables = None
-        if target is not None:
+        if load is not None:
             tables = space.element_tables(elems, rule)
-            np.add.at(rhs, d, _load_1k(k, target, *tables))
+            np.add.at(rhs, d, load(*tables))
         if matrices:
             s_loc, m_loc = space.element_matrices(elems, rule, tables)
             _accumulate(st, d, d, s_loc)
@@ -228,6 +206,13 @@ def _volume_parts(space, k, matrices=True, target=None):
     if not matrices:
         return None, None, rhs
     return _to_csr(st, space.ndof), _to_csr(ms, space.ndof), rhs
+
+
+def _source_load(fn, pts, w, vals):
+    """Local loads (u, b_l), (nb, nloc), of the point callback fn over one
+    batch of points (nb, nq[, 2]) with weights w and basis values vals."""
+    uq = np.asarray(fn(_flat(pts)), dtype=complex).reshape(w.shape)
+    return np.einsum("eq,eql->el", w * uq, np.conj(vals))
 
 
 def _load_1k(k, target, pts, w, vals, grads):
@@ -247,12 +232,8 @@ def _edge_points(mesh, edges, t):
     return a[:, None, :] + t[None, :, None] * (b - a)[:, None, :]
 
 
-def _edge_base(space):
-    return 2 * getattr(space, "p", 1) + 2 if space.kind == "h1_polynomial" else 4
-
-
-def _edge_groups(space, k, edges, base=4):
-    """The 2D mesh edges `edges` grouped by edge rule, in batches.
+def _edge_groups(space, k, edges):
+    """The 2D mesh edges `edges` grouped by `space.edge_rule`, in batches.
 
     Yields (batch, t, ds): an index array of edges sharing one rule,
     that rule's points t on [0, 1] and the physical weights ds (E, Q).
@@ -263,16 +244,23 @@ def _edge_groups(space, k, edges, base=4):
     edges = np.asarray(edges, dtype=np.int64)
     lengths = mesh.edge_lengths[edges]
     unique, inverse = np.unique(lengths, return_inverse=True)
-    rules = [edge_rule(k, h, base=base) for h in unique]
-    npts = np.array([len(t) for t, _ in rules], dtype=np.int64)[inverse]
+    rules = [space.edge_rule(k, h) for h in unique]
+    npts = np.array([len(r.weights) for r in rules], dtype=np.int64)[inverse]
     for nq in np.unique(npts):
-        t, w = rules[inverse[np.argmax(npts == nq)]]
+        rule = rules[inverse[np.argmax(npts == nq)]]
+        t, w = rule.points, rule.weights
         members = edges[npts == nq]
         per_edge = 2 * space.nloc * max(2 * space.nloc, nq * mesh.dim)
         step = max(1, spaces._BATCH_ENTRIES // per_edge)
         for lo in range(0, len(members), step):
             batch = members[lo:lo + step]
             yield batch, t, mesh.edge_lengths[batch][:, None] * w
+
+
+def _tagged_edges(mesh, tags):
+    """Indices of the boundary edges whose tag lies in `tags`."""
+    idx = np.flatnonzero(mesh.boundary_mask)
+    return idx[[mesh.edge_tags[i] in tags for i in idx]]
 
 
 def _boundary_batches(space, k, tags):
@@ -283,72 +271,34 @@ def _boundary_batches(space, k, tags):
     unit point measure.
     """
     mesh = space.mesh
-    idx = np.flatnonzero(mesh.boundary_mask)
-    idx = idx[[mesh.edge_tags[i] in tags for i in idx]]
+    idx = _tagged_edges(mesh, tags)
     if len(idx) == 0:
         return
     if mesh.dim == 1:
         x = mesh.nodes[mesh.edge_nodes[idx, 0]]
         yield mesh.edge_elems[idx, 0], x[:, None], np.ones((len(idx), 1))
         return
-    for batch, t, ds in _edge_groups(space, k, idx, base=_edge_base(space)):
+    for batch, t, ds in _edge_groups(space, k, idx):
         yield mesh.edge_elems[batch, 0], _edge_points(mesh, batch, t), ds
 
 
-def _boundary_mass(space, k, tags):
-    """Boundary mass matrix over edges whose tag lies in `tags`."""
+def _boundary_parts(space, k, tags, g=None):
+    """One pass over the boundary edges whose tag lies in `tags`.
+
+    Returns (boundary mass matrix as CSR, load (g, b_i)), the load None
+    without a point callback g.
+    """
     dofs = space.dof_matrix()
     tri = ([], [], [])
+    rhs = None if g is None else np.zeros(space.ndof, dtype=complex)
     for elems, pts, w in _boundary_batches(space, k, tags):
         vals, _ = space.eval_basis(elems, pts)
-        loc = np.einsum("eq,eql,eqm->elm", w, np.conj(vals), vals)
         d = dofs[elems]
-        _accumulate(tri, d, d, loc)
-    return _to_csr(tri, space.ndof)
-
-
-def _volume_batches(space, k):
-    """Element batches with their physical quadrature points and weights."""
-    rule = _reference_rule(space.mesh.dim, _volume_degree(space, k))
-    for elems in space.element_batches(len(rule.weights)):
-        yield (elems,) + space.mesh.map_rule(elems, rule)
-
-
-def _load(space, batches, fn):
-    """Load vector (u, b_i) summed over (elements, points, weights)
-    batches; fn maps points to the values of u."""
-    rhs = np.zeros(space.ndof, dtype=complex)
-    dofs = space.dof_matrix()
-    for elems, pts, w in batches:
-        vals, _ = space.eval_basis(elems, pts)
-        uq = np.asarray(fn(_flat(pts)), dtype=complex).reshape(w.shape)
-        np.add.at(rhs, dofs[elems],
-                  np.einsum("eq,eql->el", w * uq, np.conj(vals)))
-    return rhs
-
-
-def _dirichlet_dofs(space, tags):
-    """Global DOFs supported on boundary edges with the given tags."""
-    mesh = space.mesh
-    fixed = set()
-    for edge in mesh.boundary_edges():
-        if edge.tag not in tags:
-            continue
-        if mesh.dim == 1:
-            fixed.add(int(edge.nodes[0]))
-        else:
-            a, b = int(edge.nodes[0]), int(edge.nodes[1])
-            if space.kind == "pum":
-                m = space.enrichment.dim
-                for v in (a, b):
-                    fixed.update(range(v * m, (v + 1) * m))
-            else:
-                fixed.update((a, b))
-                p = getattr(space, "p", 1)
-                if p >= 2:
-                    base = mesh.n_nodes + edge.index * (p - 1)
-                    fixed.update(range(base, base + p - 1))
-    return np.array(sorted(fixed), dtype=np.int64)
+        _accumulate(tri, d, d, np.einsum("eq,eql,eqm->elm", w, np.conj(vals),
+                                         vals))
+        if g is not None:
+            np.add.at(rhs, d, _source_load(g, pts, w, vals))
+    return _to_csr(tri, space.ndof), rhs
 
 
 def assemble_galerkin(space, k, f=None, g=None, bc=None, robin_sign=1.0):
@@ -365,33 +315,28 @@ def assemble_galerkin(space, k, f=None, g=None, bc=None, robin_sign=1.0):
     k = float(k)
     bc = bc or {}
     mesh = space.mesh
-    present = {e.tag for e in mesh.boundary_edges()}
+    present = {mesh.edge_tags[i] for i in np.flatnonzero(mesh.boundary_mask)}
     robin_tags = {t for t in present if bc.get(t, "robin") == "robin"}
     dirichlet_tags = {t for t in present if bc.get(t) == "dirichlet"}
-    stiff, mass, _ = _volume_parts(space, k)
-    bd = _boundary_mass(space, k, robin_tags)
-    A = stiff - k**2 * mass + robin_sign * 1j * k * bd
-    rhs = np.zeros(space.ndof, dtype=complex)
+    load = None
     if f is not None:
         fv = f if callable(f) else (lambda pts, c=complex(f): np.full(pts.shape[0], c))
-        rhs += _load(space, _volume_batches(space, k), fv)
-    if g is not None:
-        rhs += _load(space, _boundary_batches(space, k, robin_tags), g)
+        load = lambda pts, w, vals, grads: _source_load(fv, pts, w, vals)
+    stiff, mass, f_rhs = _volume_parts(space, k, load=load)
+    bd, g_rhs = _boundary_parts(space, k, robin_tags, g)
+    A = stiff - k**2 * mass + robin_sign * 1j * k * bd
+    # the two loads are summed into zeros in this order, as separate
+    # vectors: adding one into the other's accumulator rounds differently
+    rhs = np.zeros(space.ndof, dtype=complex)
+    for part in (f_rhs, g_rhs):
+        if part is not None:
+            rhs += part
     free = None
     if dirichlet_tags:
-        fixed = _dirichlet_dofs(space, dirichlet_tags)
         keep = np.ones(space.ndof, dtype=bool)
-        keep[fixed] = False
+        keep[space.boundary_dofs(_tagged_edges(mesh, dirichlet_tags))] = False
         free = np.flatnonzero(keep)
-    meta = {
-        "method": "galerkin",
-        "k": k,
-        "h": mesh.h,
-        "p": getattr(space, "p", 1),
-        "dim": mesh.dim,
-        "robin_sign": float(robin_sign),
-        "boundary_mass": bd,
-    }
+    meta = {"dim": mesh.dim, "boundary_mass": bd}
     return ComplexSystem(A=A, rhs=rhs, mass=mass, free=free, meta=meta)
 
 
@@ -411,7 +356,8 @@ def project_rhs_1k(space, k, target):
     (1,k) Gram matrix.
     """
     k = float(k)
-    return _volume_parts(space, k, matrices=False, target=target)[2]
+    return _volume_parts(space, k, matrices=False,
+                         load=functools.partial(_load_1k, k, target))[2]
 
 
 def assemble_projection_1k(space, k, target):
@@ -422,7 +368,8 @@ def assemble_projection_1k(space, k, target):
     once per element batch for both.
     """
     k = float(k)
-    stiff, mass, rhs = _volume_parts(space, k, target=target)
+    stiff, mass, rhs = _volume_parts(
+        space, k, load=functools.partial(_load_1k, k, target))
     return ComplexSystem(A=stiff + k**2 * mass, rhs=rhs)
 
 
@@ -430,7 +377,7 @@ def assemble_projection_1k(space, k, target):
 
 
 def _require_trefftz(space):
-    if space.kind not in ("trefftz_pw", "trefftz_ghp"):
+    if space.conforming:
         raise ValueError("this assembly path needs a Trefftz space")
 
 
@@ -534,15 +481,7 @@ def assemble_least_squares(space, k, g, w1=None, w2=None):
         np.add.at(rhs, dofs, w2**2 * np.einsum("eq,eql->el", ds * gv,
                                                 np.conj(imp)))
         g_norm2 += w2**2 * float(np.sum(ds * np.abs(gv) ** 2))
-    meta = {
-        "method": "least_squares",
-        "k": k,
-        "h": mesh.h,
-        "p": space.nloc,
-        "w1": w1,
-        "w2": w2,
-        "g_norm2": g_norm2,
-    }
+    meta = {"w1": w1, "w2": w2, "g_norm2": g_norm2}
     return ComplexSystem(A=_to_csr(tri, n), rhs=rhs, meta=meta)
 
 
@@ -582,8 +521,7 @@ def assemble_pwdg(space, k, g, flux):
         test = (1j / k) * d * np.conj(dn) + (1.0 - d) * np.conj(vals)
         np.add.at(rhs, dofs, np.einsum("eq,eql->el",
                                        ds * _edge_values(g, pts), test))
-    meta = {"method": "pwdg", "k": k, "h": mesh.h, "p": space.nloc, "flux": flux}
-    return ComplexSystem(A=_to_csr(tri, n), rhs=rhs, meta=meta)
+    return ComplexSystem(A=_to_csr(tri, n), rhs=rhs)
 
 
 # -- linear algebra ----------------------------------------------------------

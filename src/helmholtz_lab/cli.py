@@ -99,10 +99,10 @@ PRESETS = {
 # Wall time of `helmholtz preset <name>` including interpreter start-up,
 # measured with the default worker count on a 2-CPU desk machine.
 PRESET_INFO = {
-    "fig1_1d_pollution": ("~2 s",
+    "fig1_1d_pollution": ("~1 s",
                           "1D impedance problem, h-FEM sweep over k and p;"
                           " the classic pollution picture"),
-    "fig2_square": ("~3 s",
+    "fig2_square": ("~2 s",
                     "plane wave on the unit square, h-FEM at p=1..3"),
     "fig3_lshape_pfem": ("~1 s",
                          "plane wave on the L-shape, p-FEM on a mesh graded"
@@ -110,14 +110,14 @@ PRESET_INFO = {
     "lshape_singular": ("~1 s",
                         "corner-singular Bessel solution on the L-shape,"
                         " p-FEM on a quasi-uniform mesh"),
-    "uwvf_square": ("~1 s",
+    "uwvf_square": ("<1 s",
                     "plane-wave DG with UWVF fluxes on the unit square"),
-    "ls_square": ("~1 s",
+    "ls_square": ("<1 s",
                   "plane-wave least squares on the unit square"),
     "infsup_1d": ("<1 s",
                   "discrete inf-sup constant of the 1D model vs k at fixed"
                   " kh/p"),
-    "approx_trefftz": ("~2 s",
+    "approx_trefftz": ("~1.5 s",
                        "best-approximation study of plane-wave and"
                        " evanescent-augmented local bases"),
     "nodal_exact_1d": ("<1 s",
@@ -131,9 +131,12 @@ PRESET_INFO = {
 
 def _parse_float(key, text):
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise ConfigError(key, f"expected a number, got '{text}'")
+    if not math.isfinite(value):
+        raise ConfigError(key, f"expected a finite number, got '{text}'")
+    return value
 
 
 def _parse_int(key, text):
@@ -172,18 +175,17 @@ def _parse_choice(options):
 
 
 def _parse_corners(key, text):
+    # only 2D runs are graded, so every corner is a point 'x,y'
     corners = []
     for chunk in text.split(";"):
         chunk = chunk.strip()
         if not chunk:
             continue
         coords = [_parse_float(key, t) for t in chunk.split(",")]
-        if len(coords) == 1:
-            corners.append(coords[0])
-        elif len(coords) == 2:
-            corners.append((coords[0], coords[1]))
-        else:
-            raise ConfigError(key, f"corner '{chunk}' is not 1D or 2D")
+        if len(coords) != 2:
+            raise ConfigError(key, f"corner '{chunk}' needs two coordinates "
+                                   f"'x,y'")
+        corners.append(tuple(coords))
     if not corners:
         raise ConfigError(key, "expected at least one corner")
     return corners
@@ -239,10 +241,20 @@ def parse_config_text(text):
     return raw
 
 
-# Keys that only one method reads; a config giving one of them for any
-# other method is refused rather than silently ignored.
-_METHOD_KEYS = {"flux": "uwvf", "alpha": "uwvf", "beta": "uwvf",
-                "delta": "uwvf", "w1": "ls", "w2": "ls", "khp": "infsup"}
+# The keys every method reads, and on top of them the keys each method
+# reads; a config giving any other key, by itself or through its preset,
+# is refused rather than silently ignored.
+_COMMON_KEYS = {"preset", "method", "domain", "exact", "k", "out", "threads",
+                "timing"}
+_METHOD_READS = {
+    "fem": {"p", "h", "n_elements", "sigma", "layers", "corners",
+            "robin_sign", "strategy"},
+    "nodal": {"h", "n_elements", "robin_sign", "strategy"},
+    "ls": {"p", "h", "w1", "w2", "strategy", "svd_cutoff"},
+    "uwvf": {"p", "h", "flux", "alpha", "beta", "delta", "strategy"},
+    "infsup": {"p", "khp", "robin_sign"},
+    "approx": {"p", "h", "svd_cutoff"},
+}
 
 _DOMAIN_DEFAULT = {"fem": None, "nodal": "interval", "ls": "square",
                    "uwvf": "square", "infsup": "interval", "approx": "square"}
@@ -269,10 +281,10 @@ def build_config(raw):
     method = cfg["method"]
     if method is None:
         raise ConfigError("method", "required (or give a preset)")
-    for key, owner in _METHOD_KEYS.items():
-        if key in raw and method != owner:
-            raise ConfigError(key, f"only method '{owner}' reads it, "
-                                   f"not '{method}'")
+    for key in merged:
+        if key not in _COMMON_KEYS | _METHOD_READS[method]:
+            origin = "" if key in raw else f" (set by preset '{preset}')"
+            raise ConfigError(key, f"method '{method}' never reads it{origin}")
     if cfg["domain"] is None:
         cfg["domain"] = _DOMAIN_DEFAULT[method]
         if cfg["domain"] is None:
@@ -297,18 +309,24 @@ def build_config(raw):
     if domain == "lshape" and cfg["exact"] == "model1d":
         raise ConfigError("exact", "model1d is one dimensional")
 
-    if cfg["p"] is None or not cfg["p"]:
-        if method in ("nodal", "infsup"):
-            cfg["p"] = [1]
-        else:
+    if not cfg["p"]:
+        if method not in ("nodal", "infsup"):
             raise ConfigError("p", "must be a non-empty list")
+        cfg["p"] = [1]
     if any(p < 1 for p in cfg["p"]):
         raise ConfigError("p", "orders must be positive")
 
+    for key in ("h", "n_elements"):
+        if cfg[key] == []:
+            raise ConfigError(key, "must be a non-empty list")
     if cfg["h"] is not None and cfg["n_elements"] is not None:
         raise ConfigError("h", "give either h or n_elements, not both")
     if cfg["n_elements"] is not None and domain != "interval":
         raise ConfigError("n_elements", "element counts are for interval runs")
+    # checked before an interval run turns h into 1/h elements
+    if cfg["h"] is not None and not all(h > 0 and 1.0 / h < math.inf
+                                        for h in cfg["h"]):
+        raise ConfigError("h", "mesh sizes must be positive with a finite 1/h")
     if method in ("fem", "nodal"):
         if domain == "interval":
             if cfg["n_elements"] is None:
@@ -321,13 +339,16 @@ def build_config(raw):
             raise ConfigError("h", f"method '{method}' needs an h list")
     if method in ("ls", "uwvf") and cfg["h"] is None:
         raise ConfigError("h", f"method '{method}' needs an h list")
+    if method == "approx" and cfg["h"] is not None and len(cfg["h"]) > 1:
+        raise ConfigError("h", "method 'approx' reads a single mesh size")
     if cfg["n_elements"] is not None and any(n < 1 for n in cfg["n_elements"]):
         raise ConfigError("n_elements", "element counts must be positive")
-    if cfg["h"] is not None and any(h <= 0 for h in cfg["h"]):
-        raise ConfigError("h", "mesh sizes must be positive")
 
     if (cfg["sigma"] is None) != (cfg["layers"] is None):
         raise ConfigError("sigma", "grading needs both sigma and layers")
+    if cfg["corners"] is not None and cfg["sigma"] is None:
+        raise ConfigError("corners", "corners are read only for grading, "
+                                     "with sigma and layers")
     if cfg["sigma"] is not None:
         if method != "fem" or domain == "interval":
             raise ConfigError("sigma", "grading applies to 2D fem runs")
@@ -340,9 +361,6 @@ def build_config(raw):
         cfg["robin_sign"] = -1.0 if (domain == "lshape") else 1.0
     if cfg["robin_sign"] not in (1.0, -1.0):
         raise ConfigError("robin_sign", "must be +1 or -1")
-    if method in ("ls", "uwvf") and cfg["robin_sign"] != 1.0:
-        raise ConfigError("robin_sign",
-                          f"method '{method}' uses the +ik impedance form")
 
     flux_overrides = [cfg["alpha"], cfg["beta"], cfg["delta"]]
     if any(v is not None for v in flux_overrides):
@@ -685,30 +703,18 @@ def series_slopes(rows):
         pkey = (method, row["domain"], row["k"], row["h"], err_name)
         p_groups.setdefault(pkey, []).append((row["p"], err))
 
-    for (method, domain, k, p, err_name), pairs in sorted(h_groups.items()):
-        if len({x for x, _ in pairs}) < 3:
-            continue
-        pairs.sort()
-        line = _fit_line(pairs, f"{err_name} vs N_lambda | method={method} "
-                                f"domain={domain} k={k!r} p={p}")
-        if line:
-            lines.append(line)
-    for (method, domain, k, h, err_name), pairs in sorted(p_groups.items()):
-        if len({x for x, _ in pairs}) < 3:
-            continue
-        pairs.sort()
-        line = _fit_line(pairs, f"{err_name} vs p | method={method} "
-                                f"domain={domain} k={k!r} h={h!r}")
-        if line:
-            lines.append(line)
-    for (method, domain, p), pairs in sorted(k_groups.items()):
-        if len({x for x, _ in pairs}) < 3:
-            continue
-        pairs.sort()
-        line = _fit_line(pairs, f"gamma_n vs k | method={method} "
-                                f"domain={domain} p={p}")
-        if line:
-            lines.append(line)
+    labels = ((h_groups, "{4} vs N_lambda | method={0} domain={1} k={2!r} "
+                         "p={3}"),
+              (p_groups, "{4} vs p | method={0} domain={1} k={2!r} h={3!r}"),
+              (k_groups, "gamma_n vs k | method={0} domain={1} p={2}"))
+    for groups, label in labels:
+        for key, pairs in sorted(groups.items()):
+            if len({x for x, _ in pairs}) < 3:
+                continue
+            pairs.sort()
+            line = _fit_line(pairs, label.format(*key))
+            if line:
+                lines.append(line)
     return lines
 
 

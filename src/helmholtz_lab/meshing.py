@@ -446,7 +446,8 @@ def geometric_refine(mesh, corners, sigma, layers):
     leaving the innermost triangle of size ~sigma^L.  Neighboring fans
     subdivide their shared edge identically, so the result is conforming
     without any closure step.  In 1D the corner element is split at
-    sigma^j * h0.
+    sigma^j * h0.  Each corner is a mesh node given by mesh.dim
+    coordinates (a number in 1D); any other corner raises ValueError.
     """
     if not 0.0 < sigma < 1.0:
         raise ValueError("sigma must be in (0, 1)")
@@ -459,6 +460,9 @@ def geometric_refine(mesh, corners, sigma, layers):
 
 def _corner_node(mesh, corner):
     pts = np.atleast_1d(np.asarray(corner, dtype=float))
+    if pts.shape != (mesh.dim,):
+        raise ValueError(f"corner {corner} does not have {mesh.dim} "
+                         f"coordinate(s)")
     if mesh.dim == 1:
         dist = np.abs(mesh.nodes - pts[0])
     else:

@@ -459,16 +459,6 @@ class SolveOutput:
     checks: dict = field(default_factory=dict)
 
 
-def _space_order(space):
-    if hasattr(space, "p"):
-        return int(space.p)
-    if space.kind == "pum":
-        return int(space.enrichment.dim)
-    if hasattr(space, "local"):
-        return int(space.local.dim)
-    return 1
-
-
 def _is_zero_source(f):
     if f is None:
         return True
@@ -494,7 +484,7 @@ def _make_report(problem, space, method, n_unknowns):
         n_lambda=meshing.n_lambda(n_unknowns, problem.k, space.mesh.dim),
         k=problem.k,
         h=space.mesh.h,
-        p=_space_order(space),
+        p=space.order,
         method=method,
     )
 
@@ -713,28 +703,19 @@ def approx_study(target, basis_kind, mode, domain=None, orders=None,
         raise ValueError("mode must be 'p_sweep' or 'h_sweep'")
     domain = domain or meshing.unit_square()
     k = target.k
-    rows = []
+    # (mesh, order) pairs; each mesh is built when its row is due
     if mode == "p_sweep":
         mesh = meshing.triangulate(domain, target_h)
-        if orders is None:
-            orders = range(1, 13)
-        for q in orders:
-            space = spaces.trefftz_space(mesh, k, _make_basis(basis_kind, k, q))
-            _, reliable, h1, l2, e1k = _best_approximation(space, k, target,
-                                                           cutoff)
-            rows.append({"p": int(q), "h": mesh.h, "dofs": space.ndof,
-                         "err_h1semi_rel": h1, "err_l2_rel": l2,
-                         "err_1k_rel": e1k, "reliable": reliable})
+        sweep = ((mesh, q) for q in (range(1, 13) if orders is None
+                                     else orders))
     else:
-        if hs is None:
-            hs = (0.5, 0.25, 0.125, 0.0625)
-        for h in hs:
-            mesh = meshing.triangulate(domain, h)
-            space = spaces.trefftz_space(mesh, k,
-                                         _make_basis(basis_kind, k, order))
-            _, reliable, h1, l2, e1k = _best_approximation(space, k, target,
-                                                           cutoff)
-            rows.append({"p": int(order), "h": mesh.h, "dofs": space.ndof,
-                         "err_h1semi_rel": h1, "err_l2_rel": l2,
-                         "err_1k_rel": e1k, "reliable": reliable})
+        sweep = ((meshing.triangulate(domain, h), order)
+                 for h in ((0.5, 0.25, 0.125, 0.0625) if hs is None else hs))
+    rows = []
+    for mesh, q in sweep:
+        space = spaces.trefftz_space(mesh, k, _make_basis(basis_kind, k, q))
+        _, reliable, h1, l2, e1k = _best_approximation(space, k, target, cutoff)
+        rows.append({"p": int(q), "h": mesh.h, "dofs": space.ndof,
+                     "err_h1semi_rel": h1, "err_l2_rel": l2,
+                     "err_1k_rel": e1k, "reliable": reliable})
     return rows

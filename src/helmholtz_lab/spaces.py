@@ -23,6 +23,14 @@ needing both the tables and the matrices hands to `element_matrices`.
 `element_batches` splits the mesh
 into batches whose per-point basis tables hold at most `_BATCH_ENTRIES`
 numbers.
+
+Each space also owns the facts that depend on which space it is: its
+`order` (the p reported with results: the degree, the number of plane
+waves or of enrichment functions, the GHP dimension 2p+1), the reference
+rules of its volume integrals (`volume_rule(k)`), of error integrals
+(`error_rule(k)`) and of its edges (`edge_rule(k, length)`), and, for a
+conforming space, the DOFs whose basis functions live on given mesh
+edges (`boundary_dofs(edges)`).
 """
 
 import functools
@@ -31,7 +39,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import _bessel_ladder_slabs, _expi
+from .numerics import (_bessel_ladder_slabs, _expi, gauss_interval,
+                       oscillatory_degree, quad_triangle)
 
 _REF_GRAD_LAM = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
 _LOCAL_EDGES = ((0, 1), (1, 2), (0, 2))
@@ -154,6 +163,14 @@ def _shape_functions_2d(p, lam, grad_lam):
     return vals, grads
 
 
+def _reference_rule(dim, degree):
+    """Rule exact to `degree` on the reference element: Gauss-Legendre on
+    [0, 1] in 1D, the collapsed rule on the reference triangle in 2D."""
+    if dim == 1:
+        return gauss_interval(min(64, max(2, (degree + 1) // 2 + 1)))
+    return quad_triangle(degree)
+
+
 def _batched(eval_basis):
     """Let an int `elems` evaluate one element with unbatched shapes."""
 
@@ -169,7 +186,42 @@ def _batched(eval_basis):
 
 
 class _Space:
-    """Element integrals shared by all spaces, built on `eval_basis`."""
+    """Element integrals shared by all spaces, built on `eval_basis`.
+
+    The quadrature defaults are those of the wave-enriched spaces: their
+    products of waves carry phases up to ~2k * diameter per element, so
+    each rule grows linearly in k*h from a base degree and integrates
+    them to near machine precision even on coarse meshes (kh ~ 4).
+    """
+
+    order = 1
+    _volume_base = 6
+    _edge_base = 4
+
+    def _error_base(self):
+        return 2 * min(self.nloc, 12) + 4
+
+    def volume_rule(self, k):
+        """Reference rule of the element matrices and loads at wavenumber k."""
+        degree = oscillatory_degree(self._volume_base, k, self.mesh.h, 3.0, 12)
+        return _reference_rule(self.mesh.dim, min(degree, 40))
+
+    def error_rule(self, k):
+        """Reference rule of error integrals: resolves both the discrete
+        basis and the oscillation of the exact solution at wavenumber k."""
+        degree = oscillatory_degree(self._error_base(), k, self.mesh.h, 3.0, 2)
+        return _reference_rule(self.mesh.dim, min(degree, 40))
+
+    def edge_rule(self, k, length):
+        """Rule on [0, 1] resolving wave products on an edge of `length`."""
+        return _reference_rule(
+            1, oscillatory_degree(self._edge_base, k, length, 3.0, 8))
+
+    def boundary_dofs(self, edges):
+        """Sorted global DOFs of a conforming space whose basis functions
+        do not vanish on the mesh edges `edges` (end nodes in 1D); here
+        one DOF per node, numbered like the nodes."""
+        return np.unique(self.mesh.edge_nodes[edges])
 
     def element_dofs(self, ei):
         return self.dof_matrix()[ei]
@@ -237,7 +289,8 @@ class H1Space(_Space):
 
     def __init__(self, mesh, p):
         self.mesh = mesh
-        self.p = int(p)
+        self.order = self.p = int(p)
+        self._edge_base = 2 * self.p + 2
         if mesh.dim == 1:
             self.nloc = p + 1
             self.ndof = mesh.n_nodes + mesh.n_elements * (p - 1)
@@ -301,6 +354,24 @@ class H1Space(_Space):
                     pos += 1
         self._signs = signs
         return signs
+
+    def boundary_dofs(self, edges):
+        """The nodes of `edges` and, in 2D, their p-1 edge modes each."""
+        nodes = super().boundary_dofs(edges)
+        if self.mesh.dim == 1:
+            return nodes
+        modes = (self.mesh.n_nodes + np.asarray(edges)[:, None] * (self.p - 1)
+                 + np.arange(self.p - 1))
+        return np.union1d(nodes, modes)
+
+    # -- quadrature ------------------------------------------------------
+
+    def volume_rule(self, k):
+        """Exact for the polynomial integrands of the element matrices."""
+        return _reference_rule(self.mesh.dim, min(2 * self.p + 2, 40))
+
+    def _error_base(self):
+        return 2 * self.p + 4
 
     # -- evaluation ------------------------------------------------------
 
@@ -396,6 +467,7 @@ class NodallyExact1D(_Space):
 
     kind = "nodally_exact_1d"
     conforming = True
+    _volume_base = 4  # one wave per element, of order 1
 
     def __init__(self, mesh, k):
         if mesh.dim != 1:
@@ -410,6 +482,9 @@ class NodallyExact1D(_Space):
 
     def dof_matrix(self):
         return self.mesh.elements
+
+    def _error_base(self):
+        return 2 * self.order + 4  # as for the degree-1 polynomial space
 
     @_batched
     def eval_basis(self, elems, pts):
@@ -549,6 +624,7 @@ class PumSpace(_Space):
         self.mesh = mesh
         self.k = float(k)
         self.enrichment = enrichment
+        self.order = enrichment.dim
         self.nloc = 3 * enrichment.dim
         self.ndof = mesh.n_nodes * enrichment.dim
 
@@ -556,6 +632,12 @@ class PumSpace(_Space):
         m = self.enrichment.dim
         verts = self.mesh.elements
         return (verts[:, :, None] * m + np.arange(m)).reshape(len(verts), -1)
+
+    def boundary_dofs(self, edges):
+        """Every enrichment DOF of the nodes of `edges`."""
+        m = self.enrichment.dim
+        return (super().boundary_dofs(edges)[:, None] * m
+                + np.arange(m)).ravel()
 
     @_batched
     def eval_basis(self, elems, pts):
@@ -595,7 +677,7 @@ class TrefftzSpace(_Space):
         self.kind = (
             "trefftz_pw" if isinstance(local, PlaneWaveBasis) else "trefftz_ghp"
         )
-        self.nloc = local.dim
+        self.order = self.nloc = local.dim
         self.ndof = mesh.n_elements * local.dim
 
     def dof_matrix(self):

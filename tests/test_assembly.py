@@ -10,7 +10,7 @@ import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helmholtz_lab import assembly, methods
+from helmholtz_lab import assembly, methods, spaces
 from helmholtz_lab.assembly import (
     ComplexSystem,
     FluxParams,
@@ -130,8 +130,7 @@ def separate_pass_rhs_1k(space, k, target):
     """The (1,k) load from its own volume loop, with the gradient term as
     one three-operand contraction."""
     k = float(k)
-    rule = assembly._reference_rule(space.mesh.dim,
-                                    assembly._volume_degree(space, k))
+    rule = space.volume_rule(k)
     rhs = np.zeros(space.ndof, dtype=complex)
     for elems in space.element_batches(len(rule.weights)):
         pts, w = space.mesh.map_rule(elems, rule)
@@ -335,10 +334,101 @@ class TestDirichlet2D:
                  else h1_space(mesh, int(kind[-1])))
         system = assemble_galerkin(space, k, bc={"wall": "dirichlet"})
         fixed = np.setdiff1d(np.arange(space.ndof), system.free)
-        diag = np.abs(assembly._boundary_mass(space, k, {"wall"}).diagonal())
+        bd, _ = assembly._boundary_parts(space, k, {"wall"})
+        diag = np.abs(bd.diagonal())
         np.testing.assert_array_equal(
             fixed, np.flatnonzero(diag > 1e-12 * diag.max()))
         assert 0 < len(fixed) < space.ndof
+
+
+def counted_eval_basis(space):
+    """Make `space.eval_basis` record the element count of every call."""
+    calls = []
+    original = space.eval_basis
+
+    def counted(elems, pts):
+        calls.append(np.size(elems))
+        return original(elems, pts)
+
+    space.eval_basis = counted
+    return calls
+
+
+def separate_pass_galerkin_rhs(space, k, f, g, robin_tags):
+    """The Galerkin load from two passes of its own, each evaluating the
+    basis again: the source over the element batches, then the Robin
+    datum over the boundary batches, each summed into its own vector and
+    both added to zero."""
+    def load(batches, fn):
+        rhs = np.zeros(space.ndof, dtype=complex)
+        for elems, pts, w in batches:
+            vals, _ = space.eval_basis(elems, pts)
+            uq = np.asarray(fn(pts.reshape((-1,) + pts.shape[2:])),
+                            dtype=complex).reshape(w.shape)
+            np.add.at(rhs, space.dof_matrix()[elems],
+                      np.einsum("eq,eql->el", w * uq, np.conj(vals)))
+        return rhs
+
+    rule = space.volume_rule(k)
+    volume = ((elems,) + space.mesh.map_rule(elems, rule)
+              for elems in space.element_batches(len(rule.weights)))
+    rhs = np.zeros(space.ndof, dtype=complex)
+    if f is not None:
+        rhs += load(volume, f)
+    if g is not None:
+        rhs += load(assembly._boundary_batches(space, k, robin_tags), g)
+    return rhs
+
+
+def one_pass_cases():
+    """(space, k, f, g, bc, Robin tags): 1D H1 with f = 1 and a Dirichlet
+    end, and the 2D square with plane-wave Robin data."""
+    k = 10.0
+    line = h1_space(uniform_interval_mesh(64), 3)
+    one = lambda x: np.ones(x.shape[0], dtype=complex)
+    yield (line, k, one, lambda x: np.full(x.shape[0], 0.5 - 2j),
+           {"left": "dirichlet", "right": "robin"}, {"right"})
+    square = h1_space(triangulate(unit_square(), 0.25), 2)
+    g = methods.plane_wave_problem(4.0).g
+    yield square, 4.0, None, g, {}, {"robin"}
+
+
+class TestOnePassGalerkin:
+    @pytest.mark.parametrize("case", [0, 1], ids=["1d_source_dirichlet",
+                                                 "2d_robin"])
+    def test_one_basis_evaluation_per_batch(self, case, monkeypatch):
+        # small batches: several volume and boundary batches per pass
+        monkeypatch.setattr(spaces, "_BATCH_ENTRIES", 600)
+        space, k, f, g, bc, robin = list(one_pass_cases())[case]
+        n_volume = len(list(space.element_batches(
+            len(space.volume_rule(k).weights))))
+        n_boundary = len(list(assembly._boundary_batches(space, k, robin)))
+        calls = counted_eval_basis(space)
+        assemble_galerkin(space, k, f=f, g=g, bc=bc)
+        # the 2D polynomial matrices come from reference tables, so a
+        # source-free 2D system evaluates the basis on the boundary only
+        expect = n_boundary + (n_volume if f is not None else 0)
+        assert n_volume > 1 and n_boundary >= 1
+        assert len(calls) == expect
+
+    @pytest.mark.parametrize("case", [0, 1], ids=["1d_source_dirichlet",
+                                                 "2d_robin"])
+    def test_load_equals_separate_passes_bitwise(self, case):
+        space, k, f, g, bc, robin = list(one_pass_cases())[case]
+        system = assemble_galerkin(space, k, f=f, g=g, bc=bc)
+        want = separate_pass_galerkin_rhs(space, k, f, g, robin)
+        assert system.rhs.tobytes() == want.tobytes()
+
+    def test_meta_holds_only_what_is_read(self):
+        k = 3.0
+        mesh = triangulate(unit_square(), 0.5)
+        tz = trefftz_space(mesh, k, PlaneWaveBasis(k=k, p=3))
+        g = lambda pts: np.exp(1j * k * pts[:, 0])
+        assert set(assemble_galerkin(h1_space(mesh, 1), k).meta) == {
+            "dim", "boundary_mass"}
+        assert set(assemble_least_squares(tz, k, g).meta) == {
+            "w1", "w2", "g_norm2"}
+        assert assemble_pwdg(tz, k, g, uwvf_fluxes()).meta == {}
 
 
 class TestPwdg:

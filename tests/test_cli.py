@@ -7,6 +7,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helmholtz_lab
 from helmholtz_lab import cli, meshing
@@ -139,6 +141,65 @@ class TestConfigParsing:
         assert names == set(cli._KEY_PARSERS)
 
 
+# Values per key for the config fuzz: valid ones, values out of range,
+# of the wrong type, non-finite and empty.
+FUZZ_VALUES = {
+    "preset": list(cli.PRESETS) + ["nope"],
+    "method": list(cli._METHODS) + ["bem"],
+    "domain": list(cli._DOMAINS) + ["disk"],
+    "exact": list(cli._EXACT) + ["none"],
+    "k": ["1", "4,40", "0.5", "nan", "", "a"],
+    "p": ["1", "1,2,3", "0", "-1", "", "1.5"],
+    "h": ["0.5", "0.25,0.125", "0", "-0.5", "1e-320", "inf", "nan", ""],
+    "n_elements": ["4", "4,8", "0", "-3", "", "x"],
+    "sigma": ["0.125", "0", "1", "2", "nan"],
+    "layers": ["1", "10", "0", "-1", "2.5"],
+    "corners": ["0,0", "0,0; 1,1", "1", "0,0,0", ";", "a,b"],
+    "flux": ["uwvf", "hmp", "h_version", "bad"],
+    "alpha": ["0.5", "0", "-1", "inf"],
+    "beta": ["0.5", "0", "nan"],
+    "delta": ["0.25", "0", "1", "1.5"],
+    "w1": ["2", "0", "-1", "nan"],
+    "w2": ["1", "0", "1e400"],
+    "strategy": list(cli._STRATEGIES) + ["cg"],
+    "svd_cutoff": ["1e-12", "0", "-1", "nan"],
+    "khp": ["0.25", "0", "-1", "inf"],
+    "robin_sign": ["1", "-1", "0", "2"],
+    "out": ["res.csv", ""],
+    "threads": ["1", "2", "0", "-1", "x"],
+    "timing": ["true", "false", "maybe"],
+}
+
+
+@st.composite
+def fuzzed_configs(draw):
+    """A preset's keys with up to two dropped and up to three set to
+    values from FUZZ_VALUES."""
+    raw = dict(cli.PRESETS[draw(st.sampled_from(sorted(cli.PRESETS)))])
+    for key in draw(st.sets(st.sampled_from(sorted(raw)), max_size=2)):
+        del raw[key]
+    for key in draw(st.sets(st.sampled_from(sorted(FUZZ_VALUES)),
+                            max_size=3)):
+        raw[key] = draw(st.sampled_from(FUZZ_VALUES[key]))
+    return raw
+
+
+class TestConfigFuzz:
+    @settings(derandomize=True, deadline=None, database=None,
+              max_examples=500)
+    @given(fuzzed_configs())
+    def test_config_builds_or_raises_config_error(self, raw):
+        try:
+            cfg = cli.build_config(raw)
+        except cli.ConfigError as exc:
+            assert exc.key in cli._KEY_PARSERS
+            return
+        assert cli.expand_runs(cfg)
+
+    def test_fuzz_covers_every_key(self):
+        assert set(FUZZ_VALUES) == set(cli._KEY_PARSERS)
+
+
 class TestWorkerCount:
     def test_env_override(self, monkeypatch):
         cfg = cli.build_config({"method": "fem", "domain": "interval",
@@ -242,6 +303,48 @@ class TestRunCommand:
         assert cli.main(["run", path]) == 2
         assert f"'{key}'" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("method, key, value", [
+        ("fem", "svd_cutoff", "1e-10"), ("approx", "strategy", "dense_lu"),
+        ("infsup", "strategy", "dense_lu"), ("nodal", "p", "2"),
+        ("infsup", "h", "0.1"), ("infsup", "n_elements", "8"),
+        ("nodal", "h", "0"), ("nodal", "h", "-0.5"), ("nodal", "h", "1e-320"),
+        ("approx", "robin_sign", "1"), ("fem", "corners", "0,0"),
+        ("fem", "corners", "1"), ("approx", "h", "0.5,0.25"),
+        ("fem", "h", "0"), ("fem", "h", ""), ("nodal", "n_elements", ""),
+        ("fem", "k", "nan"), ("fem", "sigma", "inf"),
+    ])
+    def test_key_refused_exit_2(self, tmp_path, capsys, method, key, value):
+        base = {"fem": "method = fem\ndomain = lshape\nk = 2\np = 1\n"
+                       "h = 0.5\nsigma = 0.5\nlayers = 1\n",
+                "nodal": "method = nodal\nk = 10\nh = 0.0625\n",
+                "infsup": "method = infsup\nk = 4\np = 1\n",
+                "approx": "method = approx\nk = 4\np = 1,2\n"}[method]
+        if key == "corners" and value == "0,0":
+            # a corner list without grading is never read
+            base = base.replace("sigma = 0.5\nlayers = 1\n", "")
+        out = tmp_path / "res.csv"
+        lines = [line for line in base.splitlines()
+                 if not line.startswith(f"{key} =")]
+        path = write_config(tmp_path, "\n".join(lines) + f"\n{key} = {value}"
+                            f"\nout = {out}\n")
+        assert cli.main(["run", path]) == 2
+        assert f"'{key}'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_preset_key_refused_for_overriding_method(self):
+        with pytest.raises(cli.ConfigError) as err:
+            cli.build_config({"preset": "fig1_1d_pollution",
+                              "method": "nodal"})
+        assert err.value.key == "p"
+        assert "preset 'fig1_1d_pollution'" in str(err.value)
+
+    def test_graded_2d_fem_reads_corners(self):
+        cfg = cli.build_config({"method": "fem", "domain": "lshape",
+                                "k": "2", "p": "1", "h": "0.5",
+                                "sigma": "0.5", "layers": "1",
+                                "corners": "0,0; 1,1"})
+        assert cfg["corners"] == [(0.0, 0.0), (1.0, 1.0)]
 
     def test_config_error_exit_2(self, tmp_path, capsys):
         path = write_config(

@@ -204,6 +204,17 @@ class TestGeometricRefine:
         with pytest.raises(ValueError):
             geometric_refine(mesh, [(0.0, 0.0)], 1.5, 2)
 
+    @pytest.mark.parametrize("corner", [0.5, (0.5,), (0.5, 0.5, 0.0)])
+    def test_rejects_corner_of_other_dimension_2d(self, corner):
+        # a lone coordinate must not be read as the node (0.5, 0.5)
+        mesh = triangulate(l_shape(), 0.5)
+        with pytest.raises(ValueError, match="coordinate"):
+            geometric_refine(mesh, [corner], 0.5, 2)
+
+    def test_rejects_2d_corner_in_1d(self):
+        with pytest.raises(ValueError, match="coordinate"):
+            geometric_refine(uniform_interval_mesh(4), [(0.0, 0.0)], 0.5, 2)
+
 
 def _side_tags_reference(mesh, domain):
     """Per-edge tags from the polygon itself: each boundary edge takes the

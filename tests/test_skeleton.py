@@ -31,7 +31,8 @@ def g_data(pts):
 @pytest.fixture(scope="module")
 def mesh():
     mesh = geometric_refine(triangulate(l_shape(), 0.5), [(0.0, 0.0)], 0.25, 2)
-    rule_sizes = {len(assembly.edge_rule(K, h)[0]) for h in mesh.edge_lengths}
+    space = make_space(mesh, "pw")
+    rule_sizes = {len(space.edge_rule(K, h).weights) for h in mesh.edge_lengths}
     assert len(rule_sizes) >= 3
     return mesh
 
@@ -62,8 +63,8 @@ def edge_traces(space, edge, t):
 
 def edges_with_rules(space):
     for edge in space.mesh.interior_edges() + space.mesh.boundary_edges():
-        t, w = assembly.edge_rule(K, edge.length)
-        yield edge, t, edge.length * w
+        rule = space.edge_rule(K, edge.length)
+        yield edge, rule.points, edge.length * rule.weights
 
 
 def least_squares_reference(space, w1=K, w2=1.0):

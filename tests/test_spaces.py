@@ -759,6 +759,46 @@ def plane_wave_exp(basis, y):
     return phase, 1j * basis.k * phase[..., None] * d
 
 
+# Pinned sizes of each space's volume, error and edge rules and its
+# reported order: H1 and the nodally exact space at k = 10 on 8
+# intervals, the 2D spaces at k = 4 on the unit square at h = 0.5 (edges
+# of length h).  Any change of a rule moves CSV values.
+RULE_CASES = (
+    [(f"h1_1d_p{p}", v, e, None, p)
+     for p, v, e in ((1, 3, 7), (2, 4, 8), (3, 5, 9), (4, 6, 10))]
+    + [(f"h1_2d_p{p}", (p + 2) ** 2, (p + 9) ** 2, p + 11, p)
+       for p in range(1, 11)]
+    + [("nodal", 11, 7, None, 1), ("pum", 225, 324, 12, 3),
+       ("pw", 225, 196, 12, 5), ("ghp", 225, 256, 12, 7)])
+
+
+def rule_case_space(name):
+    if name.startswith("h1_1d") or name == "nodal":
+        mesh = uniform_interval_mesh(8)
+        return (h1_space(mesh, int(name[-1])) if name != "nodal"
+                else nodally_exact_space_1d(mesh, 10.0)), 10.0
+    mesh = triangulate(unit_square(), 0.5)
+    if name.startswith("h1_2d"):
+        return h1_space(mesh, int(name.split("_p")[1])), 4.0
+    if name == "pum":
+        return pum_space(mesh, 4.0, PlaneWaveBasis(k=4.0, p=3)), 4.0
+    local = (PlaneWaveBasis(k=4.0, p=5) if name == "pw"
+             else GhpBasis(k=4.0, p=3))
+    return trefftz_space(mesh, 4.0, local), 4.0
+
+
+@pytest.mark.parametrize("name, volume, error, edge, order", RULE_CASES,
+                         ids=[case[0] for case in RULE_CASES])
+def test_rules_and_order_of_every_space_kind(name, volume, error, edge,
+                                             order):
+    space, k = rule_case_space(name)
+    assert len(space.volume_rule(k).weights) == volume
+    assert len(space.error_rule(k).weights) == error
+    if edge is not None:
+        assert len(space.edge_rule(k, space.mesh.h).weights) == edge
+    assert space.order == order
+
+
 class TestPhaseFromCosSin:
     @BYTES_SETTINGS
     @given(st.lists(st.floats(-1e4, 1e4), min_size=1, max_size=60))
