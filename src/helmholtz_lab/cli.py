@@ -6,10 +6,16 @@ separated ("k = 1,10,100").  Every run emits one CSV row per
 convergence slopes per series are printed to standard output.  Rows are
 computed by a worker pool but always written in sorted order, so a given
 config reproduces its CSV byte for byte.
+
+Two tables hold what the harness knows: `_METHODS` gives each method's
+keys, domains, swept lists and row runner, and `_PROBLEMS` gives the
+problem builder of each (domain, exact solution) pair.
 """
 
 import argparse
+import collections
 import concurrent.futures
+import itertools
 import math
 import os
 import sys
@@ -29,9 +35,6 @@ COLUMNS = [
     "nodal_max", "gamma_n", "solve_residual", "wall_ms", "error",
 ]
 
-_METHODS = ("fem", "nodal", "ls", "uwvf", "infsup", "approx")
-_DOMAINS = ("interval", "square", "lshape")
-_EXACT = ("model1d", "pw2d", "bessel_singular")
 _STRATEGIES = ("sparse_lu", "dense_lu", "truncated_svd")
 
 # Primary error column used when fitting slopes for a method's series.
@@ -124,6 +127,157 @@ PRESET_INFO = {
                        "wave-adapted 1D space; nodal errors at machine"
                        " scale"),
 }
+
+
+# -- problems and methods --------------------------------------------------------
+
+# The problem builder of each (domain, exact) pair, called as
+# builder(k, robin_sign=s).  A domain's first entry is its default exact
+# solution.
+_PROBLEMS = {
+    ("interval", "model1d"): methods.model_problem_1d,
+    ("square", "pw2d"): methods.plane_wave_problem,
+    ("lshape", "bessel_singular"): methods.lshape_singular_problem,
+    ("lshape", "pw2d"): methods.lshape_plane_wave_problem,
+}
+_DOMAINS = tuple(dict.fromkeys(domain for domain, _ in _PROBLEMS))
+_EXACT = tuple(dict.fromkeys(exact for _, exact in _PROBLEMS))
+
+
+def _problem(cfg, k):
+    builder = _PROBLEMS[cfg["domain"], cfg["exact"]]
+    return builder(k, robin_sign=cfg["robin_sign"])
+
+
+def _report_into_row(row, out):
+    rep = out.report
+    row["h"] = rep.h
+    row["p"] = rep.p
+    row["dofs"] = rep.dofs
+    row["n_lambda"] = rep.n_lambda
+    row["err_h1semi_rel"] = rep.h1_semi_rel
+    row["err_l2_rel"] = rep.l2_rel
+    row["err_1k_rel"] = rep.norm_1k_rel
+    row["err_dg"] = rep.dg_norm
+    row["j_value"] = rep.j_value
+    row["nodal_max"] = rep.nodal_max
+    row["solve_residual"] = out.checks.get("solve_residual")
+
+
+# Each runner fills one row; `row["h"]` arrives as the task's mesh size
+# (1/n_elements on the interval).
+
+
+def _run_fem(cfg, task, row):
+    problem = _problem(cfg, task["k"])
+    mesh = meshing.triangulate(problem.domain, row["h"])
+    if cfg["sigma"] is not None:
+        mesh = meshing.geometric_refine(mesh, cfg["corners"] or [(0.0, 0.0)],
+                                        cfg["sigma"], cfg["layers"])
+        row["sigma"] = cfg["sigma"]
+        row["L"] = cfg["layers"]
+    space = spaces.h1_space(mesh, task["p"])
+    out = methods.solve_fem(problem, space, strategy=cfg["strategy"])
+    _report_into_row(row, out)
+
+
+def _run_nodal(cfg, task, row):
+    out = methods.solve_nodally_exact_1d(_problem(cfg, task["k"]),
+                                         task["n_elements"],
+                                         strategy=cfg["strategy"])
+    _report_into_row(row, out)
+
+
+def _trefftz_space(problem, task):
+    mesh = meshing.triangulate(problem.domain, task["h"])
+    basis = spaces.PlaneWaveBasis(task["k"], task["p"])
+    return spaces.trefftz_space(mesh, task["k"], basis)
+
+
+def _run_ls(cfg, task, row):
+    problem = _problem(cfg, task["k"])
+    out = methods.solve_least_squares(
+        problem, _trefftz_space(problem, task), w1=cfg["w1"], w2=cfg["w2"],
+        strategy=cfg["strategy"], svd_cutoff=cfg["svd_cutoff"])
+    _report_into_row(row, out)
+
+
+def _run_uwvf(cfg, task, row):
+    problem = _problem(cfg, task["k"])
+    flux = (cfg["flux_params"] if cfg["flux_params"] is not None
+            else cfg["flux"])
+    out = methods.solve_pwdg(problem, _trefftz_space(problem, task),
+                             flux=flux, strategy=cfg["strategy"])
+    _report_into_row(row, out)
+
+
+def _run_infsup(cfg, task, row):
+    k, p = task["k"], task["p"]
+    problem = _problem(cfg, k)
+    n = max(p, round(k / (cfg["khp"] * p)))
+    mesh = meshing.triangulate(problem.domain, 1.0 / n)
+    space = spaces.h1_space(mesh, p)
+    system = assembly.assemble_galerkin(
+        space, k, f=problem.f, g=problem.g, bc=problem.bc,
+        robin_sign=problem.robin_sign)
+    gram = assembly.assemble_gram_1k(space, k)
+    a_mat, g_mat = system.A, gram
+    if system.free is not None:
+        a_mat = a_mat[system.free][:, system.free]
+        g_mat = g_mat[system.free][:, system.free]
+    nfree = a_mat.shape[0]
+    row["h"] = mesh.h
+    row["dofs"] = nfree
+    row["n_lambda"] = meshing.n_lambda(nfree, k, 1)
+    row["gamma_n"] = assembly.infsup_probe(a_mat, g_mat)
+
+
+def _run_approx(cfg, task, row):
+    k = task["k"]
+    angle = 0.3
+    target = methods.plane_wave_2d(
+        k, direction=(math.cos(angle), math.sin(angle)))
+    target_h = cfg["h"][0] if cfg["h"] else 0.35
+    (rec,) = methods.approx_study(
+        target, task["kind"], "p_sweep", orders=[task["p"]],
+        target_h=target_h, cutoff=cfg["svd_cutoff"])
+    row["p"] = rec["p"]
+    row["h"] = rec["h"]
+    row["dofs"] = rec["dofs"]
+    row["n_lambda"] = meshing.n_lambda(rec["dofs"], k, 2)
+    row["err_h1semi_rel"] = rec["err_h1semi_rel"]
+    row["err_l2_rel"] = rec["err_l2_rel"]
+    row["err_1k_rel"] = rec["err_1k_rel"]
+
+
+# Per method: the keys it reads on top of _COMMON_KEYS, the domains it
+# runs on (a single one is the default), the config lists whose product
+# gives its rows, and the runner that fills one row.  A list the config
+# leaves unset (h on the interval, n_elements in 2D) is not swept; `kind`
+# is the pair of local bases of the approximation study.
+_Method = collections.namedtuple("_Method", "reads domains sweeps run")
+
+_METHODS = {
+    "fem": _Method({"p", "h", "n_elements", "sigma", "layers", "corners",
+                    "robin_sign", "strategy"},
+                   _DOMAINS, ("k", "p", "n_elements", "h"), _run_fem),
+    "nodal": _Method({"h", "n_elements", "robin_sign", "strategy"},
+                     ("interval",), ("k", "p", "n_elements"), _run_nodal),
+    "ls": _Method({"p", "h", "w1", "w2", "strategy", "svd_cutoff"},
+                  ("square",), ("k", "p", "h"), _run_ls),
+    "uwvf": _Method({"p", "h", "flux", "alpha", "beta", "delta", "strategy"},
+                    ("square",), ("k", "p", "h"), _run_uwvf),
+    "infsup": _Method({"p", "khp", "robin_sign"},
+                      ("interval",), ("k", "p"), _run_infsup),
+    "approx": _Method({"p", "h", "svd_cutoff"},
+                      ("square",), ("kind", "k", "p"), _run_approx),
+}
+
+# The keys every method reads; a config giving a key neither these nor
+# its method's reads name, by itself or through its preset, is refused
+# rather than silently ignored.
+_COMMON_KEYS = {"preset", "method", "domain", "exact", "k", "out", "threads",
+                "timing"}
 
 
 # -- config parsing ------------------------------------------------------------
@@ -241,25 +395,10 @@ def parse_config_text(text):
     return raw
 
 
-# The keys every method reads, and on top of them the keys each method
-# reads; a config giving any other key, by itself or through its preset,
-# is refused rather than silently ignored.
-_COMMON_KEYS = {"preset", "method", "domain", "exact", "k", "out", "threads",
-                "timing"}
-_METHOD_READS = {
-    "fem": {"p", "h", "n_elements", "sigma", "layers", "corners",
-            "robin_sign", "strategy"},
-    "nodal": {"h", "n_elements", "robin_sign", "strategy"},
-    "ls": {"p", "h", "w1", "w2", "strategy", "svd_cutoff"},
-    "uwvf": {"p", "h", "flux", "alpha", "beta", "delta", "strategy"},
-    "infsup": {"p", "khp", "robin_sign"},
-    "approx": {"p", "h", "svd_cutoff"},
-}
-
-_DOMAIN_DEFAULT = {"fem": None, "nodal": "interval", "ls": "square",
-                   "uwvf": "square", "infsup": "interval", "approx": "square"}
-_EXACT_DEFAULT = {"interval": "model1d", "square": "pw2d",
-                  "lshape": "bessel_singular"}
+def _check_mesh_sizes(hs):
+    # checked before an interval run turns h into 1/h elements
+    if not all(h > 0 and 1.0 / h < math.inf for h in hs):
+        raise ConfigError("h", "mesh sizes must be positive with a finite 1/h")
 
 
 def build_config(raw):
@@ -281,33 +420,30 @@ def build_config(raw):
     method = cfg["method"]
     if method is None:
         raise ConfigError("method", "required (or give a preset)")
+    spec = _METHODS[method]
     for key in merged:
-        if key not in _COMMON_KEYS | _METHOD_READS[method]:
+        if key not in _COMMON_KEYS | spec.reads:
             origin = "" if key in raw else f" (set by preset '{preset}')"
             raise ConfigError(key, f"method '{method}' never reads it{origin}")
     if cfg["domain"] is None:
-        cfg["domain"] = _DOMAIN_DEFAULT[method]
-        if cfg["domain"] is None:
+        if len(spec.domains) > 1:
             raise ConfigError("domain", f"required for method '{method}'")
+        cfg["domain"] = spec.domains[0]
     domain = cfg["domain"]
-    if method in ("nodal", "infsup") and domain != "interval":
-        raise ConfigError("domain", f"method '{method}' runs on the interval")
-    if method in ("ls", "uwvf", "approx") and domain != "square":
-        raise ConfigError("domain", f"method '{method}' runs on the square")
+    if domain not in spec.domains:
+        raise ConfigError("domain", f"method '{method}' runs on the "
+                                    f"{' or '.join(spec.domains)}")
 
     if not cfg["k"]:
         raise ConfigError("k", "must be a non-empty list")
     if any(k < 1.0 for k in cfg["k"]):
         raise ConfigError("k", "wavenumbers below 1 are not supported")
 
+    exacts = [exact for dom, exact in _PROBLEMS if dom == domain]
     if cfg["exact"] is None:
-        cfg["exact"] = _EXACT_DEFAULT[domain]
-    if domain == "interval" and cfg["exact"] != "model1d":
-        raise ConfigError("exact", "interval runs use the model1d solution")
-    if domain == "square" and cfg["exact"] != "pw2d":
-        raise ConfigError("exact", "square runs use the pw2d solution")
-    if domain == "lshape" and cfg["exact"] == "model1d":
-        raise ConfigError("exact", "model1d is one dimensional")
+        cfg["exact"] = exacts[0]
+    if cfg["exact"] not in exacts:
+        raise ConfigError("exact", f"{domain} runs use {' or '.join(exacts)}")
 
     if not cfg["p"]:
         if method not in ("nodal", "infsup"):
@@ -323,21 +459,16 @@ def build_config(raw):
         raise ConfigError("h", "give either h or n_elements, not both")
     if cfg["n_elements"] is not None and domain != "interval":
         raise ConfigError("n_elements", "element counts are for interval runs")
-    # checked before an interval run turns h into 1/h elements
-    if cfg["h"] is not None and not all(h > 0 and 1.0 / h < math.inf
-                                        for h in cfg["h"]):
-        raise ConfigError("h", "mesh sizes must be positive with a finite 1/h")
-    if method in ("fem", "nodal"):
-        if domain == "interval":
-            if cfg["n_elements"] is None:
-                if cfg["h"] is None:
-                    raise ConfigError("n_elements",
-                                      "interval runs need n_elements or h")
-                cfg["n_elements"] = [max(1, round(1.0 / h)) for h in cfg["h"]]
-                cfg["h"] = None
-        elif cfg["h"] is None:
-            raise ConfigError("h", f"method '{method}' needs an h list")
-    if method in ("ls", "uwvf") and cfg["h"] is None:
+    if cfg["h"] is not None:
+        _check_mesh_sizes(cfg["h"])
+    if "n_elements" in spec.sweeps and domain == "interval":
+        if cfg["n_elements"] is None:
+            if cfg["h"] is None:
+                raise ConfigError("n_elements",
+                                  "interval runs need n_elements or h")
+            cfg["n_elements"] = [max(1, round(1.0 / h)) for h in cfg["h"]]
+            cfg["h"] = None
+    elif "h" in spec.sweeps and cfg["h"] is None:
         raise ConfigError("h", f"method '{method}' needs an h list")
     if method == "approx" and cfg["h"] is not None and len(cfg["h"]) > 1:
         raise ConfigError("h", "method 'approx' reads a single mesh size")
@@ -350,7 +481,7 @@ def build_config(raw):
         raise ConfigError("corners", "corners are read only for grading, "
                                      "with sigma and layers")
     if cfg["sigma"] is not None:
-        if method != "fem" or domain == "interval":
+        if domain == "interval":
             raise ConfigError("sigma", "grading applies to 2D fem runs")
         if not 0.0 < cfg["sigma"] < 1.0:
             raise ConfigError("sigma", "grading factor must be in (0, 1)")
@@ -379,6 +510,9 @@ def build_config(raw):
     if cfg["flux"] is None:
         cfg["flux"] = "uwvf"
 
+    for key in ("w1", "w2", "svd_cutoff"):
+        if cfg[key] is not None and not cfg[key] > 0.0:
+            raise ConfigError(key, "must be positive")
     if cfg["strategy"] is None:
         cfg["strategy"] = "truncated_svd" if method == "ls" else "sparse_lu"
     if cfg["svd_cutoff"] is None:
@@ -387,6 +521,8 @@ def build_config(raw):
         cfg["khp"] = 0.25
     if cfg["khp"] <= 0:
         raise ConfigError("khp", "resolution ratio must be positive")
+    # the two local bases of the approximation study, swept by `approx`
+    cfg["kind"] = ["pw", "ghp"]
 
     if cfg["out"] is None:
         cfg["out"] = "results.csv"
@@ -418,207 +554,33 @@ def _worker_count(cfg):
 
 
 def expand_runs(cfg):
-    """Cartesian sweep of the config into per-run task dicts."""
+    """Cartesian sweep of the config: one task dict per CSV row."""
     method = cfg["method"]
-    tasks = []
-    if method in ("fem", "nodal"):
-        res_axis = (cfg["n_elements"] if cfg["n_elements"] is not None
-                    else cfg["h"])
-        res_key = "n" if cfg["n_elements"] is not None else "h"
-        orders = [1] if method == "nodal" else cfg["p"]
-        for k in cfg["k"]:
-            for p in orders:
-                for res in res_axis:
-                    tasks.append({"method": method, "k": k, "p": p,
-                                  res_key: res})
-    elif method in ("ls", "uwvf"):
-        for k in cfg["k"]:
-            for p in cfg["p"]:
-                for h in cfg["h"]:
-                    tasks.append({"method": method, "k": k, "p": p, "h": h})
-    elif method == "infsup":
-        for k in cfg["k"]:
-            for p in cfg["p"]:
-                tasks.append({"method": method, "k": k, "p": p})
-    elif method == "approx":
-        for kind in ("pw", "ghp"):
-            for k in cfg["k"]:
-                tasks.append({"method": method, "kind": kind, "k": k})
-    return tasks
-
-
-def _blank_row(method_label, domain, k, p=None, h=None):
-    row = {name: None for name in COLUMNS}
-    row["method"] = method_label
-    row["domain"] = domain
-    row["k"] = float(k)
-    row["p"] = p
-    row["h"] = h
-    row["error"] = ""
-    return row
-
-
-def _grade_mesh(cfg, mesh):
-    if cfg["sigma"] is None:
-        return mesh
-    corners = cfg["corners"]
-    if corners is None:
-        corners = [(0.0, 0.0)]
-    return meshing.geometric_refine(mesh, corners, cfg["sigma"],
-                                    cfg["layers"])
-
-
-def _build_fem_problem(cfg, k):
-    domain = cfg["domain"]
-    if domain == "interval":
-        return methods.model_problem_1d(k, robin_sign=cfg["robin_sign"])
-    if domain == "square":
-        return methods.plane_wave_problem(k, robin_sign=cfg["robin_sign"])
-    if cfg["exact"] == "bessel_singular":
-        return methods.lshape_singular_problem(k)
-    return methods.lshape_plane_wave_problem(k, robin_sign=cfg["robin_sign"])
-
-
-def _report_into_row(row, out):
-    rep = out.report
-    row["h"] = rep.h
-    row["p"] = rep.p
-    row["dofs"] = rep.dofs
-    row["n_lambda"] = rep.n_lambda
-    row["err_h1semi_rel"] = rep.h1_semi_rel
-    row["err_l2_rel"] = rep.l2_rel
-    row["err_1k_rel"] = rep.norm_1k_rel
-    row["err_dg"] = rep.dg_norm
-    row["j_value"] = rep.j_value
-    row["nodal_max"] = rep.nodal_max
-    row["solve_residual"] = out.checks.get("solve_residual")
-
-
-def _run_fem(cfg, task, row):
-    k = task["k"]
-    problem = _build_fem_problem(cfg, k)
-    if cfg["domain"] == "interval":
-        mesh = meshing.triangulate(problem.domain, 1.0 / task["n"])
-    else:
-        mesh = meshing.triangulate(problem.domain, task["h"])
-        mesh = _grade_mesh(cfg, mesh)
-        if cfg["sigma"] is not None:
-            row["sigma"] = cfg["sigma"]
-            row["L"] = cfg["layers"]
-    space = spaces.h1_space(mesh, task["p"])
-    out = methods.solve_fem(problem, space, strategy=cfg["strategy"])
-    _report_into_row(row, out)
-
-
-def _run_nodal(cfg, task, row):
-    problem = methods.model_problem_1d(task["k"],
-                                       robin_sign=cfg["robin_sign"])
-    out = methods.solve_nodally_exact_1d(problem, task["n"],
-                                         strategy=cfg["strategy"])
-    _report_into_row(row, out)
-
-
-def _trefftz_space(cfg, task):
-    mesh = meshing.triangulate(meshing.unit_square(), task["h"])
-    basis = spaces.PlaneWaveBasis(task["k"], task["p"])
-    return spaces.trefftz_space(mesh, task["k"], basis)
-
-
-def _run_ls(cfg, task, row):
-    problem = methods.plane_wave_problem(task["k"])
-    space = _trefftz_space(cfg, task)
-    out = methods.solve_least_squares(
-        problem, space, w1=cfg["w1"], w2=cfg["w2"],
-        strategy=cfg["strategy"], svd_cutoff=cfg["svd_cutoff"])
-    _report_into_row(row, out)
-
-
-def _run_uwvf(cfg, task, row):
-    problem = methods.plane_wave_problem(task["k"])
-    space = _trefftz_space(cfg, task)
-    flux = (cfg["flux_params"] if cfg["flux_params"] is not None
-            else cfg["flux"])
-    out = methods.solve_pwdg(problem, space, flux=flux,
-                             strategy=cfg["strategy"])
-    _report_into_row(row, out)
-
-
-def _run_infsup(cfg, task, row):
-    k, p = task["k"], task["p"]
-    problem = methods.model_problem_1d(k, robin_sign=cfg["robin_sign"])
-    n = max(p, round(k / (cfg["khp"] * p)))
-    mesh = meshing.triangulate(problem.domain, 1.0 / n)
-    space = spaces.h1_space(mesh, p)
-    system = assembly.assemble_galerkin(
-        space, k, f=problem.f, g=problem.g, bc=problem.bc,
-        robin_sign=problem.robin_sign)
-    gram = assembly.assemble_gram_1k(space, k)
-    a_mat, g_mat = system.A, gram
-    if system.free is not None:
-        a_mat = a_mat[system.free][:, system.free]
-        g_mat = g_mat[system.free][:, system.free]
-    nfree = a_mat.shape[0]
-    row["h"] = mesh.h
-    row["dofs"] = nfree
-    row["n_lambda"] = meshing.n_lambda(nfree, k, 1)
-    row["gamma_n"] = assembly.infsup_probe(a_mat, g_mat)
-
-
-def _run_approx(cfg, task):
-    k = task["k"]
-    angle = 0.3
-    target = methods.plane_wave_2d(
-        k, direction=(math.cos(angle), math.sin(angle)))
-    target_h = cfg["h"][0] if cfg["h"] else 0.35
-    study = methods.approx_study(
-        target, task["kind"], "p_sweep", orders=cfg["p"],
-        target_h=target_h, cutoff=cfg["svd_cutoff"])
-    rows = []
-    for rec in study:
-        row = _blank_row(f"approx_{task['kind']}", cfg["domain"], k,
-                         p=rec["p"], h=rec["h"])
-        row["dofs"] = rec["dofs"]
-        row["n_lambda"] = meshing.n_lambda(rec["dofs"], k, 2)
-        row["err_h1semi_rel"] = rec["err_h1semi_rel"]
-        row["err_l2_rel"] = rec["err_l2_rel"]
-        row["err_1k_rel"] = rec["err_1k_rel"]
-        rows.append(row)
-    return rows
+    axes = [key for key in _METHODS[method].sweeps if cfg[key] is not None]
+    return [dict(zip(axes, values), method=method)
+            for values in itertools.product(*(cfg[key] for key in axes))]
 
 
 def _run_task(cfg, task):
-    """Execute one task; exceptions become error-flagged rows."""
-    method = task["method"]
-    label = method if method != "approx" else f"approx_{task['kind']}"
-    row = _blank_row(label, cfg["domain"], task["k"], p=task.get("p"),
-                     h=task.get("h"))
-    if "n" in task:
-        row["h"] = 1.0 / task["n"]
+    """Run one task into its CSV row; an exception flags the row."""
+    row = {name: None for name in COLUMNS}
+    row["method"] = task["method"] + (f"_{task['kind']}" if "kind" in task
+                                      else "")
+    row["domain"] = cfg["domain"]
+    row["k"] = float(task["k"])
+    row["p"] = task.get("p")
+    row["h"] = (1.0 / task["n_elements"] if "n_elements" in task
+                else task.get("h"))
+    row["error"] = ""
     started = time.perf_counter()
     try:
-        if method == "fem":
-            _run_fem(cfg, task, row)
-        elif method == "nodal":
-            _run_nodal(cfg, task, row)
-        elif method == "ls":
-            _run_ls(cfg, task, row)
-        elif method == "uwvf":
-            _run_uwvf(cfg, task, row)
-        elif method == "infsup":
-            _run_infsup(cfg, task, row)
-        elif method == "approx":
-            rows = _run_approx(cfg, task)
-            if cfg["timing"]:
-                elapsed = (time.perf_counter() - started) * 1e3
-                for sub in rows:
-                    sub["wall_ms"] = elapsed
-            return rows
+        _METHODS[task["method"]].run(cfg, task, row)
     except Exception as exc:
         row["error"] = _sanitize(f"{type(exc).__name__}: {exc}")
-        return [row]
+        return row
     if cfg["timing"]:
         row["wall_ms"] = (time.perf_counter() - started) * 1e3
-    return [row]
+    return row
 
 
 def _sanitize(text):
@@ -637,14 +599,11 @@ def _sort_key(row):
 def execute_runs(cfg, tasks):
     """Run all tasks on a worker pool; returns (sorted rows, failure flag)."""
     workers = _worker_count(cfg)
-    rows = []
     if workers == 1 or len(tasks) <= 1:
-        for task in tasks:
-            rows.extend(_run_task(cfg, task))
+        rows = [_run_task(cfg, task) for task in tasks]
     else:
         with concurrent.futures.ThreadPoolExecutor(workers) as pool:
-            for chunk in pool.map(lambda t: _run_task(cfg, t), tasks):
-                rows.extend(chunk)
+            rows = list(pool.map(lambda t: _run_task(cfg, t), tasks))
     rows.sort(key=_sort_key)
     failed = any(row["error"] for row in rows)
     return rows, failed
@@ -738,6 +697,23 @@ def run_config(cfg, echo=print):
 # -- commands ---------------------------------------------------------------------
 
 
+def _refuse(exc):
+    print(f"config error: {exc}", file=sys.stderr)
+    return 2
+
+
+def _run_raw(raw_config):
+    """Build and run the config `raw_config()` returns; exit 2 when the
+    config is refused."""
+    try:
+        cfg = build_config(raw_config())
+        _worker_count(cfg)
+    except ConfigError as exc:
+        return _refuse(exc)
+    _, code = run_config(cfg)
+    return code
+
+
 def cmd_run(path):
     try:
         with open(path) as fh:
@@ -745,30 +721,12 @@ def cmd_run(path):
     except OSError as exc:
         print(f"config error: cannot read '{path}': {exc}", file=sys.stderr)
         return 2
-    try:
-        cfg = build_config(parse_config_text(text))
-        _worker_count(cfg)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    _, code = run_config(cfg)
-    return code
+    return _run_raw(lambda: parse_config_text(text))
 
 
 def cmd_preset(name, out_dir):
-    if name not in PRESETS:
-        print(f"config error: key 'preset': unknown preset '{name}'",
-              file=sys.stderr)
-        return 2
-    try:
-        cfg = build_config({"preset": name})
-        _worker_count(cfg)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    cfg["out"] = os.path.join(out_dir, f"{name}.csv")
-    _, code = run_config(cfg)
-    return code
+    out = os.path.join(out_dir, f"{name}.csv")
+    return _run_raw(lambda: {"preset": name, "out": out})
 
 
 def cmd_list_presets():
@@ -779,41 +737,36 @@ def cmd_list_presets():
     return 0
 
 
-def cmd_mesh_dump(domain_name, h, grade):
+def _dump_mesh(domain_name, h_text, grade):
     builders = {
         "interval": meshing.unit_interval,
         "square": meshing.unit_square,
         "lshape": meshing.l_shape,
     }
-    if domain_name not in builders:
-        print(f"config error: key 'domain': '{domain_name}' is not one of "
-              f"{sorted(builders)}", file=sys.stderr)
-        return 2
-    try:
-        h = float(h)
-        if h <= 0:
-            raise ValueError
-    except ValueError:
-        print(f"config error: key 'h': expected a positive number, "
-              f"got '{h}'", file=sys.stderr)
-        return 2
-    domain = builders[domain_name]()
+    domain = builders[_KEY_PARSERS["domain"]("domain", domain_name)]()
+    h = _parse_float("h", h_text)
+    _check_mesh_sizes([h])
     mesh = meshing.triangulate(domain, h)
     if grade:
         try:
             sigma_text, layers_text = grade.split(",")
-            sigma = float(sigma_text)
-            layers = int(layers_text)
         except ValueError:
-            print("config error: key 'grade': expected 'sigma,layers'",
-                  file=sys.stderr)
-            return 2
+            raise ConfigError("grade", "expected 'sigma,layers'")
+        sigma = _parse_float("grade", sigma_text)
+        layers = _parse_int("grade", layers_text)
         corner = 0.0 if domain.dim == 1 else (0.0, 0.0)
         try:
             mesh = meshing.geometric_refine(mesh, [corner], sigma, layers)
         except ValueError as exc:
-            print(f"config error: key 'grade': {exc}", file=sys.stderr)
-            return 2
+            raise ConfigError("grade", str(exc))
+    return mesh
+
+
+def cmd_mesh_dump(domain_name, h_text, grade):
+    try:
+        mesh = _dump_mesh(domain_name, h_text, grade)
+    except ConfigError as exc:
+        return _refuse(exc)
     sys.stdout.write(meshing.mesh_to_text(mesh))
     return 0
 

@@ -273,11 +273,12 @@ def lshape_plane_wave_problem(k, direction=None, robin_sign=-1.0):
     )
 
 
-def lshape_singular_problem(k):
+def lshape_singular_problem(k, robin_sign=-1.0):
     """Corner-singular solution on the L-shape with mixed boundary layout.
 
     Homogeneous Neumann on the two legs meeting at the reentrant corner,
-    impedance data du/dn - ik u = g (sign variant s = -1) elsewhere.
+    impedance data du/dn + s ik u = g elsewhere; the sign variant defaults
+    to s = -1 like the other L-shape runs.
     """
     exact = bessel_singular(k)
     domain = meshing.l_shape(neumann_gamma=True)
@@ -285,9 +286,9 @@ def lshape_singular_problem(k):
         domain=domain,
         k=k,
         f=None,
-        g=impedance_data(exact, domain, robin_sign=-1.0),
+        g=impedance_data(exact, domain, robin_sign),
         bc={"neumann": "neumann", "robin": "robin"},
-        robin_sign=-1.0,
+        robin_sign=robin_sign,
         exact=exact,
     )
 

@@ -4,6 +4,8 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -129,16 +131,37 @@ class TestConfigParsing:
 
 
     def test_key_table_in_readme_matches_parsers(self):
-        readme = os.path.join(os.path.dirname(__file__), os.pardir,
-                              "README.md")
-        with open(readme) as fh:
-            text = fh.read()
+        text = _readme_text()
         table = text.split("### Config keys", 1)[1].split("###", 1)[0]
         names = set()
         for line in table.splitlines():
             if line.startswith("| `"):
                 names.update(re.findall(r"`([^`]+)`", line.split("|")[1]))
         assert names == set(cli._KEY_PARSERS)
+
+    def test_read_sets_in_readme_match_method_table(self):
+        text = _readme_text()
+        common = text.split("Every method reads", 1)[1].split(
+            "on top of them", 1)[0]
+        assert set(re.findall(r"`([^`]+)`", common)) == cli._COMMON_KEYS
+        table = text.split("| method | also reads |", 1)[1]
+        table = table.split("\n\n", 1)[0]
+        reads = {}
+        for line in table.splitlines():
+            cells = line.split("|")
+            if len(cells) > 2 and cells[1].strip() in cli._METHODS:
+                reads[cells[1].strip()] = set(re.findall(r"`([^`]+)`",
+                                                         cells[2]))
+        assert reads == {name: spec.reads
+                         for name, spec in cli._METHODS.items()}
+
+    @pytest.mark.parametrize("domain, exact", sorted(cli._PROBLEMS))
+    def test_every_problem_builder_honours_robin_sign(self, domain, exact):
+        for sign in (1.0, -1.0):
+            cfg = {"domain": domain, "exact": exact, "robin_sign": sign}
+            problem = cli._problem(cfg, 3.0)
+            assert problem.robin_sign == sign
+            assert problem.exact.id == exact
 
 
 # Values per key for the config fuzz: valid ones, values out of range,
@@ -305,6 +328,9 @@ class TestRunCommand:
         assert not out.exists()
 
     @pytest.mark.parametrize("method, key, value", [
+        ("ls", "w1", "-2"), ("ls", "w1", "0"), ("ls", "w2", "-1"),
+        ("ls", "svd_cutoff", "-1"), ("ls", "svd_cutoff", "0"),
+        ("approx", "svd_cutoff", "-1e-12"),
         ("fem", "svd_cutoff", "1e-10"), ("approx", "strategy", "dense_lu"),
         ("infsup", "strategy", "dense_lu"), ("nodal", "p", "2"),
         ("infsup", "h", "0.1"), ("infsup", "n_elements", "8"),
@@ -319,6 +345,7 @@ class TestRunCommand:
                        "h = 0.5\nsigma = 0.5\nlayers = 1\n",
                 "nodal": "method = nodal\nk = 10\nh = 0.0625\n",
                 "infsup": "method = infsup\nk = 4\np = 1\n",
+                "ls": "method = ls\nk = 4\np = 3\nh = 0.5\n",
                 "approx": "method = approx\nk = 4\np = 1,2\n"}[method]
         if key == "corners" and value == "0,0":
             # a corner list without grading is never read
@@ -384,6 +411,37 @@ class TestRunCommand:
         rows = _read_rows(out)
         assert float(rows[0]["wall_ms"]) > 0.0
 
+    def test_each_approx_row_times_itself(self, tmp_path):
+        out = tmp_path / "res.csv"
+        path = write_config(tmp_path, f"method = approx\nk = 4\np = 1,2,3\n"
+                                      f"h = 0.5\ntiming = true\n"
+                                      f"out = {out}\n")
+        assert cli.main(["run", path]) == 0
+        rows = _read_rows(out)
+        assert len(rows) == 6
+        times = [float(r["wall_ms"]) for r in rows]
+        assert all(t > 0.0 for t in times)
+        # one study per row: no row copies another row's time
+        assert len(set(times)) == len(times)
+
+    def test_approx_failure_flags_only_its_row(self, tmp_path, monkeypatch):
+        real = cli.methods.approx_study
+
+        def fail_at_p2(target, kind, mode, orders, **kw):
+            if orders == [2]:
+                raise RuntimeError("no basis")
+            return real(target, kind, mode, orders=orders, **kw)
+
+        monkeypatch.setattr(cli.methods, "approx_study", fail_at_p2)
+        out = tmp_path / "res.csv"
+        path = write_config(tmp_path, f"method = approx\nk = 4\np = 1,2,3\n"
+                                      f"h = 0.5\nout = {out}\n")
+        assert cli.main(["run", path]) == 3
+        rows = _read_rows(out)
+        assert [(r["method"], r["p"]) for r in rows if r["error"]] == [
+            ("approx_ghp", "2"), ("approx_pw", "2")]
+        assert all(r["err_1k_rel"] for r in rows if not r["error"])
+
 
 class TestPresets:
     def test_all_presets_expand_to_tasks(self):
@@ -391,6 +449,13 @@ class TestPresets:
             cfg = cli.build_config({"preset": name})
             tasks = cli.expand_runs(cfg)
             assert tasks, name
+
+    def test_approx_trefftz_expands_to_one_task_per_row(self):
+        tasks = cli.expand_runs(cli.build_config({"preset": "approx_trefftz"}))
+        assert len(tasks) == 20
+        assert sorted((t["kind"], t["p"]) for t in tasks) == sorted(
+            (kind, p) for kind in ("pw", "ghp") for p in range(1, 11))
+        assert all(t["method"] == "approx" and t["k"] == 8.0 for t in tasks)
 
     def test_preset_command_writes_named_csv(self, tmp_path):
         code = cli.main(["preset", "infsup_1d", "--out", str(tmp_path)])
@@ -438,6 +503,72 @@ class TestMeshDump:
         assert cli.main(["mesh-dump", "square", "0.5", "--grade",
                          "bogus"]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("args, key", [
+        ("square nan", "h"), ("interval 1e-320", "h"), ("square inf", "h"),
+        ("square 0", "h"), ("lshape -0.5", "h"), ("square x", "h"),
+        ("square 0.5 --grade nan,2", "grade"),
+        ("square 0.5 --grade 0.5,2.5", "grade"),
+        ("square 0.5 --grade 2,2", "grade"),
+        ("square 0.5 --grade 0.5,0", "grade"),
+        ("square 0.5 --grade 0.5,2,1", "grade"),
+    ])
+    def test_bad_value_exit_2_with_key_named(self, capsys, args, key):
+        assert cli.main(["mesh-dump"] + args.split()) == 2
+        captured = capsys.readouterr()
+        assert f"key '{key}'" in captured.err
+        assert captured.out == ""
+
+
+# Small configs of every method for the thread-count invariance: k <= 4,
+# p <= 3, h = 0.5, and on fem every (domain, exact) pair.
+@st.composite
+def small_configs(draw):
+    method = draw(st.sampled_from(sorted(cli._METHODS)))
+    reads = cli._METHODS[method].reads
+    ks = draw(st.lists(st.integers(1, 4), min_size=1, max_size=2,
+                       unique=True))
+    raw = {"method": method, "k": ",".join(map(str, ks))}
+    if "p" in reads:
+        ps = draw(st.lists(st.integers(1, 3), min_size=1, max_size=2,
+                           unique=True))
+        raw["p"] = ",".join(map(str, ps))
+    if "h" in reads and method != "infsup":
+        raw["h"] = "0.5"
+    if method == "fem":
+        raw["domain"], raw["exact"] = draw(st.sampled_from(
+            sorted(cli._PROBLEMS)))
+    if "robin_sign" in reads:
+        raw["robin_sign"] = draw(st.sampled_from(["1", "-1"]))
+    return raw
+
+
+class TestThreadInvariance:
+    @settings(derandomize=True, deadline=None, database=None,
+              max_examples=30)
+    @given(small_configs())
+    def test_csv_bytes_do_not_depend_on_thread_count(self, raw):
+        cfg = cli.build_config(raw)
+        tasks = cli.expand_runs(cfg)
+        outputs = []
+        with tempfile.TemporaryDirectory() as tmp, \
+                mock.patch.dict(os.environ):
+            os.environ.pop("HELMHOLTZ_THREADS", None)
+            for threads in (1, 3):
+                cfg["threads"] = threads
+                cfg["out"] = os.path.join(tmp, f"res{threads}.csv")
+                rows, _ = cli.run_config(cfg, echo=lambda line: None)
+                # one task, one CSV row
+                assert len(rows) == len(tasks)
+                with open(cfg["out"], "rb") as fh:
+                    outputs.append(fh.read())
+        assert outputs[0] == outputs[1]
+
+
+def _readme_text():
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme) as fh:
+        return fh.read()
 
 
 def _read_rows(path):

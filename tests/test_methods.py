@@ -164,6 +164,7 @@ class TestExactSolutions:
         (methods.plane_wave_problem, {"k": 12.0}),
         (methods.lshape_singular_problem, {"k": 4.0}),
         (methods.lshape_plane_wave_problem, {"k": 6.0}),
+        (methods.lshape_singular_problem, {"k": 4.0, "robin_sign": 1.0}),
     ])
     def test_declared_solutions_verify(self, maker, kw):
         problem = maker(**kw)
