@@ -1,6 +1,9 @@
 """Tests for norms, error functionals, and rate fitting."""
 
 import math
+import sys
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -234,6 +237,171 @@ class TestRelativeErrors:
         assert all(abs(v - 1.0) < 1e-14 for v in clean)
 
 
+# -- the error pass on every space kind ---------------------------------------
+
+# Fixed example sequence, no example database: tier-1 runs stay the same.
+ERROR_PASS_SETTINGS = settings(derandomize=True, deadline=None, database=None,
+                               max_examples=4)
+
+# (kind, p) of every space the error pass runs on: H1 in 1D, the nodally
+# exact space, H1 in 2D on the square, the L-shape and a graded L-shape,
+# plane-wave and GHP Trefftz spaces, and PUM.
+ERROR_PASS_CASES = (
+    [("h1_1d", p) for p in range(1, 5)] + [("nodal", 1)]
+    + [(f"h1_{domain}", p) for domain in ("square", "lshape", "graded")
+       for p in range(1, 5)]
+    + [("pw", 7), ("ghp", 3), ("pum", 3)])
+
+
+@st.composite
+def error_pass_problems(draw, kind, p):
+    """A space of the given kind on a drawn mesh and wavenumber, random
+    coefficients, and a plane wave in a drawn direction as the
+    (values, gradients) callback: (space, coeffs, exact, k)."""
+    k = draw(st.floats(1.0, 8.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    theta = draw(st.floats(0.0, 2.0 * math.pi))
+    if kind in ("h1_1d", "nodal"):
+        mesh = meshing.uniform_interval_mesh(draw(st.integers(int(k) + 1, 12)))
+        space = (spaces.h1_space(mesh, p) if kind == "h1_1d"
+                 else spaces.nodally_exact_space_1d(mesh, k))
+        c = 1.0 if theta < math.pi else -1.0  # the direction on the line
+
+        def exact(pts):
+            u = np.exp(1j * k * c * pts)
+            return u, 1j * k * c * u
+    else:
+        h = draw(st.sampled_from([1.0, 0.5, 0.35]))
+        domain = meshing.unit_square() if kind in ("h1_square", "pw", "ghp",
+                                                   "pum") else meshing.l_shape()
+        mesh = meshing.triangulate(domain, h)
+        if kind == "h1_graded":
+            mesh = meshing.geometric_refine(mesh, [(0.0, 0.0)], 0.125, 4)
+        if kind.startswith("h1"):
+            space = spaces.h1_space(mesh, p)
+        elif kind == "pum":
+            space = spaces.pum_space(mesh, k, spaces.PlaneWaveBasis(k, p))
+        else:
+            local = (spaces.PlaneWaveBasis if kind == "pw"
+                     else spaces.GhpBasis)(k, p)
+            space = spaces.trefftz_space(mesh, k, local)
+        exact = methods.plane_wave_2d(k, (math.cos(theta),
+                                          math.sin(theta))).eval
+    return space, random_complex(rng, space.ndof), exact, k
+
+
+def abs_square_relative_errors(space, coeffs, exact, k, exclude_radius=0.0):
+    """The error pass with |.|^2 from np.abs, (E, Q) weight products and
+    axis sums, over one batch of all elements, and the 2D polynomial
+    gradients from a 2x2 product per element: the reference that the
+    BLAS reductions and the point-bounded batches must match."""
+    coeffs = np.asarray(coeffs, dtype=complex)
+    mesh = space.mesh
+    rule = space.error_rule(k)
+    elems = np.arange(mesh.n_elements)
+    pts, w = mesh.map_rule(elems, rule)
+    if exclude_radius > 0.0 and mesh.dim == 2:
+        pts, w = analysis._apply_exclusion(pts, w, exclude_radius,
+                                           mesh.centroids())
+    if isinstance(space, spaces.H1Space) and mesh.dim == 2:
+        vals, grads = space.reference_tables(rule.points)
+        c = coeffs[space.dof_matrix()] * space.orientation_signs()
+        u_n = c @ vals.T
+        g_n = (np.einsum("el,qlr->eqr", c, grads)
+               @ mesh.inv_jacobians_t().transpose(0, 2, 1))
+    else:
+        u_n, g_n = space.field(elems, coeffs, rule)
+    u_e, g_e = exact(pts.reshape((-1,) + pts.shape[2:]))
+    u_e = np.asarray(u_e, dtype=complex).reshape(w.shape)
+    g_e = np.asarray(g_e, dtype=complex).reshape(g_n.shape)
+    num_l2 = float(np.sum(w * np.abs(u_e - u_n) ** 2))
+    den_l2 = float(np.sum(w * np.abs(u_e) ** 2))
+    num_h1 = float(np.sum(w * (np.abs(g_e - g_n) ** 2).sum(axis=-1)))
+    den_h1 = float(np.sum(w * (np.abs(g_e) ** 2).sum(axis=-1)))
+    kk = k**2
+    return (math.sqrt(num_h1 / den_h1), math.sqrt(num_l2 / den_l2),
+            math.sqrt((kk * num_l2 + num_h1) / (kk * den_l2 + den_h1)))
+
+
+def volume_pass_bytes(space, k):
+    """Bytes of every volume-pass product: the Galerkin matrix, mass and
+    load with a source and Robin data for a conforming space, the (1,k)
+    projection system otherwise."""
+    def data(pts):
+        x = pts if pts.ndim == 1 else pts[:, 0] - 0.5 * pts[:, 1]
+        return np.exp(1j * k * x)
+
+    if space.conforming:
+        system = assembly.assemble_galerkin(space, k, f=data, g=data)
+        parts = (system.A, system.mass, system.rhs)
+    else:
+        system = assembly.assemble_projection_1k(
+            space, k, lambda pts: (data(pts), np.ones((len(pts), 2))))
+        parts = (system.A, system.rhs)
+    return [part.tobytes() if isinstance(part, np.ndarray)
+            else (part.indptr.tobytes(), part.indices.tobytes(),
+                  part.data.tobytes())
+            for part in parts]
+
+
+@pytest.mark.parametrize("exclude", [0.0, 0.3], ids=["full", "excluded"])
+@pytest.mark.parametrize("kind, p", ERROR_PASS_CASES,
+                         ids=[f"{kind}-p{p}" for kind, p in ERROR_PASS_CASES])
+class TestErrorPass:
+    @ERROR_PASS_SETTINGS
+    @given(data=st.data())
+    def test_matches_abs_square_reference(self, kind, p, exclude, data):
+        space, coeffs, exact, k = data.draw(error_pass_problems(kind, p))
+        got = analysis.relative_errors(space, coeffs, exact, k,
+                                       exclude_radius=exclude)
+        want = abs_square_relative_errors(space, coeffs, exact, k, exclude)
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+
+    # fewer examples: one element per batch makes each pass a Python loop
+    @settings(ERROR_PASS_SETTINGS, max_examples=2)
+    @given(data=st.data())
+    def test_batch_bound_moves_errors_at_roundoff_only(self, kind, p,
+                                                       exclude, data):
+        # One element's error points per batch, or the whole mesh in one
+        # batch: the error sums change order, the volume passes nothing.
+        space, coeffs, exact, k = data.draw(error_pass_problems(kind, p))
+
+        def run():
+            return (analysis.relative_errors(space, coeffs, exact, k,
+                                             exclude_radius=exclude),
+                    volume_pass_bytes(space, k))
+
+        errors, volume = run()
+        one_element = len(space.error_rule(k).weights)
+        for bound in (one_element, sys.maxsize):
+            with mock.patch.object(spaces, "_BATCH_POINTS", bound):
+                n_batches = len(list(space.element_batches(one_element)))
+                got_errors, got_volume = run()
+            assert n_batches == (space.mesh.n_elements
+                                 if bound == one_element else 1)
+            np.testing.assert_allclose(got_errors, errors, rtol=1e-14, atol=0)
+            assert got_volume == volume
+
+
+def test_error_pass_memory_is_bounded_by_the_batch():
+    # p=1 on the 192 x 192 square, the largest fem2d_h system (2.65M error
+    # points): one call's allocations stay those of one point-bounded
+    # batch, 12 MB, where batches bounded by table entries alone (333k
+    # points) peaked at 68 MB.
+    mesh = meshing.triangulate(meshing.unit_square(), 1.0 / 192)
+    space = spaces.h1_space(mesh, 1)
+    coeffs = random_complex(np.random.default_rng(3), space.ndof)
+    exact = methods.plane_wave_2d(40.0).eval
+    analysis.relative_errors(space, coeffs, exact, 40.0)  # fills mesh caches
+    tracemalloc.start()
+    try:
+        analysis.relative_errors(space, coeffs, exact, 40.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24e6
+
+
 class TestNodalMax:
     def test_exact_nodal_values(self):
         mesh = meshing.triangulate(meshing.unit_interval(), 0.1)
@@ -269,22 +437,31 @@ class TestDgNorm:
         assert analysis.dg_norm(space, np.zeros(space.ndof), flux, 6.0) == 0.0
         assert analysis.dg_plus_norm(space, np.zeros(space.ndof), flux, 6.0) == 0.0
 
-    @pytest.mark.parametrize("flux_name", ["uwvf", "hmp"])
-    def test_square_equals_imag_quadratic_form(self, flux_name):
+    @pytest.mark.parametrize("flux_name", ["uwvf", "hmp", "random"])
+    @settings(derandomize=True, deadline=None, database=None, max_examples=10)
+    @given(seed=st.integers(0, 2**16))
+    def test_square_equals_imag_quadratic_form(self, flux_name, seed):
+        # Im(x^H A x) of the PWDG matrix is the squared DG norm of x for
+        # every x and every admissible flux, here also random per-edge
+        # alpha, beta > 0 and delta in (0, 1)
         k = 6.0
         space = self.trefftz(k=k)
-        flux = (assembly.uwvf_fluxes() if flux_name == "uwvf"
-                else assembly.hmp_fluxes(space))
+        rng = np.random.default_rng(seed)
+        n_edges = len(space.mesh.edge_lengths)
+        flux = {
+            "uwvf": assembly.uwvf_fluxes,
+            "hmp": lambda: assembly.hmp_fluxes(space),
+            "random": lambda: assembly.FluxParams(
+                alpha=np.exp(rng.uniform(-2.0, 2.0, n_edges)),
+                beta=np.exp(rng.uniform(-2.0, 2.0, n_edges)),
+                delta=rng.uniform(0.05, 0.95, n_edges)),
+        }[flux_name]()
         system = assembly.assemble_pwdg(space, k, lambda pts: np.zeros(len(pts)),
                                         flux)
-        a = np.asarray(system.A.todense() if hasattr(system.A, "todense")
-                       else system.A)
-        rng = np.random.default_rng(5)
-        for _ in range(10):
-            v = random_complex(rng, space.ndof)
-            lhs = analysis.dg_norm(space, v, flux, k) ** 2
-            rhs = float(np.imag(np.vdot(v, a @ v)))
-            assert abs(lhs - rhs) < 1e-12 * abs(rhs)
+        v = random_complex(rng, space.ndof)
+        lhs = analysis.dg_norm(space, v, flux, k) ** 2
+        rhs = float(np.imag(np.vdot(v, system.A @ v)))
+        assert abs(lhs - rhs) < 1e-12 * abs(rhs)
 
     def test_single_element_closed_form(self):
         k = 4.0

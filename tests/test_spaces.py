@@ -1,12 +1,14 @@
 """Discrete spaces: dimensions, conformity, wave bases, evaluation."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helmholtz_lab import spaces
 from helmholtz_lab.meshing import (
     geometric_refine,
     l_shape,
@@ -818,3 +820,36 @@ class TestPhaseFromCosSin:
         y = np.random.default_rng(seed).uniform(-1.0, 1.0, (3, 5, 2))
         y[0, 0] = 0.0  # a point on the center: phase exactly 0 or -0
         assert_same_bytes(basis.eval(y), plane_wave_exp(basis, y))
+
+
+# -- element batches ----------------------------------------------------------
+
+BATCH_KINDS = ["h1_1d_p1", "h1_1d_p4", "nodal", "h1_2d_p1", "h1_2d_p4",
+               "pum", "pw", "ghp"]
+
+
+@pytest.mark.parametrize("name", BATCH_KINDS)
+@BYTES_SETTINGS
+@given(npts=st.integers(1, 400),
+       bounds=st.one_of(st.just((spaces._BATCH_POINTS, spaces._BATCH_ENTRIES)),
+                        st.tuples(st.integers(1, 4000),
+                                  st.integers(1, 200_000))))
+def test_element_batches_cover_the_mesh_within_both_bounds(name, npts,
+                                                           bounds):
+    # Every element once and in order; no batch of more than one element
+    # holds more than _BATCH_POINTS points (npts per element) or more than
+    # _BATCH_ENTRIES numbers in its basis gradients or local matrices; and
+    # every batch but the last is as large as the two bounds allow.
+    space, _ = rule_case_space(name)
+    max_points, max_entries = bounds
+    entries = max(npts * space.nloc * space.mesh.dim, space.nloc ** 2)
+
+    def fits(size):
+        return size * npts <= max_points and size * entries <= max_entries
+
+    with mock.patch.multiple(spaces, _BATCH_POINTS=max_points,
+                             _BATCH_ENTRIES=max_entries):
+        batches = list(space.element_batches(npts))
+    assert np.concatenate(batches).tolist() == list(range(space.mesh.n_elements))
+    assert all(len(b) == 1 or fits(len(b)) for b in batches)
+    assert all(not fits(len(b) + 1) for b in batches[:-1])
