@@ -4,8 +4,8 @@ Every matrix follows one convention: forms are linear in the first
 (trial) argument and conjugate-linear in the second (test) argument, and
 A[i, j] = form(b_j, b_i), so x^H A x is the quadratic form of x.  Every
 assembled matrix is a scipy CSR matrix summed from (row, col, value)
-triplets; only the dense solve strategies and the inf-sup probe make a
-dense copy, and they refuse systems above _DENSE_LIMIT unknowns.
+triplets; only the truncated SVD and the inf-sup probe make a dense
+copy, and they refuse systems above _DENSE_LIMIT unknowns.
 
 Every quadrature rule comes from the space (`space.volume_rule`,
 `space.edge_rule`), and so do the DOFs that a Dirichlet edge fixes
@@ -21,16 +21,19 @@ batches of edges that share an edge rule (`_edge_groups`; a structured
 mesh has three edge lengths), with both sides' traces from one batched
 `_edge_traces`.
 
-`solve` with 'sparse_lu' first factorizes in SuperLU's symmetric mode
-(a minimum-degree ordering of A + A^T, diagonal pivots), made for the
-complex symmetric Galerkin matrices, and keeps that solution only when
-it is finite with a relative residual of at most _LU_RESIDUAL_LIMIT;
-otherwise, and for every system assembled on a 1D mesh, it factorizes
-with COLAMD and partial pivoting.  'truncated_svd' runs the dense SVD
-only when a COLAMD LU cannot certify, through its residual and a 1-norm
-condition estimate, that truncation would drop nothing.  `SolveResult`
-records the path that ran, the LU ordering and fill, the estimate and
-the dropped singular values.
+`solve` has one path per kind of system.  Without an SVD cutoff (the
+square Galerkin and DG systems) it first factorizes in SuperLU's
+symmetric mode (a minimum-degree ordering of A + A^T, diagonal pivots),
+made for the complex symmetric Galerkin matrices, and keeps that
+solution only when it is finite with a relative residual of at most
+_LU_RESIDUAL_LIMIT; otherwise, and for every system assembled on a 1D
+mesh, it factorizes with COLAMD and partial pivoting.  With a cutoff
+(the possibly singular least-squares normal equations and Gram
+matrices) it runs the truncated SVD, but only when a COLAMD LU cannot
+certify, through its residual and a 1-norm condition estimate, that
+truncation would drop nothing.  `SolveResult` records the path that
+ran, the LU ordering and fill, the estimate and the dropped singular
+values.
 
 The Galerkin matrix, the L2 mass matrix and the (1,k) Gram matrix are all
 built from one set of shared parts (stiffness, mass, boundary mass), so
@@ -49,7 +52,7 @@ import scipy.sparse.linalg
 
 from . import spaces
 
-# Largest system the dense strategies and the inf-sup probe accept (a
+# Largest system the truncated SVD and the inf-sup probe accept (a
 # 4608 x 4608 complex matrix takes 340 MB); covers the plane-wave least
 # squares run at h = 1/16, p = 9.
 _DENSE_LIMIT = 4608
@@ -89,7 +92,7 @@ class SolveResult:
     estimate of the truncated-SVD certificate (None when none was made).
     `ordering` is the column ordering of the sparse LU that produced x
     ('MMD_AT_PLUS_A' in symmetric mode, 'COLAMD' otherwise; None on the
-    dense paths) and `lu_nnz` the entries SuperLU stores for its L and U
+    dense SVD) and `lu_nnz` the entries SuperLU stores for its L and U
     factors.
     """
 
@@ -631,24 +634,22 @@ def _certified_lu(A, rhs, svd_cutoff):
     return x, kappa, lu.nnz, residual
 
 
-def solve(system, strategy="sparse_lu", svd_cutoff=1e-12):
+def solve(system, svd_cutoff=None):
     """Solve the assembled system; returns the solution and its residual.
 
-    Strategies: 'sparse_lu' (default), 'dense_lu', and 'truncated_svd',
-    which returns the minimum-norm least-squares solution after zeroing
-    singular values below svd_cutoff * sigma_max (the rescue path for
-    badly conditioned Trefftz bases).  'sparse_lu' tries SuperLU's
-    symmetric mode first and falls back to COLAMD with partial pivoting
-    (`_sparse_lu`); systems whose meta['dim'] is 1 go to COLAMD directly.
-    'truncated_svd' first tries a COLAMD LU that certifies, by its
-    residual and a condition estimate, that no singular value would be
-    dropped (`_certified_lu`); only systems failing that certificate
-    reach the dense SVD.  `SolveResult.strategy` names the path that ran
-    ('sparse_lu' or 'truncated_svd' for this strategy), `ordering` and
-    `lu_nnz` the LU that produced x, `cond_est` carries the condition
+    Without `svd_cutoff`, a sparse LU: SuperLU's symmetric mode first,
+    falling back to COLAMD with partial pivoting (`_sparse_lu`); systems
+    whose meta['dim'] is 1 go to COLAMD directly.  With it, the
+    minimum-norm least-squares solution after zeroing singular values
+    below svd_cutoff * sigma_max, for numerically singular normal
+    equations and Gram matrices of wave-based bases: a COLAMD LU that
+    certifies, by its residual and a condition estimate, that no singular
+    value would be dropped (`_certified_lu`), else the dense SVD, which
+    refuses systems above _DENSE_LIMIT unknowns.  `SolveResult.strategy`
+    names the path that ran ('sparse_lu' or 'truncated_svd'), `ordering`
+    and `lu_nnz` the LU that produced x, `cond_est` carries the condition
     estimate when one was made, and `svd_dropped` counts the zeroed
-    values.  The matrix may be given in any form scipy.sparse accepts;
-    the two dense strategies refuse systems above _DENSE_LIMIT unknowns.
+    values.  The matrix may be given in any form scipy.sparse accepts.
     """
     A, rhs = _reduce(system)
     nred = rhs.shape[0]
@@ -656,28 +657,25 @@ def solve(system, strategy="sparse_lu", svd_cutoff=1e-12):
         raise ValueError("system matrix and right-hand side sizes disagree")
     dropped = 0
     cond_est = ordering = lu_nnz = residual = None
-    ran = strategy
-    if strategy == "sparse_lu":
+    ran = "sparse_lu"
+    if svd_cutoff is None:
         # In 1D no ordering saves fill, and the roundoff-level errors of
         # the high-order 1D rows would move with any other factorization.
         x, ordering, lu_nnz, residual = _sparse_lu(
             A, rhs, symmetric=system.meta.get("dim") != 1)
-    elif strategy == "dense_lu":
-        x = scipy.linalg.solve(_dense(A), rhs)
-    elif strategy == "truncated_svd":
+    else:
         _check_dense_size(nred)
         x, cond_est, lu_nnz, residual = _certified_lu(A, rhs, svd_cutoff)
         if x is not None:
-            ran, ordering = "sparse_lu", "COLAMD"
+            ordering = "COLAMD"
         else:
+            ran = "truncated_svd"
             u, s, vh = np.linalg.svd(_dense(A))
             keep = s > svd_cutoff * s[0]
             inv = np.zeros_like(s)
             inv[keep] = 1.0 / s[keep]
             x = vh.conj().T @ (inv * (u.conj().T @ rhs))
             dropped = int(np.count_nonzero(~keep))
-    else:
-        raise ValueError(f"unknown solve strategy '{strategy}'")
     if not np.all(np.isfinite(x)):
         raise np.linalg.LinAlgError("solver produced non-finite values")
     if residual is None:

@@ -35,8 +35,6 @@ COLUMNS = [
     "nodal_max", "gamma_n", "solve_residual", "wall_ms", "error",
 ]
 
-_STRATEGIES = ("sparse_lu", "dense_lu", "truncated_svd")
-
 # Primary error column used when fitting slopes for a method's series.
 _PRIMARY_ERR = {
     "fem": "err_h1semi_rel",
@@ -152,7 +150,6 @@ def _problem(cfg, k):
 def _report_into_row(row, out):
     rep = out.report
     row["h"] = rep.h
-    row["p"] = rep.p
     row["dofs"] = rep.dofs
     row["n_lambda"] = rep.n_lambda
     row["err_h1semi_rel"] = rep.h1_semi_rel
@@ -177,37 +174,38 @@ def _run_fem(cfg, task, row):
         row["sigma"] = cfg["sigma"]
         row["L"] = cfg["layers"]
     space = spaces.h1_space(mesh, task["p"])
-    out = methods.solve_fem(problem, space, strategy=cfg["strategy"])
+    out = methods.solve_fem(problem, space)
     _report_into_row(row, out)
 
 
 def _run_nodal(cfg, task, row):
     out = methods.solve_nodally_exact_1d(_problem(cfg, task["k"]),
-                                         task["n_elements"],
-                                         strategy=cfg["strategy"])
+                                         task["n_elements"])
     _report_into_row(row, out)
 
 
-def _trefftz_space(problem, task):
-    mesh = meshing.triangulate(problem.domain, task["h"])
-    basis = spaces.PlaneWaveBasis(task["k"], task["p"])
-    return spaces.trefftz_space(mesh, task["k"], basis)
+def _trefftz_space(domain, h, k, basis):
+    mesh = meshing.triangulate(domain, h)
+    return spaces.trefftz_space(mesh, k, basis)
 
 
 def _run_ls(cfg, task, row):
     problem = _problem(cfg, task["k"])
+    basis = spaces.PlaneWaveBasis(task["k"], task["p"])
+    space = _trefftz_space(problem.domain, task["h"], task["k"], basis)
     out = methods.solve_least_squares(
-        problem, _trefftz_space(problem, task), w1=cfg["w1"], w2=cfg["w2"],
-        strategy=cfg["strategy"], svd_cutoff=cfg["svd_cutoff"])
+        problem, space, w1=cfg["w1"], w2=cfg["w2"],
+        svd_cutoff=cfg["svd_cutoff"])
     _report_into_row(row, out)
 
 
 def _run_uwvf(cfg, task, row):
     problem = _problem(cfg, task["k"])
+    basis = spaces.PlaneWaveBasis(task["k"], task["p"])
+    space = _trefftz_space(problem.domain, task["h"], task["k"], basis)
     flux = (cfg["flux_params"] if cfg["flux_params"] is not None
             else cfg["flux"])
-    out = methods.solve_pwdg(problem, _trefftz_space(problem, task),
-                             flux=flux, strategy=cfg["strategy"])
+    out = methods.solve_pwdg(problem, space, flux=flux)
     _report_into_row(row, out)
 
 
@@ -235,19 +233,13 @@ def _run_infsup(cfg, task, row):
 def _run_approx(cfg, task, row):
     k = task["k"]
     angle = 0.3
-    target = methods.plane_wave_2d(
+    exact = methods.plane_wave_2d(
         k, direction=(math.cos(angle), math.sin(angle)))
-    target_h = cfg["h"][0] if cfg["h"] else 0.35
-    (rec,) = methods.approx_study(
-        target, task["kind"], "p_sweep", orders=[task["p"]],
-        target_h=target_h, cutoff=cfg["svd_cutoff"])
-    row["p"] = rec["p"]
-    row["h"] = rec["h"]
-    row["dofs"] = rec["dofs"]
-    row["n_lambda"] = meshing.n_lambda(rec["dofs"], k, 2)
-    row["err_h1semi_rel"] = rec["err_h1semi_rel"]
-    row["err_l2_rel"] = rec["err_l2_rel"]
-    row["err_1k_rel"] = rec["err_1k_rel"]
+    basis = cfg["kind"][task["kind"]](k, task["p"])
+    space = _trefftz_space(meshing.unit_square(),
+                           cfg["h"][0] if cfg["h"] else 0.35, k, basis)
+    out = methods.best_approximation_1k(exact, space, cfg["svd_cutoff"])
+    _report_into_row(row, out)
 
 
 # Per method: the keys it reads on top of _COMMON_KEYS, the domains it
@@ -259,13 +251,13 @@ _Method = collections.namedtuple("_Method", "reads domains sweeps run")
 
 _METHODS = {
     "fem": _Method({"p", "h", "n_elements", "sigma", "layers", "corners",
-                    "robin_sign", "strategy"},
+                    "robin_sign"},
                    _DOMAINS, ("k", "p", "n_elements", "h"), _run_fem),
-    "nodal": _Method({"h", "n_elements", "robin_sign", "strategy"},
+    "nodal": _Method({"h", "n_elements", "robin_sign"},
                      ("interval",), ("k", "p", "n_elements"), _run_nodal),
-    "ls": _Method({"p", "h", "w1", "w2", "strategy", "svd_cutoff"},
+    "ls": _Method({"p", "h", "w1", "w2", "svd_cutoff"},
                   ("square",), ("k", "p", "h"), _run_ls),
-    "uwvf": _Method({"p", "h", "flux", "alpha", "beta", "delta", "strategy"},
+    "uwvf": _Method({"p", "h", "flux", "alpha", "beta", "delta"},
                     ("square",), ("k", "p", "h"), _run_uwvf),
     "infsup": _Method({"p", "khp", "robin_sign"},
                       ("interval",), ("k", "p"), _run_infsup),
@@ -367,7 +359,6 @@ _KEY_PARSERS = {
     "delta": _parse_float,
     "w1": _parse_float,
     "w2": _parse_float,
-    "strategy": _parse_choice(_STRATEGIES),
     "svd_cutoff": _parse_float,
     "khp": _parse_float,
     "robin_sign": _parse_float,
@@ -513,16 +504,14 @@ def build_config(raw):
     for key in ("w1", "w2", "svd_cutoff"):
         if cfg[key] is not None and not cfg[key] > 0.0:
             raise ConfigError(key, "must be positive")
-    if cfg["strategy"] is None:
-        cfg["strategy"] = "truncated_svd" if method == "ls" else "sparse_lu"
     if cfg["svd_cutoff"] is None:
         cfg["svd_cutoff"] = 1e-12
     if cfg["khp"] is None:
         cfg["khp"] = 0.25
     if cfg["khp"] <= 0:
         raise ConfigError("khp", "resolution ratio must be positive")
-    # the two local bases of the approximation study, swept by `approx`
-    cfg["kind"] = ["pw", "ghp"]
+    # the local bases of the approximation study, swept by `approx`
+    cfg["kind"] = {"pw": spaces.PlaneWaveBasis, "ghp": spaces.GhpBasis}
 
     if cfg["out"] is None:
         cfg["out"] = "results.csv"

@@ -6,7 +6,8 @@ systems, solve them, and return the coefficients together with an error
 report whose primary metrics are always recomputed by direct quadrature
 against the exact solution.  Drivers cover the conforming Galerkin method
 (polynomial, partition-of-unity, and nodally exact 1D spaces), the Trefftz
-least squares method, and the plane-wave discontinuous Galerkin method.
+least squares method, the plane-wave discontinuous Galerkin method, and
+the best approximation in the (1,k) norm.
 """
 
 import math
@@ -30,8 +31,10 @@ class ExactSolution:
     together so that shared factors are evaluated once.  `source` is the
     volume term f that the solution satisfies in -Delta u - k^2 u = f.
     Error integrals drop the quadrature points within `exclude_radius`
-    of the origin (see `analysis.relative_errors`); a solution whose
-    gradient is singular there sets it.
+    of the origin (see `analysis.relative_errors`), and
+    `verify_exact_solution` samples its finite-difference points at least
+    `verify_radius` from it; a solution whose gradient is singular there
+    sets both.
     """
 
     id: str
@@ -39,6 +42,7 @@ class ExactSolution:
     eval: object
     source: object = None
     exclude_radius: float = 0.0
+    verify_radius: float = 0.0
 
     def value(self, pts):
         """Values of the solution at pts."""
@@ -103,7 +107,7 @@ def bessel_singular(k):
                 np.stack([gx, gy], axis=1) + 0.0j)
 
     return ExactSolution(id="bessel_singular", k=k, eval=evaluate,
-                         exclude_radius=1e-8)
+                         exclude_radius=1e-8, verify_radius=0.45)
 
 
 def model_1d(k, robin_sign=1.0):
@@ -131,19 +135,6 @@ def model_1d(k, robin_sign=1.0):
     return ExactSolution(id="model1d", k=k,
                          eval=lambda pts: (value(pts), gradient(pts)),
                          source=1.0)
-
-
-def exact_solution(name, k, **kwargs):
-    """Factory for the named reference solutions."""
-    factories = {
-        "pw2d": plane_wave_2d,
-        "bessel_singular": bessel_singular,
-        "model1d": model_1d,
-    }
-    if name not in factories:
-        raise ValueError(f"unknown exact solution '{name}'; "
-                         f"choose from {sorted(factories)}")
-    return factories[name](k, **kwargs)
 
 
 # -- problem descriptions ----------------------------------------------------
@@ -367,15 +358,15 @@ def _fd_gradient(value, pts, h):
     return grad[:, 0] if one_d else grad
 
 
-def verify_exact_solution(problem, n_samples=20, rng=None, min_radius=None,
-                          fd_step=None):
+def verify_exact_solution(problem, n_samples=20, rng=None, fd_step=None):
     """Independent residual checks for a problem's declared exact solution.
 
     Returns a dict of relative residuals: 'pde' for the finite-difference
     Helmholtz residual at random interior points, 'gradient' for the
     analytic-vs-differenced gradient, and 'boundary' for the declared
     boundary data against the solution's traces on a coarse mesh.  The
-    default step 1e-2/k balances the O(step^4) truncation of the
+    interior points keep the solution's `verify_radius` from the origin.
+    The default step 1e-2/k balances the O(step^4) truncation of the
     extrapolated stencils against roundoff amplified by 1/step^2.
     """
     if problem.exact is None:
@@ -383,9 +374,8 @@ def verify_exact_solution(problem, n_samples=20, rng=None, min_radius=None,
     exact = problem.exact
     k = problem.k
     rng = rng or np.random.default_rng(1234)
-    if min_radius is None:
-        min_radius = 0.45 if exact.id == "bessel_singular" else 0.0
-    pts = _sample_interior(problem.domain, n_samples, rng, min_radius)
+    pts = _sample_interior(problem.domain, n_samples, rng,
+                           exact.verify_radius)
     h = fd_step if fd_step is not None else 1e-2 / k
 
     u = np.asarray(exact.value(pts), dtype=complex)
@@ -473,40 +463,40 @@ def _is_zero_source(f):
     return False
 
 
-def _error_fields(problem, space, coeffs, report):
-    if problem.exact is None:
+def _error_fields(exact, space, coeffs, report):
+    if exact is None:
         return
     h1, l2, e1k = analysis.relative_errors(
-        space, coeffs, problem.exact.eval, problem.k,
-        exclude_radius=problem.exact.exclude_radius)
+        space, coeffs, exact.eval, report.k,
+        exclude_radius=exact.exclude_radius)
     report.h1_semi_rel = h1
     report.l2_rel = l2
     report.norm_1k_rel = e1k
 
 
-def _make_report(problem, space, method, n_unknowns):
+def _make_report(k, space, method, n_unknowns):
     return analysis.ErrorReport(
         dofs=int(n_unknowns),
-        n_lambda=meshing.n_lambda(n_unknowns, problem.k, space.mesh.dim),
-        k=problem.k,
+        n_lambda=meshing.n_lambda(n_unknowns, k, space.mesh.dim),
+        k=k,
         h=space.mesh.h,
         p=space.order,
         method=method,
     )
 
 
-def solve_fem(problem, space, strategy="sparse_lu"):
+def solve_fem(problem, space):
     """Conforming Galerkin solve of the impedance problem on `space`."""
     if not space.conforming:
         raise ValueError("solve_fem requires a conforming space")
     system = assembly.assemble_galerkin(
         space, problem.k, f=problem.f, g=problem.g, bc=problem.bc,
         robin_sign=problem.robin_sign)
-    result = assembly.solve(system, strategy=strategy)
+    result = assembly.solve(system)
     x = result.x
     nfree = len(system.free) if system.free is not None else system.ndof
-    report = _make_report(problem, space, "fem", nfree)
-    _error_fields(problem, space, x, report)
+    report = _make_report(problem.k, space, "fem", nfree)
+    _error_fields(problem.exact, space, x, report)
     checks = {"solve_residual": result.residual}
     bd = system.meta.get("boundary_mass")
     if bd is not None:
@@ -551,7 +541,7 @@ def h1_best_approximation(problem, space):
     return coeffs, h1
 
 
-def solve_nodally_exact_1d(problem, n_elements, strategy="sparse_lu"):
+def solve_nodally_exact_1d(problem, n_elements):
     """Galerkin solve in the 1D wave-adapted nodal space.
 
     The space construction rejects kh >= pi.  The report's nodal_max field
@@ -561,7 +551,7 @@ def solve_nodally_exact_1d(problem, n_elements, strategy="sparse_lu"):
         raise ValueError("the nodally exact solver is one dimensional")
     mesh = meshing.triangulate(problem.domain, 1.0 / int(n_elements))
     space = spaces.nodally_exact_space_1d(mesh, problem.k)
-    out = solve_fem(problem, space, strategy=strategy)
+    out = solve_fem(problem, space)
     out.report.method = "nodally_exact"
     if problem.exact is not None:
         out.report.nodal_max = analysis.nodal_max_error(
@@ -573,10 +563,12 @@ def _zero_data(pts):
     return np.zeros(len(pts), dtype=complex)
 
 
-def solve_least_squares(problem, space, w1=None, w2=None,
-                        strategy="truncated_svd", svd_cutoff=1e-12):
+def solve_least_squares(problem, space, w1=None, w2=None, svd_cutoff=1e-12):
     """Trefftz least squares solve; requires a source-free problem.
 
+    The normal equations of a plane-wave basis can be numerically
+    singular, so they get the truncated minimum-norm solve with relative
+    cutoff `svd_cutoff` (`assembly.solve`).
     The reported j_value is recomputed by direct edge quadrature, not read
     off the normal-equation algebra; the checks record how far the two
     evaluations drift apart.
@@ -585,10 +577,10 @@ def solve_least_squares(problem, space, w1=None, w2=None,
         raise ValueError("the least squares driver requires f = 0")
     g = problem.g if problem.g is not None else _zero_data
     system = assembly.assemble_least_squares(space, problem.k, g, w1=w1, w2=w2)
-    result = assembly.solve(system, strategy=strategy, svd_cutoff=svd_cutoff)
+    result = assembly.solve(system, svd_cutoff=svd_cutoff)
     x = result.x
-    report = _make_report(problem, space, "least_squares", system.ndof)
-    _error_fields(problem, space, x, report)
+    report = _make_report(problem.k, space, "least_squares", system.ndof)
+    _error_fields(problem.exact, space, x, report)
     w1v, w2v = system.meta["w1"], system.meta["w2"]
     j_direct = analysis.j_functional(space, x, problem.k, g, w1=w1v, w2=w2v)
     report.j_value = j_direct
@@ -621,7 +613,7 @@ def _resolve_flux(flux, space):
                      f"choose from {_FLUX_PRESETS}")
 
 
-def solve_pwdg(problem, space, flux="uwvf", strategy="sparse_lu"):
+def solve_pwdg(problem, space, flux="uwvf"):
     """Plane-wave DG solve; requires a source-free problem.
 
     The reported dg_norm and dg_plus_norm are skeleton norms of the error
@@ -633,10 +625,10 @@ def solve_pwdg(problem, space, flux="uwvf", strategy="sparse_lu"):
     flux = _resolve_flux(flux, space)
     g = problem.g if problem.g is not None else _zero_data
     system = assembly.assemble_pwdg(space, problem.k, g, flux)
-    result = assembly.solve(system, strategy=strategy)
+    result = assembly.solve(system)
     x = result.x
-    report = _make_report(problem, space, "pwdg", system.ndof)
-    _error_fields(problem, space, x, report)
+    report = _make_report(problem.k, space, "pwdg", system.ndof)
+    _error_fields(problem.exact, space, x, report)
     if problem.exact is not None:
         report.dg_norm, report.dg_plus_norm = analysis.dg_error_norms(
             space, x, flux, problem.k, problem.exact.eval)
@@ -673,56 +665,24 @@ def scale_resolution_check(k, h, p, L, constants=(1.0, 1.0, 1.0)):
     return ok, margins
 
 
-# -- best approximation studies ------------------------------------------------
+# -- best approximation -------------------------------------------------------
 
 
-_BASIS_KINDS = ("pw", "ghp")
+def best_approximation_1k(exact, space, svd_cutoff):
+    """Best approximation of `exact` in `space` in the (1,k) norm.
 
-
-def _make_basis(kind, k, order):
-    if kind == "pw":
-        return spaces.PlaneWaveBasis(k, order)
-    if kind == "ghp":
-        return spaces.GhpBasis(k, order)
-    raise ValueError(f"unknown basis kind '{kind}'; choose from {_BASIS_KINDS}")
-
-
-def _best_approximation(space, k, target, cutoff):
-    system = assembly.assemble_projection_1k(space, k, target.eval)
-    result = assembly.solve(system, strategy="truncated_svd",
-                            svd_cutoff=cutoff)
-    h1, l2, e1k = analysis.relative_errors(space, result.x, target.eval, k)
-    return result.x, result.svd_dropped == 0, h1, l2, e1k
-
-
-def approx_study(target, basis_kind, mode, domain=None, orders=None,
-                 hs=None, order=3, target_h=0.35, cutoff=1e-12):
-    """Best-approximation error sweep for wave-enriched local bases.
-
-    Projects the target (a homogeneous Helmholtz solution) onto Trefftz
-    spaces in the wavenumber-weighted inner product, solving the normal
-    equations with truncated-SVD regularization.  mode 'p_sweep' varies
-    the local basis order on a fixed mesh; 'h_sweep' refines the mesh at
-    fixed order.  Rows whose Gram matrix needed truncation are marked
-    unreliable.
+    Solves the projection system of `assembly.assemble_projection_1k`
+    through `assembly.solve`.  The Gram matrix of a wave-based basis can
+    be numerically singular and needs the truncated minimum-norm solve
+    with relative cutoff `svd_cutoff`, after which `out.result.svd_dropped`
+    counts the singular values it dropped; the positive definite Gram
+    matrix of a conforming space takes the sparse LU, `svd_cutoff=None`.
+    The report carries the errors of the projection.
     """
-    if mode not in ("p_sweep", "h_sweep"):
-        raise ValueError("mode must be 'p_sweep' or 'h_sweep'")
-    domain = domain or meshing.unit_square()
-    k = target.k
-    # (mesh, order) pairs; each mesh is built when its row is due
-    if mode == "p_sweep":
-        mesh = meshing.triangulate(domain, target_h)
-        sweep = ((mesh, q) for q in (range(1, 13) if orders is None
-                                     else orders))
-    else:
-        sweep = ((meshing.triangulate(domain, h), order)
-                 for h in ((0.5, 0.25, 0.125, 0.0625) if hs is None else hs))
-    rows = []
-    for mesh, q in sweep:
-        space = spaces.trefftz_space(mesh, k, _make_basis(basis_kind, k, q))
-        _, reliable, h1, l2, e1k = _best_approximation(space, k, target, cutoff)
-        rows.append({"p": int(q), "h": mesh.h, "dofs": space.ndof,
-                     "err_h1semi_rel": h1, "err_l2_rel": l2,
-                     "err_1k_rel": e1k, "reliable": reliable})
-    return rows
+    system = assembly.assemble_projection_1k(space, exact.k, exact.eval)
+    result = assembly.solve(system, svd_cutoff=svd_cutoff)
+    report = _make_report(exact.k, space, "best_approximation_1k",
+                          system.ndof)
+    _error_fields(exact, space, result.x, report)
+    return SolveOutput(coeffs=result.x, space=space, system=system,
+                       result=result, report=report)

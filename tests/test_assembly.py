@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 from hypothesis import given, settings
@@ -45,6 +46,15 @@ from helmholtz_lab.spaces import (
 
 def dense(a):
     return a.toarray() if scipy.sparse.issparse(a) else np.asarray(a)
+
+
+def dense_solve(system):
+    """Reference solution of a system: a dense LU of its free block."""
+    A, rhs = assembly._reduce(system)
+    x = np.zeros(system.ndof, dtype=complex)
+    x[slice(None) if system.free is None else system.free] = (
+        scipy.linalg.solve(A.toarray(), rhs))
+    return x
 
 
 class TestGalerkin1D:
@@ -231,7 +241,7 @@ class TestGardingIdentity:
 class TestBoundaryEnergyIdentity:
     def check(self, space, k, g, bc=None):
         system = assemble_galerkin(space, k, f=None, g=g, bc=bc)
-        x = solve(system, strategy="dense_lu").x
+        x = dense_solve(system)
         bd = dense(system.meta["boundary_mass"])
         lhs = k * (x.conj() @ bd @ x).real
         # Im (g, u_N) on the Robin boundary equals Im(x^H rhs_g) with our
@@ -299,7 +309,7 @@ class TestLeastSquares:
             return out
 
         system = assemble_least_squares(space, k, g_impedance)
-        res = solve(system, strategy="truncated_svd")
+        res = solve(system, svd_cutoff=1e-12)
         x = res.x
         expect = np.zeros(space.ndof, dtype=complex)
         expect[0] = 1.0
@@ -315,8 +325,8 @@ class TestLeastSquares:
         space = trefftz_space(mesh, k, PlaneWaveBasis(k=k, p=4))
         g1 = lambda pts: np.exp(1j * k * pts[:, 1])
         g2 = lambda pts: 2.0 * np.exp(1j * k * pts[:, 1])
-        x1 = solve(assemble_least_squares(space, k, g1), "truncated_svd").x
-        x2 = solve(assemble_least_squares(space, k, g2), "truncated_svd").x
+        x1 = solve(assemble_least_squares(space, k, g1), svd_cutoff=1e-12).x
+        x2 = solve(assemble_least_squares(space, k, g2), svd_cutoff=1e-12).x
         np.testing.assert_allclose(x2, 2.0 * x1, atol=1e-8 * np.abs(x1).max())
 
 
@@ -477,7 +487,7 @@ class TestPwdg:
         space = trefftz_space(mesh, k, GhpBasis(k=k, p=3))
         g = lambda pts: np.zeros(pts.shape[0], dtype=complex)
         system = assemble_pwdg(space, k, g, uwvf_fluxes())
-        x = solve(system, strategy="truncated_svd").x
+        x = solve(system, svd_cutoff=1e-12).x
         np.testing.assert_allclose(x, 0.0, atol=1e-12)
 
 
@@ -485,16 +495,17 @@ class TestSolve:
     def test_identity(self):
         rhs = np.array([1.0 + 2j, -0.5j, 3.0])
         system = ComplexSystem(A=np.eye(3, dtype=complex), rhs=rhs)
-        res = solve(system, strategy="dense_lu")
+        res = solve(system)
         np.testing.assert_allclose(res.x, rhs)
         assert res.residual < 1e-15
-        assert res.ordering is None and res.lu_nnz is None
+        assert res.strategy == "sparse_lu"
+        assert res.ordering == "MMD_AT_PLUS_A" and res.lu_nnz > 0
 
     def test_hand_2x2(self):
         A = np.array([[1.0, 1j], [-1j, 2.0]])
         system = ComplexSystem(A=A, rhs=np.array([1.0, 0.0], dtype=complex))
-        for strat in ("sparse_lu", "dense_lu", "truncated_svd"):
-            res = solve(system, strategy=strat)
+        for cutoff in (None, 1e-12):
+            res = solve(system, svd_cutoff=cutoff)
             np.testing.assert_allclose(res.x, [2.0, 1j], atol=1e-12)
 
     def test_dirichlet_reduction(self):
@@ -505,7 +516,7 @@ class TestSolve:
         system = assemble_galerkin(
             space, k, f=1.0, g=g, bc={"left": "dirichlet", "right": "robin"}
         )
-        res = solve(system, strategy="sparse_lu")
+        res = solve(system)
         assert res.x[0] == 0.0
         assert res.residual < 1e-10
         assert res.x.shape == (space.ndof,)
@@ -524,10 +535,10 @@ class TestSolve:
         tz = trefftz_space(mesh, k, PlaneWaveBasis(k=k, p=5))
         gram = ComplexSystem(A=assemble_gram_1k(tz, k),
                              rhs=np.arange(tz.ndof) + 0.5j)
-        for system, strategy, path in ((galerkin, "sparse_lu", "MMD_AT_PLUS_A"),
-                                       (gram, "truncated_svd", "COLAMD")):
+        for system, cutoff, path in ((galerkin, None, "MMD_AT_PLUS_A"),
+                                     (gram, 1e-12, "COLAMD")):
             calls.clear()
-            res = solve(system, strategy=strategy)
+            res = solve(system, svd_cutoff=cutoff)
             assert res.strategy == "sparse_lu" and res.ordering == path
             assert len(calls) == 1
             A, rhs = assembly._reduce(system)
@@ -536,7 +547,7 @@ class TestSolve:
     def test_truncated_svd_minimum_norm(self):
         A = np.diag([1.0, 1e-16]).astype(complex)
         system = ComplexSystem(A=A, rhs=np.array([2.0, 1.0], dtype=complex))
-        res = solve(system, strategy="truncated_svd", svd_cutoff=1e-12)
+        res = solve(system, svd_cutoff=1e-12)
         np.testing.assert_allclose(res.x, [2.0, 0.0], atol=1e-12)
         assert res.svd_dropped == 1
 
@@ -546,7 +557,7 @@ class TestSolve:
         space = trefftz_space(mesh, k, PlaneWaveBasis(k=k, p=7))
         g = lambda pts: np.exp(1j * k * (0.6 * pts[:, 0] + 0.8 * pts[:, 1]))
         system = assemble_least_squares(space, k, g)
-        res = solve(system, strategy="truncated_svd", svd_cutoff=1e-12)
+        res = solve(system, svd_cutoff=1e-12)
         assert res.strategy == "sparse_lu"
         assert res.ordering == "COLAMD" and res.lu_nnz > 0
         assert res.svd_dropped == 0
@@ -560,12 +571,12 @@ class TestSolve:
     def test_svd_fallback_reports_its_path(self):
         near = ComplexSystem(A=np.diag([1.0, 1e-16]).astype(complex),
                              rhs=np.array([2.0, 1.0], dtype=complex))
-        res = solve(near, strategy="truncated_svd", svd_cutoff=1e-12)
+        res = solve(near, svd_cutoff=1e-12)
         assert res.strategy == "truncated_svd"
         assert res.cond_est == pytest.approx(1e16)
         singular = ComplexSystem(A=np.ones((2, 2), dtype=complex),
                                  rhs=np.array([2.0, 1.0], dtype=complex))
-        res = solve(singular, strategy="truncated_svd")
+        res = solve(singular, svd_cutoff=1e-12)
         assert res.strategy == "truncated_svd"
         assert res.ordering is None and res.lu_nnz is None
         assert res.cond_est is None
@@ -575,12 +586,7 @@ class TestSolve:
     def test_dimension_mismatch(self):
         system = ComplexSystem(A=np.eye(3, dtype=complex), rhs=np.zeros(2, complex))
         with pytest.raises(ValueError):
-            solve(system, "dense_lu")
-
-    def test_unknown_strategy(self):
-        system = ComplexSystem(A=np.eye(2, dtype=complex), rhs=np.zeros(2, complex))
-        with pytest.raises(ValueError):
-            solve(system, "magic")
+            solve(system)
 
     def test_sparse_matches_dense(self):
         mesh = triangulate(unit_square(), 0.25)
@@ -588,8 +594,8 @@ class TestSolve:
         k = 5.0
         g = lambda pts: np.exp(1j * k * pts[:, 0])
         system = assemble_galerkin(space, k, g=g)
-        xs = solve(system, "sparse_lu").x
-        xd = solve(system, "dense_lu").x
+        xs = solve(system).x
+        xd = dense_solve(system)
         np.testing.assert_allclose(xs, xd, atol=1e-10 * np.abs(xd).max())
 
     def test_symmetric_mode_on_2d_galerkin_system(self):
@@ -599,7 +605,7 @@ class TestSolve:
         k = 10.0
         g = lambda pts: np.exp(1j * k * pts[:, 0])
         system = assemble_galerkin(space, k, g=g)
-        res = solve(system, "sparse_lu")
+        res = solve(system)
         assert res.ordering == "MMD_AT_PLUS_A"
         assert res.residual <= 1e-10
         lu = scipy.sparse.linalg.splu(system.A.tocsc(), permc_spec="COLAMD")
@@ -615,7 +621,7 @@ class TestSolve:
         # at 1e-20 its solution has residual ~0.4, at 1e-310 splu raises.
         A = np.array([[tiny, 1.0], [1.0, tiny]], dtype=complex)
         rhs = np.array([1.0, 2.0], dtype=complex)
-        res = solve(ComplexSystem(A=A, rhs=rhs), "sparse_lu")
+        res = solve(ComplexSystem(A=A, rhs=rhs))
         assert res.ordering == "COLAMD"
         np.testing.assert_allclose(res.x, [2.0, 1.0], rtol=1e-15)
         assert res.residual <= 1e-15
@@ -630,10 +636,28 @@ class TestSolve:
         # matrix eliminates the unit diagonal entry first; both solutions
         # pass the residual guard.
         rhs = np.arange(1.0, len(A) + 1.0).astype(complex)
-        res = solve(ComplexSystem(A=A.astype(complex), rhs=rhs), "sparse_lu")
+        res = solve(ComplexSystem(A=A.astype(complex), rhs=rhs))
         np.testing.assert_allclose(res.x, np.linalg.solve(A, rhs),
                                    rtol=1e-15)
         assert res.residual <= 1e-15
+
+    @pytest.mark.parametrize("A, ordering", [
+        (np.array([[1e-20, 1.0], [1.0, 1e-20]]), "COLAMD"),
+        (np.array([[2.0, 1j], [1j, 3.0]]), "MMD_AT_PLUS_A"),
+    ], ids=["colamd_fallback", "symmetric_mode"])
+    def test_lu_path_never_reaches_the_svd(self, A, ordering, monkeypatch):
+        # without a cutoff a solve is a sparse LU, even where the
+        # symmetric-mode solution fails its residual check
+        def no_svd(*args, **kwargs):
+            raise AssertionError("np.linalg.svd called without a cutoff")
+
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        rhs = np.array([1.0, 2.0], dtype=complex)
+        res = solve(ComplexSystem(A=A.astype(complex), rhs=rhs))
+        assert res.strategy == "sparse_lu" and res.ordering == ordering
+        assert res.svd_dropped == 0
+        np.testing.assert_allclose(res.x, np.linalg.solve(A, rhs),
+                                   rtol=1e-15)
 
     def test_1d_system_keeps_colamd_bitwise(self):
         space = h1_space(uniform_interval_mesh(24), 4)
@@ -641,7 +665,7 @@ class TestSolve:
         g = lambda x: np.full(x.shape[0], 1.0 + 0j)
         system = assemble_galerkin(space, k, f=1.0, g=g)
         assert system.meta["dim"] == 1
-        res = solve(system, "sparse_lu")
+        res = solve(system)
         assert res.ordering == "COLAMD"
         lu = scipy.sparse.linalg.splu(system.A.tocsc(), permc_spec="COLAMD")
         assert np.array_equal(res.x, lu.solve(system.rhs))
@@ -656,9 +680,8 @@ class TestDenseLimit:
         message = f"n={n} .* limit of {assembly._DENSE_LIMIT}"
         tracemalloc.start()
         try:
-            for strategy in ("dense_lu", "truncated_svd"):
-                with pytest.raises(ValueError, match=message):
-                    solve(system, strategy)
+            with pytest.raises(ValueError, match=message):
+                solve(system, svd_cutoff=1e-12)
             with pytest.raises(ValueError, match=message):
                 infsup_probe(A, A)
             peak = tracemalloc.get_traced_memory()[1]

@@ -33,9 +33,10 @@ out = {out}
 """
 
 
-# keys of earlier versions: the quadrature-degree overrides and the seed
+# keys of earlier versions: the quadrature-degree overrides, the seed and
+# the solve strategy (each method now has one solve path)
 REMOVED_KEYS = ("volume_factor", "volume_offset", "edge_factor",
-                "edge_offset", "seed")
+                "edge_offset", "seed", "strategy")
 
 SMALL_UWVF = """
 method = uwvf
@@ -184,7 +185,6 @@ FUZZ_VALUES = {
     "delta": ["0.25", "0", "1", "1.5"],
     "w1": ["2", "0", "-1", "nan"],
     "w2": ["1", "0", "1e400"],
-    "strategy": list(cli._STRATEGIES) + ["cg"],
     "svd_cutoff": ["1e-12", "0", "-1", "nan"],
     "khp": ["0.25", "0", "-1", "inf"],
     "robin_sign": ["1", "-1", "0", "2"],
@@ -425,14 +425,14 @@ class TestRunCommand:
         assert len(set(times)) == len(times)
 
     def test_approx_failure_flags_only_its_row(self, tmp_path, monkeypatch):
-        real = cli.methods.approx_study
+        real = cli.methods.best_approximation_1k
 
-        def fail_at_p2(target, kind, mode, orders, **kw):
-            if orders == [2]:
+        def fail_at_p2(exact, space, svd_cutoff):
+            if space.local.p == 2:
                 raise RuntimeError("no basis")
-            return real(target, kind, mode, orders=orders, **kw)
+            return real(exact, space, svd_cutoff)
 
-        monkeypatch.setattr(cli.methods, "approx_study", fail_at_p2)
+        monkeypatch.setattr(cli.methods, "best_approximation_1k", fail_at_p2)
         out = tmp_path / "res.csv"
         path = write_config(tmp_path, f"method = approx\nk = 4\np = 1,2,3\n"
                                       f"h = 0.5\nout = {out}\n")
@@ -569,6 +569,23 @@ def _readme_text():
     readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
     with open(readme) as fh:
         return fh.read()
+
+
+def _readme_blocks(lang):
+    return re.findall(rf"```{lang}\n(.*?)```", _readme_text(), re.S)
+
+
+def test_readme_samples_run(capsys):
+    # the python samples run in order in one namespace, and every config
+    # sample parses and builds
+    python, ini = _readme_blocks("python"), _readme_blocks("ini")
+    assert python and ini
+    namespace = {"__name__": "readme"}
+    for block in python:
+        exec(compile(block, "README.md", "exec"), namespace)
+    for block in ini:
+        assert cli.expand_runs(cli.build_config(cli.parse_config_text(block)))
+    capsys.readouterr()
 
 
 def _read_rows(path):

@@ -1,5 +1,6 @@
 """Tests for the end-to-end solver drivers and exact solutions."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -71,6 +72,17 @@ def separate_evaluators(exact):
     return value, gradient
 
 
+# the reference solutions by name
+EXACT_BUILDERS = {"model1d": methods.model_1d,
+                  "pw2d": methods.plane_wave_2d,
+                  "bessel_singular": methods.bessel_singular}
+
+
+def trefftz_square(k, h, basis):
+    mesh = meshing.triangulate(meshing.unit_square(), h)
+    return spaces.trefftz_space(mesh, k, basis)
+
+
 class TestExactSolutions:
     def test_model1d_matches_greens_function_oracle(self):
         k = 3.7
@@ -113,7 +125,7 @@ class TestExactSolutions:
     def test_fused_eval_bitwise_equals_separate_evaluators(self, name):
         # L-shape points, the corner r = 0 and r = 1e-310 (below the
         # 1e-300 floor of the gradient) included; k r crosses x = 9
-        exact = methods.exact_solution(name, 12.0)
+        exact = EXACT_BUILDERS[name](12.0)
         rng = np.random.default_rng(6)
         pts = rng.uniform(-1.0, 1.0, size=(300, 2))
         pts = pts[(pts[:, 0] < 0.0) | (pts[:, 1] > 0.0)]
@@ -144,7 +156,7 @@ class TestExactSolutions:
 
     @pytest.mark.parametrize("name", ["model1d", "pw2d", "bessel_singular"])
     def test_value_and_gradient_are_eval_outputs(self, name):
-        exact = methods.exact_solution(name, 3.0)
+        exact = EXACT_BUILDERS[name](3.0)
         if name == "model1d":
             x = np.linspace(0.0, 1.0, 9)
         else:
@@ -152,12 +164,6 @@ class TestExactSolutions:
         u, g = exact.eval(x)
         assert u.tobytes() == exact.value(x).tobytes()
         assert g.tobytes() == exact.gradient(x).tobytes()
-
-    def test_factory_dispatch(self):
-        assert methods.exact_solution("pw2d", 3.0).id == "pw2d"
-        assert methods.exact_solution("model1d", 3.0).source == 1.0
-        with pytest.raises(ValueError):
-            methods.exact_solution("nope", 3.0)
 
     @pytest.mark.parametrize("maker,kw", [
         (methods.model_problem_1d, {"k": 7.0}),
@@ -173,6 +179,25 @@ class TestExactSolutions:
         assert resid["pde"] < 1e-8
         assert resid["gradient"] < 1e-6
         assert resid["boundary"] < 1e-8
+
+    def test_verification_radius_belongs_to_the_solution(self, monkeypatch):
+        # A renamed copy of the corner solution keeps its sampling radius.
+        # Its residuals cannot tell: the sampling margin keeps the points
+        # off the corner, so only the sampler's argument shows the radius.
+        problem = methods.lshape_singular_problem(4.0)
+        problem.exact = dataclasses.replace(problem.exact, id="corner")
+        radii = []
+        sample = methods._sample_interior
+
+        def spy(domain, n, rng, min_radius=0.0, **kwargs):
+            radii.append(min_radius)
+            return sample(domain, n, rng, min_radius, **kwargs)
+
+        monkeypatch.setattr(methods, "_sample_interior", spy)
+        resid = methods.verify_exact_solution(problem,
+                                              rng=np.random.default_rng(2))
+        assert radii == [0.45]
+        assert resid["gradient"] < 1e-6
 
 
 class TestProblemSpec:
@@ -475,15 +500,19 @@ class TestApproxStudy:
     def test_membership_gives_machine_error(self):
         k = 5.0
         target = methods.plane_wave_2d(k, direction=(1.0, 0.0))
-        rows = methods.approx_study(target, "pw", "p_sweep", orders=[5])
-        assert rows[0]["err_1k_rel"] < 1e-10
+        space = trefftz_square(k, 0.35, spaces.PlaneWaveBasis(k, 5))
+        out = methods.best_approximation_1k(target, space, 1e-12)
+        assert out.report.norm_1k_rel < 1e-10
+        assert "solve_residual" not in out.checks
 
     def test_ghp_p_sweep_decays(self):
         k = 4.0
         target = methods.plane_wave_2d(k)
-        rows = methods.approx_study(target, "ghp", "p_sweep",
-                                    orders=range(1, 11))
-        errs = [r["err_1k_rel"] for r in rows]
+        errs = []
+        for p in range(1, 11):
+            space = trefftz_square(k, 0.35, spaces.GhpBasis(k, p))
+            out = methods.best_approximation_1k(target, space, 1e-12)
+            errs.append(out.report.norm_1k_rel)
         for a, b in zip(errs, errs[1:]):
             assert b <= 1.1 * a + 1e-10
         assert errs[-1] < 1e-4 * errs[0]
@@ -491,15 +520,29 @@ class TestApproxStudy:
     def test_pw_h_sweep_first_order(self):
         k = 4.0
         target = methods.plane_wave_2d(k, direction=(0.8, 0.6))
-        rows = methods.approx_study(target, "pw", "h_sweep", order=3,
-                                    hs=(0.5, 0.25, 0.125))
-        series = [(r["h"], r["err_h1semi_rel"]) for r in rows]
+        series = []
+        for h in (0.5, 0.25, 0.125):
+            space = trefftz_square(k, h, spaces.PlaneWaveBasis(k, 3))
+            rep = methods.best_approximation_1k(target, space, 1e-12).report
+            series.append((rep.h, rep.h1_semi_rel))
         slope, _, _ = analysis.fit_rate(series, window=3)
         assert 0.7 <= slope <= 1.3
 
-    def test_invalid_arguments(self):
-        target = methods.plane_wave_2d(3.0)
-        with pytest.raises(ValueError):
-            methods.approx_study(target, "pw", "q_sweep")
-        with pytest.raises(ValueError):
-            methods.approx_study(target, "fourier", "p_sweep", orders=[2])
+    def test_conforming_space_takes_the_sparse_lu(self):
+        # the Gram matrix of an H1 space is positive definite: without a
+        # cutoff the projection is a sparse LU and equals the truncated
+        # solve, which drops nothing there
+        k = 4.0
+        target = methods.plane_wave_2d(k)
+        space = spaces.h1_space(
+            meshing.triangulate(meshing.unit_square(), 0.25), 2)
+        lu = methods.best_approximation_1k(target, space, None)
+        svd = methods.best_approximation_1k(target, space, 1e-12)
+        assert lu.result.strategy == "sparse_lu"
+        assert lu.result.ordering == "MMD_AT_PLUS_A"
+        assert svd.result.svd_dropped == 0
+        assert lu.report.norm_1k_rel == pytest.approx(
+            svd.report.norm_1k_rel, rel=1e-10)
+        # the (1,k) projection is no worse than the Galerkin solution
+        galerkin = methods.solve_fem(methods.plane_wave_problem(k), space)
+        assert lu.report.norm_1k_rel <= galerkin.report.norm_1k_rel
