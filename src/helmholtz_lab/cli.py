@@ -130,8 +130,9 @@ PRESET_INFO = {
 # -- problems and methods --------------------------------------------------------
 
 # The problem builder of each (domain, exact) pair, called as
-# builder(k, robin_sign=s).  A domain's first entry is its default exact
-# solution.
+# builder(k, robin_sign=s), or as builder(k) to take its default sign
+# when the config leaves robin_sign unset.  A domain's first entry is its
+# default exact solution.
 _PROBLEMS = {
     ("interval", "model1d"): methods.model_problem_1d,
     ("square", "pw2d"): methods.plane_wave_problem,
@@ -144,6 +145,8 @@ _EXACT = tuple(dict.fromkeys(exact for _, exact in _PROBLEMS))
 
 def _problem(cfg, k):
     builder = _PROBLEMS[cfg["domain"], cfg["exact"]]
+    if cfg["robin_sign"] is None:
+        return builder(k)
     return builder(k, robin_sign=cfg["robin_sign"])
 
 
@@ -479,9 +482,7 @@ def build_config(raw):
         if cfg["layers"] < 1:
             raise ConfigError("layers", "need at least one layer")
 
-    if cfg["robin_sign"] is None:
-        cfg["robin_sign"] = -1.0 if (domain == "lshape") else 1.0
-    if cfg["robin_sign"] not in (1.0, -1.0):
+    if cfg["robin_sign"] not in (None, 1.0, -1.0):
         raise ConfigError("robin_sign", "must be +1 or -1")
 
     flux_overrides = [cfg["alpha"], cfg["beta"], cfg["delta"]]
@@ -726,13 +727,13 @@ def cmd_list_presets():
     return 0
 
 
-def _dump_mesh(domain_name, h_text, grade):
+def _dump_mesh(domain_text, h_text, grade):
     builders = {
         "interval": meshing.unit_interval,
         "square": meshing.unit_square,
         "lshape": meshing.l_shape,
     }
-    domain = builders[_KEY_PARSERS["domain"]("domain", domain_name)]()
+    domain = builders[_KEY_PARSERS["domain"]("domain", domain_text)]()
     h = _parse_float("h", h_text)
     _check_mesh_sizes([h])
     mesh = meshing.triangulate(domain, h)
@@ -751,9 +752,9 @@ def _dump_mesh(domain_name, h_text, grade):
     return mesh
 
 
-def cmd_mesh_dump(domain_name, h_text, grade):
+def cmd_mesh_dump(domain_text, h_text, grade):
     try:
-        mesh = _dump_mesh(domain_name, h_text, grade)
+        mesh = _dump_mesh(domain_text, h_text, grade)
     except ConfigError as exc:
         return _refuse(exc)
     sys.stdout.write(meshing.mesh_to_text(mesh))

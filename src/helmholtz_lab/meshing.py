@@ -46,6 +46,37 @@ class Polygon:
     vertices: tuple
     side_tags: tuple
 
+    def _sides(self):
+        starts = np.asarray(self.vertices, dtype=float)
+        return starts, np.roll(starts, -1, axis=0)
+
+    def contains(self, points):
+        """Whether each of the (n, 2) points lies inside (even-odd rule)."""
+        if self.dim != 2:
+            raise ValueError("containment is defined for 2D polygons")
+        return _point_in_polygon(np.asarray(points, dtype=float),
+                                 self._sides()[0])
+
+    def outward_normals(self, points):
+        """Unit outward normal of the side holding each boundary point.
+
+        Points near a corner take the nearest side's normal; a point on
+        no side raises ValueError.  Either orientation of the vertex loop
+        gives outward normals.
+        """
+        if self.dim != 2:
+            raise ValueError("outward normals are defined for 2D polygons")
+        starts, ends = self._sides()
+        d = ends - starts
+        # twice the signed (shoelace) area: positive for a counterclockwise
+        # loop, whose outward normals lie to the right of each side
+        sign = np.sign(np.sum(starts[:, 0] * ends[:, 1]
+                              - ends[:, 0] * starts[:, 1]))
+        normals = sign * np.column_stack([d[:, 1], -d[:, 0]]) + 0.0
+        normals /= np.hypot(d[:, 0], d[:, 1])[:, None]
+        side = _nearest_segment(np.asarray(points, dtype=float), starts, ends)
+        return normals[side]
+
 
 def unit_interval():
     return Polygon(
@@ -99,11 +130,10 @@ class Mesh:
     diameter/inradius over elements (2D).
     """
 
-    def __init__(self, dim, nodes, elements, edge_tags=None, domain_name=""):
+    def __init__(self, dim, nodes, elements, edge_tags=None):
         self.dim = int(dim)
         self.nodes = np.asarray(nodes, dtype=float)
         self.elements = np.asarray(elements, dtype=np.int64)
-        self.domain_name = domain_name
         self._cache = {}
         self._build_edges()
         if edge_tags:
@@ -305,9 +335,9 @@ class Mesh:
         return len(self.nodes)
 
 
-def mesh_from_arrays(dim, nodes, elements, edge_tags=None, domain_name=""):
+def mesh_from_arrays(dim, nodes, elements, edge_tags=None):
     """Build a Mesh from raw arrays; edge_tags as (i, j, tag) triples."""
-    return Mesh(dim, nodes, elements, edge_tags=edge_tags, domain_name=domain_name)
+    return Mesh(dim, nodes, elements, edge_tags=edge_tags)
 
 
 def uniform_interval_mesh(n):
@@ -316,7 +346,7 @@ def uniform_interval_mesh(n):
         raise ValueError("need at least one element")
     nodes = np.linspace(0.0, 1.0, n + 1)
     elements = np.column_stack([np.arange(n), np.arange(1, n + 1)])
-    mesh = Mesh(1, nodes, elements, domain_name="interval")
+    mesh = Mesh(1, nodes, elements)
     _tag_interval_ends(mesh)
     return mesh
 
@@ -378,7 +408,7 @@ def triangulate(domain, target_h):
     gx, gy = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
     cx = xmin + pitch * (gx.ravel() + 0.5)
     cy = ymin + pitch * (gy.ravel() + 0.5)
-    keep = _point_in_polygon(np.column_stack([cx, cy]), verts)
+    keep = domain.contains(np.column_stack([cx, cy]))
     ci = gx.ravel()[keep]
     cj = gy.ravel()[keep]
     if len(ci) == 0:
@@ -404,36 +434,47 @@ def triangulate(domain, target_h):
     tris = remap[tris]
     gxx, gyy = np.meshgrid(xs, ys, indexing="ij")
     nodes = np.column_stack([gxx.ravel()[used], gyy.ravel()[used]])
-    mesh = Mesh(2, nodes, tris, domain_name=domain.name)
-    verts = np.asarray(domain.vertices, dtype=float)
-    _tag_boundary(mesh, verts, np.roll(verts, -1, axis=0), domain.side_tags)
+    mesh = Mesh(2, nodes, tris)
+    _tag_boundary(mesh, *domain._sides(), domain.side_tags)
     return mesh
+
+
+def _nearest_segment(points, starts, ends):
+    """Index of the segment that holds each of the (n, 2) points.
+
+    Segment s runs from starts[s] to ends[s]; a point belongs to it when
+    it lies within 1e-9 segment lengths of it.  Where several segments
+    hold a point (near a corner, or on a strongly graded mesh), the
+    nearest one wins.  Raises ValueError for a point on no segment.
+    """
+    d = ends - starts
+    ll = np.sum(d * d, axis=1)
+    rx = points[:, None, 0] - starts[:, 0]
+    ry = points[:, None, 1] - starts[:, 1]
+    t = (rx * d[:, 0] + ry * d[:, 1]) / ll
+    # squared distance to the segment's line, (points, segments)
+    dist2 = (rx * d[:, 1] - ry * d[:, 0]) ** 2 / ll
+    dist2[(t < -1e-12) | (t > 1.0 + 1e-12)] = np.inf
+    best = np.argmin(dist2, axis=1)
+    if not np.all(dist2[np.arange(len(points)), best] <= 1e-18 * ll[best]):
+        raise ValueError("point not on any boundary segment")
+    return best
 
 
 def _tag_boundary(mesh, starts, ends, tags):
     """Give each boundary edge of a 2D mesh the tag of the segment that
-    contains its midpoint.
-
-    Segment s runs from starts[s] to ends[s] and carries tags[s]; the
-    midpoint must lie within 1e-9 segment lengths of it.  Where several
-    segments hold a midpoint (near a corner of a strongly graded mesh),
-    the nearest one wins.  Raises when an edge lies on no segment.
+    holds its midpoint (`_nearest_segment`); segment s carries tags[s].
+    Raises when an edge lies on no segment.
     """
     idx = np.flatnonzero(mesh.boundary_mask)
     if len(tags) == 0:
         raise ValueError("no tagged boundary segments")
     mid = 0.5 * mesh.nodes[mesh.edge_nodes[idx]].sum(axis=1)
-    d = ends - starts
-    ll = np.sum(d * d, axis=1)
-    rx = mid[:, None, 0] - starts[:, 0]
-    ry = mid[:, None, 1] - starts[:, 1]
-    t = (rx * d[:, 0] + ry * d[:, 1]) / ll
-    # squared distance to the segment's line, (edges, segments)
-    dist2 = (rx * d[:, 1] - ry * d[:, 0]) ** 2 / ll
-    dist2[(t < -1e-12) | (t > 1.0 + 1e-12)] = np.inf
-    best = np.argmin(dist2, axis=1)
-    if not np.all(dist2[np.arange(len(idx)), best] <= 1e-18 * ll[best]):
-        raise ValueError("boundary edge not on any tagged boundary segment")
+    try:
+        best = _nearest_segment(mid, starts, ends)
+    except ValueError:
+        raise ValueError("boundary edge not on any tagged boundary "
+                         "segment") from None
     for i, s in zip(idx, best):
         mesh.edge_tags[i] = tags[s]
 
@@ -493,7 +534,7 @@ def _geometric_refine_1d(mesh, corners, sigma, layers):
             breakpoints.add(cx + (sigma ** j) * (other - cx))
     nodes = np.array(sorted(breakpoints))
     elements = np.column_stack([np.arange(len(nodes) - 1), np.arange(1, len(nodes))])
-    out = Mesh(1, nodes, elements, domain_name=mesh.domain_name)
+    out = Mesh(1, nodes, elements)
     # endpoint tags carry over by position
     old_tags = {}
     for idx in np.flatnonzero(mesh.boundary_mask):
@@ -542,7 +583,7 @@ def _geometric_refine_2d(mesh, corners, sigma, layers):
             new_elements.append((ring_a[j], ring_a[j - 1], ring_b[j - 1]))
             new_elements.append((ring_a[j], ring_b[j - 1], ring_b[j]))
     nodes = np.array(node_list, dtype=float)
-    out = Mesh(2, nodes, np.array(new_elements, dtype=np.int64), domain_name=mesh.domain_name)
+    out = Mesh(2, nodes, np.array(new_elements, dtype=np.int64))
     # the refined boundary edges lie on the parent's tagged boundary edges
     tagged = [i for i in np.flatnonzero(mesh.boundary_mask)
               if mesh.edge_tags[i] is not None]

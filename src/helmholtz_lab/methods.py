@@ -166,52 +166,18 @@ class ProblemSpec:
             raise ValueError("robin_sign must be +1 or -1")
 
 
-def _square_normal(pts, tol=1e-9):
-    pts = np.asarray(pts, dtype=float)
-    n = np.zeros_like(pts)
-    n[np.abs(pts[:, 0]) < tol, 0] = -1.0
-    n[np.abs(pts[:, 0] - 1.0) < tol, 0] = 1.0
-    n[np.abs(pts[:, 1]) < tol, 1] = -1.0
-    n[np.abs(pts[:, 1] - 1.0) < tol, 1] = 1.0
-    return n
-
-
-def _lshape_normal(pts, tol=1e-9):
-    pts = np.asarray(pts, dtype=float)
-    x, y = pts[:, 0], pts[:, 1]
-    n = np.zeros_like(pts)
-    n[np.abs(x + 1.0) < tol, 0] = -1.0
-    n[np.abs(x - 1.0) < tol, 0] = 1.0
-    n[np.abs(y + 1.0) < tol, 1] = -1.0
-    n[np.abs(y - 1.0) < tol, 1] = 1.0
-    # Reentrant legs: the interior lies at x < 0 beside the vertical leg
-    # and at y > 0 above the horizontal one.
-    n[(np.abs(x) < tol) & (y < tol), 0] = 1.0
-    n[(np.abs(y) < tol) & (x > tol), 1] = -1.0
-    return n
-
-
-_NORMAL_FNS = {"square": _square_normal, "lshape": _lshape_normal}
-
-
 def impedance_data(exact, domain, robin_sign=1.0):
     """Robin datum g = du/dn + s*ik*u of an exact solution on `domain`.
 
-    The outward normal is reconstructed from the position of each boundary
-    point; points off the boundary raise.
+    The outward normal at each boundary point is the polygon's
+    (`Polygon.outward_normals`); points off the boundary raise.
     """
-    if domain.name not in _NORMAL_FNS:
-        raise ValueError(f"no boundary-normal rule for domain '{domain.name}'")
-    normal_fn = _NORMAL_FNS[domain.name]
     k = exact.k
     s = float(robin_sign)
 
     def g(pts):
         pts = np.asarray(pts, dtype=float)
-        n = normal_fn(pts)
-        lengths = np.linalg.norm(n, axis=1)
-        if np.any(lengths < 0.5):
-            raise ValueError("impedance data requested off the boundary")
+        n = domain.outward_normals(pts)
         vals, grads = exact.eval(pts)
         vals = np.asarray(vals, dtype=complex)
         grads = np.asarray(grads, dtype=complex)
@@ -293,22 +259,23 @@ def lshape_singular_problem(k, robin_sign=-1.0):
 
 
 def _sample_interior(domain, n, rng, min_radius=0.0, margin=0.02):
+    """n random points at least `margin` inside the domain, in the sense
+    that the square of half-width `margin` around each lies in it (2D),
+    and at least `min_radius` from the origin."""
+    lo = np.min(domain.vertices, axis=0) + margin
+    hi = np.max(domain.vertices, axis=0) - margin
     if domain.dim == 1:
-        return rng.uniform(margin, 1.0 - margin, size=n)
-    pts = []
+        return rng.uniform(lo[0], hi[0], size=n)
+    box = margin * np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0],
+                             [-1.0, 1.0]])
+    pts = np.empty((0, 2))
     while len(pts) < n:
-        cand = rng.uniform(-1.0 + margin, 1.0 - margin, size=2)
-        if domain.name == "square":
-            cand = rng.uniform(margin, 1.0 - margin, size=2)
-        elif domain.name == "lshape":
-            if cand[0] > -margin and cand[1] < margin:
-                continue
-        else:
-            raise ValueError(f"no interior sampler for domain '{domain.name}'")
-        if min_radius > 0.0 and np.hypot(*cand) < min_radius:
-            continue
-        pts.append(cand)
-    return np.asarray(pts)
+        cand = rng.uniform(lo, hi, size=(n, 2))
+        corners = (cand[:, None, :] + box).reshape(-1, 2)
+        keep = domain.contains(corners).reshape(n, 4).all(axis=1)
+        keep &= np.hypot(cand[:, 0], cand[:, 1]) >= min_radius
+        pts = np.concatenate([pts, cand[keep]])
+    return pts[:n]
 
 
 def _fd_laplacian(value, pts, h):
@@ -642,27 +609,6 @@ def solve_pwdg(problem, space, flux="uwvf"):
     }
     return SolveOutput(coeffs=x, space=space, system=system, result=result,
                        report=report, checks=checks)
-
-
-# -- resolution heuristics ----------------------------------------------------
-
-
-def scale_resolution_check(k, h, p, L, constants=(1.0, 1.0, 1.0)):
-    """Scale-resolution predicate: kh/p <= c1, p >= c2 log k, L >= c3 p.
-
-    Returns (satisfied, margins) where each margin is the slack of the
-    corresponding condition (nonnegative means satisfied).
-    """
-    if min(k, h, p, L) <= 0:
-        raise ValueError("scale resolution check needs positive inputs")
-    c1, c2, c3 = constants
-    margins = {
-        "oscillation": c1 - k * h / p,
-        "degree": p - c2 * math.log(k),
-        "levels": L - c3 * p,
-    }
-    ok = all(m >= 0.0 for m in margins.values())
-    return ok, margins
 
 
 # -- best approximation -------------------------------------------------------

@@ -163,6 +163,10 @@ class TestConfigParsing:
             problem = cli._problem(cfg, 3.0)
             assert problem.robin_sign == sign
             assert problem.exact.id == exact
+        # unset, the builder's default holds: -1 on the L-shape
+        cfg = {"domain": domain, "exact": exact, "robin_sign": None}
+        want = -1.0 if domain == "lshape" else 1.0
+        assert cli._problem(cfg, 3.0).robin_sign == want
 
 
 # Values per key for the config fuzz: valid ones, values out of range,
@@ -339,6 +343,7 @@ class TestRunCommand:
         ("fem", "corners", "1"), ("approx", "h", "0.5,0.25"),
         ("fem", "h", "0"), ("fem", "h", ""), ("nodal", "n_elements", ""),
         ("fem", "k", "nan"), ("fem", "sigma", "inf"),
+        ("fem", "robin_sign", "0.5"), ("nodal", "robin_sign", "-2"),
     ])
     def test_key_refused_exit_2(self, tmp_path, capsys, method, key, value):
         base = {"fem": "method = fem\ndomain = lshape\nk = 2\np = 1\n"

@@ -276,6 +276,56 @@ class TestBoundaryTags:
             geometric_refine(mesh, [(1.0, 1.0)], 0.5, 2)
 
 
+class TestPolygonGeometry:
+    @staticmethod
+    def _side_points(domain):
+        # two points inside every side, plus points 1e-11 from each vertex
+        v = np.asarray(domain.vertices, dtype=float)
+        d = np.roll(v, -1, axis=0) - v
+        t = np.array([1e-11, 0.25, 0.5, 1.0 - 1e-11])
+        return (v[:, None, :] + t[None, :, None] * d[:, None, :]).reshape(
+            -1, 2), np.repeat(np.arange(len(v)), len(t))
+
+    def test_clockwise_loop_gives_the_same_normals(self):
+        square = unit_square()
+        clockwise = Polygon(name="square", dim=2,
+                            vertices=square.vertices[::-1],
+                            side_tags=square.side_tags)
+        pts, _ = self._side_points(square)
+        want = np.array([[0.0, -1.0], [1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
+        got = square.outward_normals(pts)
+        assert np.array_equal(got, np.repeat(want, 4, axis=0))
+        assert np.array_equal(clockwise.outward_normals(pts), got)
+        # no -0.0 components
+        assert not np.any(np.signbit(got) & (got == 0.0))
+        assert not np.any(np.signbit(clockwise.outward_normals(pts))
+                          & (got == 0.0))
+
+    def test_points_near_a_corner_take_their_own_side(self):
+        pts, side = self._side_points(l_shape())
+        v = np.asarray(l_shape().vertices)
+        d = np.roll(v, -1, axis=0) - v
+        want = np.column_stack([d[:, 1], -d[:, 0]])
+        want /= np.hypot(d[:, 0], d[:, 1])[:, None]
+        assert np.array_equal(l_shape().outward_normals(pts), want[side] + 0.0)
+
+    def test_off_boundary_and_1d_raise(self):
+        with pytest.raises(ValueError):
+            unit_square().outward_normals(np.array([[0.5, 0.5]]))
+        with pytest.raises(ValueError):
+            l_shape().outward_normals(np.array([[0.5, -1e-6]]))
+        with pytest.raises(ValueError):
+            unit_interval().outward_normals(np.array([[0.0]]))
+        with pytest.raises(ValueError):
+            unit_interval().contains(np.array([[0.5]]))
+
+    def test_contains(self):
+        pts = np.array([[-0.5, -0.5], [0.5, 0.5], [0.5, -0.5], [1.5, 0.5]])
+        assert l_shape().contains(pts).tolist() == [True, True, False, False]
+        assert unit_square().contains(pts).tolist() == [False, True, False,
+                                                        False]
+
+
 class TestNLambda:
     def test_1d(self):
         assert n_lambda(100, 10.0, 1) == pytest.approx(2 * math.pi * 100 / 10)

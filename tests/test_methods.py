@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helmholtz_lab import analysis, assembly, meshing, methods, spaces
+from helmholtz_lab import analysis, assembly, cli, meshing, methods, spaces
 from helmholtz_lab.numerics import bessel_j, gauss_interval
 
 
@@ -165,15 +165,10 @@ class TestExactSolutions:
         assert u.tobytes() == exact.value(x).tobytes()
         assert g.tobytes() == exact.gradient(x).tobytes()
 
-    @pytest.mark.parametrize("maker,kw", [
-        (methods.model_problem_1d, {"k": 7.0}),
-        (methods.plane_wave_problem, {"k": 12.0}),
-        (methods.lshape_singular_problem, {"k": 4.0}),
-        (methods.lshape_plane_wave_problem, {"k": 6.0}),
-        (methods.lshape_singular_problem, {"k": 4.0, "robin_sign": 1.0}),
-    ])
-    def test_declared_solutions_verify(self, maker, kw):
-        problem = maker(**kw)
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["plus", "minus"])
+    @pytest.mark.parametrize("domain, exact", sorted(cli._PROBLEMS))
+    def test_declared_solutions_verify(self, domain, exact, sign):
+        problem = cli._PROBLEMS[domain, exact](6.0, robin_sign=sign)
         resid = methods.verify_exact_solution(problem,
                                               rng=np.random.default_rng(2))
         assert resid["pde"] < 1e-8
@@ -221,17 +216,75 @@ class TestProblemSpec:
         assert problem.bc["neumann"] == "neumann"
         assert problem.robin_sign == -1.0
 
-    @pytest.mark.parametrize("domain,normal_fn", [
-        (meshing.unit_square(), methods._square_normal),
-        (meshing.l_shape(), methods._lshape_normal),
-    ])
-    def test_inferred_normals_match_mesh(self, domain, normal_fn):
-        mesh = meshing.triangulate(domain, 0.25)
-        for edge in mesh.boundary_edges():
-            mid = mesh.nodes[list(edge.nodes)].mean(axis=0)
-            inferred = normal_fn(mid[None, :])[0]
-            assert np.allclose(inferred, edge.normal, atol=1e-12), (
-                f"normal mismatch at {mid}")
+    @pytest.mark.parametrize("domain, h", [(meshing.unit_square(), 0.25),
+                                           (meshing.l_shape(), 0.4)],
+                             ids=["square", "lshape"])
+    def test_impedance_data_takes_mesh_normals_on_graded_mesh(self, domain,
+                                                               h):
+        # Grading puts Gauss points within 1e-9 of the corner, on both
+        # sides meeting there; each must see its own edge's normal.  The
+        # direction is oblique, so every side gives a different du/dn.
+        mesh = meshing.geometric_refine(meshing.triangulate(domain, h),
+                                        [(0.0, 0.0)], 0.125, 10)
+        k = 5.0
+        exact = methods.plane_wave_2d(k, direction=(math.cos(0.3),
+                                                    math.sin(0.3)))
+        idx = np.flatnonzero(mesh.boundary_mask)
+        a = mesh.nodes[mesh.edge_nodes[idx, 0]]
+        b = mesh.nodes[mesh.edge_nodes[idx, 1]]
+        t = gauss_interval(2).points
+        pts = (a[:, None, :] + t[None, :, None] * (b - a)[:, None, :])
+        pts = pts.reshape(-1, 2)
+        normals = np.repeat(mesh.edge_normals[idx], len(t), axis=0)
+        assert np.min(np.hypot(pts[:, 0], pts[:, 1])) < 1e-9
+        vals, grads = exact.eval(pts)
+        for s in (1.0, -1.0):
+            want = np.sum(grads * normals, axis=1) + s * 1j * k * vals
+            got = methods.impedance_data(exact, domain, s)(pts)
+            assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+
+    def test_renamed_polygon_keeps_its_boundary_data(self):
+        # Geometry comes from the vertices, not from the domain's name.
+        box = dataclasses.replace(meshing.unit_square(), name="box")
+        exact = methods.plane_wave_2d(5.0)
+        problem = methods.ProblemSpec(
+            domain=box, k=5.0, g=methods.impedance_data(exact, box),
+            exact=exact)
+        resid = methods.verify_exact_solution(problem,
+                                              rng=np.random.default_rng(2))
+        assert resid["pde"] < 1e-8
+        assert resid["gradient"] < 1e-6
+        assert resid["boundary"] < 1e-8
+
+
+def _in_margin_region(domain, pts, m):
+    """The interior sampler's acceptance region for the built-in
+    polygons, written out side by side."""
+    x, y = pts[:, 0], pts[:, 1]
+    if domain.vertices == meshing.l_shape().vertices:
+        return ((-1 + m <= x) & (x <= 1 - m) & (-1 + m <= y) & (y <= 1 - m)
+                & ~((x > -m) & (y < m)))
+    return (m <= x) & (x <= 1 - m) & (m <= y) & (y <= 1 - m)
+
+
+class TestSampleInterior:
+    @pytest.mark.parametrize("domain", [
+        meshing.unit_square(), meshing.l_shape(),
+        dataclasses.replace(meshing.unit_square(), name="box")],
+        ids=["square", "lshape", "box"])
+    @pytest.mark.parametrize("min_radius", [0.0, 0.45])
+    def test_points_keep_margin_and_radius(self, domain, min_radius):
+        rng = np.random.default_rng(5)
+        pts = methods._sample_interior(domain, 200, rng, min_radius)
+        assert pts.shape == (200, 2)
+        assert np.all(_in_margin_region(domain, pts, 0.02))
+        assert np.all(np.hypot(pts[:, 0], pts[:, 1]) >= min_radius)
+
+    def test_interval_draws_are_plain_uniform(self):
+        pts = methods._sample_interior(meshing.unit_interval(), 7,
+                                       np.random.default_rng(3))
+        want = np.random.default_rng(3).uniform(0.02, 0.98, size=7)
+        assert pts.tobytes() == want.tobytes()
 
 
 class TestSolveFem:
@@ -459,41 +512,6 @@ class TestPwdg:
         space = spaces.trefftz_space(mesh, k, spaces.PlaneWaveBasis(k, 5))
         with pytest.raises(ValueError):
             methods.solve_pwdg(problem, space)
-
-
-class TestScaleResolution:
-    def test_worked_example(self):
-        ok, margins = methods.scale_resolution_check(10.0, 0.1, 2, 2)
-        assert not ok
-        assert abs(margins["oscillation"] - 0.5) < 1e-12
-        assert margins["degree"] < 0.0
-        assert margins["levels"] >= 0.0
-
-    def test_unit_wavenumber_degree_condition_trivial(self):
-        ok, margins = methods.scale_resolution_check(1.0, 0.5, 1, 1)
-        assert margins["degree"] == 1.0
-        assert ok
-
-    def test_p_improves_resolution_margins(self):
-        k, h, L = 20.0, 0.05, 12
-        prev_osc, prev_deg = -np.inf, -np.inf
-        for p in range(1, 9):
-            _, margins = methods.scale_resolution_check(k, h, p, L)
-            assert margins["oscillation"] >= prev_osc
-            assert margins["degree"] >= prev_deg
-            prev_osc = margins["oscillation"]
-            prev_deg = margins["degree"]
-
-    def test_levels_condition_caps_p(self):
-        ok_small, _ = methods.scale_resolution_check(1.0, 0.1, 2, 2)
-        ok_large, margins = methods.scale_resolution_check(1.0, 0.1, 3, 2)
-        assert ok_small
-        assert not ok_large
-        assert margins["levels"] == -1.0
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            methods.scale_resolution_check(0.0, 0.1, 1, 1)
 
 
 class TestApproxStudy:
