@@ -3,9 +3,21 @@
 Every matrix follows one convention: forms are linear in the first
 (trial) argument and conjugate-linear in the second (test) argument, and
 A[i, j] = form(b_j, b_i), so x^H A x is the quadratic form of x.  Every
-assembled matrix is a scipy CSR matrix summed from (row, col, value)
-triplets; only the truncated SVD and the inf-sup probe make a dense
-copy, and they refuse systems above _DENSE_LIMIT unknowns.
+assembled matrix is a scipy CSR matrix on a `spaces.BlockPattern`: the
+keys (dofs[b, l], dofs[b, m]) of all local blocks are sorted once into
+the CSR structure and a data slot per block entry, and each form sums
+its local blocks into a data array on it, batch by batch and block
+after block in order (`_block_sum`).  The element pattern is built once
+per space (`space.element_pattern`); the boundary blocks of the Galerkin
+form use their elements' slots, and the Trefftz skeleton forms build one
+pattern of their two-sided edge blocks per call (`_skeleton_pattern`).
+Sums such as stiffness - k^2 mass + ik boundary mass are taken on the
+data arrays, and `_csr` drops the exact zeros, as scipy's sparse sums
+do (SuperLU's orderings depend on which entries are stored).  An entry
+with at most two contributions, as in every 1D matrix, or one, as in a
+Trefftz Gram block, gets the bits of any summation order.  Only the
+truncated SVD and the inf-sup probe make a dense copy, and they refuse
+systems above _DENSE_LIMIT unknowns.
 
 Every quadrature rule comes from the space (`space.volume_rule`,
 `space.edge_rule`), and so do the DOFs that a Dirichlet edge fixes
@@ -67,9 +79,10 @@ _LU_RESIDUAL_LIMIT = 1e-10
 class ComplexSystem:
     """An assembled complex linear system plus companion matrices.
 
-    `free` lists the unconstrained DOF indices when Dirichlet elimination
-    applies (None means all DOFs are free); `mass` is the plain L2 mass
-    matrix on the same DOF set, kept for the Garding-identity checks.
+    `free` lists the unconstrained DOF indices in ascending order when
+    Dirichlet elimination applies (None means all DOFs are free); `mass`
+    is the plain L2 mass matrix on the same DOF set, kept for the
+    Garding-identity checks.
     """
 
     A: object
@@ -144,30 +157,33 @@ def h_version_fluxes(space, a=1.0, beta=0.5, delta=0.25):
     return FluxParams(alpha=a / (space.k * h_e), beta=beta, delta=delta)
 
 
-# -- sparse triplets ---------------------------------------------------------
+# -- sparse block sums -------------------------------------------------------
 
 
-def _accumulate(triplets, rows, cols, local):
-    """Append local[..., i, j] at (rows[..., i], cols[..., j]).
+def _block_sum(data, pattern, slots, local):
+    """`data` with the local blocks local[b, l, m] added at their slots
+    slots[b, l, m] of `pattern`, block after block in order, so that
+    batches of any size give the bits of one batch; None starts from a
+    zero array of local's dtype."""
+    if data is None:
+        data = np.zeros(pattern.nnz, dtype=local.dtype)
+    # flat indices take ufunc.at's fast path, four times faster
+    np.add.at(data, slots.ravel(), local.ravel())
+    return data
 
-    Leading axes of `local` batch blocks, and `rows`/`cols` carry the
-    same leading axes; entries are appended in row-major block order.
+
+def _csr(pattern, data):
+    """The CSR matrix holding `data` on `pattern`, exact zeros dropped.
+
+    scipy's sparse sums drop the zeros they produce, and SuperLU's
+    orderings depend on which entries are stored.
     """
-    r, c, v = triplets
-    r.append(np.broadcast_to(rows[..., :, None], local.shape).ravel())
-    c.append(np.broadcast_to(cols[..., None, :], local.shape).ravel())
-    v.append(local.ravel())
-
-
-def _to_csr(triplets, n):
-    """CSR matrix summing the triplets; empty triplets give a complex zero."""
-    rows, cols, vals = triplets
-    if not rows:
-        return scipy.sparse.csr_matrix((n, n), dtype=complex)
-    return scipy.sparse.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n),
-    ).tocsr()
+    keep = data != 0
+    kept = np.zeros(pattern.nnz + 1, dtype=pattern.indptr.dtype)
+    np.cumsum(keep, out=kept[1:])
+    return scipy.sparse.csr_matrix(
+        (data[keep], pattern.indices[keep], kept[pattern.indptr]),
+        shape=(pattern.n, pattern.n))
 
 
 def _flat(pts):
@@ -182,33 +198,31 @@ def _flat(pts):
 def _volume_parts(space, k, matrices=True, load=None):
     """One loop over element batches for the volume terms.
 
-    Returns (stiff, mass, rhs): the stiffness and mass matrices as CSR
-    when `matrices` is set, and the load vector summed from
-    `load(pts, w, vals, grads)`, the local loads (nb, nloc) of one batch
-    from its `element_tables`, when a `load` is given; what is not asked
-    for is None.  A batch that needs both takes them from one
+    Returns (stiff, mass, rhs): the stiffness and mass matrices as data
+    arrays on `space.element_pattern` when `matrices` is set, and the
+    load vector summed from `load(pts, w, vals, grads)`, the local loads
+    (nb, nloc) of one batch from its `element_tables`, when a `load` is
+    given; what is not asked for is None.  A batch that needs both takes them from one
     `element_tables` call; without a load, `element_matrices` evaluates
     what it needs itself (no physical-point tables for the 2D
     polynomial space).
     """
     rule = space.volume_rule(k)
     dofs = space.dof_matrix()
-    st = ([], [], [])
-    ms = ([], [], [])
+    pattern = space.element_pattern if matrices else None
+    stiff = mass = None
     rhs = None if load is None else np.zeros(space.ndof, dtype=complex)
     for elems in space.element_batches(len(rule.weights)):
-        d = dofs[elems]
         tables = None
         if load is not None:
             tables = space.element_tables(elems, rule)
-            np.add.at(rhs, d, load(*tables))
+            np.add.at(rhs, dofs[elems], load(*tables))
         if matrices:
             s_loc, m_loc = space.element_matrices(elems, rule, tables)
-            _accumulate(st, d, d, s_loc)
-            _accumulate(ms, d, d, m_loc)
-    if not matrices:
-        return None, None, rhs
-    return _to_csr(st, space.ndof), _to_csr(ms, space.ndof), rhs
+            slots = pattern.slots[0][elems]
+            stiff = _block_sum(stiff, pattern, slots, s_loc)
+            mass = _block_sum(mass, pattern, slots, m_loc)
+    return stiff, mass, rhs
 
 
 def _source_load(fn, pts, w, vals):
@@ -288,20 +302,21 @@ def _boundary_batches(space, k, tags):
 def _boundary_parts(space, k, tags, g=None):
     """One pass over the boundary edges whose tag lies in `tags`.
 
-    Returns (boundary mass matrix as CSR, load (g, b_i)), the load None
-    without a point callback g.
+    Returns (boundary mass, load (g, b_i)): the boundary mass as a data
+    array on `space.element_pattern`, each edge's block summed into its
+    element's slots, and the load None without a point callback g.
     """
     dofs = space.dof_matrix()
-    tri = ([], [], [])
+    pattern = space.element_pattern
+    bd = None
     rhs = None if g is None else np.zeros(space.ndof, dtype=complex)
     for elems, pts, w in _boundary_batches(space, k, tags):
         vals, _ = space.eval_basis(elems, pts)
-        d = dofs[elems]
-        _accumulate(tri, d, d, np.einsum("eq,eql,eqm->elm", w, np.conj(vals),
-                                         vals))
+        bd = _block_sum(bd, pattern, pattern.slots[0][elems], np.einsum(
+            "eq,eql,eqm->elm", w, np.conj(vals), vals))
         if g is not None:
-            np.add.at(rhs, d, _source_load(g, pts, w, vals))
-    return _to_csr(tri, space.ndof), rhs
+            np.add.at(rhs, dofs[elems], _source_load(g, pts, w, vals))
+    return (np.zeros(pattern.nnz) if bd is None else bd), rhs
 
 
 def assemble_galerkin(space, k, f=None, g=None, bc=None, robin_sign=1.0):
@@ -327,7 +342,8 @@ def assemble_galerkin(space, k, f=None, g=None, bc=None, robin_sign=1.0):
         load = lambda pts, w, vals, grads: _source_load(fv, pts, w, vals)
     stiff, mass, f_rhs = _volume_parts(space, k, load=load)
     bd, g_rhs = _boundary_parts(space, k, robin_tags, g)
-    A = stiff - k**2 * mass + robin_sign * 1j * k * bd
+    pattern = space.element_pattern
+    A = _csr(pattern, stiff - k**2 * mass + robin_sign * 1j * k * bd)
     # the two loads are summed into zeros in this order, as separate
     # vectors: adding one into the other's accumulator rounds differently
     rhs = np.zeros(space.ndof, dtype=complex)
@@ -339,15 +355,16 @@ def assemble_galerkin(space, k, f=None, g=None, bc=None, robin_sign=1.0):
         keep = np.ones(space.ndof, dtype=bool)
         keep[space.boundary_dofs(_tagged_edges(mesh, dirichlet_tags))] = False
         free = np.flatnonzero(keep)
-    meta = {"dim": mesh.dim, "boundary_mass": bd}
-    return ComplexSystem(A=A, rhs=rhs, mass=mass, free=free, meta=meta)
+    meta = {"dim": mesh.dim, "boundary_mass": _csr(pattern, bd)}
+    return ComplexSystem(A=A, rhs=rhs, mass=_csr(pattern, mass), free=free,
+                         meta=meta)
 
 
 def assemble_gram_1k(space, k):
     """Gram matrix of the weighted norm k^2 ||u||^2 + ||grad u||^2."""
     k = float(k)
     stiff, mass, _ = _volume_parts(space, k)
-    return stiff + k**2 * mass
+    return _csr(space.element_pattern, stiff + k**2 * mass)
 
 
 def project_rhs_1k(space, k, target):
@@ -373,7 +390,8 @@ def assemble_projection_1k(space, k, target):
     k = float(k)
     stiff, mass, rhs = _volume_parts(
         space, k, load=functools.partial(_load_1k, k, target))
-    return ComplexSystem(A=stiff + k**2 * mass, rhs=rhs)
+    return ComplexSystem(A=_csr(space.element_pattern, stiff + k**2 * mass),
+                         rhs=rhs)
 
 
 # -- skeleton assembly for Trefftz methods -----------------------------------
@@ -440,12 +458,35 @@ def _products(ds, vals, dn):
 
 
 def _two_sided(sides):
-    """Both sides' DOFs, values and normal derivatives side by side, and
-    the sign (+1 plus, -1 minus) of each local column."""
-    (dp, vp, gp), (dm, vm, gm) = sides
-    sign = np.repeat([1.0, -1.0], dp.shape[1])
-    return (np.concatenate([dp, dm], axis=1), np.concatenate([vp, vm], axis=2),
-            np.concatenate([gp, gm], axis=2), sign)
+    """Both sides' values and normal derivatives side by side, and the
+    sign (+1 plus, -1 minus) of each local column."""
+    (_, vp, gp), (_, vm, gm) = sides
+    sign = np.repeat([1.0, -1.0], vp.shape[2])
+    return (np.concatenate([vp, vm], axis=2), np.concatenate([gp, gm], axis=2),
+            sign)
+
+
+def _skeleton_pattern(space, k):
+    """The skeleton's edge batches and the `BlockPattern` of their blocks.
+
+    Returns (pattern, inner, outer): `inner` and `outer` list the interior
+    and boundary edge batches of `_edge_groups` as ((edges, t, ds),
+    slots).  An interior edge's block couples the DOFs of its plus and
+    minus elements, in that order (the columns of `_two_sided`); a
+    boundary edge's block those of its one element.
+    """
+    mesh = space.mesh
+    dofs = space.dof_matrix()
+    interior, boundary = _skeleton_edges(mesh)
+    inner = list(_edge_groups(space, k, interior))
+    outer = list(_edge_groups(space, k, boundary))
+    blocks = [dofs[mesh.edge_elems[edges]].reshape(len(edges), -1)
+              for edges, _, _ in inner]
+    blocks += [dofs[mesh.edge_elems[edges, 0]] for edges, _, _ in outer]
+    pattern = spaces.BlockPattern.of(space.ndof, blocks)
+    slots = pattern.slots
+    return (pattern, list(zip(inner, slots[:len(inner)])),
+            list(zip(outer, slots[len(inner):])))
 
 
 def _edge_values(fn, pts):
@@ -465,27 +506,26 @@ def assemble_least_squares(space, k, g, w1=None, w2=None):
     k = float(k)
     w1 = k if w1 is None else float(w1)
     w2 = 1.0 if w2 is None else float(w2)
-    mesh = space.mesh
-    n = space.ndof
-    tri = ([], [], [])
-    rhs = np.zeros(n, dtype=complex)
+    pattern, inner, outer = _skeleton_pattern(space, k)
+    data = None
+    rhs = np.zeros(space.ndof, dtype=complex)
     g_norm2 = 0.0
-    interior, boundary = _skeleton_edges(mesh)
-    for edges, t, ds in _edge_groups(space, k, interior):
+    for (edges, t, ds), slots in inner:
         _, sides = _edge_traces(space, edges, t)
-        dofs, vals, dn, sign = _two_sided(sides)
-        _accumulate(tri, dofs, dofs, w1**2 * _gram(ds, vals * sign)
-                    + w2**2 * _gram(ds, dn * sign))
-    for edges, t, ds in _edge_groups(space, k, boundary):
+        vals, dn, sign = _two_sided(sides)
+        data = _block_sum(data, pattern, slots,
+                          w1**2 * _gram(ds, vals * sign)
+                          + w2**2 * _gram(ds, dn * sign))
+    for (edges, t, ds), slots in outer:
         pts, ((dofs, vals, dn),) = _edge_traces(space, edges, t)
         imp = dn + 1j * k * vals
-        _accumulate(tri, dofs, dofs, w2**2 * _gram(ds, imp))
+        data = _block_sum(data, pattern, slots, w2**2 * _gram(ds, imp))
         gv = _edge_values(g, pts)
         np.add.at(rhs, dofs, w2**2 * np.einsum("eq,eql->el", ds * gv,
                                                 np.conj(imp)))
         g_norm2 += w2**2 * float(np.sum(ds * np.abs(gv) ** 2))
     meta = {"w1": w1, "w2": w2, "g_norm2": g_norm2}
-    return ComplexSystem(A=_to_csr(tri, n), rhs=rhs, meta=meta)
+    return ComplexSystem(A=_csr(pattern, data), rhs=rhs, meta=meta)
 
 
 def assemble_pwdg(space, k, g, flux):
@@ -498,33 +538,31 @@ def assemble_pwdg(space, k, g, flux):
     """
     _require_trefftz(space)
     k = float(k)
-    mesh = space.mesh
-    n = space.ndof
-    interior, boundary = _skeleton_edges(mesh)
-    _check_flux(flux, mesh)
-    tri = ([], [], [])
-    rhs = np.zeros(n, dtype=complex)
-    for edges, t, ds in _edge_groups(space, k, interior):
+    _check_flux(flux, space.mesh)
+    pattern, inner, outer = _skeleton_pattern(space, k)
+    data = None
+    rhs = np.zeros(space.ndof, dtype=complex)
+    for (edges, t, ds), slots in inner:
         _, sides = _edge_traces(space, edges, t)
-        dofs, vals, dn, sign = _two_sided(sides)
+        vals, dn, sign = _two_sided(sides)
         vv, vg, gv, gg = _products(ds, vals, dn)
         alpha, beta, _ = (a[:, None, None] for a in flux.on_edges(edges))
         # row l tests with side sign[l]; column m is trial side sign[m]
         loc = sign[:, None] * 0.5 * (gv - vg)
         loc += np.outer(sign, sign) * ((1j / k) * beta * gg
                                        + 1j * k * alpha * vv)
-        _accumulate(tri, dofs, dofs, loc)
-    for edges, t, ds in _edge_groups(space, k, boundary):
+        data = _block_sum(data, pattern, slots, loc)
+    for (edges, t, ds), slots in outer:
         pts, ((dofs, vals, dn),) = _edge_traces(space, edges, t)
         vv, vg, gv, gg = _products(ds, vals, dn)
         d = flux.on_edges(edges)[2][:, None, None]
         loc = ((1.0 - d) * gv + (1j / k) * d * gg - d * vg
                + 1j * k * (1.0 - d) * vv)
-        _accumulate(tri, dofs, dofs, loc)
+        data = _block_sum(data, pattern, slots, loc)
         test = (1j / k) * d * np.conj(dn) + (1.0 - d) * np.conj(vals)
         np.add.at(rhs, dofs, np.einsum("eq,eql->el",
                                        ds * _edge_values(g, pts), test))
-    return ComplexSystem(A=_to_csr(tri, n), rhs=rhs)
+    return ComplexSystem(A=_csr(pattern, data), rhs=rhs)
 
 
 # -- linear algebra ----------------------------------------------------------
@@ -545,11 +583,26 @@ def _dense(a):
 
 
 def _reduce(system):
+    """The system matrix as complex CSR and the right-hand side, both
+    restricted to the free DOFs.
+
+    The free block keeps A's entries in order, as A[free][:, free] does
+    for ascending `free`, without scipy's two fancy-indexing copies.
+    """
     A = scipy.sparse.csr_matrix(system.A, dtype=complex)
     if system.free is None:
         return A, system.rhs
     free = system.free
-    return A[free][:, free], system.rhs[free]
+    index = np.full(A.shape[0], -1, dtype=A.indices.dtype)
+    index[free] = np.arange(len(free))
+    row = np.repeat(index, np.diff(A.indptr))
+    col = index[A.indices]
+    keep = (row >= 0) & (col >= 0)
+    indptr = np.zeros(len(free) + 1, dtype=A.indptr.dtype)
+    np.cumsum(np.bincount(row[keep], minlength=len(free)), out=indptr[1:])
+    block = scipy.sparse.csr_matrix((A.data[keep], col[keep], indptr),
+                                    shape=(len(free), len(free)))
+    return block, system.rhs[free]
 
 
 def _relative_residual(A, x, rhs):

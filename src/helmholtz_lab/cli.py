@@ -9,7 +9,8 @@ config reproduces its CSV byte for byte.
 
 Two tables hold what the harness knows: `_METHODS` gives each method's
 keys, domains, swept lists and row runner, and `_PROBLEMS` gives the
-problem builder of each (domain, exact solution) pair.
+problem builder of each (domain, exact solution) pair; `mesh-dump` meshes
+the polygon of a domain's default problem from it.
 """
 
 import argparse
@@ -141,6 +142,11 @@ _PROBLEMS = {
 }
 _DOMAINS = tuple(dict.fromkeys(domain for domain, _ in _PROBLEMS))
 _EXACT = tuple(dict.fromkeys(exact for _, exact in _PROBLEMS))
+
+
+def _exacts(domain):
+    """The exact solutions of the domain's problems, its default first."""
+    return [exact for dom, exact in _PROBLEMS if dom == domain]
 
 
 def _problem(cfg, k):
@@ -433,7 +439,7 @@ def build_config(raw):
     if any(k < 1.0 for k in cfg["k"]):
         raise ConfigError("k", "wavenumbers below 1 are not supported")
 
-    exacts = [exact for dom, exact in _PROBLEMS if dom == domain]
+    exacts = _exacts(domain)
     if cfg["exact"] is None:
         cfg["exact"] = exacts[0]
     if cfg["exact"] not in exacts:
@@ -728,12 +734,10 @@ def cmd_list_presets():
 
 
 def _dump_mesh(domain_text, h_text, grade):
-    builders = {
-        "interval": meshing.unit_interval,
-        "square": meshing.unit_square,
-        "lshape": meshing.l_shape,
-    }
-    domain = builders[_KEY_PARSERS["domain"]("domain", domain_text)]()
+    """The mesh of the polygon that the domain's default problem is posed
+    on, as `triangulate` builds it at h, graded when asked."""
+    name = _KEY_PARSERS["domain"]("domain", domain_text)
+    domain = _PROBLEMS[name, _exacts(name)[0]](1.0).domain
     h = _parse_float("h", h_text)
     _check_mesh_sizes([h])
     mesh = meshing.triangulate(domain, h)

@@ -340,23 +340,19 @@ def mesh_from_arrays(dim, nodes, elements, edge_tags=None):
     return Mesh(dim, nodes, elements, edge_tags=edge_tags)
 
 
-def uniform_interval_mesh(n):
-    """n equal elements on (0, 1); endpoints tagged left/right."""
+def uniform_interval_mesh(n, a=0.0, b=1.0, tags=("left", "right")):
+    """n equal elements on (a, b); the end a tagged tags[0], b tags[1]."""
     if n < 1:
         raise ValueError("need at least one element")
-    nodes = np.linspace(0.0, 1.0, n + 1)
+    if not a < b:
+        raise ValueError("an interval needs a < b")
+    nodes = np.linspace(a, b, n + 1)
     elements = np.column_stack([np.arange(n), np.arange(1, n + 1)])
     mesh = Mesh(1, nodes, elements)
-    _tag_interval_ends(mesh)
-    return mesh
-
-
-def _tag_interval_ends(mesh):
-    xmin = mesh.nodes.min()
-    xmax = mesh.nodes.max()
     for idx in np.flatnonzero(mesh.boundary_mask):
-        v = mesh.edge_nodes[idx, 0]
-        mesh.edge_tags[idx] = "left" if mesh.nodes[v] == xmin else "right"
+        at_a = mesh.edge_nodes[idx, 0] == 0
+        mesh.edge_tags[idx] = tags[0] if at_a else tags[1]
+    return mesh
 
 
 def _point_in_polygon(points, verts):
@@ -380,12 +376,17 @@ def triangulate(domain, target_h):
 
     target_h is the grid pitch of the underlying square lattice (each
     kept cell is split into two right triangles); the actual max element
-    diameter is sqrt(2) * pitch and is recorded on the mesh.
+    diameter is sqrt(2) * pitch and is recorded on the mesh.  A 1D
+    polygon, the interval between its two vertices a < b, gets
+    ceil((b - a) / target_h) equal elements, its ends tagged with its
+    side tags in vertex order.
     """
-    if domain.dim == 1:
-        return uniform_interval_mesh(max(1, int(math.ceil(1.0 / target_h))))
     if target_h <= 0:
         raise ValueError("target_h must be positive")
+    if domain.dim == 1:
+        (a,), (b,) = domain.vertices
+        n = max(1, int(math.ceil((b - a) / target_h)))
+        return uniform_interval_mesh(n, a, b, domain.side_tags)
     verts = np.asarray(domain.vertices, dtype=float)
     xmin, ymin = verts.min(axis=0)
     xmax, ymax = verts.max(axis=0)

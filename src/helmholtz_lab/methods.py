@@ -258,10 +258,19 @@ def lshape_singular_problem(k, robin_sign=-1.0):
 # -- exact-solution verification ----------------------------------------------
 
 
+# Rounds of n candidate points `_sample_interior` draws before it gives up
+# on an acceptance region that is empty (or nearly so).
+_SAMPLE_ROUNDS = 1000
+
+
 def _sample_interior(domain, n, rng, min_radius=0.0, margin=0.02):
     """n random points at least `margin` inside the domain, in the sense
     that the square of half-width `margin` around each lies in it (2D),
-    and at least `min_radius` from the origin."""
+    and at least `min_radius` from the origin.
+
+    Raises ValueError, naming both, when _SAMPLE_ROUNDS rounds of n
+    candidates leave fewer than n points.
+    """
     lo = np.min(domain.vertices, axis=0) + margin
     hi = np.max(domain.vertices, axis=0) - margin
     if domain.dim == 1:
@@ -269,13 +278,18 @@ def _sample_interior(domain, n, rng, min_radius=0.0, margin=0.02):
     box = margin * np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0],
                              [-1.0, 1.0]])
     pts = np.empty((0, 2))
-    while len(pts) < n:
+    for _ in range(_SAMPLE_ROUNDS):
         cand = rng.uniform(lo, hi, size=(n, 2))
         corners = (cand[:, None, :] + box).reshape(-1, 2)
         keep = domain.contains(corners).reshape(n, 4).all(axis=1)
         keep &= np.hypot(cand[:, 0], cand[:, 1]) >= min_radius
         pts = np.concatenate([pts, cand[keep]])
-    return pts[:n]
+        if len(pts) >= n:
+            return pts[:n]
+    raise ValueError(
+        f"{len(pts)} of {_SAMPLE_ROUNDS * n} points drawn in domain "
+        f"'{domain.name}' lie min_radius={min_radius} from the origin and "
+        f"margin={margin} inside it; {n} are needed")
 
 
 def _fd_laplacian(value, pts, h):

@@ -30,7 +30,9 @@ waves or of enrichment functions, the GHP dimension 2p+1), the reference
 rules of its volume integrals (`volume_rule(k)`), of error integrals
 (`error_rule(k)`) and of its edges (`edge_rule(k, length)`), and, for a
 conforming space, the DOFs whose basis functions live on given mesh
-edges (`boundary_dofs(edges)`).
+edges (`boundary_dofs(edges)`).  `element_pattern` is the `BlockPattern`
+of its element blocks: the CSR structure that assembly sums local
+matrices into, built on first use and kept with the space.
 """
 
 import functools
@@ -176,6 +178,53 @@ def _reference_rule(dim, degree):
     return quad_triangle(degree)
 
 
+@dataclass(frozen=True)
+class BlockPattern:
+    """CSR structure of an n x n matrix summed from square blocks.
+
+    A DOF array `dofs` (B, L) describes B blocks; entry (l, m) of block b
+    lands at (dofs[b, l], dofs[b, m]).  `indptr` and `indices` are the
+    CSR structure of the union of those keys, rows and columns sorted,
+    and `slots[i][b, l, m]` is the data index of entry (l, m) of block b
+    of the i-th DOF array given to `of`.
+    """
+
+    n: int
+    indptr: np.ndarray
+    indices: np.ndarray
+    slots: tuple
+
+    @property
+    def nnz(self):
+        return len(self.indices)
+
+    @classmethod
+    def of(cls, n, blocks):
+        """The pattern of the blocks of each DOF array in `blocks`, from
+        one sort of their keys."""
+        blocks = [np.asarray(d, dtype=np.int64) for d in blocks]
+        keys = np.concatenate([(d[:, :, None] * n + d[:, None, :]).ravel()
+                               for d in blocks])
+        # np.unique(keys, return_inverse=True) on a stable argsort: half
+        # np.unique's time for the 45 x 45 blocks of p = 8
+        order = np.argsort(keys, kind="stable")
+        ordered = keys[order]
+        first = np.empty(len(keys), dtype=bool)
+        first[:1] = True
+        np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+        unique = ordered[first]
+        index = np.int32 if max(n, len(unique)) < 2**31 else np.int64
+        inverse = np.empty(len(keys), dtype=index)
+        inverse[order] = np.cumsum(first, dtype=index) - 1
+        indptr = np.zeros(n + 1, dtype=index)
+        np.cumsum(np.bincount(unique // n, minlength=n), out=indptr[1:])
+        ends = np.cumsum([d.size * d.shape[1] for d in blocks])
+        parts = np.split(inverse, ends[:-1])
+        slots = tuple(s.reshape(d.shape + d.shape[1:])
+                      for s, d in zip(parts, blocks))
+        return cls(n, indptr, (unique % n).astype(index), slots)
+
+
 def _batched(eval_basis):
     """Let an int `elems` evaluate one element with unbatched shapes."""
 
@@ -230,6 +279,12 @@ class _Space:
 
     def element_dofs(self, ei):
         return self.dof_matrix()[ei]
+
+    @functools.cached_property
+    def element_pattern(self):
+        """`BlockPattern` of the element blocks, dof_matrix()[e] against
+        itself for every element e; built on first use and kept."""
+        return BlockPattern.of(self.ndof, [self.dof_matrix()])
 
     def element_batches(self, npts):
         """Element index arrays covering the mesh in order, sized so that

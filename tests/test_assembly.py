@@ -29,6 +29,7 @@ from helmholtz_lab.assembly import (
 )
 from helmholtz_lab.meshing import (
     Polygon,
+    geometric_refine,
     l_shape,
     triangulate,
     uniform_interval_mesh,
@@ -55,6 +56,14 @@ def dense_solve(system):
     x[slice(None) if system.free is None else system.free] = (
         scipy.linalg.solve(A.toarray(), rhs))
     return x
+
+
+def wall_square():
+    """The unit square with its east side tagged 'wall'."""
+    return Polygon(
+        name="square", dim=2,
+        vertices=((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)),
+        side_tags=("robin", "wall", "robin", "robin"))
 
 
 class TestGalerkin1D:
@@ -334,18 +343,14 @@ class TestDirichlet2D:
     @pytest.mark.parametrize("kind", ["h1_p1", "h1_p2", "h1_p3", "pum"])
     def test_fixed_dofs_are_the_wall_traces(self, kind):
         # the fixed DOFs are exactly those with a nonzero trace on the wall
-        domain = Polygon(
-            name="square", dim=2,
-            vertices=((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)),
-            side_tags=("robin", "wall", "robin", "robin"))
-        mesh = triangulate(domain, 0.25)
+        mesh = triangulate(wall_square(), 0.25)
         k = 4.0
         space = (pum_space(mesh, k, PlaneWaveBasis(k=k, p=3)) if kind == "pum"
                  else h1_space(mesh, int(kind[-1])))
         system = assemble_galerkin(space, k, bc={"wall": "dirichlet"})
         fixed = np.setdiff1d(np.arange(space.ndof), system.free)
         bd, _ = assembly._boundary_parts(space, k, {"wall"})
-        diag = np.abs(bd.diagonal())
+        diag = np.abs(assembly._csr(space.element_pattern, bd).diagonal())
         np.testing.assert_array_equal(
             fixed, np.flatnonzero(diag > 1e-12 * diag.max()))
         assert 0 < len(fixed) < space.ndof
@@ -507,6 +512,21 @@ class TestSolve:
         for cutoff in (None, 1e-12):
             res = solve(system, svd_cutoff=cutoff)
             np.testing.assert_allclose(res.x, [2.0, 1j], atol=1e-12)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_free_block_is_scipys_bitwise(self, dim):
+        # the solve sees the same stored entries as A[free][:, free]
+        k = 4.0
+        if dim == 1:
+            space = h1_space(uniform_interval_mesh(9), 3)
+            bc = {"left": "dirichlet"}
+        else:
+            space = h1_space(triangulate(wall_square(), 0.25), 2)
+            bc = {"wall": "dirichlet"}
+        system = assemble_galerkin(space, k, f=1.0, bc=bc)
+        block, rhs = assembly._reduce(system)
+        assert_same_csr(block, system.A[system.free][:, system.free])
+        assert rhs.tobytes() == system.rhs[system.free].tobytes()
 
     def test_dirichlet_reduction(self):
         mesh = uniform_interval_mesh(6)
@@ -764,3 +784,216 @@ class TestDeterminism:
         s2 = assemble_pwdg(space, k, g, uwvf_fluxes())
         assert np.array_equal(dense(s1.A), dense(s2.A))
         assert np.array_equal(s1.rhs, s2.rhs)
+
+
+# -- the block-sum contract ------------------------------------------------------
+
+
+def coo_sum(n, blocks):
+    """CSR sum of the local blocks (dofs (B, L), local (B, L, L)) through
+    COO triplets, exact zeros dropped."""
+    if not blocks:
+        return scipy.sparse.csr_matrix((n, n), dtype=complex)
+    rows = np.concatenate([np.broadcast_to(d[:, :, None], v.shape).ravel()
+                           for d, v in blocks])
+    cols = np.concatenate([np.broadcast_to(d[:, None, :], v.shape).ravel()
+                           for d, v in blocks])
+    vals = np.concatenate([v.ravel() for _, v in blocks])
+    out = scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+    out.eliminate_zeros()
+    return out
+
+
+def coo_parts(space, k, robin_tags):
+    """Stiffness, mass and Robin boundary mass, each summed through COO
+    triplets from the local matrices."""
+    rule = space.volume_rule(k)
+    dofs = space.dof_matrix()
+    stiff, mass, bd = [], [], []
+    for elems in space.element_batches(len(rule.weights)):
+        s_loc, m_loc = space.element_matrices(elems, rule)
+        stiff.append((dofs[elems], s_loc))
+        mass.append((dofs[elems], m_loc))
+    for elems, pts, w in assembly._boundary_batches(space, k, robin_tags):
+        vals, _ = space.eval_basis(elems, pts)
+        bd.append((dofs[elems],
+                   np.einsum("eq,eql,eqm->elm", w, np.conj(vals), vals)))
+    return (coo_sum(space.ndof, stiff), coo_sum(space.ndof, mass),
+            coo_sum(space.ndof, bd))
+
+
+def coo_galerkin(space, k, robin_tags, robin_sign=1.0):
+    """The Galerkin matrix combined from the COO parts by scipy's sparse
+    sums (which drop the zeros they produce), with its mass and boundary
+    mass."""
+    stiff, mass, bd = coo_parts(space, k, robin_tags)
+    return stiff - k**2 * mass + robin_sign * 1j * k * bd, mass, bd
+
+
+def coo_gram_1k(space, k):
+    stiff, mass, _ = coo_parts(space, k, set())
+    return stiff + k**2 * mass
+
+
+def assert_close_csr(a, b, rtol=1e-14):
+    """Same structure and dtype, entries equal to rtol of the largest."""
+    assert a.shape == b.shape and a.dtype == b.dtype
+    np.testing.assert_array_equal(a.indptr, b.indptr)
+    np.testing.assert_array_equal(a.indices, b.indices)
+    assert np.max(np.abs(a.data - b.data)) <= rtol * np.max(np.abs(b.data))
+
+
+def assert_no_stored_zero(a):
+    assert np.all(a.data != 0)
+
+
+def galerkin_spaces_1d():
+    k = 10.0
+    cases = []
+    for p in (1, 2, 3, 4):
+        cases.append((f"h1_p{p}", h1_space(uniform_interval_mesh(12), p), k))
+        graded = geometric_refine(uniform_interval_mesh(6), [0.0], 0.3, 4)
+        cases.append((f"h1_graded_p{p}", h1_space(graded, p), k))
+    cases.append(("nodal", nodally_exact_space_1d(uniform_interval_mesh(16), k),
+                  k))
+    cases.append(("h1_one_element", h1_space(uniform_interval_mesh(1), 3), k))
+    return cases
+
+
+class TestBlockSum:
+    @pytest.mark.parametrize("robin_sign", [1.0, -1.0])
+    @pytest.mark.parametrize("bc", [None, {"left": "dirichlet"}],
+                             ids=["robin", "wall"])
+    @pytest.mark.parametrize(
+        "name, space, k", galerkin_spaces_1d(),
+        ids=[c[0] for c in galerkin_spaces_1d()])
+    def test_1d_galerkin_bitwise(self, name, space, k, bc, robin_sign):
+        system = assemble_galerkin(space, k, f=1.0, bc=bc,
+                                   robin_sign=robin_sign)
+        robin = {"left", "right"} - set(bc or ())
+        A, mass, bd = coo_galerkin(space, k, robin, robin_sign)
+        assert_same_csr(system.A, A)
+        assert_same_csr(system.meta["boundary_mass"], bd)
+        assert_same_csr(system.mass, mass)
+        assert_same_csr(assemble_gram_1k(space, k), coo_gram_1k(space, k))
+        assert_no_stored_zero(system.A)
+
+    @pytest.mark.parametrize("local", [PlaneWaveBasis, GhpBasis])
+    @pytest.mark.parametrize("p", [1, 3, 6])
+    def test_trefftz_gram_bitwise(self, local, p):
+        k = 8.0
+        space = trefftz_space(triangulate(unit_square(), 0.5), k,
+                              local(k=k, p=p))
+        want = coo_gram_1k(space, k)
+        assert_same_csr(assemble_gram_1k(space, k), want)
+        target = methods.plane_wave_2d(k, (0.6, 0.8)).eval
+        assert_same_csr(assemble_projection_1k(space, k, target).A, want)
+        assert_no_stored_zero(want)
+
+    @pytest.mark.parametrize("kind", ["h1_p1", "h1_p3", "h1_lshape_p5", "pum"])
+    def test_2d_galerkin_to_roundoff(self, kind):
+        k = 6.0
+        if kind == "pum":
+            space = pum_space(triangulate(unit_square(), 0.25), k,
+                              PlaneWaveBasis(k=k, p=4))
+        elif kind == "h1_lshape_p5":
+            mesh = geometric_refine(triangulate(l_shape(), 0.5), [(0.0, 0.0)],
+                                    0.3, 3)
+            space = h1_space(mesh, 5)
+        else:
+            space = h1_space(triangulate(unit_square(), 0.25), int(kind[-1]))
+        system = assemble_galerkin(space, k)
+        A, mass, bd = coo_galerkin(space, k, {"robin"})
+        assert_close_csr(system.A, A)
+        assert_close_csr(system.mass, mass)
+        assert_close_csr(system.meta["boundary_mass"], bd)
+        assert_close_csr(assemble_gram_1k(space, k), coo_gram_1k(space, k))
+        assert_no_stored_zero(system.A)
+
+    @pytest.mark.parametrize("method", ["ls", "uwvf", "hmp"])
+    @pytest.mark.parametrize("local", [PlaneWaveBasis, GhpBasis])
+    def test_skeleton_to_roundoff(self, method, local, monkeypatch):
+        k = 7.0
+        space = trefftz_space(triangulate(unit_square(), 0.25), k,
+                              local(k=k, p=3))
+        g = lambda pts: np.exp(1j * k * pts[:, 0])
+        # record the local blocks in the order they are summed
+        blocks = []
+        block_sum = assembly._block_sum
+        monkeypatch.setattr(
+            assembly, "_block_sum",
+            lambda data, pattern, slots, local: blocks.append(local)
+            or block_sum(data, pattern, slots, local))
+        if method == "ls":
+            A = assemble_least_squares(space, k, g).A
+        else:
+            flux = uwvf_fluxes() if method == "uwvf" else hmp_fluxes(space)
+            A = assemble_pwdg(space, k, g, flux).A
+        # their DOFs, from the traces of the same edge batches
+        interior, boundary = assembly._skeleton_edges(space.mesh)
+        dofs = []
+        for edges in (interior, boundary):
+            for batch, t, _ in assembly._edge_groups(space, k, edges):
+                _, sides = assembly._edge_traces(space, batch, t)
+                dofs.append(np.concatenate([d for d, _, _ in sides], axis=1))
+        assert len(dofs) == len(blocks)
+        assert_close_csr(A, coo_sum(space.ndof, list(zip(dofs, blocks))))
+        assert_no_stored_zero(A)
+
+    def test_pattern_of_overlapping_blocks(self):
+        # two blocks sharing DOF 1, and a block repeating one
+        pattern = spaces.BlockPattern.of(4, [np.array([[0, 1], [1, 3]]),
+                                             np.array([[2]])])
+        np.testing.assert_array_equal(pattern.indptr, [0, 2, 5, 6, 8])
+        np.testing.assert_array_equal(pattern.indices,
+                                      [0, 1, 0, 1, 3, 2, 1, 3])
+        np.testing.assert_array_equal(
+            pattern.slots[0], [[[0, 1], [2, 3]], [[3, 4], [6, 7]]])
+        np.testing.assert_array_equal(pattern.slots[1], [[[5]]])
+
+    def test_element_pattern_built_once(self):
+        space = h1_space(uniform_interval_mesh(8), 2)
+        assert space.element_pattern is space.element_pattern
+        before = space.element_pattern.indices.copy()
+        assemble_galerkin(space, 3.0)
+        assemble_gram_1k(space, 3.0)
+        np.testing.assert_array_equal(space.element_pattern.indices, before)
+
+
+# -- matrix invariants -----------------------------------------------------------
+
+
+class TestMatrixInvariants:
+    # TestSparseForm checks the symmetry without a wall
+    @pytest.mark.parametrize("kind", ["h1_1d_p1", "h1_1d_p4", "h1_2d_p1",
+                                      "h1_2d_p3", "nodal"])
+    def test_galerkin_complex_symmetric_with_wall(self, kind):
+        k = 5.0
+        if kind.startswith("h1_1d"):
+            space = h1_space(uniform_interval_mesh(10), int(kind[-1]))
+            bc = {"left": "dirichlet"}
+        elif kind == "nodal":
+            space = nodally_exact_space_1d(uniform_interval_mesh(12), k)
+            bc = {"left": "dirichlet"}
+        else:
+            space = h1_space(triangulate(wall_square(), 0.25), int(kind[-1]))
+            bc = {"wall": "dirichlet"}
+        system = assemble_galerkin(space, k, bc=bc)
+        assert system.free is not None
+        for A in (system.A, assembly._reduce(system)[0]):
+            assert abs(A - A.T).max() <= 1e-14 * abs(A).max()
+
+    @pytest.mark.parametrize("h", [1.0, 0.5, 0.25])
+    @pytest.mark.parametrize("local, p", [(PlaneWaveBasis, 3),
+                                          (PlaneWaveBasis, 7),
+                                          (GhpBasis, 2), (GhpBasis, 4)])
+    def test_least_squares_hermitian_psd(self, local, p, h):
+        k = 6.0
+        space = trefftz_space(triangulate(unit_square(), h), k,
+                              local(k=k, p=p))
+        g = lambda pts: np.exp(1j * k * (0.6 * pts[:, 0] + 0.8 * pts[:, 1]))
+        A = dense(assemble_least_squares(space, k, g).A)
+        scale = np.abs(A).max()
+        assert np.abs(A - A.conj().T).max() <= 1e-13 * scale
+        w = np.linalg.eigvalsh(0.5 * (A + A.conj().T))
+        assert w.min() >= -1e-12 * w.max()

@@ -500,6 +500,13 @@ class TestMeshDump:
         base = meshing.triangulate(meshing.l_shape(), 0.5)
         assert mesh.n_elements > base.n_elements
 
+    @pytest.mark.parametrize("domain", cli._DOMAINS)
+    def test_dump_meshes_the_default_problem_polygon(self, capsys, domain):
+        assert cli.main(["mesh-dump", domain, "0.5"]) == 0
+        polygon = cli._PROBLEMS[domain, cli._exacts(domain)[0]](1.0).domain
+        want = meshing.mesh_to_text(meshing.triangulate(polygon, 0.5))
+        assert capsys.readouterr().out == want
+
     def test_bad_domain_exit_2(self, capsys):
         assert cli.main(["mesh-dump", "cube", "0.5"]) == 2
         assert "domain" in capsys.readouterr().err

@@ -31,6 +31,27 @@ class TestInterval:
         assert mesh.h == pytest.approx(0.25)
         assert validate_mesh(mesh)
 
+    def test_triangulate_meshes_the_polygon(self):
+        rod = Polygon(name="rod", dim=1, vertices=((0.0,), (2.0,)),
+                      side_tags=("west", "east"))
+        mesh = triangulate(rod, 0.5)
+        assert mesh.nodes.tobytes() == np.linspace(0.0, 2.0, 5).tobytes()
+        tags = {float(mesh.nodes[mesh.edge_nodes[i, 0]]): mesh.edge_tags[i]
+                for i in np.flatnonzero(mesh.boundary_mask)}
+        assert tags == {0.0: "west", 2.0: "east"}
+
+    @pytest.mark.parametrize("n", [1, 4, 12, 64, 192, 256])
+    def test_unit_interval_nodes_unchanged(self, n):
+        # the 1D study CSVs rest on these nodes
+        mesh = triangulate(unit_interval(), 1.0 / n)
+        assert mesh.nodes.tobytes() == np.linspace(0.0, 1.0, n + 1).tobytes()
+        assert mesh_to_text(mesh) == mesh_to_text(uniform_interval_mesh(n))
+
+    @pytest.mark.parametrize("target_h", [0.0, -0.5])
+    def test_nonpositive_h_refused(self, target_h):
+        with pytest.raises(ValueError, match="target_h"):
+            triangulate(unit_interval(), target_h)
+
     def test_end_tags(self):
         mesh = uniform_interval_mesh(3)
         tags = {mesh.edge_tags[i] for i in np.flatnonzero(mesh.boundary_mask)}

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import time
 
 import numpy as np
 import pytest
@@ -279,6 +280,14 @@ class TestSampleInterior:
         assert pts.shape == (200, 2)
         assert np.all(_in_margin_region(domain, pts, 0.02))
         assert np.all(np.hypot(pts[:, 0], pts[:, 1]) >= min_radius)
+
+    def test_empty_region_raises_promptly(self):
+        # no point of the unit square lies 1.5 from the origin
+        started = time.perf_counter()
+        with pytest.raises(ValueError, match=r"min_radius=1\.5.*margin=0\.02"):
+            methods._sample_interior(meshing.unit_square(), 5,
+                                     np.random.default_rng(0), 1.5)
+        assert time.perf_counter() - started < 5.0
 
     def test_interval_draws_are_plain_uniform(self):
         pts = methods._sample_interior(meshing.unit_interval(), 7,
