@@ -23,7 +23,8 @@ class ErrorReport:
 
     Fields that a given method does not produce stay None: dg_norm and
     dg_plus_norm are filled by DG runs, j_value by least squares runs,
-    nodal_max by 1D nodally exact runs.
+    nodal_max by 1D nodally exact runs, and gamma_n, the discrete inf-sup
+    constant, by `methods.infsup_constant`, which fills no error field.
     """
 
     h1_semi_rel: float = None
@@ -33,6 +34,7 @@ class ErrorReport:
     dg_plus_norm: float = None
     j_value: float = None
     nodal_max: float = None
+    gamma_n: float = None
     dofs: int = 0
     n_lambda: float = 0.0
     k: float = 0.0

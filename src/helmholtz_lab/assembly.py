@@ -21,17 +21,18 @@ systems above _DENSE_LIMIT unknowns.
 
 Every quadrature rule comes from the space (`space.volume_rule`,
 `space.edge_rule`), and so do the DOFs that a Dirichlet edge fixes
-(`space.boundary_dofs`).  Volume integrals run one loop over element
-batches from `space.element_batches` (`_volume_parts`), taking local
-matrices from `space.element_matrices` and, where a load is asked for,
-the Galerkin source load or the (1,k) projection load from the same
-`space.element_tables` call.  Boundary integrals of the Galerkin form
-make one pass over the Robin edges (`_boundary_parts`) that returns the
-boundary mass and the Robin load from one `space.eval_basis` call per
-batch.  Those and the skeleton forms of the Trefftz methods loop over
-batches of edges that share an edge rule (`_edge_groups`; a structured
-mesh has three edge lengths), with both sides' traces from one batched
-`_edge_traces`.
+(`space.boundary_dofs`); `restrict` cuts any matrix to the free rest,
+for `solve` and for the inf-sup driver alike.  Volume integrals run one
+loop over element batches from `space.element_batches`
+(`_volume_parts`), taking local matrices from `space.element_matrices`
+and, where a load is asked for, the Galerkin source load or the (1,k)
+projection load from the same `space.element_tables` call.  Boundary
+integrals of the Galerkin form make one pass over the Robin edges
+(`_boundary_parts`) that returns the boundary mass and the Robin load
+from one `space.eval_basis` call per batch.  Those and the skeleton
+forms of the Trefftz methods loop over batches of edges that share an
+edge rule (`_edge_groups`; a structured mesh has three edge lengths),
+with both sides' traces from one batched `_edge_traces`.
 
 `solve` has one path per kind of system.  Without an SVD cutoff (the
 square Galerkin and DG systems) it first factorizes in SuperLU's
@@ -582,27 +583,32 @@ def _dense(a):
     return a.toarray()
 
 
+def restrict(matrix, free):
+    """The CSR matrix `matrix` restricted to the rows and columns `free`,
+    the ascending DOFs a Dirichlet edge leaves unfixed (`ComplexSystem.free`;
+    None keeps them all and returns `matrix` itself).
+
+    The block keeps the matrix's dtype and its entries in order, as
+    matrix[free][:, free] does, without scipy's two fancy-indexing copies.
+    """
+    if free is None:
+        return matrix
+    index = np.full(matrix.shape[0], -1, dtype=matrix.indices.dtype)
+    index[free] = np.arange(len(free))
+    row = np.repeat(index, np.diff(matrix.indptr))
+    col = index[matrix.indices]
+    keep = (row >= 0) & (col >= 0)
+    indptr = np.zeros(len(free) + 1, dtype=matrix.indptr.dtype)
+    np.cumsum(np.bincount(row[keep], minlength=len(free)), out=indptr[1:])
+    return scipy.sparse.csr_matrix((matrix.data[keep], col[keep], indptr),
+                                   shape=(len(free), len(free)))
+
+
 def _reduce(system):
     """The system matrix as complex CSR and the right-hand side, both
-    restricted to the free DOFs.
-
-    The free block keeps A's entries in order, as A[free][:, free] does
-    for ascending `free`, without scipy's two fancy-indexing copies.
-    """
-    A = scipy.sparse.csr_matrix(system.A, dtype=complex)
-    if system.free is None:
-        return A, system.rhs
-    free = system.free
-    index = np.full(A.shape[0], -1, dtype=A.indices.dtype)
-    index[free] = np.arange(len(free))
-    row = np.repeat(index, np.diff(A.indptr))
-    col = index[A.indices]
-    keep = (row >= 0) & (col >= 0)
-    indptr = np.zeros(len(free) + 1, dtype=A.indptr.dtype)
-    np.cumsum(np.bincount(row[keep], minlength=len(free)), out=indptr[1:])
-    block = scipy.sparse.csr_matrix((A.data[keep], col[keep], indptr),
-                                    shape=(len(free), len(free)))
-    return block, system.rhs[free]
+    restricted to the free DOFs."""
+    A = restrict(scipy.sparse.csr_matrix(system.A, dtype=complex), system.free)
+    return A, (system.rhs if system.free is None else system.rhs[system.free])
 
 
 def _relative_residual(A, x, rhs):

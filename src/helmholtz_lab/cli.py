@@ -167,6 +167,7 @@ def _report_into_row(row, out):
     row["err_dg"] = rep.dg_norm
     row["j_value"] = rep.j_value
     row["nodal_max"] = rep.nodal_max
+    row["gamma_n"] = rep.gamma_n
     row["solve_residual"] = out.checks.get("solve_residual")
 
 
@@ -174,17 +175,23 @@ def _report_into_row(row, out):
 # (1/n_elements on the interval).
 
 
-def _run_fem(cfg, task, row):
-    problem = _problem(cfg, task["k"])
-    mesh = meshing.triangulate(problem.domain, row["h"])
+def _h1_space(cfg, problem, h, p, row):
+    """The order-p H1 space on the mesh of the problem's domain at h,
+    graded into the configured corners when sigma is set (and recorded in
+    the row)."""
+    mesh = meshing.triangulate(problem.domain, h)
     if cfg["sigma"] is not None:
         mesh = meshing.geometric_refine(mesh, cfg["corners"] or [(0.0, 0.0)],
                                         cfg["sigma"], cfg["layers"])
         row["sigma"] = cfg["sigma"]
         row["L"] = cfg["layers"]
-    space = spaces.h1_space(mesh, task["p"])
-    out = methods.solve_fem(problem, space)
-    _report_into_row(row, out)
+    return spaces.h1_space(mesh, p)
+
+
+def _run_fem(cfg, task, row):
+    problem = _problem(cfg, task["k"])
+    space = _h1_space(cfg, problem, row["h"], task["p"], row)
+    _report_into_row(row, methods.solve_fem(problem, space))
 
 
 def _run_nodal(cfg, task, row):
@@ -222,21 +229,8 @@ def _run_infsup(cfg, task, row):
     k, p = task["k"], task["p"]
     problem = _problem(cfg, k)
     n = max(p, round(k / (cfg["khp"] * p)))
-    mesh = meshing.triangulate(problem.domain, 1.0 / n)
-    space = spaces.h1_space(mesh, p)
-    system = assembly.assemble_galerkin(
-        space, k, f=problem.f, g=problem.g, bc=problem.bc,
-        robin_sign=problem.robin_sign)
-    gram = assembly.assemble_gram_1k(space, k)
-    a_mat, g_mat = system.A, gram
-    if system.free is not None:
-        a_mat = a_mat[system.free][:, system.free]
-        g_mat = g_mat[system.free][:, system.free]
-    nfree = a_mat.shape[0]
-    row["h"] = mesh.h
-    row["dofs"] = nfree
-    row["n_lambda"] = meshing.n_lambda(nfree, k, 1)
-    row["gamma_n"] = assembly.infsup_probe(a_mat, g_mat)
+    space = _h1_space(cfg, problem, 1.0 / n, p, row)
+    _report_into_row(row, methods.infsup_constant(problem, space))
 
 
 def _run_approx(cfg, task, row):

@@ -548,43 +548,47 @@ def _geometric_refine_1d(mesh, corners, sigma, layers):
 
 def _geometric_refine_2d(mesh, corners, sigma, layers):
     corner_ids = {_corner_node(mesh, c) for c in corners}
-    node_list = [tuple(p) for p in mesh.nodes]
-    node_index = {p: i for i, p in enumerate(node_list)}
+    elements = mesh.elements
+    at_corner = np.flatnonzero(
+        np.isin(elements, sorted(corner_ids)).any(axis=1))
+    # ring nodes lie inside edges at a corner, where a conforming mesh has
+    # no node, so only they are looked up (a neighboring fan reuses them)
+    n_old = len(mesh.nodes)
+    ring_nodes = []
+    ring_index = {}
 
     def get_node(p):
         key = (float(p[0]), float(p[1]))
-        if key not in node_index:
-            node_index[key] = len(node_list)
-            node_list.append(key)
-        return node_index[key]
+        if key not in ring_index:
+            ring_index[key] = n_old + len(ring_nodes)
+            ring_nodes.append(key)
+        return ring_index[key]
 
-    new_elements = []
-    for tri in mesh.elements:
-        touching = [v for v in tri if v in corner_ids]
-        if not touching:
-            new_elements.append(tuple(int(v) for v in tri))
-            continue
-        c = touching[0]  # structured meshes: one corner per element
-        rolled = list(tri)
-        while rolled[0] != c:
-            rolled = rolled[1:] + rolled[:1]
-        _, a, b = rolled
+    # untouched elements are copied as slices between the corner elements,
+    # each of which its fan replaces in place
+    pieces = []
+    start = 0
+    for e in at_corner:
+        pieces.append(elements[start:e])
+        start = e + 1
+        tri = [int(v) for v in elements[e]]
+        # structured meshes: one corner per element
+        i = next(i for i, v in enumerate(tri) if v in corner_ids)
+        c, a, b = tri[i:] + tri[:i]
         pc = mesh.nodes[c]
-        pa = mesh.nodes[a]
-        pb = mesh.nodes[b]
-        ring_a = [int(a)] + [
-            get_node(pc + (sigma ** j) * (pa - pc)) for j in range(1, layers + 1)
-        ]
-        ring_b = [int(b)] + [
-            get_node(pc + (sigma ** j) * (pb - pc)) for j in range(1, layers + 1)
-        ]
-        new_elements.append((int(c), ring_a[layers], ring_b[layers]))
+        ring_a, ring_b = (
+            [v] + [get_node(pc + (sigma ** j) * (mesh.nodes[v] - pc))
+                   for j in range(1, layers + 1)] for v in (a, b))
+        fan = [(c, ring_a[layers], ring_b[layers])]
         for j in range(layers, 0, -1):
             # trapezoid between radii sigma^j and sigma^(j-1)
-            new_elements.append((ring_a[j], ring_a[j - 1], ring_b[j - 1]))
-            new_elements.append((ring_a[j], ring_b[j - 1], ring_b[j]))
-    nodes = np.array(node_list, dtype=float)
-    out = Mesh(2, nodes, np.array(new_elements, dtype=np.int64))
+            fan.append((ring_a[j], ring_a[j - 1], ring_b[j - 1]))
+            fan.append((ring_a[j], ring_b[j - 1], ring_b[j]))
+        pieces.append(np.array(fan, dtype=np.int64))
+    pieces.append(elements[start:])
+    nodes = np.concatenate(
+        [mesh.nodes, np.array(ring_nodes, dtype=float).reshape(-1, 2)])
+    out = Mesh(2, nodes, np.concatenate(pieces))
     # the refined boundary edges lie on the parent's tagged boundary edges
     tagged = [i for i in np.flatnonzero(mesh.boundary_mask)
               if mesh.edge_tags[i] is not None]

@@ -6,12 +6,13 @@ systems, solve them, and return the coefficients together with an error
 report whose primary metrics are always recomputed by direct quadrature
 against the exact solution.  Drivers cover the conforming Galerkin method
 (polynomial, partition-of-unity, and nodally exact 1D spaces), the Trefftz
-least squares method, the plane-wave discontinuous Galerkin method, and
-the best approximation in the (1,k) norm.
+least squares method, the plane-wave discontinuous Galerkin method, the
+best approximation in the (1,k) norm, and the discrete inf-sup constant
+of the Galerkin form.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -186,6 +187,20 @@ def impedance_data(exact, domain, robin_sign=1.0):
     return g
 
 
+def _impedance_problem(exact, domain, robin_sign, bc=None):
+    """The source-free problem on `domain` whose impedance data g are the
+    exact solution's (`impedance_data`), posed as `bc` lays out."""
+    return ProblemSpec(
+        domain=domain,
+        k=exact.k,
+        f=None,
+        g=impedance_data(exact, domain, robin_sign),
+        bc=bc or {},
+        robin_sign=robin_sign,
+        exact=exact,
+    )
+
+
 def model_problem_1d(k, robin_sign=1.0):
     """The 1D model problem: f = 1, u(0) = 0, impedance at x = 1."""
     return ProblemSpec(
@@ -201,17 +216,8 @@ def model_problem_1d(k, robin_sign=1.0):
 
 def plane_wave_problem(k, direction=None, robin_sign=1.0):
     """Plane wave on the unit square with matching impedance data."""
-    exact = plane_wave_2d(k, direction)
-    domain = meshing.unit_square()
-    return ProblemSpec(
-        domain=domain,
-        k=k,
-        f=None,
-        g=impedance_data(exact, domain, robin_sign),
-        bc={},
-        robin_sign=robin_sign,
-        exact=exact,
-    )
+    return _impedance_problem(plane_wave_2d(k, direction),
+                              meshing.unit_square(), robin_sign)
 
 
 def lshape_plane_wave_problem(k, direction=None, robin_sign=-1.0):
@@ -222,17 +228,8 @@ def lshape_plane_wave_problem(k, direction=None, robin_sign=-1.0):
     so the data are imposed in impedance form everywhere; the sign variant
     defaults to s = -1 like the other L-shape runs.
     """
-    exact = plane_wave_2d(k, direction)
-    domain = meshing.l_shape(neumann_gamma=False)
-    return ProblemSpec(
-        domain=domain,
-        k=k,
-        f=None,
-        g=impedance_data(exact, domain, robin_sign),
-        bc={},
-        robin_sign=robin_sign,
-        exact=exact,
-    )
+    return _impedance_problem(plane_wave_2d(k, direction),
+                              meshing.l_shape(neumann_gamma=False), robin_sign)
 
 
 def lshape_singular_problem(k, robin_sign=-1.0):
@@ -242,17 +239,9 @@ def lshape_singular_problem(k, robin_sign=-1.0):
     impedance data du/dn + s ik u = g elsewhere; the sign variant defaults
     to s = -1 like the other L-shape runs.
     """
-    exact = bessel_singular(k)
-    domain = meshing.l_shape(neumann_gamma=True)
-    return ProblemSpec(
-        domain=domain,
-        k=k,
-        f=None,
-        g=impedance_data(exact, domain, robin_sign),
-        bc={"neumann": "neumann", "robin": "robin"},
-        robin_sign=robin_sign,
-        exact=exact,
-    )
+    return _impedance_problem(bessel_singular(k),
+                              meshing.l_shape(neumann_gamma=True), robin_sign,
+                              bc={"neumann": "neumann", "robin": "robin"})
 
 
 # -- exact-solution verification ----------------------------------------------
@@ -426,7 +415,10 @@ def _boundary_data_residual(problem):
 
 @dataclass
 class SolveOutput:
-    """Solver result bundle: coefficients, system, and error report."""
+    """Solver result bundle: coefficients, system, and error report.
+
+    `infsup_constant` solves nothing; its coeffs and result are None.
+    """
 
     coeffs: np.ndarray
     space: object
@@ -442,6 +434,28 @@ def _is_zero_source(f):
     if np.isscalar(f):
         return complex(f) == 0.0
     return False
+
+
+def _require_trefftz_problem(problem, space, driver):
+    """Refuse a problem that the Trefftz skeleton forms would solve wrongly.
+
+    They take f = 0 and impose du/dn + ik u = g on every boundary edge, so
+    the problem needs robin_sign = +1 and a robin condition on every tag
+    of the mesh boundary.
+    """
+    if not _is_zero_source(problem.f):
+        raise ValueError(f"the {driver} driver requires f = 0")
+    if problem.robin_sign != 1.0:
+        raise ValueError(f"the {driver} driver imposes du/dn + iku = g and "
+                         f"needs robin_sign = +1, got {problem.robin_sign}")
+    mesh = space.mesh
+    tags = {mesh.edge_tags[i] for i in np.flatnonzero(mesh.boundary_mask)}
+    for tag in sorted(tags, key=str):
+        kind = problem.bc.get(tag, "robin")
+        if kind != "robin":
+            raise ValueError(f"the {driver} driver imposes the impedance "
+                             f"condition on every boundary edge, but bc "
+                             f"maps mesh tag '{tag}' to '{kind}'")
 
 
 def _error_fields(exact, space, coeffs, report):
@@ -514,9 +528,7 @@ def h1_best_approximation(problem, space):
         space, problem.k, f=problem.f, g=problem.g, bc=problem.bc,
         robin_sign=problem.robin_sign)
     stiff = system.A.real + problem.k**2 * system.mass
-    coeffs = assembly.solve(
-        assembly.ComplexSystem(A=stiff, rhs=b, free=system.free,
-                               meta={"dim": system.meta["dim"]})).x
+    coeffs = assembly.solve(replace(system, A=stiff, rhs=b)).x
     h1, _, _ = analysis.relative_errors(space, coeffs, exact.eval, problem.k,
                                         exclude_radius=exact.exclude_radius)
     return coeffs, h1
@@ -545,7 +557,8 @@ def _zero_data(pts):
 
 
 def solve_least_squares(problem, space, w1=None, w2=None, svd_cutoff=1e-12):
-    """Trefftz least squares solve; requires a source-free problem.
+    """Trefftz least squares solve; requires a source-free problem with
+    robin_sign = +1 and a robin condition on the whole boundary.
 
     The normal equations of a plane-wave basis can be numerically
     singular, so they get the truncated minimum-norm solve with relative
@@ -554,8 +567,7 @@ def solve_least_squares(problem, space, w1=None, w2=None, svd_cutoff=1e-12):
     off the normal-equation algebra; the checks record how far the two
     evaluations drift apart.
     """
-    if not _is_zero_source(problem.f):
-        raise ValueError("the least squares driver requires f = 0")
+    _require_trefftz_problem(problem, space, "least squares")
     g = problem.g if problem.g is not None else _zero_data
     system = assembly.assemble_least_squares(space, problem.k, g, w1=w1, w2=w2)
     result = assembly.solve(system, svd_cutoff=svd_cutoff)
@@ -595,14 +607,14 @@ def _resolve_flux(flux, space):
 
 
 def solve_pwdg(problem, space, flux="uwvf"):
-    """Plane-wave DG solve; requires a source-free problem.
+    """Plane-wave DG solve; requires a source-free problem with
+    robin_sign = +1 and a robin condition on the whole boundary.
 
     The reported dg_norm and dg_plus_norm are skeleton norms of the error
     against the exact solution's traces (when one is declared), computed
     by quadrature of the norm definitions.
     """
-    if not _is_zero_source(problem.f):
-        raise ValueError("the DG driver requires f = 0")
+    _require_trefftz_problem(problem, space, "DG")
     flux = _resolve_flux(flux, space)
     g = problem.g if problem.g is not None else _zero_data
     system = assembly.assemble_pwdg(space, problem.k, g, flux)
@@ -646,3 +658,29 @@ def best_approximation_1k(exact, space, svd_cutoff):
     _error_fields(exact, space, result.x, report)
     return SolveOutput(coeffs=result.x, space=space, system=system,
                        result=result, report=report)
+
+
+# -- discrete inf-sup constant ------------------------------------------------
+
+
+def infsup_constant(problem, space):
+    """Discrete inf-sup constant of the Galerkin form of `problem` on a
+    conforming `space`, measured in the (1,k) norm.
+
+    Assembles the Galerkin matrix and the (1,k) Gram matrix
+    (`assembly.assemble_gram_1k`), restricts both to the free DOFs of the
+    Galerkin system (`assembly.restrict`; the Gram matrix stays real) and
+    takes `assembly.infsup_probe` of the pair.  Returns a `SolveOutput`
+    without coefficients whose report carries the constant as gamma_n and
+    the free DOF count as dofs.
+    """
+    system = assembly.assemble_galerkin(
+        space, problem.k, f=problem.f, g=problem.g, bc=problem.bc,
+        robin_sign=problem.robin_sign)
+    gram = assembly.assemble_gram_1k(space, problem.k)
+    a_free = assembly.restrict(system.A, system.free)
+    report = _make_report(problem.k, space, "infsup", a_free.shape[0])
+    report.gamma_n = assembly.infsup_probe(
+        a_free, assembly.restrict(gram, system.free))
+    return SolveOutput(coeffs=None, space=space, system=system, result=None,
+                       report=report)

@@ -527,6 +527,13 @@ class TestSolve:
         block, rhs = assembly._reduce(system)
         assert_same_csr(block, system.A[system.free][:, system.free])
         assert rhs.tobytes() == system.rhs[system.free].tobytes()
+        # the real (1,k) Gram matrix stays real, for the inf-sup probe
+        gram = assemble_gram_1k(space, k)
+        assert gram.dtype == np.float64
+        for M in (system.A, gram):
+            assert_same_csr(assembly.restrict(M, system.free),
+                            M[system.free][:, system.free])
+            assert assembly.restrict(M, None) is M
 
     def test_dirichlet_reduction(self):
         mesh = uniform_interval_mesh(6)

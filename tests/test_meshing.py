@@ -237,6 +237,77 @@ class TestGeometricRefine:
             geometric_refine(uniform_interval_mesh(4), [(0.0, 0.0)], 0.5, 2)
 
 
+def _refine_2d_reference(mesh, corners, sigma, layers):
+    """(nodes, elements) of 2D grading by a loop over every element, with
+    every node in the lookup of new ring nodes."""
+    corner_ids = {int(np.argmin(np.linalg.norm(mesh.nodes - np.asarray(c),
+                                               axis=1))) for c in corners}
+    node_list = [tuple(p) for p in mesh.nodes]
+    node_index = {p: i for i, p in enumerate(node_list)}
+
+    def get_node(p):
+        key = (float(p[0]), float(p[1]))
+        if key not in node_index:
+            node_index[key] = len(node_list)
+            node_list.append(key)
+        return node_index[key]
+
+    new_elements = []
+    for tri in mesh.elements:
+        touching = [v for v in tri if v in corner_ids]
+        if not touching:
+            new_elements.append(tuple(int(v) for v in tri))
+            continue
+        c = touching[0]
+        rolled = list(tri)
+        while rolled[0] != c:
+            rolled = rolled[1:] + rolled[:1]
+        _, a, b = rolled
+        pc, pa, pb = mesh.nodes[c], mesh.nodes[a], mesh.nodes[b]
+        ring_a = [int(a)] + [get_node(pc + (sigma ** j) * (pa - pc))
+                             for j in range(1, layers + 1)]
+        ring_b = [int(b)] + [get_node(pc + (sigma ** j) * (pb - pc))
+                             for j in range(1, layers + 1)]
+        new_elements.append((int(c), ring_a[layers], ring_b[layers]))
+        for j in range(layers, 0, -1):
+            new_elements.append((ring_a[j], ring_a[j - 1], ring_b[j - 1]))
+            new_elements.append((ring_a[j], ring_b[j - 1], ring_b[j]))
+    return (np.array(node_list, dtype=float),
+            np.array(new_elements, dtype=np.int64))
+
+
+class TestGeometricRefineReference:
+    """Grading visits only the corner elements and gives the bits of a
+    loop over every element."""
+
+    @staticmethod
+    def assert_matches(domain, h, corners, sigma, layers):
+        coarse = triangulate(domain, h)
+        corners = [tuple(v) for v in corners]
+        fine = geometric_refine(coarse, corners, sigma, layers)
+        nodes, elements = _refine_2d_reference(coarse, corners, sigma, layers)
+        assert fine.nodes.tobytes() == nodes.tobytes()
+        assert fine.elements.dtype == elements.dtype
+        assert fine.elements.tobytes() == elements.tobytes()
+        assert fine.edge_tags == _side_tags_reference(fine, domain)
+
+    @pytest.mark.parametrize("domain, h", [
+        (l_shape(neumann_gamma=True), 0.35), (l_shape(), 0.4),
+        (unit_square(), 0.25)], ids=["lshape_035", "lshape_04", "square_4"])
+    @pytest.mark.parametrize("sigma", [0.125, 0.15, 0.5])
+    @pytest.mark.parametrize("layers", [3, 7, 10])
+    @pytest.mark.parametrize("n_corners", [1, 4])
+    def test_matches_loop_over_every_element(self, domain, h, sigma, layers,
+                                             n_corners):
+        self.assert_matches(domain, h, domain.vertices[:n_corners], sigma,
+                            layers)
+
+    def test_matches_on_fine_square(self):
+        # 131,072 triangles, of which the fans replace eight
+        domain = unit_square()
+        self.assert_matches(domain, 1.0 / 256, domain.vertices, 0.15, 10)
+
+
 def _side_tags_reference(mesh, domain):
     """Per-edge tags from the polygon itself: each boundary edge takes the
     tag of the one side that holds both of its end nodes."""

@@ -471,6 +471,40 @@ class TestLeastSquares:
             methods.solve_least_squares(problem, space)
 
 
+def _trefftz_driver(name):
+    return {"ls": methods.solve_least_squares, "uwvf": methods.solve_pwdg}[name]
+
+
+@pytest.mark.parametrize("driver", ["ls", "uwvf"])
+class TestTrefftzRefusals:
+    """The skeleton forms impose du/dn + iku = g on every boundary edge;
+    a problem posed otherwise is refused, not solved wrongly."""
+
+    def test_refuses_negative_robin_sign(self, driver):
+        problem = methods.plane_wave_problem(4.0, robin_sign=-1.0)
+        mesh = meshing.triangulate(problem.domain, 0.5)
+        space = spaces.trefftz_space(mesh, 4.0, spaces.PlaneWaveBasis(4.0, 7))
+        with pytest.raises(ValueError, match="robin_sign"):
+            _trefftz_driver(driver)(problem, space)
+
+    def test_refuses_neumann_tag(self, driver):
+        problem = methods.lshape_singular_problem(4.0, robin_sign=1.0)
+        mesh = meshing.triangulate(problem.domain, 0.5)
+        space = spaces.trefftz_space(mesh, 4.0, spaces.GhpBasis(4.0, 5))
+        with pytest.raises(ValueError, match="mesh tag 'neumann' to 'neumann'"):
+            _trefftz_driver(driver)(problem, space)
+
+    def test_accepts_robin_on_every_mesh_tag(self, driver):
+        # robin named explicitly, and a condition on a tag the mesh lacks
+        base = methods.plane_wave_problem(4.0)
+        problem = dataclasses.replace(
+            base, bc={"robin": "robin", "wall": "dirichlet"})
+        mesh = meshing.triangulate(problem.domain, 0.5)
+        space = spaces.trefftz_space(mesh, 4.0, spaces.PlaneWaveBasis(4.0, 7))
+        out = _trefftz_driver(driver)(problem, space)
+        assert out.report.l2_rel < 0.01
+
+
 class TestPwdg:
     def test_uwvf_reproduces_aligned_wave(self):
         k = 5.0
@@ -573,3 +607,45 @@ class TestApproxStudy:
         # the (1,k) projection is no worse than the Galerkin solution
         galerkin = methods.solve_fem(methods.plane_wave_problem(k), space)
         assert lu.report.norm_1k_rel <= galerkin.report.norm_1k_rel
+
+
+def _infsup_row_reference(problem, p, khp=0.25):
+    """h, dofs, n_lambda and gamma_n of an inf-sup row computed in place:
+    the free blocks cut by scipy's fancy indexing."""
+    k = problem.k
+    n = max(p, round(k / (khp * p)))
+    mesh = meshing.triangulate(problem.domain, 1.0 / n)
+    space = spaces.h1_space(mesh, p)
+    system = assembly.assemble_galerkin(
+        space, k, f=problem.f, g=problem.g, bc=problem.bc,
+        robin_sign=problem.robin_sign)
+    gram = assembly.assemble_gram_1k(space, k)
+    a_mat = system.A[system.free][:, system.free]
+    g_mat = gram[system.free][:, system.free]
+    nfree = a_mat.shape[0]
+    return (space, mesh.h, nfree, meshing.n_lambda(nfree, k, 1),
+            assembly.infsup_probe(a_mat, g_mat))
+
+
+class TestInfsupConstant:
+    @pytest.mark.parametrize("robin_sign", [1.0, -1.0])
+    @pytest.mark.parametrize("p", [1, 2])
+    @pytest.mark.parametrize("k", [4.0, 8.0, 16.0, 32.0])
+    def test_matches_free_blocks_cut_in_place(self, k, p, robin_sign):
+        problem = methods.model_problem_1d(k, robin_sign=robin_sign)
+        space, h, dofs, n_lam, gamma = _infsup_row_reference(problem, p)
+        out = methods.infsup_constant(problem, space)
+        rep = out.report
+        assert (rep.h, rep.dofs, rep.n_lambda) == (h, dofs, n_lam)
+        assert np.float64(rep.gamma_n).tobytes() == np.float64(gamma).tobytes()
+        assert out.coeffs is None and out.result is None
+        assert rep.h1_semi_rel is None and rep.l2_rel is None
+
+    def test_all_dofs_free_without_dirichlet(self):
+        problem = methods.plane_wave_problem(4.0)
+        space = spaces.h1_space(meshing.triangulate(problem.domain, 0.5), 1)
+        out = methods.infsup_constant(problem, space)
+        assert out.system.free is None
+        assert out.report.dofs == space.ndof
+        assert out.report.n_lambda == meshing.n_lambda(space.ndof, 4.0, 2)
+        assert 0.0 < out.report.gamma_n < 1.0
