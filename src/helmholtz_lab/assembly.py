@@ -26,7 +26,12 @@ for `solve` and for the inf-sup driver alike.  Volume integrals run one
 loop over element batches from `space.element_batches`
 (`_volume_parts`), taking local matrices from `space.element_matrices`
 and, where a load is asked for, the Galerkin source load or the (1,k)
-projection load from the same `space.element_tables` call.  Boundary
+projection load from the same `space.element_tables` call.  The
+stiffness and mass data arrays do not depend on k, so they are summed
+once per space and volume rule and kept, read-only, with the space
+(`space.volume_data`): the rows of a k-sweep on one space, and the
+Galerkin, Gram and projection systems of one row, all take them from
+there, and later calls loop only for a load.  Boundary
 integrals of the Galerkin form make one pass over the Robin edges
 (`_boundary_parts`) that returns the boundary mass and the Robin load
 from one `space.eval_basis` call per batch.  Those and the skeleton
@@ -51,7 +56,8 @@ values.
 The Galerkin matrix, the L2 mass matrix and the (1,k) Gram matrix are all
 built from one set of shared parts (stiffness, mass, boundary mass), so
 matrix-level identities between them hold to roundoff rather than to
-quadrature accuracy.
+quadrature accuracy.  A Galerkin system builds its mass matrix only when
+`ComplexSystem.mass` is read.
 """
 
 import functools
@@ -81,20 +87,26 @@ class ComplexSystem:
     """An assembled complex linear system plus companion matrices.
 
     `free` lists the unconstrained DOF indices in ascending order when
-    Dirichlet elimination applies (None means all DOFs are free); `mass`
-    is the plain L2 mass matrix on the same DOF set, kept for the
-    Garding-identity checks.
+    Dirichlet elimination applies (None means all DOFs are free).
+    `mass_data` holds the (pattern, data array) of the plain L2 mass
+    matrix on the same DOF set, from which `mass` builds that matrix on
+    first read, for the Garding-identity checks.
     """
 
     A: object
     rhs: np.ndarray
-    mass: object = None
     free: object = None
     meta: dict = field(default_factory=dict)
+    mass_data: tuple = field(default=None, repr=False)
 
     @property
     def ndof(self):
         return self.rhs.shape[0]
+
+    @functools.cached_property
+    def mass(self):
+        """The L2 mass matrix as CSR, None without `mass_data`."""
+        return None if self.mass_data is None else _csr(*self.mass_data)
 
 
 @dataclass
@@ -203,14 +215,20 @@ def _volume_parts(space, k, matrices=True, load=None):
     arrays on `space.element_pattern` when `matrices` is set, and the
     load vector summed from `load(pts, w, vals, grads)`, the local loads
     (nb, nloc) of one batch from its `element_tables`, when a `load` is
-    given; what is not asked for is None.  A batch that needs both takes them from one
+    given; what is not asked for is None.  The matrices are summed on the
+    space's first call with its volume rule and kept, read-only, in
+    `space.volume_data`; later calls return the kept arrays and loop only
+    for a load.  A batch that needs both takes them from one
     `element_tables` call; without a load, `element_matrices` evaluates
-    what it needs itself (no physical-point tables for the 2D
-    polynomial space).
+    what it needs itself (no physical-point tables for the 2D polynomial
+    space).
     """
     rule = space.volume_rule(k)
+    key = (rule.points.tobytes(), rule.weights.tobytes())
+    kept = space.volume_data.get(key) if matrices else None
+    build = matrices and kept is None
     dofs = space.dof_matrix()
-    pattern = space.element_pattern if matrices else None
+    pattern = space.element_pattern if build else None
     stiff = mass = None
     rhs = None if load is None else np.zeros(space.ndof, dtype=complex)
     for elems in space.element_batches(len(rule.weights)):
@@ -218,11 +236,16 @@ def _volume_parts(space, k, matrices=True, load=None):
         if load is not None:
             tables = space.element_tables(elems, rule)
             np.add.at(rhs, dofs[elems], load(*tables))
-        if matrices:
+        if build:
             s_loc, m_loc = space.element_matrices(elems, rule, tables)
             slots = pattern.slots[0][elems]
             stiff = _block_sum(stiff, pattern, slots, s_loc)
             mass = _block_sum(mass, pattern, slots, m_loc)
+    if build:
+        for data in (stiff, mass):
+            data.setflags(write=False)
+        kept = space.volume_data[key] = stiff, mass
+    stiff, mass = kept or (None, None)
     return stiff, mass, rhs
 
 
@@ -357,8 +380,8 @@ def assemble_galerkin(space, k, f=None, g=None, bc=None, robin_sign=1.0):
         keep[space.boundary_dofs(_tagged_edges(mesh, dirichlet_tags))] = False
         free = np.flatnonzero(keep)
     meta = {"dim": mesh.dim, "boundary_mass": _csr(pattern, bd)}
-    return ComplexSystem(A=A, rhs=rhs, mass=_csr(pattern, mass), free=free,
-                         meta=meta)
+    return ComplexSystem(A=A, rhs=rhs, free=free, meta=meta,
+                         mass_data=(pattern, mass))
 
 
 def assemble_gram_1k(space, k):

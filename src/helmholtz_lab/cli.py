@@ -3,14 +3,16 @@
 Configs are flat ``key = value`` text files; list values are comma
 separated ("k = 1,10,100").  Every run emits one CSV row per
 (method, k, h, p) combination with a fixed column set, and fitted
-convergence slopes per series are printed to standard output.  Rows are
-computed by a worker pool but always written in sorted order, so a given
-config reproduces its CSV byte for byte.
+convergence slopes per series are printed to standard output.  Rows that
+differ only in k form a group that builds its mesh and space once
+(`_groups`); groups are computed by a worker pool, but rows are always
+written in sorted order, so a given config reproduces its CSV byte for
+byte.
 
 Two tables hold what the harness knows: `_METHODS` gives each method's
-keys, domains, swept lists and row runner, and `_PROBLEMS` gives the
-problem builder of each (domain, exact solution) pair; `mesh-dump` meshes
-the polygon of a domain's default problem from it.
+keys, domains, swept lists, space keys and row runner, and `_PROBLEMS`
+gives the problem builder of each (domain, exact solution) pair;
+`mesh-dump` meshes the polygon of a domain's default problem from it.
 """
 
 import argparse
@@ -98,28 +100,29 @@ PRESETS = {
     },
 }
 
-# Wall time of `helmholtz preset <name>` including interpreter start-up,
-# measured with the default worker count on a 2-CPU desk machine.
+# Wall time of `helmholtz preset <name>` including interpreter start-up
+# (about 0.8 s of it), measured with the default worker count on a 2-CPU
+# machine.
 PRESET_INFO = {
-    "fig1_1d_pollution": ("~1 s",
+    "fig1_1d_pollution": ("~1.5 s",
                           "1D impedance problem, h-FEM sweep over k and p;"
                           " the classic pollution picture"),
     "fig2_square": ("~2 s",
                     "plane wave on the unit square, h-FEM at p=1..3"),
-    "fig3_lshape_pfem": ("~1 s",
+    "fig3_lshape_pfem": ("~1.5 s",
                          "plane wave on the L-shape, p-FEM on a mesh graded"
                          " into the reentrant corner"),
-    "lshape_singular": ("~1 s",
+    "lshape_singular": ("~1.5 s",
                         "corner-singular Bessel solution on the L-shape,"
                         " p-FEM on a quasi-uniform mesh"),
-    "uwvf_square": ("<1 s",
+    "uwvf_square": ("~1 s",
                     "plane-wave DG with UWVF fluxes on the unit square"),
-    "ls_square": ("<1 s",
+    "ls_square": ("~1 s",
                   "plane-wave least squares on the unit square"),
     "infsup_1d": ("<1 s",
                   "discrete inf-sup constant of the 1D model vs k at fixed"
                   " kh/p"),
-    "approx_trefftz": ("~1.5 s",
+    "approx_trefftz": ("~2 s",
                        "best-approximation study of plane-wave and"
                        " evanescent-augmented local bases"),
     "nodal_exact_1d": ("<1 s",
@@ -171,30 +174,48 @@ def _report_into_row(row, out):
     row["solve_residual"] = out.checks.get("solve_residual")
 
 
-# Each runner fills one row; `row["h"]` arrives as the task's mesh size
-# (1/n_elements on the interval).
+class _Shared:
+    """What the rows of one group of tasks share (see `_groups`): the
+    value of the first `get(build)`, kept until the group ends.  When
+    that build raised, `get` raises the same error for every later row."""
+
+    def __init__(self):
+        self._built = None
+
+    def get(self, build):
+        if self._built is None:
+            try:
+                self._built = build(), None
+            except Exception as exc:
+                self._built = None, exc
+        value, error = self._built
+        if error is not None:
+            raise error
+        return value
 
 
-def _h1_space(cfg, problem, h, p, row):
-    """The order-p H1 space on the mesh of the problem's domain at h,
-    graded into the configured corners when sigma is set (and recorded in
-    the row)."""
-    mesh = meshing.triangulate(problem.domain, h)
+# Each runner fills one row, given the `_Shared` of its group; `row["h"]`
+# arrives as the task's mesh size (1/n_elements on the interval).
+
+
+def _h1_space(cfg, domain, h, p):
+    """The order-p H1 space on the mesh of `domain` at h, graded into the
+    configured corners when sigma is set."""
+    mesh = meshing.triangulate(domain, h)
     if cfg["sigma"] is not None:
         mesh = meshing.geometric_refine(mesh, cfg["corners"] or [(0.0, 0.0)],
                                         cfg["sigma"], cfg["layers"])
-        row["sigma"] = cfg["sigma"]
-        row["L"] = cfg["layers"]
     return spaces.h1_space(mesh, p)
 
 
-def _run_fem(cfg, task, row):
+def _run_fem(cfg, task, row, shared):
     problem = _problem(cfg, task["k"])
-    space = _h1_space(cfg, problem, row["h"], task["p"], row)
+    space = shared.get(
+        lambda: _h1_space(cfg, problem.domain, row["h"], task["p"]))
     _report_into_row(row, methods.solve_fem(problem, space))
 
 
-def _run_nodal(cfg, task, row):
+def _run_nodal(cfg, task, row, shared):
     out = methods.solve_nodally_exact_1d(_problem(cfg, task["k"]),
                                          task["n_elements"])
     _report_into_row(row, out)
@@ -205,7 +226,7 @@ def _trefftz_space(domain, h, k, basis):
     return spaces.trefftz_space(mesh, k, basis)
 
 
-def _run_ls(cfg, task, row):
+def _run_ls(cfg, task, row, shared):
     problem = _problem(cfg, task["k"])
     basis = spaces.PlaneWaveBasis(task["k"], task["p"])
     space = _trefftz_space(problem.domain, task["h"], task["k"], basis)
@@ -215,7 +236,7 @@ def _run_ls(cfg, task, row):
     _report_into_row(row, out)
 
 
-def _run_uwvf(cfg, task, row):
+def _run_uwvf(cfg, task, row, shared):
     problem = _problem(cfg, task["k"])
     basis = spaces.PlaneWaveBasis(task["k"], task["p"])
     space = _trefftz_space(problem.domain, task["h"], task["k"], basis)
@@ -225,15 +246,15 @@ def _run_uwvf(cfg, task, row):
     _report_into_row(row, out)
 
 
-def _run_infsup(cfg, task, row):
+def _run_infsup(cfg, task, row, shared):
     k, p = task["k"], task["p"]
     problem = _problem(cfg, k)
     n = max(p, round(k / (cfg["khp"] * p)))
-    space = _h1_space(cfg, problem, 1.0 / n, p, row)
+    space = _h1_space(cfg, problem.domain, 1.0 / n, p)
     _report_into_row(row, methods.infsup_constant(problem, space))
 
 
-def _run_approx(cfg, task, row):
+def _run_approx(cfg, task, row, shared):
     k = task["k"]
     angle = 0.3
     exact = methods.plane_wave_2d(
@@ -247,25 +268,30 @@ def _run_approx(cfg, task, row):
 
 # Per method: the keys it reads on top of _COMMON_KEYS, the domains it
 # runs on (a single one is the default), the config lists whose product
-# gives its rows, and the runner that fills one row.  A list the config
-# leaves unset (h on the interval, n_elements in 2D) is not swept; `kind`
-# is the pair of local bases of the approximation study.
-_Method = collections.namedtuple("_Method", "reads domains sweeps run")
+# gives its rows, the swept keys that fix its space, and the runner that
+# fills one row.  A list the config leaves unset (h on the interval,
+# n_elements in 2D) is not swept; `kind` is the pair of local bases of
+# the approximation study.  Rows that agree on the space keys share one
+# space, so a method naming none builds a space per row: the wave-based
+# spaces depend on k, and `infsup` derives its mesh from k.
+_Method = collections.namedtuple("_Method",
+                                 "reads domains sweeps space_keys run")
 
 _METHODS = {
     "fem": _Method({"p", "h", "n_elements", "sigma", "layers", "corners",
                     "robin_sign"},
-                   _DOMAINS, ("k", "p", "n_elements", "h"), _run_fem),
+                   _DOMAINS, ("k", "p", "n_elements", "h"),
+                   ("p", "n_elements", "h"), _run_fem),
     "nodal": _Method({"h", "n_elements", "robin_sign"},
-                     ("interval",), ("k", "p", "n_elements"), _run_nodal),
+                     ("interval",), ("k", "p", "n_elements"), (), _run_nodal),
     "ls": _Method({"p", "h", "w1", "w2", "svd_cutoff"},
-                  ("square",), ("k", "p", "h"), _run_ls),
+                  ("square",), ("k", "p", "h"), (), _run_ls),
     "uwvf": _Method({"p", "h", "flux", "alpha", "beta", "delta"},
-                    ("square",), ("k", "p", "h"), _run_uwvf),
+                    ("square",), ("k", "p", "h"), (), _run_uwvf),
     "infsup": _Method({"p", "khp", "robin_sign"},
-                      ("interval",), ("k", "p"), _run_infsup),
+                      ("interval",), ("k", "p"), (), _run_infsup),
     "approx": _Method({"p", "h", "svd_cutoff"},
-                      ("square",), ("kind", "k", "p"), _run_approx),
+                      ("square",), ("kind", "k", "p"), (), _run_approx),
 }
 
 # The keys every method reads; a config giving a key neither these nor
@@ -551,7 +577,29 @@ def expand_runs(cfg):
             for values in itertools.product(*(cfg[key] for key in axes))]
 
 
-def _run_task(cfg, task):
+def _groups(cfg, tasks):
+    """The tasks in groups that agree on every key fixing their method's
+    space (`_Method.space_keys`), each group in task order and the groups
+    in order of their first task; with no such keys every task is a group
+    of its own."""
+    keys = _METHODS[cfg["method"]].space_keys
+    if not keys:
+        return [[task] for task in tasks]
+    groups = {}
+    for task in tasks:
+        groups.setdefault(tuple(task.get(key) for key in keys),
+                          []).append(task)
+    return list(groups.values())
+
+
+def _run_group(cfg, tasks):
+    """The rows of one group of tasks, in order, run on one `_Shared`
+    that the group drops when it ends."""
+    shared = _Shared()
+    return [_run_task(cfg, task, shared) for task in tasks]
+
+
+def _run_task(cfg, task, shared):
     """Run one task into its CSV row; an exception flags the row."""
     row = {name: None for name in COLUMNS}
     row["method"] = task["method"] + (f"_{task['kind']}" if "kind" in task
@@ -561,10 +609,13 @@ def _run_task(cfg, task):
     row["p"] = task.get("p")
     row["h"] = (1.0 / task["n_elements"] if "n_elements" in task
                 else task.get("h"))
+    # the grading of a graded fem run; None for every other run
+    row["sigma"] = cfg["sigma"]
+    row["L"] = cfg["layers"]
     row["error"] = ""
     started = time.perf_counter()
     try:
-        _METHODS[task["method"]].run(cfg, task, row)
+        _METHODS[task["method"]].run(cfg, task, row, shared)
     except Exception as exc:
         row["error"] = _sanitize(f"{type(exc).__name__}: {exc}")
         return row
@@ -587,13 +638,17 @@ def _sort_key(row):
 
 
 def execute_runs(cfg, tasks):
-    """Run all tasks on a worker pool; returns (sorted rows, failure flag)."""
+    """Run all tasks, a group of tasks sharing a space (`_groups`) per job
+    of a worker pool; returns (sorted rows, failure flag)."""
+    groups = _groups(cfg, tasks)
     workers = _worker_count(cfg)
-    if workers == 1 or len(tasks) <= 1:
-        rows = [_run_task(cfg, task) for task in tasks]
+    if workers == 1 or len(groups) <= 1:
+        done = [_run_group(cfg, group) for group in groups]
     else:
         with concurrent.futures.ThreadPoolExecutor(workers) as pool:
-            rows = list(pool.map(lambda t: _run_task(cfg, t), tasks))
+            done = list(pool.map(lambda group: _run_group(cfg, group),
+                                 groups))
+    rows = [row for group_rows in done for row in group_rows]
     rows.sort(key=_sort_key)
     failed = any(row["error"] for row in rows)
     return rows, failed

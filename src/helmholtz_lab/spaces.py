@@ -32,7 +32,8 @@ rules of its volume integrals (`volume_rule(k)`), of error integrals
 conforming space, the DOFs whose basis functions live on given mesh
 edges (`boundary_dofs(edges)`).  `element_pattern` is the `BlockPattern`
 of its element blocks: the CSR structure that assembly sums local
-matrices into, built on first use and kept with the space.
+matrices into, built on first use and kept with the space, as are the
+stiffness and mass data summed on it (`volume_data`).
 """
 
 import functools
@@ -122,31 +123,35 @@ def _shape_functions_2d(p, lam, grad_lam):
 
     `lam` has shape (nb, nq, 3) and `grad_lam` (nb, 3, 2) holds each
     element's constant barycentric gradients.  Edge modes follow the local
-    vertex order; the caller applies the orientation signs.
+    vertex order; the caller applies the orientation signs.  All modes of
+    one edge, and all bubbles, come from one broadcast each, with the
+    operations of one mode in the order of a loop over the modes.
     """
     nb, nq = lam.shape[:2]
     nloc = _h1_local_dim_2d(p)
     vals = np.zeros((nb, nq, nloc))
     grads = np.zeros((nb, nq, nloc, 2))
     gl = grad_lam[:, None, :, :]
-    for v in range(3):
-        vals[..., v] = lam[..., v]
-        grads[..., v, :] = gl[..., v, :]
+    vals[..., :3] = lam
+    grads[..., :3, :] = gl
     pos = 3
     if p >= 2:
+        coeff = np.array([_edge_kernel_coeff(q) for q in range(2, p + 1)])
         for a, b in _LOCAL_EDGES:
             xi = lam[..., b] - lam[..., a]
             _, der1, der2 = _legendre_table(xi, p - 1)
             prod = lam[..., a] * lam[..., b]
             dprod = lam[..., b, None] * gl[..., a, :] + lam[..., a, None] * gl[..., b, :]
             dxi = gl[..., b, :] - gl[..., a, :]
-            for q in range(2, p + 1):
-                c = _edge_kernel_coeff(q)
-                kern = c * der1[q - 1]
-                dkern = c * der2[q - 1]
-                vals[..., pos] = prod * kern
-                grads[..., pos, :] = dprod * kern[..., None] + (prod * dkern)[..., None] * dxi
-                pos += 1
+            # modes q = 2..p along a leading axis, kernels from P'_{q-1}
+            kern = coeff[:, None, None] * der1[1:]
+            dkern = coeff[:, None, None] * der2[1:]
+            modes = slice(pos, pos + p - 1)
+            vals[..., modes] = (prod * kern).transpose(1, 2, 0)
+            grads[..., modes, :] = (dprod * kern[..., None]
+                                    + (prod * dkern)[..., None] * dxi
+                                    ).transpose(1, 2, 0, 3)
+            pos += p - 1
     if p >= 3:
         eta1 = lam[..., 1] - lam[..., 0]
         eta2 = 2.0 * lam[..., 2] - 1.0
@@ -160,13 +165,15 @@ def _shape_functions_2d(p, lam, grad_lam):
         )
         deta1 = gl[..., 1, :] - gl[..., 0, :]
         deta2 = 2.0 * gl[..., 2, :]
-        for i in range(p - 2):
-            for j in range(p - 2 - i):
-                f = p1[i] * p2[j]
-                df = (d1[i] * p2[j])[..., None] * deta1 + (p1[i] * d2[j])[..., None] * deta2
-                vals[..., pos] = bub * f
-                grads[..., pos, :] = dbub * f[..., None] + bub[..., None] * df
-                pos += 1
+        # bubble (i, j) for i + j <= p - 3, j fastest, along a leading axis
+        i, j = np.array([(i, j) for i in range(p - 2)
+                         for j in range(p - 2 - i)]).T
+        f = p1[i] * p2[j]
+        df = ((d1[i] * p2[j])[..., None] * deta1
+              + (p1[i] * d2[j])[..., None] * deta2)
+        vals[..., pos:] = (bub * f).transpose(1, 2, 0)
+        grads[..., pos:, :] = (dbub * f[..., None]
+                               + bub[..., None] * df).transpose(1, 2, 0, 3)
     return vals, grads
 
 
@@ -285,6 +292,14 @@ class _Space:
         """`BlockPattern` of the element blocks, dof_matrix()[e] against
         itself for every element e; built on first use and kept."""
         return BlockPattern.of(self.ndof, [self.dof_matrix()])
+
+    @functools.cached_property
+    def volume_data(self):
+        """The stiffness and mass data arrays on `element_pattern` that
+        assembly sums with each volume rule, keyed by the rule's points
+        and weights, never by k; filled on first use of a rule, read-only,
+        and kept with the space."""
+        return {}
 
     def element_batches(self, npts):
         """Element index arrays covering the mesh in order, sized so that

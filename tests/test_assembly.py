@@ -216,9 +216,15 @@ class TestProjection1k:
                             lambda basis, y: calls.append(1) or evaluate(basis, y))
         assemble_projection_1k(space, k, methods.plane_wave_2d(k).eval)
         one_pass = len(calls)
+        # the space keeps its matrices: a Gram matrix after the projection
+        # evaluates nothing
         calls.clear()
         assemble_gram_1k(space, k)
-        project_rhs_1k(space, k, methods.plane_wave_2d(k).eval)
+        assert calls == []
+        # separate assemblies on a fresh space take a pass each
+        fresh = trefftz_space(mesh, k, GhpBasis(k=k, p=4))
+        assemble_gram_1k(fresh, k)
+        project_rhs_1k(fresh, k, methods.plane_wave_2d(k).eval)
         assert one_pass >= 1 and len(calls) == 2 * one_pass
 
 
@@ -1004,3 +1010,105 @@ class TestMatrixInvariants:
         assert np.abs(A - A.conj().T).max() <= 1e-13 * scale
         w = np.linalg.eigvalsh(0.5 * (A + A.conj().T))
         assert w.min() >= -1e-12 * w.max()
+
+
+# -- volume data kept with the space -----------------------------------------
+
+# (name, fresh space, the bc of its Dirichlet wall, Robin data at k, target
+# of the (1,k) projection at k): H1 on the interval and on the square with
+# a wall side, the rows of a k-sweep at fixed (h, p)
+KEPT_KINDS = ["h1_1d_p1", "h1_1d_p2", "h1_1d_p4", "h1_2d_p1", "h1_2d_p3"]
+
+
+def kept_case(kind):
+    p = int(kind[-1])
+    if kind.startswith("h1_1d"):
+        return (lambda: h1_space(uniform_interval_mesh(12), p),
+                {"left": "dirichlet"},
+                lambda k: (lambda x: np.full(x.shape[0], 0.5 - 2j)),
+                lambda k: methods.model_1d(k).eval)
+    return (lambda: h1_space(triangulate(wall_square(), 0.25), p),
+            {"wall": "dirichlet"},
+            lambda k: methods.plane_wave_problem(k).g,
+            lambda k: methods.plane_wave_2d(k).eval)
+
+
+def assert_same_system(got, want):
+    assert_same_csr(got.A, want.A)
+    assert got.rhs.tobytes() == want.rhs.tobytes()
+    assert (got.free is None) == (want.free is None)
+    if want.free is not None:
+        assert got.free.tobytes() == want.free.tobytes()
+    assert_same_csr(got.mass, want.mass)
+    assert_same_csr(got.meta["boundary_mass"], want.meta["boundary_mass"])
+
+
+class TestKeptVolumeData:
+    @pytest.mark.parametrize("kind", KEPT_KINDS)
+    @pytest.mark.parametrize("wall", [False, True], ids=["robin", "wall"])
+    @pytest.mark.parametrize("source", [False, True], ids=["g", "f_g"])
+    def test_reused_space_equals_fresh_bitwise(self, kind, wall, source):
+        fresh, wall_bc, robin_data, target = kept_case(kind)
+        bc = wall_bc if wall else None
+        f = None
+        if source:
+            f = lambda x: np.cos(3.0 * (x if x.ndim == 1 else x[:, 0])) + 0.5j
+        kept = fresh()
+        for k in (1.0, 10.0, 100.0):
+            g, u = robin_data(k), target(k)
+            # on the kept space the Galerkin system comes after the Gram
+            # and projection systems except at the first k
+            if k != 1.0:
+                assert_same_csr(assemble_gram_1k(kept, k),
+                                assemble_gram_1k(fresh(), k))
+            got = assemble_galerkin(kept, k, f=f, g=g, bc=bc)
+            assert_same_system(got, assemble_galerkin(fresh(), k, f=f, g=g,
+                                                      bc=bc))
+            proj = assemble_projection_1k(kept, k, u)
+            want = assemble_projection_1k(fresh(), k, u)
+            assert_same_csr(proj.A, want.A)
+            assert proj.rhs.tobytes() == want.rhs.tobytes()
+            assert (project_rhs_1k(kept, k, u).tobytes()
+                    == project_rhs_1k(fresh(), k, u).tobytes())
+        # one volume rule for every k: one pair of arrays
+        assert len(kept.volume_data) == 1
+
+    @pytest.mark.parametrize("kind", KEPT_KINDS)
+    def test_kept_arrays_are_read_only_and_unchanged(self, kind):
+        fresh, wall_bc, robin_data, target = kept_case(kind)
+        space = fresh()
+        assemble_galerkin(space, 1.0, g=robin_data(1.0), bc=wall_bc)
+        (kept,) = space.volume_data.values()
+        before = [data.tobytes() for data in kept]
+        for data in kept:
+            assert not data.flags.writeable
+            with pytest.raises(ValueError):
+                data[0] = 1.0
+        for k in (1.0, 10.0, 100.0):
+            system = assemble_galerkin(space, k, f=1.0, g=robin_data(k),
+                                       bc=wall_bc)
+            system.mass
+            assemble_gram_1k(space, k)
+            assemble_projection_1k(space, k, target(k))
+            methods.h1_best_approximation(
+                methods.model_problem_1d(k) if space.mesh.dim == 1
+                else methods.plane_wave_problem(k), space)
+        (after,) = space.volume_data.values()
+        assert all(a is b for a, b in zip(after, kept))
+        assert [data.tobytes() for data in kept] == before
+
+    def test_mass_is_built_on_first_read(self, monkeypatch):
+        space = h1_space(uniform_interval_mesh(8), 2)
+        built = []
+        csr = assembly._csr
+        monkeypatch.setattr(assembly, "_csr",
+                            lambda pattern, data: built.append(1)
+                            or csr(pattern, data))
+        system = assemble_galerkin(space, 3.0, bc={"left": "dirichlet"})
+        # A and the boundary mass only
+        assert len(built) == 2
+        mass = system.mass
+        assert len(built) == 3 and system.mass is mass
+        pattern = space.element_pattern
+        (kept,) = space.volume_data.values()
+        assert_same_csr(mass, csr(pattern, kept[1]))

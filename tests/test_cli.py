@@ -1,10 +1,13 @@
 """Config parsing, presets, CSV output and exit codes of the CLI harness."""
 
+import collections
+import gc
 import os
 import re
 import subprocess
 import sys
 import tempfile
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -13,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helmholtz_lab
-from helmholtz_lab import cli, meshing
+from helmholtz_lab import assembly, cli, meshing, spaces
 
 
 def write_config(tmp_path, text, name="run.cfg"):
@@ -617,3 +620,142 @@ def test_module_entry_point_runs_without_runtime_warning():
         env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert "fig1_1d_pollution" in proc.stdout
+
+
+# -- rows that share a mesh and a space ----------------------------------------
+
+
+def count_builds(monkeypatch, refs=None):
+    """Count the meshes and spaces a run builds, by builder name, and
+    append a weak reference to each to `refs` when given."""
+    counts = collections.Counter()
+    builders = ((meshing, "triangulate"), (meshing, "geometric_refine"),
+                (spaces, "h1_space"), (spaces, "nodally_exact_space_1d"),
+                (spaces, "trefftz_space"))
+    for module, name in builders:
+        def counted(*args, _build=getattr(module, name), _name=name):
+            counts[_name] += 1
+            built = _build(*args)
+            if refs is not None:
+                refs.append(weakref.ref(built))
+            return built
+        monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+GRADED_FEM = {"method": "fem", "domain": "lshape", "k": "2,3", "p": "1,2",
+              "h": "0.5", "sigma": "0.5", "layers": "2"}
+
+
+def one_task_at_a_time(cfg):
+    """The CSV text and slope lines of a config run one task at a time,
+    each task building a space of its own."""
+    rows = sorted((cli._run_task(cfg, task, cli._Shared())
+                   for task in cli.expand_runs(cfg)), key=cli._sort_key)
+    return cli.rows_to_csv_text(rows), cli.series_slopes(rows)
+
+
+class TestSharedSpaces:
+    def test_fem_sweep_builds_each_space_once(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("HELMHOLTZ_THREADS", "2")
+        counts = count_builds(monkeypatch)
+        cfg = cli.build_config({"preset": "fig1_1d_pollution",
+                                "out": str(tmp_path / "fig1.csv")})
+        rows, code = cli.run_config(cfg, echo=lambda line: None)
+        # 13 element counts x 4 orders, each at k = 1, 10, 100
+        assert code == 0 and len(rows) == 156
+        assert counts == {"triangulate": 52, "h1_space": 52}
+
+    @pytest.mark.parametrize("raw, n_rows, builds", [
+        ({"method": "nodal", "k": "2,3", "n_elements": "8,16"}, 4,
+         {"triangulate": 4, "nodally_exact_space_1d": 4}),
+        ({"method": "infsup", "k": "4,8", "p": "1,2"}, 4,
+         {"triangulate": 4, "h1_space": 4}),
+        ({"method": "ls", "k": "3,4", "p": "3", "h": "0.5"}, 2,
+         {"triangulate": 2, "trefftz_space": 2}),
+        ({"method": "uwvf", "k": "3,4", "p": "3", "h": "0.5"}, 2,
+         {"triangulate": 2, "trefftz_space": 2}),
+        ({"method": "approx", "k": "3,4", "p": "1,2", "h": "0.5"}, 8,
+         {"triangulate": 8, "trefftz_space": 8}),
+        (GRADED_FEM, 4,
+         {"triangulate": 2, "geometric_refine": 2, "h1_space": 2}),
+    ], ids=["nodal", "infsup", "ls", "uwvf", "approx", "fem_graded"])
+    def test_only_fem_rows_share_builds(self, tmp_path, monkeypatch, raw,
+                                        n_rows, builds):
+        counts = count_builds(monkeypatch)
+        cfg = cli.build_config(dict(raw, out=str(tmp_path / "res.csv")))
+        rows, code = cli.run_config(cfg, echo=lambda line: None)
+        assert code == 0 and len(rows) == n_rows
+        assert counts == builds
+
+    def test_graded_rows_record_their_grading(self, tmp_path):
+        cfg = cli.build_config(dict(GRADED_FEM, out=str(tmp_path / "r.csv")))
+        rows, _ = cli.run_config(cfg, echo=lambda line: None)
+        assert [(row["sigma"], row["L"]) for row in rows] == [(0.5, 2)] * 4
+
+    def test_failed_shared_build_flags_its_group(self, tmp_path,
+                                                 monkeypatch):
+        built = []
+        real = spaces.h1_space
+
+        def refuse_p2(mesh, p):
+            built.append((mesh.n_elements, p))
+            if p == 2:
+                raise RuntimeError(f"no space on {mesh.n_elements} elements")
+            return real(mesh, p)
+
+        monkeypatch.setattr(spaces, "h1_space", refuse_p2)
+        cfg = cli.build_config({"method": "fem", "domain": "interval",
+                                "k": "1,2,3", "p": "1,2,3",
+                                "n_elements": "4,8",
+                                "out": str(tmp_path / "res.csv")})
+        rows, code = cli.run_config(cfg, echo=lambda line: None)
+        assert code == 3 and len(rows) == 18
+        # one build per (p, n), the failed ones included
+        assert sorted(built) == sorted((n, p) for n in (4, 8)
+                                       for p in (1, 2, 3))
+        for row in rows:
+            n = round(1.0 / row["h"])
+            if row["p"] == 2:
+                assert row["error"] == (f"RuntimeError: no space on {n} "
+                                        f"elements")
+                assert row["err_h1semi_rel"] is None
+            else:
+                assert row["error"] == "" and row["err_h1semi_rel"] > 0.0
+
+    @pytest.mark.parametrize("name", list(cli.PRESETS))
+    def test_preset_equals_one_task_at_a_time(self, name, tmp_path,
+                                              monkeypatch):
+        cfg = cli.build_config({"preset": name})
+        want_text, want_lines = one_task_at_a_time(cfg)
+        for threads in ("1", "2"):
+            monkeypatch.setenv("HELMHOLTZ_THREADS", threads)
+            cfg["out"] = str(tmp_path / f"{name}_{threads}.csv")
+            lines = []
+            cli.run_config(cfg, echo=lines.append)
+            with open(cfg["out"], "rb") as fh:
+                assert fh.read() == want_text.encode()
+            assert lines[1:] == want_lines
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_nothing_built_outlives_run_config(self, tmp_path, monkeypatch,
+                                               threads):
+        monkeypatch.setenv("HELMHOLTZ_THREADS", threads)
+        refs = []
+        count_builds(monkeypatch, refs)
+        volume_parts = assembly._volume_parts
+
+        def recorded(*args, **kwargs):
+            parts = volume_parts(*args, **kwargs)
+            refs.extend(weakref.ref(data) for data in parts[:2]
+                        if data is not None)
+            return parts
+
+        monkeypatch.setattr(assembly, "_volume_parts", recorded)
+        for raw in ({"preset": "fig1_1d_pollution", "n_elements": "4,8"},
+                    GRADED_FEM, {"preset": "infsup_1d"}):
+            cfg = cli.build_config(dict(raw, out=str(tmp_path / "res.csv")))
+            cli.run_config(cfg, echo=lambda line: None)
+        gc.collect()
+        assert len(refs) > 20
+        assert [ref() for ref in refs if ref() is not None] == []

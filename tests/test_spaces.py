@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helmholtz_lab import spaces
@@ -853,3 +853,70 @@ def test_element_batches_cover_the_mesh_within_both_bounds(name, npts,
     assert np.concatenate(batches).tolist() == list(range(space.mesh.n_elements))
     assert all(len(b) == 1 or fits(len(b)) for b in batches)
     assert all(not fits(len(b) + 1) for b in batches[:-1])
+
+
+# -- triangle shape functions against the per-mode loops ----------------------
+
+
+def looped_shape_functions_2d(p, lam, grad_lam):
+    """`spaces._shape_functions_2d` as a loop over the edge modes q and
+    the bubbles (i, j), one mode per NumPy call."""
+    nb, nq = lam.shape[:2]
+    nloc = spaces._h1_local_dim_2d(p)
+    vals = np.zeros((nb, nq, nloc))
+    grads = np.zeros((nb, nq, nloc, 2))
+    gl = grad_lam[:, None, :, :]
+    for v in range(3):
+        vals[..., v] = lam[..., v]
+        grads[..., v, :] = gl[..., v, :]
+    pos = 3
+    if p >= 2:
+        for a, b in spaces._LOCAL_EDGES:
+            xi = lam[..., b] - lam[..., a]
+            _, der1, der2 = spaces._legendre_table(xi, p - 1)
+            prod = lam[..., a] * lam[..., b]
+            dprod = (lam[..., b, None] * gl[..., a, :]
+                     + lam[..., a, None] * gl[..., b, :])
+            dxi = gl[..., b, :] - gl[..., a, :]
+            for q in range(2, p + 1):
+                c = spaces._edge_kernel_coeff(q)
+                kern = c * der1[q - 1]
+                dkern = c * der2[q - 1]
+                vals[..., pos] = prod * kern
+                grads[..., pos, :] = (dprod * kern[..., None]
+                                      + (prod * dkern)[..., None] * dxi)
+                pos += 1
+    if p >= 3:
+        eta1 = lam[..., 1] - lam[..., 0]
+        eta2 = 2.0 * lam[..., 2] - 1.0
+        p1, d1, _ = spaces._legendre_table(eta1, p - 3)
+        p2, d2, _ = spaces._legendre_table(eta2, p - 3)
+        bub = lam[..., 0] * lam[..., 1] * lam[..., 2]
+        dbub = ((lam[..., 1] * lam[..., 2])[..., None] * gl[..., 0, :]
+                + (lam[..., 0] * lam[..., 2])[..., None] * gl[..., 1, :]
+                + (lam[..., 0] * lam[..., 1])[..., None] * gl[..., 2, :])
+        deta1 = gl[..., 1, :] - gl[..., 0, :]
+        deta2 = 2.0 * gl[..., 2, :]
+        for i in range(p - 2):
+            for j in range(p - 2 - i):
+                f = p1[i] * p2[j]
+                df = ((d1[i] * p2[j])[..., None] * deta1
+                      + (p1[i] * d2[j])[..., None] * deta2)
+                vals[..., pos] = bub * f
+                grads[..., pos, :] = dbub * f[..., None] + bub[..., None] * df
+                pos += 1
+    return vals, grads
+
+
+@pytest.mark.parametrize("p", range(1, 11))
+@settings(BYTES_SETTINGS, max_examples=6)
+@given(nb=st.integers(1, 40), nq=st.integers(1, 64),
+       seed=st.integers(0, 2**16))
+@example(nb=1, nq=1, seed=0)
+@example(nb=200, nq=12, seed=1)
+def test_shape_functions_2d_bytes_equal_mode_loops(p, nb, nq, seed):
+    rng = np.random.default_rng(seed)
+    lam = rng.dirichlet(np.ones(3), size=(nb, nq))
+    grad_lam = rng.standard_normal((nb, 3, 2))
+    assert_same_bytes(spaces._shape_functions_2d(p, lam, grad_lam),
+                      looped_shape_functions_2d(p, lam, grad_lam))
