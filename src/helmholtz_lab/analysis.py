@@ -70,14 +70,16 @@ def _rel(num, den):
     return math.sqrt(num / den)
 
 
-def _weighted_square_sum(w, z):
+def _weighted_square_sum(w, z, out):
     """Sum of w |z|^2 over n points: w holds the n weights, z the complex
     values (n,) or gradients (n, dim) at the points, in any leading
-    shape.  The float view of z is squared and reduced over the points
-    by one BLAS matrix-vector product with w; its 2 or 2*dim column sums
-    are added last."""
+    shape.  The squares of z's float view go into `out`, a complex array
+    of z's size that the caller owns and may be z itself; one BLAS
+    matrix-vector product with w reduces them over the points, and its 2
+    or 2*dim column sums are added last."""
     zf = np.ascontiguousarray(z).view(float).reshape(len(w), -1)
-    return float((w @ (zf * zf)).sum())
+    sq = np.multiply(zf, zf, out=out.view(float).reshape(zf.shape))
+    return float((w @ sq).sum())
 
 
 def relative_errors(space, coeffs, exact, k, exclude_radius=0.0):
@@ -85,8 +87,11 @@ def relative_errors(space, coeffs, exact, k, exclude_radius=0.0):
 
     exact maps an array of points to (complex values, complex gradients),
     the gradients analytic, not differenced, such as `ExactSolution.eval`;
-    it is called once per element batch.  Relative norms divide by the
-    exact solution's norm computed with the same quadrature.  A
+    it is called once per element batch, and the arrays it returns are
+    only read, so it may return the same arrays on every call.  Relative
+    norms divide by the exact solution's norm computed with the same
+    quadrature.  Per batch, the exact norms are summed first; the errors
+    are then formed and squared in place in two buffers of this call.  A
     positive exclude_radius drops quadrature points inside the disk around
     the origin, the re-entrant corner of the L-shape; used for solutions
     whose gradient is singular there (`ExactSolution.exclude_radius`).
@@ -107,10 +112,14 @@ def relative_errors(space, coeffs, exact, k, exclude_radius=0.0):
         u_e = np.asarray(u_e, dtype=complex).reshape(w.shape)
         g_e = np.asarray(g_e, dtype=complex).reshape(g_n.shape)
         w = w.ravel()
-        num_l2 += _weighted_square_sum(w, u_e - u_n)
-        den_l2 += _weighted_square_sum(w, u_e)
-        num_h1 += _weighted_square_sum(w, g_e - g_n)
-        den_h1 += _weighted_square_sum(w, g_e)
+        u_d = np.empty_like(u_e, order="C")
+        g_d = np.empty_like(g_e, order="C")
+        den_l2 += _weighted_square_sum(w, u_e, out=u_d)
+        den_h1 += _weighted_square_sum(w, g_e, out=g_d)
+        num_l2 += _weighted_square_sum(w, np.subtract(u_e, u_n, out=u_d),
+                                       out=u_d)
+        num_h1 += _weighted_square_sum(w, np.subtract(g_e, g_n, out=g_d),
+                                       out=g_d)
     kk = float(k) ** 2
     return (
         _rel(num_h1, den_h1),

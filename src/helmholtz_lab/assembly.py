@@ -592,17 +592,13 @@ def assemble_pwdg(space, k, g, flux):
 # -- linear algebra ----------------------------------------------------------
 
 
-def _check_dense_size(n):
-    """Refuse dense linear algebra on more than _DENSE_LIMIT unknowns."""
-    if n > _DENSE_LIMIT:
-        raise ValueError(f"dense linear algebra on n={n} unknowns exceeds "
-                         f"the limit of {_DENSE_LIMIT}")
-
-
 def _dense(a):
     """Dense copy of a CSR matrix; refuses more than _DENSE_LIMIT rows
     before allocating anything."""
-    _check_dense_size(a.shape[0])
+    n = a.shape[0]
+    if n > _DENSE_LIMIT:
+        raise ValueError(f"dense linear algebra on n={n} unknowns exceeds "
+                         f"the limit of {_DENSE_LIMIT}")
     return a.toarray()
 
 
@@ -746,7 +742,6 @@ def solve(system, svd_cutoff=None):
         x, ordering, lu_nnz, residual = _sparse_lu(
             A, rhs, symmetric=system.meta.get("dim") != 1)
     else:
-        _check_dense_size(nred)
         x, cond_est, lu_nnz, residual = _certified_lu(A, rhs, svd_cutoff)
         if x is not None:
             ordering = "COLAMD"

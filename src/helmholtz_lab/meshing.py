@@ -173,17 +173,18 @@ class Mesh:
     def _build_edges_2d(self):
         tri = self.elements
         ne = len(tri)
-        directed = np.concatenate(
-            [tri[:, [0, 1]], tri[:, [1, 2]], tri[:, [2, 0]]], axis=0
-        )
-        owner = np.tile(np.arange(ne, dtype=np.int64), 3)
-        key = np.sort(directed, axis=1)
-        order = np.lexsort((key[:, 1], key[:, 0]))
+        # directed side s of element e sits at s * ne + e and runs from
+        # `starts` to `ends`
+        starts = tri.T.ravel()
+        ends = tri[:, [1, 2, 0]].T.ravel()
+        # one int64 key per unordered node pair; the stable sort keeps
+        # the sides of an edge in directed order, as a lexsort would
+        key = (np.minimum(starts, ends) * len(self.nodes)
+               + np.maximum(starts, ends))
+        order = np.argsort(key, kind="stable")
         key_s = key[order]
-        dir_s = directed[order]
-        own_s = owner[order]
         new_edge = np.ones(len(key_s), dtype=bool)
-        new_edge[1:] = np.any(key_s[1:] != key_s[:-1], axis=1)
+        np.not_equal(key_s[1:], key_s[:-1], out=new_edge[1:])
         edge_of = np.empty(len(key_s), dtype=np.int64)
         edge_of[order] = np.cumsum(new_edge) - 1
         first_ids = np.flatnonzero(new_edge)
@@ -191,15 +192,16 @@ class Mesh:
         run_len = np.diff(np.append(first_ids, len(key_s)))
         if np.any(run_len > 2):
             raise ValueError("non-manifold edge: shared by more than two elements")
-        edge_nodes = dir_s[first_ids]
-        plus = own_s[first_ids]
+        first = order[first_ids]
+        edge_nodes = np.column_stack([starts[first], ends[first]])
+        plus = first % ne
         minus = -np.ones(n_edges, dtype=np.int64)
         has_two = run_len == 2
-        minus[has_two] = own_s[first_ids[has_two] + 1]
+        second = order[first_ids[has_two] + 1]
+        minus[has_two] = second % ne
         # conformity: the second appearance must be the reversed pair
-        second_dir = dir_s[first_ids[has_two] + 1]
-        if np.any(second_dir[:, 0] != edge_nodes[has_two][:, 1]) or np.any(
-            second_dir[:, 1] != edge_nodes[has_two][:, 0]
+        if np.any(starts[second] != ends[first[has_two]]) or np.any(
+            ends[second] != starts[first[has_two]]
         ):
             raise ValueError("inconsistent element orientation across an edge")
         t = self.nodes[edge_nodes[:, 1]] - self.nodes[edge_nodes[:, 0]]
@@ -237,9 +239,11 @@ class Mesh:
             self.shape_reg = 1.0
             return
         pts = self.nodes[self.elements]  # (ne, 3, 2)
-        a = np.linalg.norm(pts[:, 1] - pts[:, 0], axis=1)
-        b = np.linalg.norm(pts[:, 2] - pts[:, 1], axis=1)
-        c = np.linalg.norm(pts[:, 0] - pts[:, 2], axis=1)
+        # sides (0,1), (1,2), (2,0); the lengths take np.linalg.norm's
+        # sqrt(dx*dx + dy*dy) bit for bit, which np.hypot does not
+        sides = np.roll(pts, -1, axis=1) - pts
+        sides *= sides
+        a, b, c = np.sqrt(sides[..., 0] + sides[..., 1]).T
         diam = np.maximum(a, np.maximum(b, c))
         area = self.areas()
         if np.any(area <= 0):
@@ -299,8 +303,14 @@ class Mesh:
             h = ends[:, 1:] - x0
             return x0 + h * rule.points, h * rule.weights
         v0 = self.nodes[self.elements[elems, 0]]
-        jac_t = self.jacobians()[elems].transpose(0, 2, 1)
-        pts = v0[:, None, :] + rule.points @ jac_t
+        nb, nq = len(v0), len(rule.weights)
+        # all points from one (2E, 2) @ (2, Q) product: row 2e + d is row d
+        # of element e's Jacobian
+        jac = self.jacobians()[elems].reshape(2 * nb, 2)
+        pts = jac @ np.ascontiguousarray(rule.points.T)
+        pts += v0.reshape(-1, 1)
+        # one copy into C order, so that callers flatten it without another
+        pts = np.ascontiguousarray(pts.reshape(nb, 2, nq).transpose(0, 2, 1))
         return pts, (2.0 * self.areas()[elems])[:, None] * rule.weights
 
     def centroids(self):
@@ -429,7 +439,9 @@ def triangulate(domain, target_h):
         ],
         axis=0,
     )
-    used = np.unique(tris)
+    in_use = np.zeros((nx + 1) * (ny + 1), dtype=bool)
+    in_use[tris] = True
+    used = np.flatnonzero(in_use)
     remap = -np.ones((nx + 1) * (ny + 1), dtype=np.int64)
     remap[used] = np.arange(len(used))
     tris = remap[tris]

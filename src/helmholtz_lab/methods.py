@@ -65,7 +65,12 @@ def plane_wave_2d(k, direction=None):
     def evaluate(pts):
         pts = np.asarray(pts, dtype=float)
         u = _expi(k * (pts @ d))
-        return u, 1j * k * d[None, :] * u[:, None]
+        # column by column: the same products as the (N, 1) x (1, 2)
+        # broadcast, without its strided writes
+        g = np.empty((len(u), 2), dtype=complex)
+        for i, c in enumerate(1j * k * d):
+            np.multiply(c, u, out=g[:, i])
+        return u, g
 
     return ExactSolution(id="pw2d", k=k, eval=evaluate)
 

@@ -507,14 +507,18 @@ class H1Space(_Space):
             return super().element_matrices(elems, rule, tables)
         vals, grads = self.reference_tables(rule.points)
         w = rule.weights
+        nl = self.nloc
         m_ref = np.einsum("q,ql,qm->lm", w, vals, vals)
+        # the reference stiffness tensor as a (4, L^2) matrix, row 2r + s
+        # holding the products of the r- and s-derivatives
         g_ref = np.einsum("q,qlr,qms->lrms", w, grads, grads)
+        g_ref = g_ref.transpose(1, 3, 0, 2).reshape(4, nl * nl)
         inv_jt = self.mesh.inv_jacobians_t()[elems]
         det = 2.0 * self.mesh.areas()[elems]
-        metric = np.einsum("edr,eds->ers", inv_jt, inv_jt)
+        metric = np.einsum("edr,eds->ers", inv_jt, inv_jt).reshape(-1, 4)
         signs = self.orientation_signs()[elems]
         ss = signs[:, :, None] * signs[:, None, :]
-        stiff = det[:, None, None] * np.einsum("lrms,ers->elm", g_ref, metric)
+        stiff = det[:, None, None] * (metric @ g_ref).reshape(-1, nl, nl)
         mass = det[:, None, None] * m_ref[None, :, :]
         return stiff * ss, mass * ss
 

@@ -402,6 +402,65 @@ def test_error_pass_memory_is_bounded_by_the_batch():
     assert peak < 24e6
 
 
+def copying_relative_errors(space, coeffs, exact, k):
+    """The error pass with a fresh array for every difference and every
+    square: the reference that the in-place sums must match bit for bit."""
+    def square_sum(w, z):
+        zf = np.ascontiguousarray(z).view(float).reshape(len(w), -1)
+        return float((w @ (zf * zf)).sum())
+
+    coeffs = np.asarray(coeffs, dtype=complex)
+    rule = space.error_rule(k)
+    num_l2 = den_l2 = num_h1 = den_h1 = 0.0
+    for elems in space.element_batches(len(rule.weights)):
+        pts, w = space.mesh.map_rule(elems, rule)
+        u_n, g_n = space.field(elems, coeffs, rule)
+        u_e, g_e = exact(pts.reshape((-1,) + pts.shape[2:]))
+        u_e = np.asarray(u_e, dtype=complex).reshape(w.shape)
+        g_e = np.asarray(g_e, dtype=complex).reshape(g_n.shape)
+        w = w.ravel()
+        num_l2 += square_sum(w, u_e - u_n)
+        den_l2 += square_sum(w, u_e)
+        num_h1 += square_sum(w, g_e - g_n)
+        den_h1 += square_sum(w, g_e)
+    kk = float(k) ** 2
+    return (analysis._rel(num_h1, den_h1), analysis._rel(num_l2, den_l2),
+            analysis._rel(kk * num_l2 + num_h1, kk * den_l2 + den_h1))
+
+
+IN_PLACE_CASES = ([("h1_1d", p) for p in range(1, 5)]
+                  + [("nodal", 1), ("h1_square", 2), ("pw", 7), ("ghp", 3)])
+
+
+@pytest.mark.parametrize("kind, p", IN_PLACE_CASES,
+                         ids=[f"{kind}-p{p}" for kind, p in IN_PLACE_CASES])
+class TestInPlaceErrorSums:
+    @ERROR_PASS_SETTINGS
+    @given(data=st.data())
+    def test_bitwise_equal_to_copying_sums(self, kind, p, data):
+        space, coeffs, exact, k = data.draw(error_pass_problems(kind, p))
+        got = analysis.relative_errors(space, coeffs, exact, k)
+        assert got == copying_relative_errors(space, coeffs, exact, k)
+
+    @settings(ERROR_PASS_SETTINGS, max_examples=1)
+    @given(data=st.data())
+    def test_exact_arrays_only_read(self, kind, p, data):
+        # a callback that hands out the same cached arrays on every call
+        space, coeffs, exact, k = data.draw(error_pass_problems(kind, p))
+        cache = {}
+
+        def cached(pts):
+            key = pts.tobytes()
+            if key not in cache:
+                cache[key] = exact(pts)
+            return cache[key]
+
+        first = analysis.relative_errors(space, coeffs, cached, k)
+        saved = [a.tobytes() for pair in cache.values() for a in pair]
+        assert analysis.relative_errors(space, coeffs, cached, k) == first
+        assert [a.tobytes() for pair in cache.values() for a in pair] == saved
+
+
 class TestNodalMax:
     def test_exact_nodal_values(self):
         mesh = meshing.triangulate(meshing.unit_interval(), 0.1)

@@ -707,8 +707,11 @@ class TestSolve:
 
 class TestDenseLimit:
     def test_one_above_limit_refused_without_allocation(self):
+        # singular, so the certified LU fails and the SVD branch refuses
         n = assembly._DENSE_LIMIT + 1
-        A = scipy.sparse.identity(n, dtype=complex, format="csr")
+        diagonal = np.ones(n, dtype=complex)
+        diagonal[-1] = 0.0
+        A = scipy.sparse.diags_array(diagonal, format="csr")
         system = ComplexSystem(A=A, rhs=np.ones(n, dtype=complex))
         message = f"n={n} .* limit of {assembly._DENSE_LIMIT}"
         tracemalloc.start()
@@ -721,6 +724,16 @@ class TestDenseLimit:
         finally:
             tracemalloc.stop()
         assert peak < 0.01 * 16 * n * n
+
+    def test_certified_lu_above_limit_solves(self):
+        n = assembly._DENSE_LIMIT + 1
+        A = scipy.sparse.identity(n, dtype=complex, format="csr")
+        rhs = np.arange(n, dtype=complex)
+        result = solve(ComplexSystem(A=A, rhs=rhs), svd_cutoff=1e-12)
+        assert result.strategy == "sparse_lu"
+        assert result.ordering == "COLAMD"
+        assert result.svd_dropped == 0
+        assert np.array_equal(result.x, rhs)
 
     def test_limit_covers_the_largest_least_squares_run(self):
         # plane-wave LS on the unit square at h = 1/16 with p = 9

@@ -21,6 +21,7 @@ from helmholtz_lab.meshing import (
     unit_square,
     validate_mesh,
 )
+from helmholtz_lab.numerics import quad_triangle
 
 
 class TestInterval:
@@ -494,3 +495,168 @@ class TestValidator:
         assert validate_mesh(fine)
         with pytest.raises(ValueError):
             validate_mesh(fine, max_shape_reg=5.0)
+
+
+# -- byte identity with the lexsort build --------------------------------------
+
+
+def _lattice_reference(domain, target_h):
+    """triangulate's 2D lattice, nodes compacted through np.unique."""
+    verts = np.asarray(domain.vertices, dtype=float)
+    xmin, ymin = verts.min(axis=0)
+    xmax, ymax = verts.max(axis=0)
+    extent = max(xmax - xmin, ymax - ymin)
+    n = max(1, int(math.ceil(extent / target_h - 1e-12)))
+    while True:
+        offs = (verts - np.array([xmin, ymin])) / (extent / n)
+        if np.allclose(offs, np.round(offs), atol=1e-9):
+            break
+        n += 1
+    pitch = extent / n
+    nx = int(round((xmax - xmin) / pitch))
+    ny = int(round((ymax - ymin) / pitch))
+    gx, gy = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
+    keep = domain.contains(np.column_stack([xmin + pitch * (gx.ravel() + 0.5),
+                                            ymin + pitch * (gy.ravel() + 0.5)]))
+    ci, cj = gx.ravel()[keep], gy.ravel()[keep]
+    v00, v10 = ci * (ny + 1) + cj, (ci + 1) * (ny + 1) + cj
+    v11, v01 = v10 + 1, v00 + 1
+    tris = np.concatenate([np.column_stack([v00, v10, v11]),
+                           np.column_stack([v00, v11, v01])])
+    used = np.unique(tris)
+    remap = -np.ones((nx + 1) * (ny + 1), dtype=np.int64)
+    remap[used] = np.arange(len(used))
+    gxx, gyy = np.meshgrid(xmin + pitch * np.arange(nx + 1),
+                           ymin + pitch * np.arange(ny + 1), indexing="ij")
+    return np.column_stack([gxx.ravel()[used], gyy.ravel()[used]]), remap[tris]
+
+
+def _topology_reference(nodes, tris):
+    """Edge arrays from a lexsort of the sorted node pairs, and h, h_min
+    and shape_reg from np.linalg.norm side lengths."""
+    ne = len(tris)
+    directed = np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]],
+                               tris[:, [2, 0]]])
+    owner = np.tile(np.arange(ne, dtype=np.int64), 3)
+    key = np.sort(directed, axis=1)
+    order = np.lexsort((key[:, 1], key[:, 0]))
+    key_s, dir_s, own_s = key[order], directed[order], owner[order]
+    new_edge = np.ones(len(key_s), dtype=bool)
+    new_edge[1:] = np.any(key_s[1:] != key_s[:-1], axis=1)
+    edge_of = np.empty(len(key_s), dtype=np.int64)
+    edge_of[order] = np.cumsum(new_edge) - 1
+    first = np.flatnonzero(new_edge)
+    two = np.diff(np.append(first, len(key_s))) == 2
+    minus = -np.ones(len(first), dtype=np.int64)
+    minus[two] = own_s[first[two] + 1]
+    edge_nodes = dir_s[first]
+    t = nodes[edge_nodes[:, 1]] - nodes[edge_nodes[:, 0]]
+    lengths = np.hypot(t[:, 0], t[:, 1])
+    pts = nodes[tris]
+    a = np.linalg.norm(pts[:, 1] - pts[:, 0], axis=1)
+    b = np.linalg.norm(pts[:, 2] - pts[:, 1], axis=1)
+    c = np.linalg.norm(pts[:, 0] - pts[:, 2], axis=1)
+    d1, d2 = pts[:, 1] - pts[:, 0], pts[:, 2] - pts[:, 0]
+    area = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+    diam = np.maximum(a, np.maximum(b, c))
+    return {
+        "edge_nodes": edge_nodes,
+        "edge_elems": np.column_stack([own_s[first], minus]),
+        "element_edges": np.ascontiguousarray(edge_of.reshape(3, ne).T),
+        "edge_normals": np.column_stack([t[:, 1], -t[:, 0]]) / lengths[:, None],
+        "edge_lengths": lengths,
+        "boundary_mask": minus == -1,
+        "h": np.float64(np.max(diam)),
+        "h_min": np.float64(np.min(diam)),
+        "shape_reg": np.float64(np.max(diam / (2.0 * area / (a + b + c)))),
+    }
+
+
+def _assert_same_bytes(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def _assert_matches_reference(mesh, nodes, tris):
+    _assert_same_bytes(mesh.nodes, nodes)
+    _assert_same_bytes(mesh.elements, tris)
+    for name, want in _topology_reference(nodes, tris).items():
+        _assert_same_bytes(np.asarray(getattr(mesh, name)), want)
+
+
+class TestBuildReference:
+    """The 2D build (int64 key sort, mask node compaction, metrics
+    without np.linalg.norm) gives the bits of the lexsort build."""
+
+    @pytest.mark.parametrize("domain, extent", [(unit_square(), 1.0),
+                                                (l_shape(), 2.0)],
+                             ids=["square", "lshape"])
+    def test_triangulate(self, domain, extent):
+        for n in list(range(2, 65)) + [192]:
+            nodes, tris = _lattice_reference(domain, extent / n)
+            _assert_matches_reference(triangulate(domain, extent / n),
+                                      nodes, tris)
+
+    @pytest.mark.parametrize("n", [4, 10, 32])
+    def test_graded_lshape(self, n):
+        mesh = geometric_refine(triangulate(l_shape(), 2.0 / n),
+                                [(0.0, 0.0)], 0.15, 8)
+        _assert_matches_reference(mesh, mesh.nodes, mesh.elements)
+
+    def test_interval(self):
+        mesh = triangulate(unit_interval(), 0.07)
+        lengths = np.abs(np.diff(mesh.nodes))
+        for got, want in ((mesh.h, np.max(lengths)),
+                          (mesh.h_min, np.min(lengths)),
+                          (mesh.shape_reg, 1.0)):
+            _assert_same_bytes(np.float64(got), np.float64(want))
+
+
+# -- the point map --------------------------------------------------------------
+
+
+def _per_element_points(mesh, rule):
+    jac = mesh.jacobians()
+    v0 = mesh.nodes[mesh.elements[:, 0]]
+    return np.stack([rule.points @ jac[e].T + v0[e]
+                     for e in range(mesh.n_elements)])
+
+
+# rules of 4 to 441 points
+_MAP_RULES = [quad_triangle(d) for d in range(2, 41, 3)]
+
+
+class TestMapRule:
+    @pytest.mark.parametrize("n", [1, 2, 4, 8, 16])
+    @pytest.mark.parametrize("domain, extent", [(unit_square(), 1.0),
+                                                (l_shape(), 2.0)],
+                             ids=["square", "lshape"])
+    def test_dyadic_lattice_bitwise(self, domain, extent, n):
+        # at a power-of-two pitch every Jacobian product is exact, so the
+        # one-product map has the per-element bits in any summation order
+        mesh = triangulate(domain, extent / n)
+        for rule in _MAP_RULES:
+            pts, w = mesh.map_rule(np.arange(mesh.n_elements), rule)
+            assert pts.flags.c_contiguous
+            _assert_same_bytes(pts, _per_element_points(mesh, rule))
+            _assert_same_bytes(
+                w, (2.0 * mesh.areas())[:, None] * rule.weights)
+
+    @pytest.mark.parametrize("mesh", [
+        triangulate(unit_square(), 1.0 / 7), triangulate(unit_square(), 1.0 / 34),
+        triangulate(l_shape(), 2.0 / 22),
+        geometric_refine(triangulate(l_shape(), 0.5), [(0.0, 0.0)], 0.15, 6),
+        geometric_refine(triangulate(unit_square(), 0.25),
+                         [(0.0, 0.0), (1.0, 1.0)], 0.1, 8)],
+        ids=["square_7", "square_34", "lshape_22", "graded_lshape",
+             "graded_square"])
+    def test_other_meshes_within_roundoff(self, mesh):
+        # BLAS may sum the two Jacobian products of a point in either
+        # order, with or without a fused multiply-add
+        for rule in _MAP_RULES:
+            elems = np.arange(0, mesh.n_elements, 3)
+            pts, _ = mesh.map_rule(elems, rule)
+            want = _per_element_points(mesh, rule)[elems]
+            assert pts.flags.c_contiguous and pts.shape == want.shape
+            np.testing.assert_allclose(pts, want, rtol=0,
+                                       atol=1e-15 * np.abs(want).max())

@@ -111,6 +111,18 @@ class TestExactSolutions:
         assert abs(g[0, 0] - 1j * k / math.sqrt(2.0)) < 1e-13
         assert abs(g[0, 1] + 1j * k / math.sqrt(2.0)) < 1e-13
 
+    def test_pw2d_gradient_bitwise_equal_to_broadcast(self):
+        rng = np.random.default_rng(5)
+        pts = rng.uniform(-1.0, 1.0, (1001, 2))
+        default = (1.0 / math.sqrt(2.0), -1.0 / math.sqrt(2.0))
+        for k, direction in ((40.0, default), (7.3, (0.3, 0.9)),
+                             (1.0, (-1.0, 0.0))):
+            u, g = methods.plane_wave_2d(k, direction).eval(pts)
+            d = np.array(direction) / np.linalg.norm(direction)
+            want = 1j * k * d[None, :] * u[:, None]
+            assert g.dtype == want.dtype and g.shape == want.shape
+            assert g.tobytes() == want.tobytes()
+
     def test_bessel_singular_neumann_legs(self):
         k = 4.0
         exact = methods.bessel_singular(k)

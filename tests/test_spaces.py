@@ -754,6 +754,32 @@ class TestTwoOperandContractions:
                           three_operand_field(space, elems, coeffs, rule))
 
 
+def einsum_stiffness_2d(space, elems, rule):
+    """The 2D H1 stiffness as one einsum of the reference tensor and each
+    element's metric."""
+    vals, grads = space.reference_tables(rule.points)
+    g_ref = np.einsum("q,qlr,qms->lrms", rule.weights, grads, grads)
+    inv_jt = space.mesh.inv_jacobians_t()[elems]
+    metric = np.einsum("edr,eds->ers", inv_jt, inv_jt)
+    signs = space.orientation_signs()[elems]
+    det = 2.0 * space.mesh.areas()[elems]
+    return (det[:, None, None] * np.einsum("lrms,ers->elm", g_ref, metric)
+            * signs[:, :, None] * signs[:, None, :])
+
+
+@pytest.mark.parametrize("p", range(1, 11))
+def test_h1_2d_stiffness_gemm_matches_einsum(p):
+    mesh = geometric_refine(triangulate(l_shape(), 0.5), [(0.0, 0.0)],
+                            0.15, 3)
+    space = h1_space(mesh, p)
+    rule = space.volume_rule(10.0)
+    elems = np.arange(mesh.n_elements)
+    stiff, _ = space.element_matrices(elems, rule)
+    want = einsum_stiffness_2d(space, elems, rule)
+    scale = np.abs(want).max(axis=(1, 2))[:, None, None]
+    assert np.all(np.abs(stiff - want) <= 1e-15 * scale)
+
+
 def plane_wave_exp(basis, y):
     """PlaneWaveBasis.eval with the phase from the complex exponential."""
     d = basis.directions
