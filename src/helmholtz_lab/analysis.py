@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import (_check_flux, _edge_groups, _edge_traces, _edge_values,
-                       _flat, _skeleton_edges)
+from .spaces import _flat, _point_values
 
 
 @dataclass
@@ -145,16 +144,6 @@ def nodal_max_error(space, coeffs, exact_value):
 # -- skeleton DG norms --------------------------------------------------------
 
 
-def _edge_fields(space, coeffs, edges, t):
-    """Points (E, Q, 2) and, per side, the values and plus-normal
-    derivatives (E, Q) of the discrete function on a batch of edges."""
-    pts, sides = _edge_traces(space, edges, t)
-    fields = [(np.einsum("eql,el->eq", vals, coeffs[dofs]),
-               np.einsum("eql,el->eq", dn, coeffs[dofs]))
-              for dofs, vals, dn in sides]
-    return pts, fields
-
-
 def _exact_traces(space, edges, pts, exact):
     """Values and plus-normal derivatives (E, Q) of the exact solution."""
     u, g = exact(_flat(pts))
@@ -172,12 +161,12 @@ def _dg_squares(space, coeffs, flux, k, exact=None):
         raise ValueError("DG norms are defined on 2D meshes")
     coeffs = np.asarray(coeffs, dtype=complex)
     k = float(k)
-    interior, boundary = _skeleton_edges(mesh)
-    _check_flux(flux, mesh)
+    flux.check(mesh)
     total = total_plus = 0.0
-    for edges, t, ds in _edge_groups(space, k, interior):
+    for edges, t, ds in space.edge_batches(
+            k, np.flatnonzero(~mesh.boundary_mask)):
         alpha, beta, _ = (a[:, None] for a in flux.on_edges(edges))
-        pts, ((u_p, gn_p), (u_m, gn_m)) = _edge_fields(space, coeffs, edges, t)
+        pts, ((u_p, gn_p), (u_m, gn_m)) = space.edge_field(edges, coeffs, t)
         if exact is not None:
             u_e, gn_e = _exact_traces(space, edges, pts, exact)
             u_p, u_m = u_e - u_p, u_e - u_m
@@ -188,9 +177,10 @@ def _dg_squares(space, coeffs, flux, k, exact=None):
                         * np.abs(0.5 * (u_p + u_m)) ** 2)
         total += float(np.sum(ds * sq))
         total_plus += float(np.sum(ds * sq_plus))
-    for edges, t, ds in _edge_groups(space, k, boundary):
+    for edges, t, ds in space.edge_batches(
+            k, np.flatnonzero(mesh.boundary_mask)):
         delta = flux.on_edges(edges)[2][:, None]
-        pts, ((u, gn),) = _edge_fields(space, coeffs, edges, t)
+        pts, ((u, gn),) = space.edge_field(edges, coeffs, t)
         if exact is not None:
             u_e, gn_e = _exact_traces(space, edges, pts, exact)
             u, gn = u_e - u, gn_e - gn
@@ -259,15 +249,16 @@ def j_functional(space, coeffs, k, g, w1=None, w2=None):
     k = float(k)
     w1 = k if w1 is None else float(w1)
     w2 = 1.0 if w2 is None else float(w2)
-    interior, boundary = _skeleton_edges(mesh)
     total = 0.0
-    for edges, t, ds in _edge_groups(space, k, interior):
-        _, ((u_p, gn_p), (u_m, gn_m)) = _edge_fields(space, coeffs, edges, t)
+    for edges, t, ds in space.edge_batches(
+            k, np.flatnonzero(~mesh.boundary_mask)):
+        _, ((u_p, gn_p), (u_m, gn_m)) = space.edge_field(edges, coeffs, t)
         total += float(np.sum(ds * (w1**2 * np.abs(u_p - u_m) ** 2
                                     + w2**2 * np.abs(gn_p - gn_m) ** 2)))
-    for edges, t, ds in _edge_groups(space, k, boundary):
-        pts, ((u, gn),) = _edge_fields(space, coeffs, edges, t)
-        gv = _edge_values(g, pts)
+    for edges, t, ds in space.edge_batches(
+            k, np.flatnonzero(mesh.boundary_mask)):
+        pts, ((u, gn),) = space.edge_field(edges, coeffs, t)
+        gv = _point_values(g, pts)
         total += w2**2 * float(np.sum(ds * np.abs(gn + 1j * k * u - gv) ** 2))
     return total
 

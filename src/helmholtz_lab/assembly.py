@@ -35,9 +35,10 @@ there, and later calls loop only for a load.  Boundary
 integrals of the Galerkin form make one pass over the Robin edges
 (`_boundary_parts`) that returns the boundary mass and the Robin load
 from one `space.eval_basis` call per batch.  Those and the skeleton
-forms of the Trefftz methods loop over batches of edges that share an
-edge rule (`_edge_groups`; a structured mesh has three edge lengths),
-with both sides' traces from one batched `_edge_traces`.
+forms of the Trefftz methods loop over the batches of edges that share
+an edge rule from `space.edge_batches` (a structured mesh has three edge
+lengths), the skeleton forms with both sides' traces from one
+`space.edge_tables` call per batch.
 
 `solve` has one path per kind of system.  Without an SVD cutoff (the
 square Galerkin and DG systems) it first factorizes in SuperLU's
@@ -146,6 +147,18 @@ class FluxParams:
                      if np.isscalar(v) else np.asarray(v, dtype=float)[idx]
                      for v in (self.alpha, self.beta, self.delta))
 
+    def check(self, mesh):
+        """Refuse parameters out of range on the edges of `mesh` that use
+        them: alpha, beta > 0 on interior edges and 0 < delta < 1 on
+        boundary edges."""
+        alpha, beta, _ = self.on_edges(np.flatnonzero(~mesh.boundary_mask))
+        for name, value in (("alpha", alpha), ("beta", beta)):
+            if not np.all(value > 0.0):
+                raise ValueError(f"flux parameter {name} must be positive")
+        delta = self.on_edges(np.flatnonzero(mesh.boundary_mask))[2]
+        if not np.all((delta > 0.0) & (delta < 1.0)):
+            raise ValueError("flux parameter delta must lie in (0, 1)")
+
 
 def uwvf_fluxes():
     """The ultra weak variational formulation: alpha = beta = delta = 1/2."""
@@ -168,6 +181,16 @@ def h_version_fluxes(space, a=1.0, beta=0.5, delta=0.25):
     """h-version fluxes with alpha = a/(kh) on every edge."""
     h_e = np.asarray(space.mesh.edge_lengths, dtype=float)
     return FluxParams(alpha=a / (space.k * h_e), beta=beta, delta=delta)
+
+
+# The named flux presets, each a constructor of its `FluxParams` on a
+# Trefftz space.  The constructors are looked up when called, so that a
+# wrapper put in their place on the module is what runs.
+FLUX_PRESETS = {
+    "uwvf": lambda space: uwvf_fluxes(),
+    "hmp": lambda space: hmp_fluxes(space),
+    "h_version": lambda space: h_version_fluxes(space),
+}
 
 
 # -- sparse block sums -------------------------------------------------------
@@ -199,36 +222,29 @@ def _csr(pattern, data):
         shape=(pattern.n, pattern.n))
 
 
-def _flat(pts):
-    """Batched points (nb, nq[, 2]) as the (n,) or (n, 2) array that
-    data callbacks take."""
-    return pts.reshape((-1,) + pts.shape[2:])
-
-
 # -- conforming volume/boundary parts ---------------------------------------
 
 
-def _volume_parts(space, k, matrices=True, load=None):
+def _volume_parts(space, k, load=None):
     """One loop over element batches for the volume terms.
 
     Returns (stiff, mass, rhs): the stiffness and mass matrices as data
-    arrays on `space.element_pattern` when `matrices` is set, and the
-    load vector summed from `load(pts, w, vals, grads)`, the local loads
-    (nb, nloc) of one batch from its `element_tables`, when a `load` is
-    given; what is not asked for is None.  The matrices are summed on the
-    space's first call with its volume rule and kept, read-only, in
-    `space.volume_data`; later calls return the kept arrays and loop only
-    for a load.  A batch that needs both takes them from one
+    arrays on `space.element_pattern`, and the load vector summed from
+    `load(pts, w, vals, grads)`, the local loads (nb, nloc) of one batch
+    from its `element_tables`, None without a `load`.  The matrices are
+    summed on the space's first call with its volume rule and kept,
+    read-only, in `space.volume_data`; later calls return the kept arrays
+    and loop only for a load.  A batch that needs both takes them from one
     `element_tables` call; without a load, `element_matrices` evaluates
     what it needs itself (no physical-point tables for the 2D polynomial
     space).
     """
     rule = space.volume_rule(k)
     key = (rule.points.tobytes(), rule.weights.tobytes())
-    kept = space.volume_data.get(key) if matrices else None
-    build = matrices and kept is None
+    kept = space.volume_data.get(key)
+    build = kept is None
     dofs = space.dof_matrix()
-    pattern = space.element_pattern if build else None
+    pattern = space.element_pattern
     stiff = mass = None
     rhs = None if load is None else np.zeros(space.ndof, dtype=complex)
     for elems in space.element_batches(len(rule.weights)):
@@ -245,57 +261,24 @@ def _volume_parts(space, k, matrices=True, load=None):
         for data in (stiff, mass):
             data.setflags(write=False)
         kept = space.volume_data[key] = stiff, mass
-    stiff, mass = kept or (None, None)
-    return stiff, mass, rhs
+    return kept + (rhs,)
 
 
 def _source_load(fn, pts, w, vals):
     """Local loads (u, b_l), (nb, nloc), of the point callback fn over one
     batch of points (nb, nq[, 2]) with weights w and basis values vals."""
-    uq = np.asarray(fn(_flat(pts)), dtype=complex).reshape(w.shape)
-    return np.einsum("eq,eql->el", w * uq, np.conj(vals))
+    return np.einsum("eq,eql->el", w * spaces._point_values(fn, pts),
+                     np.conj(vals))
 
 
 def _load_1k(k, target, pts, w, vals, grads):
     """Local (1,k) load k^2 (u, b_l) + (grad u, grad b_l), (nb, nloc), of
     one element batch from its `element_tables`."""
-    u, g = target(_flat(pts))
+    u, g = target(spaces._flat(pts))
     uq = np.asarray(u, dtype=complex).reshape(w.shape)
     gq = np.asarray(g, dtype=complex).reshape(grads.shape[:2] + grads.shape[3:])
     return (k**2 * np.einsum("eq,eql->el", w * uq, np.conj(vals))
             + np.einsum("eq,eqd,eqld->el", w, gq, np.conj(grads)))
-
-
-def _edge_points(mesh, edges, t):
-    """Points (E, Q, 2) at parameters t along each edge of `edges`."""
-    a = mesh.nodes[mesh.edge_nodes[edges, 0]]
-    b = mesh.nodes[mesh.edge_nodes[edges, 1]]
-    return a[:, None, :] + t[None, :, None] * (b - a)[:, None, :]
-
-
-def _edge_groups(space, k, edges):
-    """The 2D mesh edges `edges` grouped by `space.edge_rule`, in batches.
-
-    Yields (batch, t, ds): an index array of edges sharing one rule,
-    that rule's points t on [0, 1] and the physical weights ds (E, Q).
-    Batches are sized so that both sides' basis gradients or a local
-    matrix of the two sides hold at most spaces._BATCH_ENTRIES numbers.
-    """
-    mesh = space.mesh
-    edges = np.asarray(edges, dtype=np.int64)
-    lengths = mesh.edge_lengths[edges]
-    unique, inverse = np.unique(lengths, return_inverse=True)
-    rules = [space.edge_rule(k, h) for h in unique]
-    npts = np.array([len(r.weights) for r in rules], dtype=np.int64)[inverse]
-    for nq in np.unique(npts):
-        rule = rules[inverse[np.argmax(npts == nq)]]
-        t, w = rule.points, rule.weights
-        members = edges[npts == nq]
-        per_edge = 2 * space.nloc * max(2 * space.nloc, nq * mesh.dim)
-        step = max(1, spaces._BATCH_ENTRIES // per_edge)
-        for lo in range(0, len(members), step):
-            batch = members[lo:lo + step]
-            yield batch, t, mesh.edge_lengths[batch][:, None] * w
 
 
 def _tagged_edges(mesh, tags):
@@ -307,9 +290,9 @@ def _tagged_edges(mesh, tags):
 def _boundary_batches(space, k, tags):
     """Boundary edges whose tag lies in `tags`, grouped by edge rule.
 
-    Yields (elements, points, weights) per group, points shaped like
-    batched element points.  In 1D a boundary "edge" is an end node with
-    unit point measure.
+    Yields (elements, points, weights) per batch of `space.edge_batches`,
+    points shaped like batched element points.  In 1D a boundary "edge"
+    is an end node with unit point measure.
     """
     mesh = space.mesh
     idx = _tagged_edges(mesh, tags)
@@ -319,8 +302,8 @@ def _boundary_batches(space, k, tags):
         x = mesh.nodes[mesh.edge_nodes[idx, 0]]
         yield mesh.edge_elems[idx, 0], x[:, None], np.ones((len(idx), 1))
         return
-    for batch, t, ds in _edge_groups(space, k, idx):
-        yield mesh.edge_elems[batch, 0], _edge_points(mesh, batch, t), ds
+    for batch, t, ds in space.edge_batches(k, idx):
+        yield mesh.edge_elems[batch, 0], mesh.edge_points(batch, t), ds
 
 
 def _boundary_parts(space, k, tags, g=None):
@@ -397,10 +380,12 @@ def project_rhs_1k(space, k, target):
     rhs_i = k^2 (u, b_i) + (grad u, grad b_i), with target mapping points
     to (values of u, gradients of u), such as `ExactSolution.eval`; used
     for best-approximation studies via the normal equations with the
-    (1,k) Gram matrix.
+    (1,k) Gram matrix.  Like every volume pass, the first one on a space
+    with its volume rule also sums the stiffness and mass data that the
+    space keeps (`_volume_parts`).
     """
     k = float(k)
-    return _volume_parts(space, k, matrices=False,
+    return _volume_parts(space, k,
                          load=functools.partial(_load_1k, k, target))[2]
 
 
@@ -424,44 +409,6 @@ def assemble_projection_1k(space, k, target):
 def _require_trefftz(space):
     if space.conforming:
         raise ValueError("this assembly path needs a Trefftz space")
-
-
-def _edge_traces(space, edges, t):
-    """Basis traces on both sides of a batch of edges.
-
-    Returns the edge points (E, Q, 2) and, for the plus side and, on
-    interior edges, the minus side, a tuple of the side's DOFs (E, L),
-    basis values (E, Q, L) and derivatives along the plus normal
-    (E, Q, L).
-    """
-    mesh = space.mesh
-    pts = _edge_points(mesh, edges, t)
-    normals = mesh.edge_normals[edges][:, None, :, None]
-    sides = []
-    for elems in mesh.edge_elems[edges].T:
-        if elems[0] < 0:
-            break
-        vals, grads = space.eval_basis(elems, pts)
-        sides.append((space.dof_matrix()[elems], vals,
-                      (grads @ normals)[..., 0]))
-    return pts, sides
-
-
-def _skeleton_edges(mesh):
-    return np.flatnonzero(~mesh.boundary_mask), np.flatnonzero(mesh.boundary_mask)
-
-
-def _check_flux(flux, mesh):
-    """Refuse flux parameters out of range on the edges that use them:
-    alpha, beta > 0 on interior edges and 0 < delta < 1 on boundary edges."""
-    interior, boundary = _skeleton_edges(mesh)
-    alpha, beta, _ = flux.on_edges(interior)
-    for name, value in (("alpha", alpha), ("beta", beta)):
-        if not np.all(value > 0.0):
-            raise ValueError(f"flux parameter {name} must be positive")
-    delta = flux.on_edges(boundary)[2]
-    if not np.all((delta > 0.0) & (delta < 1.0)):
-        raise ValueError("flux parameter delta must lie in (0, 1)")
 
 
 def _gram(ds, x):
@@ -494,16 +441,15 @@ def _skeleton_pattern(space, k):
     """The skeleton's edge batches and the `BlockPattern` of their blocks.
 
     Returns (pattern, inner, outer): `inner` and `outer` list the interior
-    and boundary edge batches of `_edge_groups` as ((edges, t, ds),
+    and boundary edge batches of `space.edge_batches` as ((edges, t, ds),
     slots).  An interior edge's block couples the DOFs of its plus and
     minus elements, in that order (the columns of `_two_sided`); a
     boundary edge's block those of its one element.
     """
     mesh = space.mesh
     dofs = space.dof_matrix()
-    interior, boundary = _skeleton_edges(mesh)
-    inner = list(_edge_groups(space, k, interior))
-    outer = list(_edge_groups(space, k, boundary))
+    inner = list(space.edge_batches(k, np.flatnonzero(~mesh.boundary_mask)))
+    outer = list(space.edge_batches(k, np.flatnonzero(mesh.boundary_mask)))
     blocks = [dofs[mesh.edge_elems[edges]].reshape(len(edges), -1)
               for edges, _, _ in inner]
     blocks += [dofs[mesh.edge_elems[edges, 0]] for edges, _, _ in outer]
@@ -511,11 +457,6 @@ def _skeleton_pattern(space, k):
     slots = pattern.slots
     return (pattern, list(zip(inner, slots[:len(inner)])),
             list(zip(outer, slots[len(inner):])))
-
-
-def _edge_values(fn, pts):
-    """Complex values (E, Q) of a point callback at edge points (E, Q, 2)."""
-    return np.asarray(fn(_flat(pts)), dtype=complex).reshape(pts.shape[:2])
 
 
 def assemble_least_squares(space, k, g, w1=None, w2=None):
@@ -535,16 +476,16 @@ def assemble_least_squares(space, k, g, w1=None, w2=None):
     rhs = np.zeros(space.ndof, dtype=complex)
     g_norm2 = 0.0
     for (edges, t, ds), slots in inner:
-        _, sides = _edge_traces(space, edges, t)
+        _, sides = space.edge_tables(edges, t)
         vals, dn, sign = _two_sided(sides)
         data = _block_sum(data, pattern, slots,
                           w1**2 * _gram(ds, vals * sign)
                           + w2**2 * _gram(ds, dn * sign))
     for (edges, t, ds), slots in outer:
-        pts, ((dofs, vals, dn),) = _edge_traces(space, edges, t)
+        pts, ((dofs, vals, dn),) = space.edge_tables(edges, t)
         imp = dn + 1j * k * vals
         data = _block_sum(data, pattern, slots, w2**2 * _gram(ds, imp))
-        gv = _edge_values(g, pts)
+        gv = spaces._point_values(g, pts)
         np.add.at(rhs, dofs, w2**2 * np.einsum("eq,eql->el", ds * gv,
                                                 np.conj(imp)))
         g_norm2 += w2**2 * float(np.sum(ds * np.abs(gv) ** 2))
@@ -562,12 +503,12 @@ def assemble_pwdg(space, k, g, flux):
     """
     _require_trefftz(space)
     k = float(k)
-    _check_flux(flux, space.mesh)
+    flux.check(space.mesh)
     pattern, inner, outer = _skeleton_pattern(space, k)
     data = None
     rhs = np.zeros(space.ndof, dtype=complex)
     for (edges, t, ds), slots in inner:
-        _, sides = _edge_traces(space, edges, t)
+        _, sides = space.edge_tables(edges, t)
         vals, dn, sign = _two_sided(sides)
         vv, vg, gv, gg = _products(ds, vals, dn)
         alpha, beta, _ = (a[:, None, None] for a in flux.on_edges(edges))
@@ -577,7 +518,7 @@ def assemble_pwdg(space, k, g, flux):
                                        + 1j * k * alpha * vv)
         data = _block_sum(data, pattern, slots, loc)
     for (edges, t, ds), slots in outer:
-        pts, ((dofs, vals, dn),) = _edge_traces(space, edges, t)
+        pts, ((dofs, vals, dn),) = space.edge_tables(edges, t)
         vv, vg, gv, gg = _products(ds, vals, dn)
         d = flux.on_edges(edges)[2][:, None, None]
         loc = ((1.0 - d) * gv + (1j / k) * d * gg - d * vg
@@ -585,7 +526,8 @@ def assemble_pwdg(space, k, g, flux):
         data = _block_sum(data, pattern, slots, loc)
         test = (1j / k) * d * np.conj(dn) + (1.0 - d) * np.conj(vals)
         np.add.at(rhs, dofs, np.einsum("eq,eql->el",
-                                       ds * _edge_values(g, pts), test))
+                                       ds * spaces._point_values(g, pts),
+                                       test))
     return ComplexSystem(A=_csr(pattern, data), rhs=rhs)
 
 

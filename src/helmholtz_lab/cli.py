@@ -382,7 +382,7 @@ _KEY_PARSERS = {
     "sigma": _parse_float,
     "layers": _parse_int,
     "corners": _parse_corners,
-    "flux": _parse_choice(methods._FLUX_PRESETS),
+    "flux": _parse_choice(tuple(assembly.FLUX_PRESETS)),
     "alpha": _parse_float,
     "beta": _parse_float,
     "delta": _parse_float,

@@ -231,23 +231,29 @@ class Mesh:
 
     def _metrics(self):
         if self.dim == 1:
-            lengths = np.abs(
+            lengths = self._cache["areas"] = np.abs(
                 self.nodes[self.elements[:, 1]] - self.nodes[self.elements[:, 0]]
             )
             self.h = float(np.max(lengths))
             self.h_min = float(np.min(lengths))
             self.shape_reg = 1.0
             return
+        # the one gather of the element vertices: the Jacobians, the areas
+        # and the side lengths all come from it
         pts = self.nodes[self.elements]  # (ne, 3, 2)
-        # sides (0,1), (1,2), (2,0); the lengths take np.linalg.norm's
-        # sqrt(dx*dx + dy*dy) bit for bit, which np.hypot does not
-        sides = np.roll(pts, -1, axis=1) - pts
-        sides *= sides
-        a, b, c = np.sqrt(sides[..., 0] + sides[..., 1]).T
-        diam = np.maximum(a, np.maximum(b, c))
-        area = self.areas()
+        d1 = pts[:, 1] - pts[:, 0]
+        d2 = pts[:, 2] - pts[:, 0]
+        self._cache["jac"] = np.stack([d1, d2], axis=2)
+        area = self._cache["areas"] = 0.5 * (d1[:, 0] * d2[:, 1]
+                                             - d1[:, 1] * d2[:, 0])
         if np.any(area <= 0):
             raise ValueError("element with non-positive area (orientation?)")
+        # sides (0,1), (1,2), (2,0), the last one -d2; the lengths take
+        # np.linalg.norm's sqrt(dx*dx + dy*dy) bit for bit, which np.hypot
+        # does not
+        a, b, c = (np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1])
+                   for d in (d1, pts[:, 2] - pts[:, 1], d2))
+        diam = np.maximum(a, np.maximum(b, c))
         inradius = 2.0 * area / (a + b + c)
         self.h = float(np.max(diam))
         self.h_min = float(np.min(diam))
@@ -256,26 +262,12 @@ class Mesh:
     # -- geometry caches ------------------------------------------------
 
     def areas(self):
-        if "areas" not in self._cache:
-            if self.dim == 1:
-                self._cache["areas"] = np.abs(
-                    self.nodes[self.elements[:, 1]] - self.nodes[self.elements[:, 0]]
-                )
-            else:
-                p = self.nodes[self.elements]
-                d1 = p[:, 1] - p[:, 0]
-                d2 = p[:, 2] - p[:, 0]
-                self._cache["areas"] = 0.5 * (
-                    d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
-                )
+        """Element lengths (1D) or areas (2D)."""
         return self._cache["areas"]
 
     def jacobians(self):
-        """Affine maps x = v0 + J xi per element (2D)."""
-        if "jac" not in self._cache:
-            p = self.nodes[self.elements]
-            jac = np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]], axis=2)
-            self._cache["jac"] = jac  # (ne, 2, 2), columns are edge vectors
+        """Affine maps x = v0 + J xi per element (2D): (ne, 2, 2), the
+        columns the edge vectors from vertex 0."""
         return self._cache["jac"]
 
     def inv_jacobians_t(self):
@@ -317,6 +309,13 @@ class Mesh:
         if "centroids" not in self._cache:
             self._cache["centroids"] = self.nodes[self.elements].mean(axis=1)
         return self._cache["centroids"]
+
+    def edge_points(self, edges, t):
+        """Points (E, Q, 2) at the parameters t on [0, 1] along each edge
+        of the index array `edges`, from its first node to its second."""
+        a = self.nodes[self.edge_nodes[edges, 0]]
+        b = self.nodes[self.edge_nodes[edges, 1]]
+        return a[:, None, :] + t[None, :, None] * (b - a)[:, None, :]
 
     # -- edge views ------------------------------------------------------
 

@@ -375,31 +375,33 @@ def verify_exact_solution(problem, n_samples=20, rng=None, fd_step=None):
 
 
 def _boundary_data_residual(problem):
-    """Max relative mismatch of the declared boundary data on a coarse mesh."""
+    """Max relative mismatch of the declared boundary data on a coarse
+    mesh, from one evaluation per boundary condition kind at two points
+    per edge (the end node in 1D)."""
     exact = problem.exact
     k = problem.k
     s = problem.robin_sign
     mesh = meshing.triangulate(problem.domain, 0.5 if problem.domain.dim == 2
                                else 0.25)
     rule = np.array([0.2113248654051871, 0.7886751345948129])
+    idx = np.flatnonzero(mesh.boundary_mask)
+    kinds = np.array([problem.bc.get(mesh.edge_tags[i], "robin") for i in idx])
     worst = 0.0
     scale = 1e-300
-    for edge in mesh.boundary_edges():
-        kind = problem.bc.get(edge.tag, "robin")
+    for kind in np.unique(kinds):
+        edges = idx[kinds == kind]
         if mesh.dim == 1:
-            pts = np.asarray([mesh.nodes[edge.nodes[0]]])
-            normal = np.asarray([edge.normal[0]])
+            pts = mesh.nodes[mesh.edge_nodes[edges, 0]]
             vals, grads = exact.eval(pts)
-            vals = np.asarray(vals, dtype=complex)
-            grads = np.asarray(grads, dtype=complex)
-            dn = grads * normal
+            dn = np.asarray(grads, dtype=complex) * mesh.edge_normals[edges, 0]
         else:
-            a, b = mesh.nodes[edge.nodes[0]], mesh.nodes[edge.nodes[1]]
-            pts = a[None, :] + rule[:, None] * (b - a)[None, :]
+            batched = mesh.edge_points(edges, rule)
+            pts = spaces._flat(batched)
             vals, grads = exact.eval(pts)
-            vals = np.asarray(vals, dtype=complex)
-            grads = np.asarray(grads, dtype=complex)
-            dn = grads @ edge.normal
+            grads = np.asarray(grads, dtype=complex).reshape(batched.shape)
+            dn = np.einsum("eqd,ed->eq", grads,
+                           mesh.edge_normals[edges]).ravel()
+        vals = np.asarray(vals, dtype=complex)
         if kind == "dirichlet":
             resid = vals
         elif kind == "neumann":
@@ -595,20 +597,13 @@ def solve_least_squares(problem, space, w1=None, w2=None, svd_cutoff=1e-12):
                        report=report, checks=checks)
 
 
-_FLUX_PRESETS = ("uwvf", "hmp", "h_version")
-
-
 def _resolve_flux(flux, space):
     if isinstance(flux, assembly.FluxParams):
         return flux
-    if flux == "uwvf":
-        return assembly.uwvf_fluxes()
-    if flux == "hmp":
-        return assembly.hmp_fluxes(space)
-    if flux == "h_version":
-        return assembly.h_version_fluxes(space)
-    raise ValueError(f"unknown flux preset '{flux}'; "
-                     f"choose from {_FLUX_PRESETS}")
+    if flux not in assembly.FLUX_PRESETS:
+        raise ValueError(f"unknown flux preset '{flux}'; "
+                         f"choose from {tuple(assembly.FLUX_PRESETS)}")
+    return assembly.FLUX_PRESETS[flux](space)
 
 
 def solve_pwdg(problem, space, flux="uwvf"):

@@ -103,10 +103,7 @@ def bessel_j(order, x):
     if not np.all(small):
         big = flat[~small]
         for row, nu in zip(out, orders):
-            if nu.is_integer():
-                row[~small] = _bessel_miller_int(int(nu), big)
-            else:
-                row[~small] = _bessel_miller_frac(nu, big)
+            row[~small] = _bessel_miller(nu, big)
 
     if ladder:
         return out.reshape((len(orders),) + arr.shape)
@@ -204,56 +201,45 @@ def _miller_start(order, xmax):
     return m + (m % 2)
 
 
-def _bessel_miller_int(n, x):
-    """Downward recurrence normalized by J_0 + 2 sum_m J_{2m} = 1."""
-    m_top = _miller_start(n, float(np.max(x)))
-    jp = np.zeros_like(x)  # unnormalized J_{m+1}
-    jc = np.full_like(x, 1e-30)  # unnormalized J_{m_top}
-    target = jc.copy() if n == m_top else np.zeros_like(x)
-    even_sum = jc.copy()  # m_top is even by construction
-    for m in range(m_top, 0, -1):
-        jm1 = (2.0 * m / x) * jc - jp
-        jp, jc = jc, jm1
-        mm = m - 1
-        if mm == n:
-            target = jc.copy()
-        if mm >= 2 and mm % 2 == 0:
-            even_sum = even_sum + jc
-        hot = np.abs(jc) > 1e250
-        if np.any(hot):
-            scale = np.where(hot, 1e-250, 1.0)
-            jc = jc * scale
-            jp = jp * scale
-            even_sum = even_sum * scale
-            target = target * scale
-    # jc now holds the unnormalized J_0, which enters the sum once
-    return target / (jc + 2.0 * even_sum)
+def _bessel_miller(nu, x):
+    """J_nu(x) from one downward recurrence on the orders base+m, m from
+    m_top down to 0, normalized by sum_k w_k J_{base+2k} = (x/2)^base.
 
-
-def _bessel_miller_frac(nu, x):
-    """Downward recurrence on the order ladder nu+m, normalized by
-    (x/2)^nu = sum_k c_k J_{nu+2k}, c_k = (nu+2k) Gamma(nu+k)/k!."""
-    m_top = _miller_start(abs(nu) + 1.0, float(np.max(x)))
-    n_k = m_top // 2 + 1
-    coeff = np.empty(n_k)
-    coeff[0] = gamma(nu + 1.0)
-    ratio = gamma(nu + 1.0)  # Gamma(nu+k)/k!, starting at k=1
-    for k in range(1, n_k):
-        if k > 1:
-            ratio = ratio * (nu + k - 1.0) / k
-        coeff[k] = (nu + 2.0 * k) * ratio
-    jp = np.zeros_like(x)
-    jc = np.full_like(x, 1e-30)
+    An integer order n runs on base 0 and keeps rung n, with weights
+    (1, 2, 2, ...) (J_0 + 2 sum_m J_{2m} = 1); a fractional order runs on
+    base nu and keeps rung 0, with the Neumann coefficients
+    w_k = (nu+2k) Gamma(nu+k)/k!.  For an integer order the doubled
+    weights, (x/2)^0 = 1 and 2 (0 + m) = 2m are all exact, so it gets the
+    bits of the sum of plain even rungs doubled at the end.
+    """
+    xmax = float(np.max(x))
+    if nu.is_integer():
+        base, rung = 0.0, int(nu)
+        m_top = _miller_start(rung, xmax)
+        weights = np.full(m_top // 2 + 1, 2.0)
+        weights[0] = 1.0
+    else:
+        base, rung = nu, 0
+        m_top = _miller_start(abs(nu) + 1.0, xmax)
+        weights = np.empty(m_top // 2 + 1)
+        weights[0] = gamma(nu + 1.0)
+        ratio = gamma(nu + 1.0)  # Gamma(nu+k)/k!, starting at k=1
+        for k in range(1, len(weights)):
+            if k > 1:
+                ratio = ratio * (nu + k - 1.0) / k
+            weights[k] = (nu + 2.0 * k) * ratio
+    jp = np.zeros_like(x)  # unnormalized J_{base+m+1}
+    jc = np.full_like(x, 1e-30)  # unnormalized J_{base+m_top}
     target = np.zeros_like(x)
-    ssum = coeff[m_top // 2] * jc
+    ssum = weights[m_top // 2] * jc  # m_top is even by construction
     for m in range(m_top, 0, -1):
-        jm1 = (2.0 * (nu + m) / x) * jc - jp
+        jm1 = (2.0 * (base + m) / x) * jc - jp
         jp, jc = jc, jm1
         mm = m - 1
-        if mm == 0:
+        if mm == rung:
             target = jc.copy()
         if mm % 2 == 0 and mm > 0:
-            ssum = ssum + coeff[mm // 2] * jc
+            ssum = ssum + weights[mm // 2] * jc
         hot = np.abs(jc) > 1e250
         if np.any(hot):
             scale = np.where(hot, 1e-250, 1.0)
@@ -261,8 +247,8 @@ def _bessel_miller_frac(nu, x):
             jp = jp * scale
             ssum = ssum * scale
             target = target * scale
-    ssum = ssum + coeff[0] * target  # the mm == 0 rung
-    return target * np.power(0.5 * x, nu) / ssum
+    ssum = ssum + weights[0] * jc  # jc now holds the unnormalized J_base
+    return target * np.power(0.5 * x, base) / ssum
 
 
 @functools.lru_cache(maxsize=256)

@@ -22,7 +22,12 @@ tables back through each element's Jacobian, the others from
 needing both the tables and the matrices hands to `element_matrices`.
 `element_batches` splits the mesh
 into batches of at most `_BATCH_POINTS` points whose per-point basis
-tables hold at most `_BATCH_ENTRIES` numbers.
+tables hold at most `_BATCH_ENTRIES` numbers.  Edge integrals have the
+same facility on a 2D mesh: `edge_batches` groups edges by their edge
+rule into batches bounded by `_BATCH_ENTRIES`, `edge_tables` gives the
+edge points (`Mesh.edge_points`) and both sides' basis values and
+plus-normal derivatives there, and `edge_field` those of a discrete
+function, for every skeleton form, norm and check.
 
 Each space also owns the facts that depend on which space it is: its
 `order` (the p reported with results: the degree, the number of plane
@@ -232,6 +237,18 @@ class BlockPattern:
         return cls(n, indptr, (unique % n).astype(index), slots)
 
 
+def _flat(pts):
+    """Batched points (nb, nq[, 2]) as the (n,) or (n, 2) array that
+    point callbacks take."""
+    return pts.reshape((-1,) + pts.shape[2:])
+
+
+def _point_values(fn, pts):
+    """Complex values (nb, nq) of a point callback at batched points
+    (nb, nq[, 2]), element or edge points alike."""
+    return np.asarray(fn(_flat(pts)), dtype=complex).reshape(pts.shape[:2])
+
+
 def _batched(eval_basis):
     """Let an int `elems` evaluate one element with unbatched shapes."""
 
@@ -351,6 +368,61 @@ class _Space:
         g = np.stack([np.einsum("eql,el->eq", grads[..., d], c)
                       for d in range(grads.shape[-1])], axis=-1)
         return u, g
+
+    def edge_batches(self, k, edges):
+        """The 2D mesh edges `edges` grouped by `edge_rule`, in batches.
+
+        Yields (batch, t, ds): an index array of edges sharing one rule,
+        that rule's points t on [0, 1] and the physical weights ds (E, Q).
+        Batches are sized so that both sides' basis gradients or a local
+        matrix of the two sides hold at most _BATCH_ENTRIES numbers.
+        """
+        mesh = self.mesh
+        edges = np.asarray(edges, dtype=np.int64)
+        lengths = mesh.edge_lengths[edges]
+        unique, inverse = np.unique(lengths, return_inverse=True)
+        rules = [self.edge_rule(k, h) for h in unique]
+        npts = np.array([len(r.weights) for r in rules], dtype=np.int64)[inverse]
+        for nq in np.unique(npts):
+            rule = rules[inverse[np.argmax(npts == nq)]]
+            t, w = rule.points, rule.weights
+            members = edges[npts == nq]
+            per_edge = 2 * self.nloc * max(2 * self.nloc, nq * mesh.dim)
+            step = max(1, _BATCH_ENTRIES // per_edge)
+            for lo in range(0, len(members), step):
+                batch = members[lo:lo + step]
+                yield batch, t, mesh.edge_lengths[batch][:, None] * w
+
+    def edge_tables(self, edges, t):
+        """Basis traces on both sides of a batch of 2D mesh edges, all
+        interior or all on the boundary.
+
+        Returns the points (E, Q, 2) at the parameters t along each edge
+        (`Mesh.edge_points`) and, for the plus side and, on interior
+        edges, the minus side, a tuple of the side's DOFs (E, L), basis
+        values (E, Q, L) and derivatives along the plus normal (E, Q, L).
+        """
+        mesh = self.mesh
+        pts = mesh.edge_points(edges, t)
+        normals = mesh.edge_normals[edges][:, None, :, None]
+        sides = []
+        for elems in mesh.edge_elems[edges].T:
+            if elems[0] < 0:
+                break
+            vals, grads = self.eval_basis(elems, pts)
+            sides.append((self.dof_matrix()[elems], vals,
+                          (grads @ normals)[..., 0]))
+        return pts, sides
+
+    def edge_field(self, edges, coeffs, t):
+        """The points (E, Q, 2) of `edge_tables` and, per side, the values
+        and plus-normal derivatives (E, Q) there of the discrete function
+        with global coefficients `coeffs`."""
+        pts, sides = self.edge_tables(edges, t)
+        fields = [(np.einsum("eql,el->eq", vals, coeffs[dofs]),
+                   np.einsum("eql,el->eq", dn, coeffs[dofs]))
+                  for dofs, vals, dn in sides]
+        return pts, fields
 
 
 class H1Space(_Space):

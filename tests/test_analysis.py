@@ -650,12 +650,12 @@ def one_norm_square(space, coeffs, flux, k, plus, exact=None):
     over the skeleton."""
     mesh = space.mesh
     coeffs = np.asarray(coeffs, dtype=complex)
-    interior, boundary = assembly._skeleton_edges(mesh)
+    interior = np.flatnonzero(~mesh.boundary_mask)
+    boundary = np.flatnonzero(mesh.boundary_mask)
     total = 0.0
-    for edges, t, ds in assembly._edge_groups(space, k, interior):
+    for edges, t, ds in space.edge_batches(k, interior):
         alpha, beta, _ = (a[:, None] for a in flux.on_edges(edges))
-        pts, ((u_p, gn_p), (u_m, gn_m)) = analysis._edge_fields(
-            space, coeffs, edges, t)
+        pts, ((u_p, gn_p), (u_m, gn_m)) = space.edge_field(edges, coeffs, t)
         if exact is not None:
             u_e, gn_e = analysis._exact_traces(space, edges, pts, exact)
             u_p, u_m = u_e - u_p, u_e - u_m
@@ -666,9 +666,9 @@ def one_norm_square(space, coeffs, flux, k, plus, exact=None):
             sq = sq + ((k / beta + 1.0 / (k * alpha))
                        * np.abs(0.5 * (u_p + u_m)) ** 2)
         total += float(np.sum(ds * sq))
-    for edges, t, ds in assembly._edge_groups(space, k, boundary):
+    for edges, t, ds in space.edge_batches(k, boundary):
         delta = flux.on_edges(edges)[2][:, None]
-        pts, ((u, gn),) = analysis._edge_fields(space, coeffs, edges, t)
+        pts, ((u, gn),) = space.edge_field(edges, coeffs, t)
         if exact is not None:
             u_e, gn_e = analysis._exact_traces(space, edges, pts, exact)
             u, gn = u_e - u, gn_e - gn

@@ -956,11 +956,11 @@ class TestBlockSum:
             flux = uwvf_fluxes() if method == "uwvf" else hmp_fluxes(space)
             A = assemble_pwdg(space, k, g, flux).A
         # their DOFs, from the traces of the same edge batches
-        interior, boundary = assembly._skeleton_edges(space.mesh)
+        mask = space.mesh.boundary_mask
         dofs = []
-        for edges in (interior, boundary):
-            for batch, t, _ in assembly._edge_groups(space, k, edges):
-                _, sides = assembly._edge_traces(space, batch, t)
+        for edges in (np.flatnonzero(~mask), np.flatnonzero(mask)):
+            for batch, t, _ in space.edge_batches(k, edges):
+                _, sides = space.edge_tables(batch, t)
                 dofs.append(np.concatenate([d for d, _, _ in sides], axis=1))
         assert len(dofs) == len(blocks)
         assert_close_csr(A, coo_sum(space.ndof, list(zip(dofs, blocks))))

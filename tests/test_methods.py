@@ -208,6 +208,53 @@ class TestExactSolutions:
         assert resid["gradient"] < 1e-6
 
 
+def per_edge_boundary_residual(problem):
+    """The boundary-data residual of `verify_exact_solution` from one
+    evaluation per boundary edge, over the `Edge` views of the mesh."""
+    exact, k, s = problem.exact, problem.k, problem.robin_sign
+    mesh = meshing.triangulate(problem.domain, 0.5 if problem.domain.dim == 2
+                               else 0.25)
+    rule = np.array([0.2113248654051871, 0.7886751345948129])
+    worst, scale = 0.0, 1e-300
+    for edge in mesh.boundary_edges():
+        kind = problem.bc.get(edge.tag, "robin")
+        if mesh.dim == 1:
+            pts = np.asarray([mesh.nodes[edge.nodes[0]]])
+            vals, grads = exact.eval(pts)
+            dn = np.asarray(grads, dtype=complex) * np.asarray([edge.normal[0]])
+        else:
+            a, b = mesh.nodes[edge.nodes[0]], mesh.nodes[edge.nodes[1]]
+            pts = a[None, :] + rule[:, None] * (b - a)[None, :]
+            vals, grads = exact.eval(pts)
+            dn = np.asarray(grads, dtype=complex) @ edge.normal
+        vals = np.asarray(vals, dtype=complex)
+        if kind == "dirichlet":
+            resid = vals
+        elif kind == "neumann":
+            resid = dn
+        else:
+            trace = dn + s * 1j * k * vals
+            data = (np.zeros_like(trace) if problem.g is None
+                    else np.asarray(problem.g(pts), dtype=complex))
+            resid = trace - data
+            scale = max(scale, float(np.max(np.abs(trace))))
+        scale = max(scale, float(np.max(np.abs(vals))) * k)
+        worst = max(worst, float(np.max(np.abs(resid))))
+    return worst / scale
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["plus", "minus"])
+@pytest.mark.parametrize("k", [1.0, 6.0, 23.5])
+@pytest.mark.parametrize("domain, exact", sorted(cli._PROBLEMS))
+def test_boundary_residual_batched_per_kind_equals_per_edge(domain, exact, k,
+                                                            sign):
+    # One evaluation per boundary condition kind takes the maxima of the
+    # same values as one evaluation per edge.
+    problem = cli._PROBLEMS[domain, exact](k, robin_sign=sign)
+    assert (methods._boundary_data_residual(problem)
+            == per_edge_boundary_residual(problem))
+
+
 class TestProblemSpec:
     def test_wavenumber_floor(self):
         with pytest.raises(ValueError):
@@ -539,6 +586,24 @@ class TestPwdg:
         space = spaces.trefftz_space(mesh, k, spaces.PlaneWaveBasis(k, 7))
         out = methods.solve_pwdg(problem, space, flux="hmp")
         assert out.checks["im_consistency_rel"] < 1e-10
+
+    def test_flux_presets_resolve_from_one_table(self):
+        k = 5.0
+        mesh = meshing.triangulate(meshing.unit_square(), 0.5)
+        space = spaces.trefftz_space(mesh, k, spaces.PlaneWaveBasis(k, 5))
+        want = {"uwvf": assembly.uwvf_fluxes(),
+                "hmp": assembly.hmp_fluxes(space),
+                "h_version": assembly.h_version_fluxes(space)}
+        assert list(assembly.FLUX_PRESETS) == list(want)
+        edges = np.arange(len(mesh.edge_lengths))
+        for name, params in want.items():
+            got = methods._resolve_flux(name, space).on_edges(edges)
+            for a, b in zip(got, params.on_edges(edges)):
+                assert a.tobytes() == b.tobytes()
+        with pytest.raises(ValueError, match=r"'nope'.*\('uwvf', 'hmp', "
+                                             r"'h_version'\)"):
+            methods.solve_pwdg(methods.plane_wave_problem(k), space,
+                               flux="nope")
 
     def test_zero_data_zero_solution(self):
         k = 5.0

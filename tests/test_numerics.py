@@ -18,6 +18,8 @@ from hypothesis import strategies as st
 
 from helmholtz_lab.numerics import (
     QuadratureRule,
+    _bessel_miller,
+    _miller_start,
     bessel_j,
     gamma,
     gauss_interval,
@@ -273,6 +275,86 @@ class TestBesselLadder:
         assert peak < big.nbytes // 4
         with pytest.raises(ValueError, match=message):
             bessel_j(orders, x)
+
+
+def miller_int(n, x):
+    """Downward recurrence for integer order n, normalized by
+    J_0 + 2 sum_m J_{2m} = 1 with the even rungs summed plainly and
+    doubled at the end."""
+    m_top = _miller_start(n, float(np.max(x)))
+    jp = np.zeros_like(x)
+    jc = np.full_like(x, 1e-30)
+    target = jc.copy() if n == m_top else np.zeros_like(x)
+    even_sum = jc.copy()
+    for m in range(m_top, 0, -1):
+        jm1 = (2.0 * m / x) * jc - jp
+        jp, jc = jc, jm1
+        mm = m - 1
+        if mm == n:
+            target = jc.copy()
+        if mm >= 2 and mm % 2 == 0:
+            even_sum = even_sum + jc
+        hot = np.abs(jc) > 1e250
+        if np.any(hot):
+            scale = np.where(hot, 1e-250, 1.0)
+            jc = jc * scale
+            jp = jp * scale
+            even_sum = even_sum * scale
+            target = target * scale
+    return target / (jc + 2.0 * even_sum)
+
+
+def miller_frac(nu, x):
+    """Downward recurrence on the ladder nu+m for a fractional order,
+    normalized by (x/2)^nu = sum_k c_k J_{nu+2k}."""
+    m_top = _miller_start(abs(nu) + 1.0, float(np.max(x)))
+    n_k = m_top // 2 + 1
+    coeff = np.empty(n_k)
+    coeff[0] = gamma(nu + 1.0)
+    ratio = gamma(nu + 1.0)
+    for k in range(1, n_k):
+        if k > 1:
+            ratio = ratio * (nu + k - 1.0) / k
+        coeff[k] = (nu + 2.0 * k) * ratio
+    jp = np.zeros_like(x)
+    jc = np.full_like(x, 1e-30)
+    target = np.zeros_like(x)
+    ssum = coeff[m_top // 2] * jc
+    for m in range(m_top, 0, -1):
+        jm1 = (2.0 * (nu + m) / x) * jc - jp
+        jp, jc = jc, jm1
+        mm = m - 1
+        if mm == 0:
+            target = jc.copy()
+        if mm % 2 == 0 and mm > 0:
+            ssum = ssum + coeff[mm // 2] * jc
+        hot = np.abs(jc) > 1e250
+        if np.any(hot):
+            scale = np.where(hot, 1e-250, 1.0)
+            jc = jc * scale
+            jp = jp * scale
+            ssum = ssum * scale
+            target = target * scale
+    ssum = ssum + coeff[0] * target
+    return target * np.power(0.5 * x, nu) / ssum
+
+
+class TestMillerRecurrence:
+    # One recurrence serves both normalizations with the bits of the two
+    # recurrences it replaced: the integer weights (1, 2, 2, ...) double
+    # exactly, (x/2)^0 is 1 and 2 (0 + m) is 2m.
+    @LADDER_SETTINGS
+    @given(st.one_of(st.integers(0, 60).map(float),
+                     st.sampled_from([2.0 / 3.0, -1.0 / 3.0, 5.0 / 3.0, 0.5,
+                                      7.25]),
+                     st.floats(-0.99, 12.0).filter(
+                         lambda v: not float(v).is_integer())),
+           st.lists(st.floats(9.0, 1e3, exclude_min=True), min_size=1,
+                    max_size=30))
+    def test_bitwise_equal_to_separate_recurrences(self, nu, x):
+        x = np.array(x)
+        want = miller_int(int(nu), x) if nu.is_integer() else miller_frac(nu, x)
+        assert _bessel_miller(nu, x).tobytes() == want.tobytes()
 
 
 class TestGaussInterval:

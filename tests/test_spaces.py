@@ -946,3 +946,81 @@ def test_shape_functions_2d_bytes_equal_mode_loops(p, nb, nq, seed):
     grad_lam = rng.standard_normal((nb, 3, 2))
     assert_same_bytes(spaces._shape_functions_2d(p, lam, grad_lam),
                       looped_shape_functions_2d(p, lam, grad_lam))
+
+
+# -- edge tables against the per-edge views -----------------------------------
+
+
+def per_edge_tables(space, edge, t):
+    """The points at parameters t along one `Edge` view and, per side,
+    its DOFs and the basis values and normal derivatives there, from one
+    `eval_basis` call on that side's element alone."""
+    a, b = space.mesh.nodes[edge.nodes[0]], space.mesh.nodes[edge.nodes[1]]
+    pts = a + t[:, None] * (b - a)
+    sides = []
+    for ei in edge.elems:
+        if ei < 0:
+            break
+        vals, grads = space.eval_basis(ei, pts)
+        sides.append((space.element_dofs(ei), vals, grads @ edge.normal))
+    return pts, sides
+
+
+def edge_table_cases():
+    """(space, k, edge sets): plane-wave and GHP Trefftz spaces on their
+    interior and their boundary edges, and a 2D H1 space on its boundary
+    edges, the ones it integrates over."""
+    k = 7.0
+    square = triangulate(unit_square(), 0.25)
+    lshape = triangulate(l_shape(), 0.5)
+
+    def skeleton(mesh):
+        return [np.flatnonzero(~mesh.boundary_mask),
+                np.flatnonzero(mesh.boundary_mask)]
+
+    yield trefftz_space(square, k, PlaneWaveBasis(k, 5)), k, skeleton(square)
+    yield trefftz_space(lshape, k, GhpBasis(k, 4)), k, skeleton(lshape)
+    yield h1_space(square, 3), k, skeleton(square)[1:]
+
+
+@pytest.mark.parametrize("case", [0, 1, 2], ids=["pw", "ghp", "h1_boundary"])
+@pytest.mark.parametrize("entries", [spaces._BATCH_ENTRIES, 600],
+                         ids=["default", "tiny"])
+def test_edge_tables_and_field_equal_per_edge_views(case, entries,
+                                                    monkeypatch):
+    # Every edge once, each batch sharing one edge rule; the batched
+    # points, traces and field of every edge carry the bits of that
+    # edge's own evaluation.
+    monkeypatch.setattr(spaces, "_BATCH_ENTRIES", entries)
+    space, k, edge_sets = list(edge_table_cases())[case]
+    mesh = space.mesh
+    rng = np.random.default_rng(5)
+    coeffs = rng.standard_normal(space.ndof) + 1j * rng.standard_normal(space.ndof)
+    for edges in edge_sets:
+        seen = []
+        for batch, t, ds in space.edge_batches(k, edges):
+            seen.extend(batch.tolist())
+            for e, w in zip(batch, ds):
+                rule = space.edge_rule(k, mesh.edge_lengths[e])
+                assert rule.points.tobytes() == t.tobytes()
+                assert w.tobytes() == (mesh.edge_lengths[e]
+                                       * rule.weights).tobytes()
+            pts, sides = space.edge_tables(batch, t)
+            field_pts, fields = space.edge_field(batch, coeffs, t)
+            assert field_pts.tobytes() == pts.tobytes()
+            for i, e in enumerate(batch):
+                want_pts, want_sides = per_edge_tables(space,
+                                                       mesh._edge_view(e), t)
+                assert pts[i].tobytes() == want_pts.tobytes()
+                assert len(sides) == len(fields) == len(want_sides)
+                for (dofs, vals, dn), (u, du), (w_dofs, w_vals, w_dn) in zip(
+                        sides, fields, want_sides):
+                    np.testing.assert_array_equal(dofs[i], w_dofs)
+                    assert vals[i].tobytes() == w_vals.tobytes()
+                    assert dn[i].tobytes() == w_dn.tobytes()
+                    c = coeffs[w_dofs]
+                    assert (u[i].tobytes()
+                            == np.einsum("ql,l->q", w_vals, c).tobytes())
+                    assert (du[i].tobytes()
+                            == np.einsum("ql,l->q", w_dn, c).tobytes())
+        assert sorted(seen) == edges.tolist()

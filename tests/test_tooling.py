@@ -1,10 +1,14 @@
-"""Consistency of the benchmark's span tracer with the package."""
+"""Consistency of the benchmark's span tracer with the package, and the
+module boundaries of the package."""
 
+import ast
 import importlib
 import inspect
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "perfbench" / "tracer.py"
+PACKAGE = ROOT / "src" / "helmholtz_lab"
 
 
 def tracer_names():
@@ -36,3 +40,31 @@ def test_grouped_and_counted_names_are_public_functions():
     stale = [name for name in names
              if not is_wrapped_function(name, tracer["TRACED_MODULES"])]
     assert not stale, f"tracer names without a public function: {stale}"
+
+
+def package_trees():
+    """Module name -> parsed source of every module of the package."""
+    return {path.stem: ast.parse(path.read_text())
+            for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def test_analysis_imports_nothing_from_assembly():
+    # The skeleton norms and the J functional take their edge batches and
+    # traces from the space, not from assembly's internals.
+    imported = set()
+    for node in ast.walk(package_trees()["analysis"]):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert not any(name.split(".")[-1] == "assembly" for name in imported)
+
+
+def test_only_spaces_reads_the_batch_entry_bound():
+    # The batch sizes of element and edge loops are decided in one module.
+    readers = sorted(
+        module for module, tree in package_trees().items()
+        if any(getattr(node, "id", getattr(node, "attr", None))
+               == "_BATCH_ENTRIES" for node in ast.walk(tree)))
+    assert readers == ["spaces"]
