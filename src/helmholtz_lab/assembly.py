@@ -22,11 +22,12 @@ systems above _DENSE_LIMIT unknowns.
 Every quadrature rule comes from the space (`space.volume_rule`,
 `space.edge_rule`), and so do the DOFs that a Dirichlet edge fixes
 (`space.boundary_dofs`); `restrict` cuts any matrix to the free rest,
-for `solve` and for the inf-sup driver alike.  Volume integrals run one
-loop over element batches from `space.element_batches`
-(`_volume_parts`), taking local matrices from `space.element_matrices`
-and, where a load is asked for, the Galerkin source load or the (1,k)
-projection load from the same `space.element_tables` call.  The
+for `solve` and for the inf-sup driver alike, and for `solve` puts it
+in an elimination order too.  Volume integrals run one loop over
+element batches from `space.element_batches` (`_volume_parts`), taking
+local matrices from `space.element_matrices` and, where a load is asked
+for, the Galerkin source load or the (1,k) projection load from the
+same `space.element_tables` call.  The
 stiffness and mass data arrays do not depend on k, so they are summed
 once per space and volume rule and kept, read-only, with the space
 (`space.volume_data`): the rows of a k-sweep on one space, and the
@@ -42,17 +43,20 @@ lengths), the skeleton forms with both sides' traces from one
 
 `solve` has one path per kind of system.  Without an SVD cutoff (the
 square Galerkin and DG systems) it first factorizes in SuperLU's
-symmetric mode (a minimum-degree ordering of A + A^T, diagonal pivots),
-made for the complex symmetric Galerkin matrices, and keeps that
-solution only when it is finite with a relative residual of at most
-_LU_RESIDUAL_LIMIT; otherwise, and for every system assembled on a 1D
-mesh, it factorizes with COLAMD and partial pivoting.  With a cutoff
-(the possibly singular least-squares normal equations and Gram
-matrices) it runs the truncated SVD, but only when a COLAMD LU cannot
-certify, through its residual and a 1-norm condition estimate, that
-truncation would drop nothing.  `SolveResult` records the path that
-ran, the LU ordering and fill, the estimate and the dropped singular
-values.
+symmetric mode (one ordering for rows and columns, diagonal pivots),
+made for the complex symmetric Galerkin matrices: in the system's own
+elimination order when its space has one (`space.elimination_order`, a
+nested dissection of a conforming space on a large 2D mesh, which the
+conforming assemblers hand to the system), else in a minimum-degree
+ordering of A + A^T.  It keeps that solution only when it is finite
+with a relative residual of at most _LU_RESIDUAL_LIMIT; otherwise, and
+for every system assembled on a 1D mesh, it factorizes with COLAMD and
+partial pivoting.  With a cutoff (the possibly singular least-squares
+normal equations and Gram matrices) it runs the truncated SVD, but only
+when a COLAMD LU cannot certify, through its residual and a 1-norm
+condition estimate, that truncation would drop nothing.  `SolveResult`
+records the path that ran, the LU ordering and fill, the estimate and
+the dropped singular values.
 
 The Galerkin matrix, the L2 mass matrix and the (1,k) Gram matrix are all
 built from one set of shared parts (stiffness, mass, boundary mass), so
@@ -88,10 +92,12 @@ class ComplexSystem:
     """An assembled complex linear system plus companion matrices.
 
     `free` lists the unconstrained DOF indices in ascending order when
-    Dirichlet elimination applies (None means all DOFs are free).
-    `mass_data` holds the (pattern, data array) of the plain L2 mass
-    matrix on the same DOF set, from which `mass` builds that matrix on
-    first read, for the Garding-identity checks.
+    Dirichlet elimination applies (None means all DOFs are free).  `order`
+    is an elimination order of all DOFs (`space.elimination_order`), in
+    which the sparse LU of `solve` factorizes the free ones; None leaves
+    the ordering to SuperLU.  `mass_data` holds the (pattern, data array)
+    of the plain L2 mass matrix on the same DOF set, from which `mass`
+    builds that matrix on first read, for the Garding-identity checks.
     """
 
     A: object
@@ -99,6 +105,7 @@ class ComplexSystem:
     free: object = None
     meta: dict = field(default_factory=dict)
     mass_data: tuple = field(default=None, repr=False)
+    order: object = field(default=None, repr=False)
 
     @property
     def ndof(self):
@@ -118,9 +125,9 @@ class SolveResult:
     values zeroed by truncation, and `cond_est` is the 1-norm condition
     estimate of the truncated-SVD certificate (None when none was made).
     `ordering` is the column ordering of the sparse LU that produced x
-    ('MMD_AT_PLUS_A' in symmetric mode, 'COLAMD' otherwise; None on the
-    dense SVD) and `lu_nnz` the entries SuperLU stores for its L and U
-    factors.
+    ('NESTED_DISSECTION', the system's own `order`, or 'MMD_AT_PLUS_A' in
+    symmetric mode, 'COLAMD' otherwise; None on the dense SVD) and
+    `lu_nnz` the entries SuperLU stores for its L and U factors.
     """
 
     x: np.ndarray
@@ -364,7 +371,8 @@ def assemble_galerkin(space, k, f=None, g=None, bc=None, robin_sign=1.0):
         free = np.flatnonzero(keep)
     meta = {"dim": mesh.dim, "boundary_mass": _csr(pattern, bd)}
     return ComplexSystem(A=A, rhs=rhs, free=free, meta=meta,
-                         mass_data=(pattern, mass))
+                         mass_data=(pattern, mass),
+                         order=space.elimination_order)
 
 
 def assemble_gram_1k(space, k):
@@ -400,7 +408,7 @@ def assemble_projection_1k(space, k, target):
     stiff, mass, rhs = _volume_parts(
         space, k, load=functools.partial(_load_1k, k, target))
     return ComplexSystem(A=_csr(space.element_pattern, stiff + k**2 * mass),
-                         rhs=rhs)
+                         rhs=rhs, order=space.elimination_order)
 
 
 # -- skeleton assembly for Trefftz methods -----------------------------------
@@ -544,32 +552,50 @@ def _dense(a):
     return a.toarray()
 
 
-def restrict(matrix, free):
-    """The CSR matrix `matrix` restricted to the rows and columns `free`,
-    the ascending DOFs a Dirichlet edge leaves unfixed (`ComplexSystem.free`;
-    None keeps them all and returns `matrix` itself).
+def restrict(matrix, index):
+    """The block matrix[index][:, index] of the CSR matrix `matrix`, for
+    an index array of distinct DOFs in any order: the ascending free DOFs
+    of a Dirichlet cut (`ComplexSystem.free`), or those in an elimination
+    order.  None keeps them all and returns `matrix` itself.
 
-    The block keeps the matrix's dtype and its entries in order, as
-    matrix[free][:, free] does, without scipy's two fancy-indexing copies.
+    The block keeps the matrix's dtype, and each row its entries in
+    order, as the fancy indexing does.  An ascending index keeps the rows
+    in their old order, so one mask of the kept entries cuts the block,
+    without scipy's two fancy-indexing copies (0.05 ms against 0.11 ms on
+    a small 1D system); any other order takes those copies, whose
+    compiled loops permute the 2D Galerkin systems of 5k-37k unknowns
+    0.4-1.7 ms faster than a numpy gather of the kept entries.
     """
-    if free is None:
+    if index is None:
         return matrix
-    index = np.full(matrix.shape[0], -1, dtype=matrix.indices.dtype)
-    index[free] = np.arange(len(free))
-    row = np.repeat(index, np.diff(matrix.indptr))
-    col = index[matrix.indices]
+    if (index[1:] < index[:-1]).any():
+        return matrix[index][:, index]
+    n = len(index)
+    new = np.full(matrix.shape[0], -1, dtype=matrix.indices.dtype)
+    new[index] = np.arange(n)
+    row = np.repeat(new, np.diff(matrix.indptr))
+    col = new[matrix.indices]
     keep = (row >= 0) & (col >= 0)
-    indptr = np.zeros(len(free) + 1, dtype=matrix.indptr.dtype)
-    np.cumsum(np.bincount(row[keep], minlength=len(free)), out=indptr[1:])
+    indptr = np.zeros(n + 1, dtype=matrix.indptr.dtype)
+    np.cumsum(np.bincount(row[keep], minlength=n), out=indptr[1:])
     return scipy.sparse.csr_matrix((matrix.data[keep], col[keep], indptr),
-                                   shape=(len(free), len(free)))
+                                   shape=(n, n))
 
 
-def _reduce(system):
+def _reduce(system, index):
     """The system matrix as complex CSR and the right-hand side, both
-    restricted to the free DOFs."""
-    A = restrict(scipy.sparse.csr_matrix(system.A, dtype=complex), system.free)
-    return A, (system.rhs if system.free is None else system.rhs[system.free])
+    restricted to the DOFs `index` in its order (None keeps all)."""
+    A = restrict(scipy.sparse.csr_matrix(system.A, dtype=complex), index)
+    return A, (system.rhs if index is None else system.rhs[index])
+
+
+def _free_in_order(system):
+    """The free DOFs of `system` in its elimination order `order`."""
+    if system.free is None:
+        return system.order
+    free = np.zeros(system.ndof, dtype=bool)
+    free[system.free] = True
+    return system.order[free[system.order]]
 
 
 def _relative_residual(A, x, rhs):
@@ -586,27 +612,32 @@ def _accepted_residual(A, x, rhs):
     return residual if residual <= _LU_RESIDUAL_LIMIT else None
 
 
-def _sparse_lu(A, rhs, symmetric):
+def _sparse_lu(A, rhs, ordering):
     """Sparse LU solution of A x = rhs; returns (x, ordering, lu_nnz,
     residual), the residual None where none was computed.
 
-    With `symmetric`, SuperLU first runs in symmetric mode: one minimum
-    degree ordering of A + A^T for rows and columns and diagonal pivots
-    (an off-diagonal pivot only where the diagonal entry is exactly
-    zero), so the factors keep the fill the ordering predicts.  On the
-    2D Galerkin systems of the square at k = 40, p = 1..3 and 5k-37k
-    unknowns that halves COLAMD's fill; the same ordering under partial
-    pivoting is what blows up (more than 60 s at p = 3).  That solution
-    is kept, with the residual that checked it, when `splu` does not
-    raise and `_accepted_residual` accepts x; otherwise, or without
-    `symmetric`, A is factorized with COLAMD and partial pivoting.
-    lu_nnz is `SuperLU.nnz`, the entries stored for L and U, zeros
-    padded into supernodes included.
+    `ordering` asks for the first factorization: 'NESTED_DISSECTION'
+    takes A as it stands, already permuted into its elimination order
+    (SuperLU's 'NATURAL'), and 'MMD_AT_PLUS_A' a minimum degree ordering
+    of A + A^T, both in SuperLU's symmetric mode: one ordering for rows
+    and columns and diagonal pivots (an off-diagonal pivot only where the
+    diagonal entry is exactly zero), so the factors keep the fill the
+    ordering predicts.  On the 2D Galerkin systems of the square at
+    k = 40, p = 1..3 and 5k-37k unknowns the minimum degree ordering
+    halves COLAMD's fill, and the nested dissection of
+    `spaces._Space.elimination_order` stores 5-20% less than it; the same
+    orderings under partial pivoting are what blow up (more than 60 s at
+    p = 3).  That solution is kept, with the residual that checked it,
+    when `splu` does not raise and `_accepted_residual` accepts x;
+    otherwise, or with 'COLAMD', A is factorized with COLAMD and partial
+    pivoting.  lu_nnz is `SuperLU.nnz`, the entries stored for L and U,
+    zeros padded into supernodes included.
     """
-    if symmetric:
+    if ordering != "COLAMD":
+        spec = "NATURAL" if ordering == "NESTED_DISSECTION" else ordering
         try:
             lu = scipy.sparse.linalg.splu(
-                A.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                A.tocsc(), permc_spec=spec, diag_pivot_thresh=0.0,
                 options={"SymmetricMode": True})
         except RuntimeError:
             pass
@@ -614,7 +645,7 @@ def _sparse_lu(A, rhs, symmetric):
             x = lu.solve(rhs)
             residual = _accepted_residual(A, x, rhs)
             if residual is not None:
-                return x, "MMD_AT_PLUS_A", lu.nnz, residual
+                return x, ordering, lu.nnz, residual
     lu = scipy.sparse.linalg.splu(A.tocsc(), permc_spec="COLAMD")
     return lu.solve(rhs), "COLAMD", lu.nnz, None
 
@@ -658,7 +689,10 @@ def solve(system, svd_cutoff=None):
     """Solve the assembled system; returns the solution and its residual.
 
     Without `svd_cutoff`, a sparse LU: SuperLU's symmetric mode first,
-    falling back to COLAMD with partial pivoting (`_sparse_lu`); systems
+    falling back to COLAMD with partial pivoting (`_sparse_lu`).  The
+    symmetric mode eliminates the free DOFs in the system's `order` when
+    it has one (a conforming space on a large 2D mesh), cut and permuted
+    by one `restrict`, else in SuperLU's minimum degree ordering; systems
     whose meta['dim'] is 1 go to COLAMD directly.  With it, the
     minimum-norm least-squares solution after zeroing singular values
     below svd_cutoff * sigma_max, for numerically singular normal
@@ -671,18 +705,26 @@ def solve(system, svd_cutoff=None):
     estimate when one was made, and `svd_dropped` counts the zeroed
     values.  The matrix may be given in any form scipy.sparse accepts.
     """
-    A, rhs = _reduce(system)
+    index, ordering = system.free, None
+    if svd_cutoff is None:
+        # In 1D no ordering saves fill, and the roundoff-level errors of
+        # the high-order 1D rows would move with any other factorization.
+        ordering = "COLAMD" if system.meta.get("dim") == 1 else "MMD_AT_PLUS_A"
+        if system.order is not None:
+            ordering, index = "NESTED_DISSECTION", _free_in_order(system)
+    A, rhs = _reduce(system, index)
+    if ordering == "NESTED_DISSECTION":
+        # SuperLU factorizes CSC: convert the permuted block once, so that
+        # no CSR copy of it is held through the factorization
+        A = A.tocsc()
     nred = rhs.shape[0]
     if A.shape != (nred, nred):
         raise ValueError("system matrix and right-hand side sizes disagree")
     dropped = 0
-    cond_est = ordering = lu_nnz = residual = None
+    cond_est = lu_nnz = residual = None
     ran = "sparse_lu"
     if svd_cutoff is None:
-        # In 1D no ordering saves fill, and the roundoff-level errors of
-        # the high-order 1D rows would move with any other factorization.
-        x, ordering, lu_nnz, residual = _sparse_lu(
-            A, rhs, symmetric=system.meta.get("dim") != 1)
+        x, ordering, lu_nnz, residual = _sparse_lu(A, rhs, ordering)
     else:
         x, cond_est, lu_nnz, residual = _certified_lu(A, rhs, svd_cutoff)
         if x is not None:
@@ -699,9 +741,9 @@ def solve(system, svd_cutoff=None):
         raise np.linalg.LinAlgError("solver produced non-finite values")
     if residual is None:
         residual = _relative_residual(A, x, rhs)
-    if system.free is not None:
+    if index is not None:
         full = np.zeros(system.ndof, dtype=complex)
-        full[system.free] = x
+        full[index] = x
         x = full
     return SolveResult(x=x, residual=residual, strategy=ran,
                        svd_dropped=dropped, cond_est=cond_est,

@@ -231,16 +231,19 @@ class Mesh:
 
     def _metrics(self):
         if self.dim == 1:
-            lengths = self._cache["areas"] = np.abs(
-                self.nodes[self.elements[:, 1]] - self.nodes[self.elements[:, 0]]
-            )
+            x0 = self.nodes[self.elements[:, 0]]
+            x1 = self.nodes[self.elements[:, 1]]
+            lengths = self._cache["areas"] = np.abs(x1 - x0)
+            self._cache["centroids"] = (x0 + x1) / 2.0
             self.h = float(np.max(lengths))
             self.h_min = float(np.min(lengths))
             self.shape_reg = 1.0
             return
-        # the one gather of the element vertices: the Jacobians, the areas
-        # and the side lengths all come from it
+        # the one gather of the element vertices: the Jacobians, the areas,
+        # the side lengths and the centroids all come from it
         pts = self.nodes[self.elements]  # (ne, 3, 2)
+        # explicit adds in vertex order: the bits of .mean(axis=1)
+        self._cache["centroids"] = (pts[:, 0] + pts[:, 1] + pts[:, 2]) / 3.0
         d1 = pts[:, 1] - pts[:, 0]
         d2 = pts[:, 2] - pts[:, 0]
         self._cache["jac"] = np.stack([d1, d2], axis=2)
@@ -306,8 +309,8 @@ class Mesh:
         return pts, (2.0 * self.areas()[elems])[:, None] * rule.weights
 
     def centroids(self):
-        if "centroids" not in self._cache:
-            self._cache["centroids"] = self.nodes[self.elements].mean(axis=1)
+        """Element midpoints (1D) or centroids (2D), the mean of the
+        vertices."""
         return self._cache["centroids"]
 
     def edge_points(self, edges, t):

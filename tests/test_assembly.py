@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -51,7 +52,7 @@ def dense(a):
 
 def dense_solve(system):
     """Reference solution of a system: a dense LU of its free block."""
-    A, rhs = assembly._reduce(system)
+    A, rhs = assembly._reduce(system, system.free)
     x = np.zeros(system.ndof, dtype=complex)
     x[slice(None) if system.free is None else system.free] = (
         scipy.linalg.solve(A.toarray(), rhs))
@@ -530,7 +531,7 @@ class TestSolve:
             space = h1_space(triangulate(wall_square(), 0.25), 2)
             bc = {"wall": "dirichlet"}
         system = assemble_galerkin(space, k, f=1.0, bc=bc)
-        block, rhs = assembly._reduce(system)
+        block, rhs = assembly._reduce(system, system.free)
         assert_same_csr(block, system.A[system.free][:, system.free])
         assert rhs.tobytes() == system.rhs[system.free].tobytes()
         # the real (1,k) Gram matrix stays real, for the inf-sup probe
@@ -574,7 +575,7 @@ class TestSolve:
             res = solve(system, svd_cutoff=cutoff)
             assert res.strategy == "sparse_lu" and res.ordering == path
             assert len(calls) == 1
-            A, rhs = assembly._reduce(system)
+            A, rhs = assembly._reduce(system, system.free)
             assert res.residual == residual(A, res.x, rhs)
 
     def test_truncated_svd_minimum_norm(self):
@@ -631,21 +632,30 @@ class TestSolve:
         xd = dense_solve(system)
         np.testing.assert_allclose(xs, xd, atol=1e-10 * np.abs(xd).max())
 
-    def test_symmetric_mode_on_2d_galerkin_system(self):
-        # 2401 unknowns; on the smallest meshes COLAMD may fill in less
-        mesh = triangulate(unit_square(), 1.0 / 24)
-        space = h1_space(mesh, 2)
+    @staticmethod
+    def check_symmetric_mode(n, p, ordering):
+        # on the smallest meshes COLAMD may fill in less
+        mesh = triangulate(unit_square(), 1.0 / n)
+        space = h1_space(mesh, p)
         k = 10.0
         g = lambda pts: np.exp(1j * k * pts[:, 0])
         system = assemble_galerkin(space, k, g=g)
         res = solve(system)
-        assert res.ordering == "MMD_AT_PLUS_A"
+        assert res.ordering == ordering
         assert res.residual <= 1e-10
         lu = scipy.sparse.linalg.splu(system.A.tocsc(), permc_spec="COLAMD")
         x_colamd = lu.solve(system.rhs)
         assert (np.linalg.norm(res.x - x_colamd)
                 <= 1e-10 * np.linalg.norm(x_colamd))
         assert res.lu_nnz < lu.nnz
+
+    def test_symmetric_mode_on_2d_galerkin_system(self):
+        # 1152 elements, 2401 unknowns: the space's elimination order
+        self.check_symmetric_mode(24, 2, "NESTED_DISSECTION")
+
+    def test_symmetric_mode_below_the_crossover_takes_minimum_degree(self):
+        # 512 elements, 2401 unknowns: SuperLU's own ordering
+        self.check_symmetric_mode(16, 3, "MMD_AT_PLUS_A")
 
     @pytest.mark.parametrize("tiny", [1e-20, 1e-310],
                              ids=["residual", "singular_pivot"])
@@ -703,6 +713,91 @@ class TestSolve:
         lu = scipy.sparse.linalg.splu(system.A.tocsc(), permc_spec="COLAMD")
         assert np.array_equal(res.x, lu.solve(system.rhs))
         assert res.lu_nnz == lu.nnz
+
+
+class TestNestedDissection:
+    """The sparse LU of a large 2D conforming system in the space's
+    elimination order."""
+
+    @staticmethod
+    def galerkin(n, p, bc=None):
+        domain = unit_square() if bc is None else wall_square()
+        space = h1_space(triangulate(domain, 1.0 / n), p)
+        k = 10.0
+        g = lambda pts: np.exp(1j * k * (0.6 * pts[:, 0] + 0.8 * pts[:, 1]))
+        system = assemble_galerkin(space, k, f=1.0, g=g, bc=bc)
+        assert system.order is space.elimination_order
+        return system
+
+    @pytest.mark.parametrize("p, bc", [
+        (1, None), (2, None), (3, None), (2, {"wall": "dirichlet"})],
+        ids=["p1", "p2", "p3", "p2_dirichlet"])
+    def test_equals_a_colamd_solve(self, p, bc):
+        system = self.galerkin(24, p, bc)  # 1152 elements
+        res = solve(system)
+        assert res.ordering == "NESTED_DISSECTION"
+        assert res.residual <= 1e-10
+        A, rhs = assembly._reduce(system, system.free)
+        lu = scipy.sparse.linalg.splu(A.tocsc(), permc_spec="COLAMD")
+        want = np.zeros(system.ndof, dtype=complex)
+        want[slice(None) if bc is None else system.free] = lu.solve(rhs)
+        assert (np.linalg.norm(res.x - want)
+                <= 1e-10 * np.linalg.norm(want))
+        if bc is not None:
+            fixed = np.setdiff1d(np.arange(system.ndof), system.free)
+            assert len(fixed) > 0 and np.all(res.x[fixed] == 0.0)
+        # the factorized block is the free block in elimination order
+        index = assembly._free_in_order(system)
+        assert sorted(index.tolist()) == sorted(
+            range(system.ndof) if bc is None else system.free.tolist())
+        block, _ = assembly._reduce(system, index)
+        res_nnz = scipy.sparse.linalg.splu(
+            block.tocsc(), permc_spec="NATURAL", diag_pivot_thresh=0.0,
+            options={"SymmetricMode": True}).nnz
+        assert res.lu_nnz == res_nnz
+
+    def test_fills_in_no_more_than_minimum_degree(self):
+        system = self.galerkin(48, 2)
+        nested = solve(system)
+        mmd = solve(replace(system, order=None))
+        assert nested.ordering == "NESTED_DISSECTION"
+        assert mmd.ordering == "MMD_AT_PLUS_A"
+        assert nested.lu_nnz <= mmd.lu_nnz
+
+    @pytest.mark.parametrize("tiny", [1e-20, 1e-310],
+                             ids=["residual", "singular_pivot"])
+    def test_unstable_diagonal_pivots_fall_back_to_colamd(self, tiny):
+        A = np.array([[tiny, 1.0, 0.0], [1.0, tiny, 0.0], [0.0, 0.0, 1.0]],
+                     dtype=complex)
+        rhs = np.array([1.0, 2.0, 3.0], dtype=complex)
+        res = solve(ComplexSystem(A=A, rhs=rhs, order=np.array([1, 0, 2])))
+        assert res.ordering == "COLAMD"
+        np.testing.assert_allclose(res.x, [2.0, 1.0, 3.0], rtol=1e-15)
+        assert res.residual <= 1e-15
+
+    def test_cutoff_solves_keep_the_certified_colamd(self):
+        system = self.galerkin(24, 1)
+        res = solve(system, svd_cutoff=1e-12)
+        assert res.strategy == "sparse_lu" and res.ordering == "COLAMD"
+
+    def test_gram_systems_carry_the_order(self):
+        space = h1_space(triangulate(unit_square(), 1.0 / 24), 2)
+        k = 3.0
+        system = assemble_projection_1k(space, k,
+                                        methods.plane_wave_2d(k).eval)
+        assert system.order is space.elimination_order
+        res = solve(system)
+        assert res.ordering == "NESTED_DISSECTION" and res.residual <= 1e-10
+
+    @pytest.mark.parametrize("case", ["permutation", "subset", "all"])
+    def test_restrict_to_any_index_is_scipys(self, case):
+        system = self.galerkin(6, 2, {"wall": "dirichlet"})
+        rng = np.random.default_rng(2)
+        index = {"permutation": rng.permutation(system.ndof),
+                 "subset": rng.permutation(system.free),
+                 "all": np.arange(system.ndof)}[case]
+        for M in (system.A, system.mass):
+            assert_same_csr(assembly.restrict(M, index), M[index][:, index])
 
 
 class TestDenseLimit:
@@ -1006,7 +1101,7 @@ class TestMatrixInvariants:
             bc = {"wall": "dirichlet"}
         system = assemble_galerkin(space, k, bc=bc)
         assert system.free is not None
-        for A in (system.A, assembly._reduce(system)[0]):
+        for A in (system.A, assembly._reduce(system, system.free)[0]):
             assert abs(A - A.T).max() <= 1e-14 * abs(A).max()
 
     @pytest.mark.parametrize("h", [1.0, 0.5, 0.25])

@@ -660,3 +660,19 @@ class TestMapRule:
             assert pts.flags.c_contiguous and pts.shape == want.shape
             np.testing.assert_allclose(pts, want, rtol=0,
                                        atol=1e-15 * np.abs(want).max())
+
+
+# -- centroids -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("mesh", [
+    triangulate(unit_square(), 1.0 / 37), triangulate(l_shape(), 2.0 / 22),
+    geometric_refine(triangulate(l_shape(), 0.4), [(0.0, 0.0)], 0.125, 10),
+    triangulate(unit_interval(), 0.07),
+    geometric_refine(triangulate(unit_interval(), 0.25), [0.0], 0.2, 6)],
+    ids=["square", "lshape", "graded_lshape", "interval", "graded_interval"])
+def test_centroids_bitwise_equal_the_vertex_mean(mesh):
+    # the Trefftz basis centers: explicit adds in vertex order carry the
+    # bits of the reduction
+    _assert_same_bytes(mesh.centroids(),
+                       mesh.nodes[mesh.elements].mean(axis=1))

@@ -1024,3 +1024,127 @@ def test_edge_tables_and_field_equal_per_edge_views(case, entries,
                     assert (du[i].tobytes()
                             == np.einsum("ql,l->q", w_dn, c).tobytes())
         assert sorted(seen) == edges.tolist()
+
+
+@pytest.mark.parametrize("first", ["boundary", "interior"])
+def test_edge_tables_refuse_a_batch_of_mixed_edges(first):
+    # a mixed batch would lose the minus side (first edge on the
+    # boundary) or read element -1's basis (first edge interior)
+    k = 7.0
+    mesh = triangulate(unit_square(), 0.25)
+    space = trefftz_space(mesh, k, PlaneWaveBasis(k, 5))
+    inner = np.flatnonzero(~mesh.boundary_mask)[:3]
+    outer = np.flatnonzero(mesh.boundary_mask)[:3]
+    edges = np.concatenate([outer, inner] if first == "boundary"
+                           else [inner, outer])
+    t = gauss_interval(3).points
+    with pytest.raises(ValueError, match="mixes interior and boundary"):
+        space.edge_tables(edges, t)
+    with pytest.raises(ValueError, match="mixes interior and boundary"):
+        space.edge_field(edges, np.zeros(space.ndof, dtype=complex), t)
+
+
+# -- nested-dissection elimination order ------------------------------------
+
+
+def interleaved_bits(x, y):
+    """The Z-order key of two 31-bit integers, one bit at a time."""
+    key = 0
+    for bit in range(31):
+        key |= (((x >> bit) & 1) << (2 * bit)
+                | ((y >> bit) & 1) << (2 * bit + 1))
+    return key
+
+
+def test_morton_keys_interleave_the_quantized_coordinates():
+    rng = np.random.default_rng(4)
+    points = np.vstack([[[0.0, 0.0], [3.0, 1.0]], rng.uniform(0, 3, (200, 2))])
+    keys = spaces._morton_keys(points[:, 0].copy(), points[:, 1].copy())
+    q = ((points - points.min(axis=0)) * ((2**31 - 1) / 3.0)).astype(np.int64)
+    assert q.max() == 2**31 - 1
+    assert keys.tolist() == [interleaved_bits(int(x), int(y)) for x, y in q]
+
+
+def post_order(keys):
+    """The nodes (bits below, prefix) of the binary trie of the 62-bit
+    `keys` in post-order, by recursion over the bits from the top."""
+    nodes = []
+
+    def visit(below, members):
+        if below > 0:
+            for side in (0, 1):
+                half = [x for x in members if (x >> (below - 1)) & 1 == side]
+                if half:
+                    visit(below - 1, half)
+        nodes.append((below, members[0] >> below))
+
+    visit(62, sorted(set(keys)))
+    return {node: i for i, node in enumerate(nodes)}
+
+
+def dissection_cases():
+    square = triangulate(unit_square(), 1.0 / 24)
+    lshape = geometric_refine(triangulate(l_shape(), 0.08), [(0.0, 0.0)],
+                              0.15, 6)
+    k = 5.0
+    yield h1_space(square, 1)
+    yield h1_space(square, 3)
+    yield h1_space(lshape, 2)
+    yield pum_space(square, k, PlaneWaveBasis(k, 3))
+
+
+@pytest.mark.parametrize("case", [0, 1, 2, 3],
+                         ids=["square_p1", "square_p3", "graded_lshape_p2",
+                              "pum"])
+def test_elimination_order_is_the_post_order_of_the_element_trie(case):
+    space = list(dissection_cases())[case]
+    mesh = space.mesh
+    assert mesh.n_elements >= spaces._ND_MIN_ELEMENTS
+    order = space.elimination_order
+    assert sorted(order.tolist()) == list(range(space.ndof))
+    assert space.elimination_order is order  # kept with the space
+    # each element's leaf: the key of its bounding box's lower corner
+    corner = mesh.nodes[mesh.elements].min(axis=1)
+    keys = [int(x) for x in spaces._morton_keys(corner[:, 0].copy(),
+                                                corner[:, 1].copy())]
+    assert max(keys) < 2**62
+    position = post_order(keys)
+    elements_of = [[] for _ in range(space.ndof)]
+    for e, row in enumerate(space.dof_matrix()):
+        for dof in row:
+            elements_of[dof].append(keys[e])
+    sort_keys = []
+    for dof, leaves in enumerate(elements_of):
+        # the deepest node whose subtree holds every element of the DOF
+        below = 0
+        while len({x >> below for x in leaves}) > 1:
+            below += 1
+        node = (below, leaves[0] >> below)
+        if below > 0:
+            # the DOF separates the node's halves
+            assert {(x >> (below - 1)) & 1 for x in leaves} == {0, 1}
+        sort_keys.append((position[node], len(leaves), dof))
+    assert order.tolist() == [dof for _, _, dof in sorted(sort_keys)]
+
+
+def test_structured_cuts_run_along_mesh_lines():
+    # both triangles of each cell of the structured square share a key,
+    # so that no cut of the trie runs along the cell diagonals
+    mesh = triangulate(unit_square(), 1.0 / 37)
+    corner = mesh.nodes[mesh.elements].min(axis=1)
+    keys = spaces._morton_keys(corner[:, 0].copy(), corner[:, 1].copy())
+    assert len(np.unique(keys)) == mesh.n_elements // 2
+
+
+def test_elimination_order_only_on_large_conforming_2d_spaces():
+    k = 5.0
+    small = triangulate(unit_square(), 1.0 / 22)  # 968 elements
+    large = triangulate(unit_square(), 1.0 / 23)  # 1058 elements
+    assert small.n_elements < spaces._ND_MIN_ELEMENTS <= large.n_elements
+    assert h1_space(small, 2).elimination_order is None
+    assert h1_space(large, 2).elimination_order is not None
+    trefftz = trefftz_space(large, k, PlaneWaveBasis(k, 3))
+    assert trefftz.elimination_order is None
+    interval = uniform_interval_mesh(2000)
+    assert h1_space(interval, 2).elimination_order is None
+    assert nodally_exact_space_1d(interval, 1.0).elimination_order is None

@@ -68,3 +68,15 @@ def test_only_spaces_reads_the_batch_entry_bound():
         if any(getattr(node, "id", getattr(node, "attr", None))
                == "_BATCH_ENTRIES" for node in ast.walk(tree)))
     assert readers == ["spaces"]
+
+
+def test_only_assembly_calls_splu():
+    # Which ordering a sparse LU takes, and its fallback, are decided in
+    # one place; a second caller would bypass the elimination order and
+    # the residual check.
+    callers = sorted(
+        module for module, tree in package_trees().items()
+        if any(isinstance(node, ast.Call)
+               and getattr(node.func, "id", getattr(node.func, "attr", None))
+               == "splu" for node in ast.walk(tree)))
+    assert callers == ["assembly"]
