@@ -9,10 +9,11 @@ differ only in k form a group that builds its mesh and space once
 written in sorted order, so a given config reproduces its CSV byte for
 byte.
 
-Two tables hold what the harness knows: `_METHODS` gives each method's
-keys, domains, swept lists, space keys and row runner, and `_PROBLEMS`
-gives the problem builder of each (domain, exact solution) pair;
-`mesh-dump` meshes the polygon of a domain's default problem from it.
+Tables hold what the harness knows: `_METHODS` each method's keys,
+domains, sweeps, defaults, slopes and row runner, `_KEYS` each config
+key's parser, range and default, `_RULES` the rules between keys, and
+`_PROBLEMS` the problem builder of each (domain, exact solution) pair,
+whose polygon `mesh-dump` meshes.
 """
 
 import argparse
@@ -37,17 +38,6 @@ COLUMNS = [
     "err_h1semi_rel", "err_l2_rel", "err_1k_rel", "err_dg", "j_value",
     "nodal_max", "gamma_n", "solve_residual", "wall_ms", "error",
 ]
-
-# Primary error column used when fitting slopes for a method's series.
-_PRIMARY_ERR = {
-    "fem": "err_h1semi_rel",
-    "nodal": "err_h1semi_rel",
-    "ls": "err_l2_rel",
-    "uwvf": "err_dg",
-    "approx_pw": "err_1k_rel",
-    "approx_ghp": "err_1k_rel",
-}
-
 
 class ConfigError(Exception):
     """Config problem attributable to a single key."""
@@ -101,28 +91,28 @@ PRESETS = {
 }
 
 # Wall time of `helmholtz preset <name>` including interpreter start-up
-# (about 0.8 s of it), measured with the default worker count on a 2-CPU
+# (about 0.6 s of it), measured on one worker (the default) on a 2-CPU
 # machine.
 PRESET_INFO = {
-    "fig1_1d_pollution": ("~1.5 s",
+    "fig1_1d_pollution": ("<1 s",
                           "1D impedance problem, h-FEM sweep over k and p;"
                           " the classic pollution picture"),
-    "fig2_square": ("~2 s",
+    "fig2_square": ("~1 s",
                     "plane wave on the unit square, h-FEM at p=1..3"),
-    "fig3_lshape_pfem": ("~1.5 s",
+    "fig3_lshape_pfem": ("<1 s",
                          "plane wave on the L-shape, p-FEM on a mesh graded"
                          " into the reentrant corner"),
-    "lshape_singular": ("~1.5 s",
+    "lshape_singular": ("<1 s",
                         "corner-singular Bessel solution on the L-shape,"
                         " p-FEM on a quasi-uniform mesh"),
-    "uwvf_square": ("~1 s",
+    "uwvf_square": ("<1 s",
                     "plane-wave DG with UWVF fluxes on the unit square"),
-    "ls_square": ("~1 s",
+    "ls_square": ("<1 s",
                   "plane-wave least squares on the unit square"),
     "infsup_1d": ("<1 s",
                   "discrete inf-sup constant of the 1D model vs k at fixed"
                   " kh/p"),
-    "approx_trefftz": ("~2 s",
+    "approx_trefftz": ("~1.3 s",
                        "best-approximation study of plane-wave and"
                        " evanescent-augmented local bases"),
     "nodal_exact_1d": ("<1 s",
@@ -240,9 +230,8 @@ def _run_uwvf(cfg, task, row, shared):
     problem = _problem(cfg, task["k"])
     basis = spaces.PlaneWaveBasis(task["k"], task["p"])
     space = _trefftz_space(problem.domain, task["h"], task["k"], basis)
-    flux = (cfg["flux_params"] if cfg["flux_params"] is not None
-            else cfg["flux"])
-    out = methods.solve_pwdg(problem, space, flux=flux)
+    out = methods.solve_pwdg(problem, space,
+                             flux=cfg["flux_params"] or cfg["flux"])
     _report_into_row(row, out)
 
 
@@ -255,43 +244,67 @@ def _run_infsup(cfg, task, row, shared):
 
 
 def _run_approx(cfg, task, row, shared):
+    # each local basis of the study writes rows of its own
+    row["method"] = f"{task['method']}_{task['kind']}"
     k = task["k"]
     angle = 0.3
     exact = methods.plane_wave_2d(
         k, direction=(math.cos(angle), math.sin(angle)))
     basis = cfg["kind"][task["kind"]](k, task["p"])
-    space = _trefftz_space(meshing.unit_square(),
-                           cfg["h"][0] if cfg["h"] else 0.35, k, basis)
+    space = _trefftz_space(meshing.unit_square(), cfg["h"][0], k, basis)
     out = methods.best_approximation_1k(exact, space, cfg["svd_cutoff"])
     _report_into_row(row, out)
 
 
+# A slope series: a method's primary column against column `x`, printed
+# as `name`, one fit per group of rows that agree on method, domain and
+# the `by` columns.
+_Series = collections.namedtuple("_Series", "x name by")
+_ERROR_SERIES = (_Series("n_lambda", "N_lambda", ("k", "p")),
+                 _Series("p", "p", ("k", "h")))
+
 # Per method: the keys it reads on top of _COMMON_KEYS, the domains it
 # runs on (a single one is the default), the config lists whose product
-# gives its rows, the swept keys that fix its space, and the runner that
-# fills one row.  A list the config leaves unset (h on the interval,
-# n_elements in 2D) is not swept; `kind` is the pair of local bases of
-# the approximation study.  Rows that agree on the space keys share one
-# space, so a method naming none builds a space per row: the wave-based
-# spaces depend on k, and `infsup` derives its mesh from k.
-_Method = collections.namedtuple("_Method",
-                                 "reads domains sweeps space_keys run")
+# gives its rows, the column its slopes fit, its row runner and slope
+# series, the swept keys that fix its space, and its values for keys
+# the config leaves unset.  A list left unset (h on the interval,
+# n_elements in 2D) is not swept; `kind`, the local bases of the
+# approximation study, is no config key.  Rows that agree on the space
+# keys share one space, so a method naming none builds a space per row:
+# the wave-based spaces depend on k, and `infsup` derives its mesh from k.
+_Method = collections.namedtuple(
+    "_Method",
+    "reads domains sweeps primary run series space_keys defaults",
+    defaults=(_ERROR_SERIES, (), {}))
 
 _METHODS = {
-    "fem": _Method({"p", "h", "n_elements", "sigma", "layers", "corners",
-                    "robin_sign"},
-                   _DOMAINS, ("k", "p", "n_elements", "h"),
-                   ("p", "n_elements", "h"), _run_fem),
-    "nodal": _Method({"h", "n_elements", "robin_sign"},
-                     ("interval",), ("k", "p", "n_elements"), (), _run_nodal),
-    "ls": _Method({"p", "h", "w1", "w2", "svd_cutoff"},
-                  ("square",), ("k", "p", "h"), (), _run_ls),
-    "uwvf": _Method({"p", "h", "flux", "alpha", "beta", "delta"},
-                    ("square",), ("k", "p", "h"), (), _run_uwvf),
-    "infsup": _Method({"p", "khp", "robin_sign"},
-                      ("interval",), ("k", "p"), (), _run_infsup),
-    "approx": _Method({"p", "h", "svd_cutoff"},
-                      ("square",), ("kind", "k", "p"), (), _run_approx),
+    "fem": _Method(
+        reads={"p", "h", "n_elements", "sigma", "layers", "corners",
+               "robin_sign"},
+        domains=_DOMAINS, sweeps=("k", "p", "n_elements", "h"),
+        primary="err_h1semi_rel", run=_run_fem,
+        space_keys=("p", "n_elements", "h")),
+    "nodal": _Method(
+        reads={"h", "n_elements", "robin_sign"}, domains=("interval",),
+        sweeps=("k", "p", "n_elements"), primary="err_h1semi_rel",
+        run=_run_nodal, defaults={"p": [1]}),
+    "ls": _Method(
+        reads={"p", "h", "w1", "w2", "svd_cutoff"}, domains=("square",),
+        sweeps=("k", "p", "h"), primary="err_l2_rel", run=_run_ls),
+    "uwvf": _Method(
+        reads={"p", "h", "flux", "alpha", "beta", "delta"},
+        domains=("square",), sweeps=("k", "p", "h"), primary="err_dg",
+        run=_run_uwvf),
+    "infsup": _Method(
+        reads={"p", "khp", "robin_sign"}, domains=("interval",),
+        sweeps=("k", "p"), primary="gamma_n", run=_run_infsup,
+        series=(_Series("k", "k", ("p",)),),
+        defaults={"p": [1]}),
+    "approx": _Method(
+        reads={"p", "h", "svd_cutoff"}, domains=("square",),
+        sweeps=("kind", "k", "p"), primary="err_1k_rel", run=_run_approx,
+        defaults={"h": [0.35], "kind": {"pw": spaces.PlaneWaveBasis,
+                                        "ghp": spaces.GhpBasis}}),
 }
 
 # The keys every method reads; a config giving a key neither these nor
@@ -299,6 +312,10 @@ _METHODS = {
 # rather than silently ignored.
 _COMMON_KEYS = {"preset", "method", "domain", "exact", "k", "out", "threads",
                 "timing"}
+
+# The keys some method sweeps; a method that reads one of them without
+# sweeping it takes a single value.
+_LIST_KEYS = {key for spec in _METHODS.values() for key in spec.sweeps}
 
 
 # -- config parsing ------------------------------------------------------------
@@ -319,16 +336,6 @@ def _parse_int(key, text):
         return int(text)
     except ValueError:
         raise ConfigError(key, f"expected an integer, got '{text}'")
-
-
-def _parse_float_list(key, text):
-    items = [t.strip() for t in text.split(",") if t.strip()]
-    return [_parse_float(key, t) for t in items]
-
-
-def _parse_int_list(key, text):
-    items = [t.strip() for t in text.split(",") if t.strip()]
-    return [_parse_int(key, t) for t in items]
 
 
 def _parse_bool(key, text):
@@ -370,30 +377,72 @@ def _parse_str(key, text):
     return text.strip()
 
 
-_KEY_PARSERS = {
-    "preset": _parse_choice(tuple(PRESETS)),
-    "method": _parse_choice(_METHODS),
-    "domain": _parse_choice(_DOMAINS),
-    "exact": _parse_choice(_EXACT),
-    "k": _parse_float_list,
-    "p": _parse_int_list,
-    "h": _parse_float_list,
-    "n_elements": _parse_int_list,
-    "sigma": _parse_float,
-    "layers": _parse_int,
-    "corners": _parse_corners,
-    "flux": _parse_choice(tuple(assembly.FLUX_PRESETS)),
-    "alpha": _parse_float,
-    "beta": _parse_float,
-    "delta": _parse_float,
-    "w1": _parse_float,
-    "w2": _parse_float,
-    "svd_cutoff": _parse_float,
-    "khp": _parse_float,
-    "robin_sign": _parse_float,
-    "out": _parse_str,
-    "threads": _parse_int,
-    "timing": _parse_bool,
+def _parse_list(parse):
+    """A comma-separated list of `parse`'s values."""
+    def parse_list(key, text):
+        return [parse(key, t.strip()) for t in text.split(",") if t.strip()]
+    return parse_list
+
+
+def _positive(value):
+    return value > 0
+
+
+class _Key(collections.namedtuple("_Key", "parse ok message default",
+                                  defaults=(None, None, None))):
+    """A config key: its parser, the test `ok` of its range, which a list
+    passes when it is not empty and `ok` holds for each value (a value
+    out of range is refused with `message`), and the value the key takes
+    when the config leaves it unset."""
+
+    def check(self, key, value):
+        values = value if isinstance(value, list) else [value]
+        if self.ok is not None and not (values and all(map(self.ok, values))):
+            raise ConfigError(key, self.message)
+        return value
+
+    def read(self, key, text):
+        """The checked value of `text`."""
+        return self.check(key, self.parse(key, text))
+
+
+# The config keys, in the order build_config checks them.
+_KEYS = {
+    "preset": _Key(_parse_choice(tuple(PRESETS))),
+    "method": _Key(_parse_choice(_METHODS)),
+    "domain": _Key(_parse_choice(_DOMAINS)),
+    "k": _Key(_parse_list(_parse_float), lambda k: k >= 1.0,
+              "needs wavenumbers, each at least 1"),
+    "exact": _Key(_parse_choice(_EXACT)),
+    "p": _Key(_parse_list(_parse_int), _positive,
+              "needs orders, each positive"),
+    # checked before an interval run turns h into 1/h elements
+    "h": _Key(_parse_list(_parse_float),
+              lambda h: h > 0 and 1.0 / h < math.inf,
+              "needs mesh sizes, each positive with a finite 1/h"),
+    "n_elements": _Key(_parse_list(_parse_int), _positive,
+                       "needs element counts, each positive"),
+    "sigma": _Key(_parse_float, lambda s: 0.0 < s < 1.0,
+                  "grading factor must be in (0, 1)"),
+    "layers": _Key(_parse_int, _positive, "need at least one layer"),
+    "corners": _Key(_parse_corners),
+    "robin_sign": _Key(_parse_float, lambda s: s in (1.0, -1.0),
+                       "must be +1 or -1"),
+    "flux": _Key(_parse_choice(tuple(assembly.FLUX_PRESETS)),
+                 default="uwvf"),
+    "alpha": _Key(_parse_float, _positive, "flux parameter must be positive"),
+    "beta": _Key(_parse_float, _positive, "flux parameter must be positive"),
+    "delta": _Key(_parse_float, lambda d: 0.0 < d < 1.0,
+                  "flux parameter must lie in (0, 1)"),
+    "w1": _Key(_parse_float, _positive, "must be positive"),
+    "w2": _Key(_parse_float, _positive, "must be positive"),
+    "svd_cutoff": _Key(_parse_float, _positive, "must be positive", 1e-12),
+    "khp": _Key(_parse_float, _positive, "resolution ratio must be positive",
+                0.25),
+    "out": _Key(_parse_str, default="results.csv"),
+    "threads": _Key(_parse_int, _positive, "worker count must be positive",
+                    1),
+    "timing": _Key(_parse_bool, default=False),
 }
 
 
@@ -409,33 +458,30 @@ def parse_config_text(text):
                               f"line {lineno} is not 'key = value'")
         key, value = body.split("=", 1)
         key = key.strip()
-        if key not in _KEY_PARSERS:
+        if key not in _KEYS:
             raise ConfigError(key, "unknown config key")
         raw[key] = value.strip()
     return raw
 
 
-def _check_mesh_sizes(hs):
-    # checked before an interval run turns h into 1/h elements
-    if not all(h > 0 and 1.0 / h < math.inf for h in hs):
-        raise ConfigError("h", "mesh sizes must be positive with a finite 1/h")
-
-
 def build_config(raw):
-    """Expand preset defaults, parse values, cross-validate; returns a dict."""
-    raw = dict(raw)
+    """Expand preset defaults, parse values, cross-validate; returns a dict.
+
+    Keys are checked in the order of `_KEYS`, each by its rule in
+    `_RULES` relating it to other keys and then by its own range, so the
+    key a config is refused for is the first one that does not fit."""
     merged = {}
     preset = raw.get("preset")
     if preset is not None:
-        preset = _KEY_PARSERS["preset"]("preset", preset)
+        preset = _KEYS["preset"].read("preset", preset)
         merged.update(PRESETS[preset])
     merged.update(raw)
 
-    cfg = {key: None for key in _KEY_PARSERS}
+    cfg = {key: entry.default for key, entry in _KEYS.items()}
     for key, value in merged.items():
-        if key not in _KEY_PARSERS:
+        if key not in _KEYS:
             raise ConfigError(key, "unknown config key")
-        cfg[key] = _KEY_PARSERS[key](key, value)
+        cfg[key] = _KEYS[key].parse(key, value)
 
     method = cfg["method"]
     if method is None:
@@ -445,125 +491,101 @@ def build_config(raw):
         if key not in _COMMON_KEYS | spec.reads:
             origin = "" if key in raw else f" (set by preset '{preset}')"
             raise ConfigError(key, f"method '{method}' never reads it{origin}")
+    for key, value in spec.defaults.items():
+        if cfg.get(key) is None:
+            cfg[key] = value
     if cfg["domain"] is None:
         if len(spec.domains) > 1:
             raise ConfigError("domain", f"required for method '{method}'")
         cfg["domain"] = spec.domains[0]
-    domain = cfg["domain"]
-    if domain not in spec.domains:
+    if cfg["domain"] not in spec.domains:
         raise ConfigError("domain", f"method '{method}' runs on the "
                                     f"{' or '.join(spec.domains)}")
 
-    if not cfg["k"]:
-        raise ConfigError("k", "must be a non-empty list")
-    if any(k < 1.0 for k in cfg["k"]):
-        raise ConfigError("k", "wavenumbers below 1 are not supported")
+    # runs sweep element counts on the interval and mesh sizes elsewhere
+    unswept = "h" if cfg["domain"] == "interval" else "n_elements"
+    for key, entry in _KEYS.items():
+        if key in _RULES:
+            _RULES[key](cfg, method)
+        if cfg[key] is not None:
+            entry.check(key, cfg[key])
+        elif key in spec.sweeps and key != unswept:
+            raise ConfigError(key, f"method '{method}' sweeps it; give a "
+                                   f"list")
+    cfg["flux_params"] = None if cfg["alpha"] is None else assembly.FluxParams(
+        alpha=cfg["alpha"], beta=cfg["beta"], delta=cfg["delta"])
+    return cfg
 
-    exacts = _exacts(domain)
+
+# -- rules between keys --------------------------------------------------------
+# Each takes the config being built and its method; it refuses keys that
+# do not fit together, or fills keys from others.
+
+
+def _exact_of_domain(cfg, method):
+    exacts = _exacts(cfg["domain"])
     if cfg["exact"] is None:
         cfg["exact"] = exacts[0]
     if cfg["exact"] not in exacts:
-        raise ConfigError("exact", f"{domain} runs use {' or '.join(exacts)}")
+        raise ConfigError("exact", f"{cfg['domain']} runs use "
+                                   f"{' or '.join(exacts)}")
 
-    if not cfg["p"]:
-        if method not in ("nodal", "infsup"):
-            raise ConfigError("p", "must be a non-empty list")
-        cfg["p"] = [1]
-    if any(p < 1 for p in cfg["p"]):
-        raise ConfigError("p", "orders must be positive")
 
-    for key in ("h", "n_elements"):
-        if cfg[key] == []:
-            raise ConfigError(key, "must be a non-empty list")
-    if cfg["h"] is not None and cfg["n_elements"] is not None:
+def _one_mesh_list(cfg, method):
+    if cfg["h"] and cfg["n_elements"]:
         raise ConfigError("h", "give either h or n_elements, not both")
-    if cfg["n_elements"] is not None and domain != "interval":
+    if cfg["n_elements"] is not None and cfg["domain"] != "interval":
         raise ConfigError("n_elements", "element counts are for interval runs")
-    if cfg["h"] is not None:
-        _check_mesh_sizes(cfg["h"])
-    if "n_elements" in spec.sweeps and domain == "interval":
-        if cfg["n_elements"] is None:
-            if cfg["h"] is None:
-                raise ConfigError("n_elements",
-                                  "interval runs need n_elements or h")
-            cfg["n_elements"] = [max(1, round(1.0 / h)) for h in cfg["h"]]
-            cfg["h"] = None
-    elif "h" in spec.sweeps and cfg["h"] is None:
-        raise ConfigError("h", f"method '{method}' needs an h list")
-    if method == "approx" and cfg["h"] is not None and len(cfg["h"]) > 1:
-        raise ConfigError("h", "method 'approx' reads a single mesh size")
-    if cfg["n_elements"] is not None and any(n < 1 for n in cfg["n_elements"]):
-        raise ConfigError("n_elements", "element counts must be positive")
 
+
+def _mesh_lists(cfg, method):
+    # an interval run sweeps element counts, 1/h of them when given h
+    if cfg["domain"] == "interval" and cfg["n_elements"] is None and cfg["h"]:
+        cfg["n_elements"] = [max(1, round(1.0 / h)) for h in cfg["h"]]
+        cfg["h"] = None
+    # a list the method reads but does not sweep holds one value
+    spec = _METHODS[method]
+    for key in sorted(spec.reads & _LIST_KEYS - set(spec.sweeps)):
+        if cfg[key] is not None and len(cfg[key]) > 1:
+            raise ConfigError(key, f"method '{method}' reads a single value")
+
+
+def _grading(cfg, method):
     if (cfg["sigma"] is None) != (cfg["layers"] is None):
         raise ConfigError("sigma", "grading needs both sigma and layers")
     if cfg["corners"] is not None and cfg["sigma"] is None:
         raise ConfigError("corners", "corners are read only for grading, "
                                      "with sigma and layers")
-    if cfg["sigma"] is not None:
-        if domain == "interval":
-            raise ConfigError("sigma", "grading applies to 2D fem runs")
-        if not 0.0 < cfg["sigma"] < 1.0:
-            raise ConfigError("sigma", "grading factor must be in (0, 1)")
-        if cfg["layers"] < 1:
-            raise ConfigError("layers", "need at least one layer")
+    if cfg["sigma"] is not None and cfg["domain"] == "interval":
+        raise ConfigError("sigma", "grading applies to 2D fem runs")
 
-    if cfg["robin_sign"] not in (None, 1.0, -1.0):
-        raise ConfigError("robin_sign", "must be +1 or -1")
 
-    flux_overrides = [cfg["alpha"], cfg["beta"], cfg["delta"]]
-    if any(v is not None for v in flux_overrides):
-        if any(v is None for v in flux_overrides):
-            raise ConfigError("alpha",
-                              "flux overrides need alpha, beta and delta")
-        for key in ("alpha", "beta"):
-            if not cfg[key] > 0.0:
-                raise ConfigError(key, "flux parameter must be positive")
-        if not 0.0 < cfg["delta"] < 1.0:
-            raise ConfigError("delta", "flux parameter must lie in (0, 1)")
-        cfg["flux_params"] = assembly.FluxParams(
-            alpha=cfg["alpha"], beta=cfg["beta"], delta=cfg["delta"])
-    else:
-        cfg["flux_params"] = None
-    if cfg["flux"] is None:
-        cfg["flux"] = "uwvf"
+def _flux_overrides(cfg, method):
+    overrides = [cfg["alpha"], cfg["beta"], cfg["delta"]]
+    if None in overrides and overrides != [None] * 3:
+        raise ConfigError("alpha", "flux overrides need alpha, beta and delta")
 
-    for key in ("w1", "w2", "svd_cutoff"):
-        if cfg[key] is not None and not cfg[key] > 0.0:
-            raise ConfigError(key, "must be positive")
-    if cfg["svd_cutoff"] is None:
-        cfg["svd_cutoff"] = 1e-12
-    if cfg["khp"] is None:
-        cfg["khp"] = 0.25
-    if cfg["khp"] <= 0:
-        raise ConfigError("khp", "resolution ratio must be positive")
-    # the local bases of the approximation study, swept by `approx`
-    cfg["kind"] = {"pw": spaces.PlaneWaveBasis, "ghp": spaces.GhpBasis}
 
-    if cfg["out"] is None:
-        cfg["out"] = "results.csv"
-    if cfg["timing"] is None:
-        cfg["timing"] = False
-    if cfg["threads"] is not None and cfg["threads"] < 1:
-        raise ConfigError("threads", "worker count must be positive")
-    return cfg
+# The rule that build_config runs under a key, before its range check.
+_RULES = {
+    "exact": _exact_of_domain,
+    "h": _one_mesh_list,
+    "n_elements": _mesh_lists,
+    "sigma": _grading,
+    "alpha": _flux_overrides,
+}
 
 
 def _worker_count(cfg):
+    """HELMHOLTZ_THREADS when it is set, else the config's `threads`."""
     env = os.environ.get("HELMHOLTZ_THREADS")
-    if env:
-        try:
-            count = int(env)
-        except ValueError:
-            raise ConfigError("threads",
-                              f"HELMHOLTZ_THREADS must be an integer, "
-                              f"got '{env}'")
-        if count < 1:
-            raise ConfigError("threads", "HELMHOLTZ_THREADS must be >= 1")
-        return count
-    if cfg["threads"] is not None:
+    if not env:
         return cfg["threads"]
-    return os.cpu_count() or 1
+    try:
+        return _KEYS["threads"].read("threads", env)
+    except ConfigError:
+        raise ConfigError("threads", f"HELMHOLTZ_THREADS must be a positive "
+                                     f"integer, got '{env}'") from None
 
 
 # -- run expansion and execution -------------------------------------------------
@@ -602,8 +624,7 @@ def _run_group(cfg, tasks):
 def _run_task(cfg, task, shared):
     """Run one task into its CSV row; an exception flags the row."""
     row = {name: None for name in COLUMNS}
-    row["method"] = task["method"] + (f"_{task['kind']}" if "kind" in task
-                                      else "")
+    row["method"] = task["method"]
     row["domain"] = cfg["domain"]
     row["k"] = float(task["k"])
     row["p"] = task.get("p")
@@ -674,51 +695,32 @@ def rows_to_csv_text(rows):
     return "\n".join(lines) + "\n"
 
 
-def _fit_line(pairs, label):
-    try:
-        slope, _, r2 = analysis.fit_rate(pairs)
-    except ValueError:
-        return None
-    return f"slope {label}: {slope:+.3f} (r2={r2:.4f}, {len(pairs)} pts)"
-
-
-def series_slopes(rows):
-    """Fitted log-log slopes for every (k, p) series with >= 3 points."""
+def series_slopes(rows, spec):
+    """Fitted log-log slopes of the primary column of the rows' method
+    (`spec`, its `_Method`) along each of its series, one per group with
+    at least 3 distinct x."""
     lines = []
-    h_groups = {}
-    p_groups = {}
-    k_groups = {}
-    for row in rows:
-        method = row["method"]
-        err_name = _PRIMARY_ERR.get(method)
-        if method == "infsup":
-            if row["gamma_n"] is not None and row["gamma_n"] > 0:
-                key = (method, row["domain"], row["p"])
-                k_groups.setdefault(key, []).append(
-                    (row["k"], row["gamma_n"]))
-            continue
-        if err_name is None:
-            continue
-        err = row[err_name]
-        if err is None or err <= 0 or not row["n_lambda"]:
-            continue
-        hkey = (method, row["domain"], row["k"], row["p"], err_name)
-        h_groups.setdefault(hkey, []).append((row["n_lambda"], err))
-        pkey = (method, row["domain"], row["k"], row["h"], err_name)
-        p_groups.setdefault(pkey, []).append((row["p"], err))
-
-    labels = ((h_groups, "{4} vs N_lambda | method={0} domain={1} k={2!r} "
-                         "p={3}"),
-              (p_groups, "{4} vs p | method={0} domain={1} k={2!r} h={3!r}"),
-              (k_groups, "gamma_n vs k | method={0} domain={1} p={2}"))
-    for groups, label in labels:
+    y = spec.primary
+    for series in spec.series:
+        groups = {}
+        for row in rows:
+            if row[y] is not None and row[y] > 0 and row[series.x]:
+                key = tuple(row[col] for col in ("method", "domain")
+                            + series.by)
+                groups.setdefault(key, []).append((row[series.x], row[y]))
         for key, pairs in sorted(groups.items()):
             if len({x for x, _ in pairs}) < 3:
                 continue
-            pairs.sort()
-            line = _fit_line(pairs, label.format(*key))
-            if line:
-                lines.append(line)
+            try:
+                slope, _, r2 = analysis.fit_rate(sorted(pairs))
+            except ValueError:
+                continue
+            method, domain, *values = key
+            fixed = " ".join(f"{col}={value!r}"
+                             for col, value in zip(series.by, values))
+            lines.append(f"slope {y} vs {series.name} | method={method} "
+                         f"domain={domain} {fixed}: {slope:+.3f} "
+                         f"(r2={r2:.4f}, {len(pairs)} pts)")
     return lines
 
 
@@ -734,7 +736,7 @@ def run_config(cfg, echo=print):
     with open(out_path, "w", newline="") as fh:
         fh.write(text)
     echo(f"wrote {len(rows)} rows to {out_path}")
-    for line in series_slopes(rows):
+    for line in series_slopes(rows, _METHODS[cfg["method"]]):
         echo(line)
     return rows, (3 if failed else 0)
 
@@ -785,23 +787,19 @@ def cmd_list_presets():
 def _dump_mesh(domain_text, h_text, grade):
     """The mesh of the polygon that the domain's default problem is posed
     on, as `triangulate` builds it at h, graded when asked."""
-    name = _KEY_PARSERS["domain"]("domain", domain_text)
+    name = _KEYS["domain"].read("domain", domain_text)
     domain = _PROBLEMS[name, _exacts(name)[0]](1.0).domain
-    h = _parse_float("h", h_text)
-    _check_mesh_sizes([h])
+    h = _KEYS["h"].check("h", [_parse_float("h", h_text)])[0]
     mesh = meshing.triangulate(domain, h)
     if grade:
         try:
             sigma_text, layers_text = grade.split(",")
         except ValueError:
             raise ConfigError("grade", "expected 'sigma,layers'")
-        sigma = _parse_float("grade", sigma_text)
-        layers = _parse_int("grade", layers_text)
+        sigma = _KEYS["sigma"].read("grade", sigma_text)
+        layers = _KEYS["layers"].read("grade", layers_text)
         corner = 0.0 if domain.dim == 1 else (0.0, 0.0)
-        try:
-            mesh = meshing.geometric_refine(mesh, [corner], sigma, layers)
-        except ValueError as exc:
-            raise ConfigError("grade", str(exc))
+        mesh = meshing.geometric_refine(mesh, [corner], sigma, layers)
     return mesh
 
 

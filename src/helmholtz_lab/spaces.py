@@ -932,11 +932,10 @@ class TrefftzSpace(_Space):
 
 
 def h1_space(mesh, p):
-    """Conforming degree-p space; p <= 4 in 1D, p <= 10 in 2D."""
+    """Conforming degree-p space, 1 <= p <= 10."""
     p = int(p)
-    cap = 4 if mesh.dim == 1 else 10
-    if p < 1 or p > cap:
-        raise ValueError(f"degree p={p} unsupported in {mesh.dim}D (1..{cap})")
+    if p < 1 or p > 10:
+        raise ValueError(f"degree p={p} unsupported in {mesh.dim}D (1..10)")
     return H1Space(mesh, p)
 
 

@@ -138,10 +138,22 @@ class TestConfigParsing:
         text = _readme_text()
         table = text.split("### Config keys", 1)[1].split("###", 1)[0]
         names = set()
+        stated = {}
         for line in table.splitlines():
             if line.startswith("| `"):
-                names.update(re.findall(r"`([^`]+)`", line.split("|")[1]))
-        assert names == set(cli._KEY_PARSERS)
+                keys = re.findall(r"`([^`]+)`", line.split("|")[1])
+                names.update(keys)
+                for default in re.findall(r"default `([^`]+)`",
+                                          line.split("|")[2]):
+                    stated.update((key, default) for key in keys)
+        assert names == set(cli._KEYS)
+        # every default of the key table is stated, as config text that
+        # reads back to it
+        defaults = {key: entry.default for key, entry in cli._KEYS.items()
+                    if entry.default is not None}
+        assert set(stated) == set(defaults)
+        for key, text in stated.items():
+            assert cli._KEYS[key].read(key, text) == defaults[key], key
 
     def test_read_sets_in_readme_match_method_table(self):
         text = _readme_text()
@@ -222,12 +234,12 @@ class TestConfigFuzz:
         try:
             cfg = cli.build_config(raw)
         except cli.ConfigError as exc:
-            assert exc.key in cli._KEY_PARSERS
+            assert exc.key in cli._KEYS
             return
         assert cli.expand_runs(cfg)
 
     def test_fuzz_covers_every_key(self):
-        assert set(FUZZ_VALUES) == set(cli._KEY_PARSERS)
+        assert set(FUZZ_VALUES) == set(cli._KEYS)
 
 
 class TestWorkerCount:
@@ -243,10 +255,89 @@ class TestWorkerCount:
     def test_invalid_env_rejected(self, monkeypatch):
         cfg = cli.build_config({"method": "fem", "domain": "interval",
                                 "k": "4", "p": "1", "n_elements": "4"})
-        monkeypatch.setenv("HELMHOLTZ_THREADS", "many")
-        with pytest.raises(cli.ConfigError) as err:
-            cli._worker_count(cfg)
-        assert err.value.key == "threads"
+        for env in ("many", "0", "-2"):
+            monkeypatch.setenv("HELMHOLTZ_THREADS", env)
+            with pytest.raises(cli.ConfigError) as err:
+                cli._worker_count(cfg)
+            assert err.value.key == "threads"
+            assert "HELMHOLTZ_THREADS" in str(err.value)
+
+    def test_one_worker_by_default(self, monkeypatch):
+        # on a desk machine the pool's threads contend with OpenBLAS's own
+        # threads for the same cores, so a sweep runs on one unless asked
+        cfg = cli.build_config({"method": "fem", "domain": "interval",
+                                "k": "4", "p": "1", "n_elements": "4"})
+        monkeypatch.delenv("HELMHOLTZ_THREADS", raising=False)
+        assert cfg["threads"] == 1
+        with mock.patch.object(os, "cpu_count", return_value=8):
+            assert cli._worker_count(cfg) == 1
+
+
+def slope_rows():
+    """Hand-made rows for the slope report, per method."""
+    def row(**fields):
+        return {**dict.fromkeys(cli.COLUMNS), "error": "", **fields}
+
+    fem = []
+    for p in (1, 2, 3):
+        for i, n in enumerate((4, 8, 16)):
+            fem.append(row(method="fem", domain="interval", k=10.0, p=p,
+                           h=1.0 / n, n_lambda=0.2 * p * n * 6.283185307179586,
+                           err_h1semi_rel=0.5 * (1.0 + 0.1 * i) / n**p))
+    # two mesh sizes only: neither of its series has 3 distinct x
+    fem += [row(method="fem", domain="interval", k=20.0, p=p, h=1.0 / n,
+                n_lambda=float(p * n), err_h1semi_rel=0.3 / n**p)
+            for p in (1, 2) for n in (8, 16)]
+    # a failed row carries no metrics
+    fem.append(row(method="fem", domain="interval", k=10.0, p=1, h=0.03125,
+                   error="RuntimeError: singular"))
+    infsup = [row(method="infsup", domain="interval", k=k, p=p,
+                  n_lambda=12.566370614359172, gamma_n=1.3 / k**(1 + 0.01 * p))
+              for p in (1, 2) for k in ((4.0, 8.0, 16.0, 32.0) if p == 1
+                                        else (4.0, 8.0))]
+    approx = [row(method=f"approx_{kind}", domain="square", k=8.0, p=p,
+                  h=0.47140452079103173, n_lambda=2.0 * p + scale,
+                  err_1k_rel=scale * 10.0**(-rate * p))
+              for kind, scale, rate in (("pw", 0.7, 1.0), ("ghp", 0.2, 0.8))
+              for p in (1, 2, 3, 4)]
+    return {"fem": fem, "infsup": infsup, "approx": approx}
+
+
+class TestSeriesSlopes:
+    # The printed slope lines are part of the CLI's output: these are the
+    # lines for the rows above, byte for byte.
+    WANT = {
+        "fem": [
+            "slope err_h1semi_rel vs N_lambda | method=fem domain=interval "
+            "k=10.0 p=1: -0.868 (r2=1.0000, 3 pts)",
+            "slope err_h1semi_rel vs N_lambda | method=fem domain=interval "
+            "k=10.0 p=2: -1.868 (r2=1.0000, 3 pts)",
+            "slope err_h1semi_rel vs N_lambda | method=fem domain=interval "
+            "k=10.0 p=3: -2.868 (r2=1.0000, 3 pts)",
+            "slope err_h1semi_rel vs p | method=fem domain=interval k=10.0 "
+            "h=0.0625: -4.935 (r2=0.9777, 3 pts)",
+            "slope err_h1semi_rel vs p | method=fem domain=interval k=10.0 "
+            "h=0.125: -3.701 (r2=0.9777, 3 pts)",
+            "slope err_h1semi_rel vs p | method=fem domain=interval k=10.0 "
+            "h=0.25: -2.467 (r2=0.9777, 3 pts)",
+        ],
+        "infsup": [
+            "slope gamma_n vs k | method=infsup domain=interval p=1: -1.010 "
+            "(r2=1.0000, 4 pts)",
+        ],
+        "approx": [
+            "slope err_1k_rel vs p | method=approx_ghp domain=square k=8.0 "
+            "h=0.47140452079103173: -3.877 (r2=0.9608, 4 pts)",
+            "slope err_1k_rel vs p | method=approx_pw domain=square k=8.0 "
+            "h=0.47140452079103173: -4.847 (r2=0.9608, 4 pts)",
+        ],
+    }
+
+    @pytest.mark.parametrize("method", sorted(WANT))
+    def test_lines_are_pinned(self, method):
+        rows = slope_rows()[method]
+        assert cli.series_slopes(rows, cli._METHODS[method]) == \
+            self.WANT[method]
 
 
 class TestRunCommand:
@@ -522,6 +613,7 @@ class TestMeshDump:
     @pytest.mark.parametrize("args, key", [
         ("square nan", "h"), ("interval 1e-320", "h"), ("square inf", "h"),
         ("square 0", "h"), ("lshape -0.5", "h"), ("square x", "h"),
+        ("square 0.5,0.25", "h"),
         ("square 0.5 --grade nan,2", "grade"),
         ("square 0.5 --grade 0.5,2.5", "grade"),
         ("square 0.5 --grade 2,2", "grade"),
@@ -652,7 +744,8 @@ def one_task_at_a_time(cfg):
     each task building a space of its own."""
     rows = sorted((cli._run_task(cfg, task, cli._Shared())
                    for task in cli.expand_runs(cfg)), key=cli._sort_key)
-    return cli.rows_to_csv_text(rows), cli.series_slopes(rows)
+    return (cli.rows_to_csv_text(rows),
+            cli.series_slopes(rows, cli._METHODS[cfg["method"]]))
 
 
 class TestSharedSpaces:

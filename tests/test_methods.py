@@ -411,6 +411,23 @@ class TestSolveFem:
         assert ratios[2] > 2.0
         assert raw[1] < raw[2]
 
+    def test_1d_high_order_is_quasi_optimal(self):
+        # kh/p = 0.5 at k = 40: degrees up to the cap of 10 solve to
+        # roundoff, stay within 1% of the best H1 approximation, and
+        # converge in p.
+        k = 40.0
+        problem = methods.model_problem_1d(k)
+        errors = []
+        for p in range(5, 11):
+            mesh = meshing.triangulate(problem.domain, 0.5 * p / k)
+            space = spaces.h1_space(mesh, p)
+            out = methods.solve_fem(problem, space)
+            _, best = methods.h1_best_approximation(problem, space)
+            assert out.checks["solve_residual"] <= 1e-12
+            assert out.report.h1_semi_rel / best <= 1.01
+            errors.append(out.report.h1_semi_rel)
+        assert errors[-1] < errors[0] / 100.0
+
     def test_boundary_energy_identity(self):
         problem = methods.plane_wave_problem(8.0)
         mesh = meshing.triangulate(problem.domain, 0.25)

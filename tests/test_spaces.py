@@ -90,7 +90,7 @@ class TestH1Dimensions:
 
     def test_degree_caps(self):
         with pytest.raises(ValueError):
-            h1_space(uniform_interval_mesh(2), 5)
+            h1_space(uniform_interval_mesh(2), 11)
         with pytest.raises(ValueError):
             h1_space(triangulate(unit_square(), 0.5), 11)
         with pytest.raises(ValueError):

@@ -80,3 +80,27 @@ def test_only_assembly_calls_splu():
                and getattr(node.func, "id", getattr(node.func, "attr", None))
                == "splu" for node in ast.walk(tree)))
     assert callers == ["assembly"]
+
+
+def test_cli_compares_no_method_name():
+    # What depends on the method is a field of its `_METHODS` entry; a
+    # comparison with a method's name would keep one of its facts
+    # somewhere else.
+    from helmholtz_lab import cli
+
+    def constants(node):
+        if isinstance(node, ast.Constant):
+            return {node.value}
+        if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+            return set().union(*map(constants, node.elts))
+        return set()
+
+    compared = []
+    for node in ast.walk(package_trees()["cli"]):
+        if isinstance(node, ast.Compare):
+            operands = [node.left] + node.comparators
+            found = set(cli._METHODS) & set().union(*map(constants,
+                                                          operands))
+            if found:
+                compared.append((node.lineno, sorted(found)))
+    assert not compared, f"comparisons with a method name: {compared}"
