@@ -32,10 +32,12 @@ stiffness and mass data arrays do not depend on k, so they are summed
 once per space and volume rule and kept, read-only, with the space
 (`space.volume_data`): the rows of a k-sweep on one space, and the
 Galerkin, Gram and projection systems of one row, all take them from
-there, and later calls loop only for a load.  Boundary
-integrals of the Galerkin form make one pass over the Robin edges
-(`_boundary_parts`) that returns the boundary mass and the Robin load
-from one `space.eval_basis` call per batch.  Those and the skeleton
+there, and later calls loop only for a load.  `boundary_edges` sorts
+the boundary edges by condition; the one place that knows a tag left
+out of a `bc` map is robin.  Boundary integrals of the Galerkin form
+make one pass over the Robin edges (`_boundary_parts`) that returns the
+boundary mass and the Robin load from one `space.eval_basis` call per
+batch.  Those and the skeleton
 forms of the Trefftz methods loop over the batches of edges that share
 an edge rule from `space.edge_batches` (a structured mesh has three edge
 lengths), the skeleton forms with both sides' traces from one
@@ -288,21 +290,37 @@ def _load_1k(k, target, pts, w, vals, grads):
             + np.einsum("eq,eqd,eqld->el", w, gq, np.conj(grads)))
 
 
-def _tagged_edges(mesh, tags):
-    """Indices of the boundary edges whose tag lies in `tags`."""
+# The boundary conditions a `bc` map may name; a tag it leaves out is robin.
+BC_KINDS = ("robin", "neumann", "dirichlet")
+
+
+def boundary_edges(mesh, bc):
+    """The boundary edges of `mesh` under each condition of `bc`.
+
+    `bc` maps edge tags to a kind of `BC_KINDS`; a boundary tag it leaves
+    out is robin, and a tag the mesh lacks is ignored.  Returns a dict
+    from each kind to the ascending indices of its boundary edges (empty
+    when none).  A kind outside `BC_KINDS`, on any tag, raises ValueError
+    naming the tag and the kind.
+    """
+    bc = bc or {}
+    for tag, kind in bc.items():
+        if kind not in BC_KINDS:
+            raise ValueError(f"bc maps tag '{tag}' to '{kind}', which is "
+                             f"not one of {', '.join(BC_KINDS)}")
     idx = np.flatnonzero(mesh.boundary_mask)
-    return idx[[mesh.edge_tags[i] in tags for i in idx]]
+    kinds = [bc.get(mesh.edge_tags[i], "robin") for i in idx]
+    return {kind: idx[[of == kind for of in kinds]] for kind in BC_KINDS}
 
 
-def _boundary_batches(space, k, tags):
-    """Boundary edges whose tag lies in `tags`, grouped by edge rule.
+def _boundary_batches(space, k, idx):
+    """The boundary edges `idx`, grouped by edge rule.
 
     Yields (elements, points, weights) per batch of `space.edge_batches`,
     points shaped like batched element points.  In 1D a boundary "edge"
     is an end node with unit point measure.
     """
     mesh = space.mesh
-    idx = _tagged_edges(mesh, tags)
     if len(idx) == 0:
         return
     if mesh.dim == 1:
@@ -313,8 +331,8 @@ def _boundary_batches(space, k, tags):
         yield mesh.edge_elems[batch, 0], mesh.edge_points(batch, t), ds
 
 
-def _boundary_parts(space, k, tags, g=None):
-    """One pass over the boundary edges whose tag lies in `tags`.
+def _boundary_parts(space, k, idx, g=None):
+    """One pass over the boundary edges `idx`.
 
     Returns (boundary mass, load (g, b_i)): the boundary mass as a data
     array on `space.element_pattern`, each edge's block summed into its
@@ -324,7 +342,7 @@ def _boundary_parts(space, k, tags, g=None):
     pattern = space.element_pattern
     bd = None
     rhs = None if g is None else np.zeros(space.ndof, dtype=complex)
-    for elems, pts, w in _boundary_batches(space, k, tags):
+    for elems, pts, w in _boundary_batches(space, k, idx):
         vals, _ = space.eval_basis(elems, pts)
         bd = _block_sum(bd, pattern, pattern.slots[0][elems], np.einsum(
             "eq,eql,eqm->elm", w, np.conj(vals), vals))
@@ -337,25 +355,21 @@ def assemble_galerkin(space, k, f=None, g=None, bc=None, robin_sign=1.0):
     """Galerkin matrix and load of the Robin/mixed Helmholtz problem.
 
     A = stiffness - k^2 mass + robin_sign * ik * (boundary mass on Robin
-    edges); rhs_i = (f, b_i) + (g, b_i) over Robin edges.  `bc` maps edge
-    tags to 'robin', 'neumann' or 'dirichlet'; tags absent from the map
-    default to 'robin'.  Dirichlet parts (homogeneous) are recorded as
-    eliminated DOFs in `free` and resolved at solve time.
+    edges); rhs_i = (f, b_i) + (g, b_i) over Robin edges.  The edges of
+    each condition are those `boundary_edges(space.mesh, bc)` assigns it.
+    Dirichlet parts (homogeneous) are recorded as eliminated DOFs in
+    `free` and resolved at solve time.
     """
     if not space.conforming:
         raise ValueError("assemble_galerkin needs a conforming space")
     k = float(k)
-    bc = bc or {}
-    mesh = space.mesh
-    present = {mesh.edge_tags[i] for i in np.flatnonzero(mesh.boundary_mask)}
-    robin_tags = {t for t in present if bc.get(t, "robin") == "robin"}
-    dirichlet_tags = {t for t in present if bc.get(t) == "dirichlet"}
+    edges = boundary_edges(space.mesh, bc)
     load = None
     if f is not None:
         fv = f if callable(f) else (lambda pts, c=complex(f): np.full(pts.shape[0], c))
         load = lambda pts, w, vals, grads: _source_load(fv, pts, w, vals)
     stiff, mass, f_rhs = _volume_parts(space, k, load=load)
-    bd, g_rhs = _boundary_parts(space, k, robin_tags, g)
+    bd, g_rhs = _boundary_parts(space, k, edges["robin"], g)
     pattern = space.element_pattern
     A = _csr(pattern, stiff - k**2 * mass + robin_sign * 1j * k * bd)
     # the two loads are summed into zeros in this order, as separate
@@ -365,11 +379,11 @@ def assemble_galerkin(space, k, f=None, g=None, bc=None, robin_sign=1.0):
         if part is not None:
             rhs += part
     free = None
-    if dirichlet_tags:
+    if len(edges["dirichlet"]):
         keep = np.ones(space.ndof, dtype=bool)
-        keep[space.boundary_dofs(_tagged_edges(mesh, dirichlet_tags))] = False
+        keep[space.boundary_dofs(edges["dirichlet"])] = False
         free = np.flatnonzero(keep)
-    meta = {"dim": mesh.dim, "boundary_mass": _csr(pattern, bd)}
+    meta = {"dim": space.mesh.dim, "boundary_mass": _csr(pattern, bd)}
     return ComplexSystem(A=A, rhs=rhs, free=free, meta=meta,
                          mass_data=(pattern, mass),
                          order=space.elimination_order)

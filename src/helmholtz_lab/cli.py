@@ -184,8 +184,8 @@ class _Shared:
         return value
 
 
-# Each runner fills one row, given the `_Shared` of its group; `row["h"]`
-# arrives as the task's mesh size (1/n_elements on the interval).
+# Each runner returns the driver output of one task, given the `_Shared`
+# of its group; `_run_task` copies its report into the task's row.
 
 
 def _h1_space(cfg, domain, h, p):
@@ -198,17 +198,16 @@ def _h1_space(cfg, domain, h, p):
     return spaces.h1_space(mesh, p)
 
 
-def _run_fem(cfg, task, row, shared):
+def _run_fem(cfg, task, shared):
     problem = _problem(cfg, task["k"])
     space = shared.get(
-        lambda: _h1_space(cfg, problem.domain, row["h"], task["p"]))
-    _report_into_row(row, methods.solve_fem(problem, space))
+        lambda: _h1_space(cfg, problem.domain, _mesh_size(task), task["p"]))
+    return methods.solve_fem(problem, space)
 
 
-def _run_nodal(cfg, task, row, shared):
-    out = methods.solve_nodally_exact_1d(_problem(cfg, task["k"]),
-                                         task["n_elements"])
-    _report_into_row(row, out)
+def _run_nodal(cfg, task, shared):
+    return methods.solve_nodally_exact_1d(_problem(cfg, task["k"]),
+                                          task["n_elements"])
 
 
 def _trefftz_space(domain, h, k, basis):
@@ -216,44 +215,39 @@ def _trefftz_space(domain, h, k, basis):
     return spaces.trefftz_space(mesh, k, basis)
 
 
-def _run_ls(cfg, task, row, shared):
+def _run_ls(cfg, task, shared):
     problem = _problem(cfg, task["k"])
     basis = spaces.PlaneWaveBasis(task["k"], task["p"])
     space = _trefftz_space(problem.domain, task["h"], task["k"], basis)
-    out = methods.solve_least_squares(
+    return methods.solve_least_squares(
         problem, space, w1=cfg["w1"], w2=cfg["w2"],
         svd_cutoff=cfg["svd_cutoff"])
-    _report_into_row(row, out)
 
 
-def _run_uwvf(cfg, task, row, shared):
+def _run_uwvf(cfg, task, shared):
     problem = _problem(cfg, task["k"])
     basis = spaces.PlaneWaveBasis(task["k"], task["p"])
     space = _trefftz_space(problem.domain, task["h"], task["k"], basis)
-    out = methods.solve_pwdg(problem, space,
-                             flux=cfg["flux_params"] or cfg["flux"])
-    _report_into_row(row, out)
+    return methods.solve_pwdg(problem, space,
+                              flux=cfg["flux_params"] or cfg["flux"])
 
 
-def _run_infsup(cfg, task, row, shared):
+def _run_infsup(cfg, task, shared):
     k, p = task["k"], task["p"]
     problem = _problem(cfg, k)
     n = max(p, round(k / (cfg["khp"] * p)))
     space = _h1_space(cfg, problem.domain, 1.0 / n, p)
-    _report_into_row(row, methods.infsup_constant(problem, space))
+    return methods.infsup_constant(problem, space)
 
 
-def _run_approx(cfg, task, row, shared):
-    # each local basis of the study writes rows of its own
-    row["method"] = f"{task['method']}_{task['kind']}"
+def _run_approx(cfg, task, shared):
     k = task["k"]
     angle = 0.3
     exact = methods.plane_wave_2d(
         k, direction=(math.cos(angle), math.sin(angle)))
     basis = cfg["kind"][task["kind"]](k, task["p"])
     space = _trefftz_space(meshing.unit_square(), cfg["h"][0], k, basis)
-    out = methods.best_approximation_1k(exact, space, cfg["svd_cutoff"])
-    _report_into_row(row, out)
+    return methods.best_approximation_1k(exact, space, cfg["svd_cutoff"])
 
 
 # A slope series: a method's primary column against column `x`, printed
@@ -624,25 +618,33 @@ def _run_group(cfg, tasks):
 def _run_task(cfg, task, shared):
     """Run one task into its CSV row; an exception flags the row."""
     row = {name: None for name in COLUMNS}
-    row["method"] = task["method"]
+    # each local basis of the approximation study writes rows of its own
+    row["method"] = (f"{task['method']}_{task['kind']}" if "kind" in task
+                     else task["method"])
     row["domain"] = cfg["domain"]
     row["k"] = float(task["k"])
     row["p"] = task.get("p")
-    row["h"] = (1.0 / task["n_elements"] if "n_elements" in task
-                else task.get("h"))
+    row["h"] = _mesh_size(task)
     # the grading of a graded fem run; None for every other run
     row["sigma"] = cfg["sigma"]
     row["L"] = cfg["layers"]
     row["error"] = ""
     started = time.perf_counter()
     try:
-        _METHODS[task["method"]].run(cfg, task, row, shared)
+        _report_into_row(row, _METHODS[task["method"]].run(cfg, task, shared))
     except Exception as exc:
         row["error"] = _sanitize(f"{type(exc).__name__}: {exc}")
         return row
     if cfg["timing"]:
         row["wall_ms"] = (time.perf_counter() - started) * 1e3
     return row
+
+
+def _mesh_size(task):
+    """The task's mesh size, 1/n_elements on the interval."""
+    if "n_elements" in task:
+        return 1.0 / task["n_elements"]
+    return task.get("h")
 
 
 def _sanitize(text):

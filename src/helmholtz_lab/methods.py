@@ -8,7 +8,9 @@ against the exact solution.  Drivers cover the conforming Galerkin method
 (polynomial, partition-of-unity, and nodally exact 1D spaces), the Trefftz
 least squares method, the plane-wave discontinuous Galerkin method, the
 best approximation in the (1,k) norm, and the discrete inf-sup constant
-of the Galerkin form.
+of the Galerkin form.  Every driver ends in one tail (`_output`) that
+fills the report's size fields and errors and bundles the driver's own
+fields and checks.
 """
 
 import math
@@ -151,7 +153,7 @@ class ProblemSpec:
     """Boundary value problem: -Delta u - k^2 u = f with impedance data.
 
     `bc` maps boundary tags to 'robin', 'neumann', or 'dirichlet';
-    unlisted tags default to robin.  `g` is the Robin datum
+    unlisted tags default to robin (`assembly.boundary_edges`).  `g` is the Robin datum
     g = du/dn + robin_sign*ik*u, a callable on boundary points (None
     means homogeneous).  robin_sign selects the impedance sign variant.
     """
@@ -286,51 +288,37 @@ def _sample_interior(domain, n, rng, min_radius=0.0, margin=0.02):
         f"margin={margin} inside it; {n} are needed")
 
 
-def _fd_laplacian(value, pts, h):
-    """Richardson-extrapolated central-difference Laplacian."""
+def _fd_derivatives(value, pts, h):
+    """Richardson-extrapolated central-difference Laplacian and gradient,
+    from one evaluation at each point pts +- step e_d, step h and h/2."""
     pts = np.asarray(pts, dtype=float)
     one_d = pts.ndim == 1
-    if one_d:
-        pts = pts[:, None]
-    dim = pts.shape[1]
+    grid = pts[:, None] if one_d else pts
+    dim = grid.shape[1]
 
     def evaluate(at):
         return np.asarray(value(at[:, 0] if one_d else at), dtype=complex)
 
-    def plain(step):
-        acc = -2.0 * dim * evaluate(pts)
-        for d in range(dim):
-            for sgn in (1.0, -1.0):
-                shifted = pts.copy()
-                shifted[:, d] += sgn * step
-                acc = acc + evaluate(shifted)
-        return acc / step**2
-
-    return (4.0 * plain(h / 2.0) - plain(h)) / 3.0
-
-
-def _fd_gradient(value, pts, h):
-    """Richardson-extrapolated central-difference gradient."""
-    pts = np.asarray(pts, dtype=float)
-    one_d = pts.ndim == 1
-    if one_d:
-        pts = pts[:, None]
-    dim = pts.shape[1]
+    center = -2.0 * dim * evaluate(grid)
 
     def central(step):
+        lap = center
         cols = []
         for d in range(dim):
-            up = pts.copy()
-            dn = pts.copy()
+            up = grid.copy()
+            dn = grid.copy()
             up[:, d] += step
             dn[:, d] -= step
-            uv = np.asarray(value(up if not one_d else up[:, 0]), dtype=complex)
-            dv = np.asarray(value(dn if not one_d else dn[:, 0]), dtype=complex)
+            uv = evaluate(up)
+            dv = evaluate(dn)
+            lap = lap + uv + dv
             cols.append((uv - dv) / (2.0 * step))
-        return np.stack(cols, axis=1)
+        return lap / step**2, np.stack(cols, axis=1)
 
-    grad = (4.0 * central(h / 2.0) - central(h)) / 3.0
-    return grad[:, 0] if one_d else grad
+    (lap_h, grad_h), (lap_half, grad_half) = central(h), central(h / 2.0)
+    lap = (4.0 * lap_half - lap_h) / 3.0
+    grad = (4.0 * grad_half - grad_h) / 3.0
+    return lap, grad[:, 0] if one_d else grad
 
 
 def verify_exact_solution(problem, n_samples=20, rng=None, fd_step=None):
@@ -354,7 +342,7 @@ def verify_exact_solution(problem, n_samples=20, rng=None, fd_step=None):
     h = fd_step if fd_step is not None else 1e-2 / k
 
     u = np.asarray(exact.value(pts), dtype=complex)
-    lap = _fd_laplacian(exact.value, pts, h)
+    lap, grad_fd = _fd_derivatives(exact.value, pts, h)
     f = problem.f
     if f is None:
         fv = np.zeros(len(u), dtype=complex)
@@ -366,7 +354,6 @@ def verify_exact_solution(problem, n_samples=20, rng=None, fd_step=None):
     pde = float(np.max(np.abs(-lap - k**2 * u - fv)) / scale)
 
     grad_exact = np.asarray(exact.gradient(pts), dtype=complex)
-    grad_fd = _fd_gradient(exact.value, pts, h)
     gscale = np.max(np.abs(grad_fd)) + 1e-300
     gradient = float(np.max(np.abs(grad_exact - grad_fd)) / gscale)
 
@@ -384,12 +371,12 @@ def _boundary_data_residual(problem):
     mesh = meshing.triangulate(problem.domain, 0.5 if problem.domain.dim == 2
                                else 0.25)
     rule = np.array([0.2113248654051871, 0.7886751345948129])
-    idx = np.flatnonzero(mesh.boundary_mask)
-    kinds = np.array([problem.bc.get(mesh.edge_tags[i], "robin") for i in idx])
     worst = 0.0
     scale = 1e-300
-    for kind in np.unique(kinds):
-        edges = idx[kinds == kind]
+    for kind, edges in sorted(assembly.boundary_edges(mesh,
+                                                      problem.bc).items()):
+        if len(edges) == 0:
+            continue
         if mesh.dim == 1:
             pts = mesh.nodes[mesh.edge_nodes[edges, 0]]
             vals, grads = exact.eval(pts)
@@ -456,35 +443,36 @@ def _require_trefftz_problem(problem, space, driver):
         raise ValueError(f"the {driver} driver imposes du/dn + iku = g and "
                          f"needs robin_sign = +1, got {problem.robin_sign}")
     mesh = space.mesh
-    tags = {mesh.edge_tags[i] for i in np.flatnonzero(mesh.boundary_mask)}
-    for tag in sorted(tags, key=str):
-        kind = problem.bc.get(tag, "robin")
-        if kind != "robin":
-            raise ValueError(f"the {driver} driver imposes the impedance "
-                             f"condition on every boundary edge, but bc "
-                             f"maps mesh tag '{tag}' to '{kind}'")
+    edges = assembly.boundary_edges(mesh, problem.bc)
+    off = sorted({mesh.edge_tags[i] for kind in ("neumann", "dirichlet")
+                  for i in edges[kind]}, key=str)
+    if off:
+        raise ValueError(f"the {driver} driver imposes the impedance "
+                         f"condition on every boundary edge, but bc "
+                         f"maps mesh tag '{off[0]}' to '{problem.bc[off[0]]}'")
 
 
-def _error_fields(exact, space, coeffs, report):
-    if exact is None:
-        return
-    h1, l2, e1k = analysis.relative_errors(
-        space, coeffs, exact.eval, report.k,
-        exclude_radius=exact.exclude_radius)
-    report.h1_semi_rel = h1
-    report.l2_rel = l2
-    report.norm_1k_rel = e1k
+def _output(method, space, system, k, exact=None, result=None, checks=None,
+            **fields):
+    """The `SolveOutput` of a driver named `method` on `space`.
 
-
-def _make_report(k, space, method, n_unknowns):
-    return analysis.ErrorReport(
-        dofs=int(n_unknowns),
-        n_lambda=meshing.n_lambda(n_unknowns, k, space.mesh.dim),
-        k=k,
-        h=space.mesh.h,
-        p=space.order,
-        method=method,
-    )
+    The report counts the unknowns of `system` (its free DOFs under a
+    Dirichlet cut) and takes its size fields from the space and the
+    driver's own fields from `fields`; with a declared `exact` solution
+    and coefficients (`result.x`) it also carries their relative errors.
+    `checks` are the driver's, taken as they are.
+    """
+    ndof = system.ndof if system.free is None else len(system.free)
+    report = analysis.ErrorReport(
+        dofs=ndof, n_lambda=meshing.n_lambda(ndof, k, space.mesh.dim), k=k,
+        h=space.mesh.h, p=space.order, method=method, **fields)
+    coeffs = None if result is None else result.x
+    if exact is not None and coeffs is not None:
+        (report.h1_semi_rel, report.l2_rel,
+         report.norm_1k_rel) = analysis.relative_errors(
+            space, coeffs, exact.eval, k, exclude_radius=exact.exclude_radius)
+    return SolveOutput(coeffs=coeffs, space=space, system=system,
+                       result=result, report=report, checks=checks or {})
 
 
 def solve_fem(problem, space):
@@ -496,9 +484,6 @@ def solve_fem(problem, space):
         robin_sign=problem.robin_sign)
     result = assembly.solve(system)
     x = result.x
-    nfree = len(system.free) if system.free is not None else system.ndof
-    report = _make_report(problem.k, space, "fem", nfree)
-    _error_fields(problem.exact, space, x, report)
     checks = {"solve_residual": result.residual}
     bd = system.meta.get("boundary_mass")
     if bd is not None:
@@ -507,8 +492,8 @@ def solve_fem(problem, space):
         rhs_im = float(np.imag(np.vdot(x, system.rhs)))
         denom = max(abs(lhs), abs(rhs_im), 1e-300)
         checks["boundary_energy_rel"] = abs(lhs - rhs_im) / denom
-    return SolveOutput(coeffs=x, space=space, system=system, result=result,
-                       report=report, checks=checks)
+    return _output("fem", space, system, problem.k, problem.exact, result,
+                   checks)
 
 
 def h1_best_approximation(problem, space):
@@ -579,11 +564,8 @@ def solve_least_squares(problem, space, w1=None, w2=None, svd_cutoff=1e-12):
     system = assembly.assemble_least_squares(space, problem.k, g, w1=w1, w2=w2)
     result = assembly.solve(system, svd_cutoff=svd_cutoff)
     x = result.x
-    report = _make_report(problem.k, space, "least_squares", system.ndof)
-    _error_fields(problem.exact, space, x, report)
     w1v, w2v = system.meta["w1"], system.meta["w2"]
     j_direct = analysis.j_functional(space, x, problem.k, g, w1=w1v, w2=w2v)
-    report.j_value = j_direct
     a = system.A
     j_algebra = (float(np.vdot(x, a @ x).real)
                  - 2.0 * float(np.real(np.vdot(x, system.rhs)))
@@ -593,8 +575,8 @@ def solve_least_squares(problem, space, w1=None, w2=None, svd_cutoff=1e-12):
         "solve_residual": result.residual,
         "j_algebra_rel": abs(j_direct - j_algebra) / denom,
     }
-    return SolveOutput(coeffs=x, space=space, system=system, result=result,
-                       report=report, checks=checks)
+    return _output("least_squares", space, system, problem.k, problem.exact,
+                   result, checks, j_value=j_direct)
 
 
 def _resolve_flux(flux, space):
@@ -620,10 +602,9 @@ def solve_pwdg(problem, space, flux="uwvf"):
     system = assembly.assemble_pwdg(space, problem.k, g, flux)
     result = assembly.solve(system)
     x = result.x
-    report = _make_report(problem.k, space, "pwdg", system.ndof)
-    _error_fields(problem.exact, space, x, report)
+    norms = {}
     if problem.exact is not None:
-        report.dg_norm, report.dg_plus_norm = analysis.dg_error_norms(
+        norms["dg_norm"], norms["dg_plus_norm"] = analysis.dg_error_norms(
             space, x, flux, problem.k, problem.exact.eval)
     a = system.A
     im_lhs = float(np.imag(np.vdot(x, a @ x)))
@@ -633,8 +614,8 @@ def solve_pwdg(problem, space, flux="uwvf"):
         "solve_residual": result.residual,
         "im_consistency_rel": abs(im_lhs - im_rhs) / denom,
     }
-    return SolveOutput(coeffs=x, space=space, system=system, result=result,
-                       report=report, checks=checks)
+    return _output("pwdg", space, system, problem.k, problem.exact, result,
+                   checks, **norms)
 
 
 # -- best approximation -------------------------------------------------------
@@ -653,11 +634,8 @@ def best_approximation_1k(exact, space, svd_cutoff):
     """
     system = assembly.assemble_projection_1k(space, exact.k, exact.eval)
     result = assembly.solve(system, svd_cutoff=svd_cutoff)
-    report = _make_report(exact.k, space, "best_approximation_1k",
-                          system.ndof)
-    _error_fields(exact, space, result.x, report)
-    return SolveOutput(coeffs=result.x, space=space, system=system,
-                       result=result, report=report)
+    return _output("best_approximation_1k", space, system, exact.k, exact,
+                   result)
 
 
 # -- discrete inf-sup constant ------------------------------------------------
@@ -678,9 +656,6 @@ def infsup_constant(problem, space):
         space, problem.k, f=problem.f, g=problem.g, bc=problem.bc,
         robin_sign=problem.robin_sign)
     gram = assembly.assemble_gram_1k(space, problem.k)
-    a_free = assembly.restrict(system.A, system.free)
-    report = _make_report(problem.k, space, "infsup", a_free.shape[0])
-    report.gamma_n = assembly.infsup_probe(
-        a_free, assembly.restrict(gram, system.free))
-    return SolveOutput(coeffs=None, space=space, system=system, result=None,
-                       report=report)
+    gamma_n = assembly.infsup_probe(assembly.restrict(system.A, system.free),
+                                    assembly.restrict(gram, system.free))
+    return _output("infsup", space, system, problem.k, gamma_n=gamma_n)

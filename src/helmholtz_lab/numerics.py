@@ -66,7 +66,7 @@ def gamma(x):
 
 
 def bessel_j(order, x):
-    """Bessel function of the first kind J_order(x) for x >= 0.
+    """Bessel function of the first kind J_order(x) for finite x >= 0.
 
     Supported orders: integers 0..60 and non-integer real orders > -1
     (fractional orders appear in corner-singular solutions).  Scalar or
@@ -82,13 +82,17 @@ def bessel_j(order, x):
     the call with that order alone on the same x: the series runs once
     for all orders, and the recurrence, whose start depends on the order
     and the largest argument above 9, runs per order as in a scalar call.
-    Orders are checked before anything is allocated; a bad one raises
-    ValueError naming it.
+    Orders and arguments are checked before anything is allocated: a bad
+    order or a non-finite x raises ValueError naming it, and a negative x
+    raises ValueError.
     """
     ladder = np.ndim(order) > 0
     orders = _checked_orders(order)
     arr = np.asarray(x, dtype=float)
     flat = arr.ravel()
+    if not np.isfinite(flat).all():
+        bad = flat[np.argmin(np.isfinite(flat))]
+        raise ValueError(f"bessel_j requires finite x, got {bad}")
     if np.any(flat < 0.0):
         raise ValueError("bessel_j requires x >= 0")
     negative = [nu for nu in orders if nu < 0.0]

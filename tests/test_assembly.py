@@ -21,6 +21,7 @@ from helmholtz_lab.assembly import (
     assemble_least_squares,
     assemble_projection_1k,
     assemble_pwdg,
+    boundary_edges,
     h_version_fluxes,
     hmp_fluxes,
     infsup_probe,
@@ -65,6 +66,12 @@ def wall_square():
         name="square", dim=2,
         vertices=((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)),
         side_tags=("robin", "wall", "robin", "robin"))
+
+
+def tagged_edges(mesh, tags):
+    """The ascending boundary edges of `mesh` whose tag lies in `tags`."""
+    idx = np.flatnonzero(mesh.boundary_mask)
+    return idx[[mesh.edge_tags[i] in tags for i in idx]]
 
 
 class TestGalerkin1D:
@@ -114,6 +121,31 @@ class TestGalerkin1D:
         np.testing.assert_allclose(
             diff, 2j * 2.0 * dense(plus.meta["boundary_mass"]), atol=1e-14
         )
+
+
+class TestBoundaryEdges:
+    def test_edges_by_condition(self):
+        mesh = triangulate(wall_square(), 0.25)
+        # a tag left out is robin, a tag the mesh lacks is ignored
+        edges = boundary_edges(mesh, {"wall": "dirichlet", "gamma": "neumann"})
+        assert list(edges) == ["robin", "neumann", "dirichlet"]
+        np.testing.assert_array_equal(edges["robin"],
+                                      tagged_edges(mesh, {"robin"}))
+        np.testing.assert_array_equal(edges["dirichlet"],
+                                      tagged_edges(mesh, {"wall"}))
+        assert len(edges["neumann"]) == 0
+        everything = boundary_edges(mesh, None)
+        np.testing.assert_array_equal(everything["robin"],
+                                      np.flatnonzero(mesh.boundary_mask))
+
+    @pytest.mark.parametrize("kind", ["robinn", "Neumann", "", None])
+    def test_unknown_kind_raises(self, kind):
+        # it was taken for neumann by the Galerkin form and for robin by the
+        # boundary-data check
+        space = h1_space(uniform_interval_mesh(4), 2)
+        bc = {"left": "dirichlet", "right": kind}
+        with pytest.raises(ValueError, match=f"tag 'right' to '{kind}'"):
+            assemble_galerkin(space, 3.0, f=1.0, bc=bc)
 
 
 class TestGram:
@@ -356,7 +388,8 @@ class TestDirichlet2D:
                  else h1_space(mesh, int(kind[-1])))
         system = assemble_galerkin(space, k, bc={"wall": "dirichlet"})
         fixed = np.setdiff1d(np.arange(space.ndof), system.free)
-        bd, _ = assembly._boundary_parts(space, k, {"wall"})
+        bd, _ = assembly._boundary_parts(space, k,
+                                         tagged_edges(mesh, {"wall"}))
         diag = np.abs(assembly._csr(space.element_pattern, bd).diagonal())
         np.testing.assert_array_equal(
             fixed, np.flatnonzero(diag > 1e-12 * diag.max()))
@@ -398,7 +431,8 @@ def separate_pass_galerkin_rhs(space, k, f, g, robin_tags):
     if f is not None:
         rhs += load(volume, f)
     if g is not None:
-        rhs += load(assembly._boundary_batches(space, k, robin_tags), g)
+        rhs += load(assembly._boundary_batches(
+            space, k, tagged_edges(space.mesh, robin_tags)), g)
     return rhs
 
 
@@ -424,7 +458,8 @@ class TestOnePassGalerkin:
         space, k, f, g, bc, robin = list(one_pass_cases())[case]
         n_volume = len(list(space.element_batches(
             len(space.volume_rule(k).weights))))
-        n_boundary = len(list(assembly._boundary_batches(space, k, robin)))
+        n_boundary = len(list(assembly._boundary_batches(
+            space, k, tagged_edges(space.mesh, robin))))
         calls = counted_eval_basis(space)
         assemble_galerkin(space, k, f=f, g=g, bc=bc)
         # the 2D polynomial matrices come from reference tables, so a
@@ -935,7 +970,8 @@ def coo_parts(space, k, robin_tags):
         s_loc, m_loc = space.element_matrices(elems, rule)
         stiff.append((dofs[elems], s_loc))
         mass.append((dofs[elems], m_loc))
-    for elems, pts, w in assembly._boundary_batches(space, k, robin_tags):
+    for elems, pts, w in assembly._boundary_batches(
+            space, k, tagged_edges(space.mesh, robin_tags)):
         vals, _ = space.eval_basis(elems, pts)
         bd.append((dofs[elems],
                    np.einsum("eq,eql,eqm->elm", w, np.conj(vals), vals)))

@@ -188,6 +188,13 @@ class TestExactSolutions:
         assert resid["gradient"] < 1e-6
         assert resid["boundary"] < 1e-8
 
+    @pytest.mark.parametrize("kind", ["robinn", "Dirichlet", None])
+    def test_unknown_boundary_kind_raises(self, kind):
+        problem = methods.model_problem_1d(6.0)
+        problem.bc = {"left": "dirichlet", "right": kind}
+        with pytest.raises(ValueError, match=f"tag 'right' to '{kind}'"):
+            methods.verify_exact_solution(problem)
+
     def test_verification_radius_belongs_to_the_solution(self, monkeypatch):
         # A renamed copy of the corner solution keeps its sampling radius.
         # Its residuals cannot tell: the sampling margin keeps the points
@@ -568,6 +575,16 @@ class TestTrefftzRefusals:
         mesh = meshing.triangulate(problem.domain, 0.5)
         space = spaces.trefftz_space(mesh, 4.0, spaces.GhpBasis(4.0, 5))
         with pytest.raises(ValueError, match="mesh tag 'neumann' to 'neumann'"):
+            _trefftz_driver(driver)(problem, space)
+
+    def test_refuses_unknown_kind(self, driver):
+        # a misspelt kind is refused, even on a tag the mesh lacks
+        problem = dataclasses.replace(
+            methods.plane_wave_problem(4.0),
+            bc={"robin": "robin", "wall": "dirichlett"})
+        mesh = meshing.triangulate(problem.domain, 0.5)
+        space = spaces.trefftz_space(mesh, 4.0, spaces.PlaneWaveBasis(4.0, 7))
+        with pytest.raises(ValueError, match="tag 'wall' to 'dirichlett'"):
             _trefftz_driver(driver)(problem, space)
 
     def test_accepts_robin_on_every_mesh_tag(self, driver):

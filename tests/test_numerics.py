@@ -276,6 +276,27 @@ class TestBesselLadder:
         with pytest.raises(ValueError, match=message):
             bessel_j(orders, x)
 
+    @pytest.mark.parametrize("order", [0, 2.0 / 3.0, [0, 1, 2]],
+                             ids=["integer", "fractional", "ladder"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf],
+                             ids=["nan", "inf", "minus_inf"])
+    def test_non_finite_x_raises_before_allocating(self, order, bad):
+        message = f"finite x, got {bad}"
+        with pytest.raises(ValueError, match=message):
+            bessel_j(order, bad)
+        # a mixed array: finite values on both sides of the series cutoff
+        mixed = np.full(200_000, 1.0)
+        mixed[::2] = 30.0
+        mixed[-3] = bad
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=message):
+                bessel_j(order, mixed)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < mixed.nbytes // 4
+
 
 def miller_int(n, x):
     """Downward recurrence for integer order n, normalized by

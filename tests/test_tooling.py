@@ -104,3 +104,43 @@ def test_cli_compares_no_method_name():
             if found:
                 compared.append((node.lineno, sorted(found)))
     assert not compared, f"comparisons with a method name: {compared}"
+
+
+def call_name(node):
+    """The called name of a Call node: `f` of f(...) and of obj.f(...)."""
+    return getattr(node.func, "id", getattr(node.func, "attr", None))
+
+
+def top_level_callers(tree, name):
+    """The top-level functions of a module that call `name`."""
+    return sorted(
+        top.name for top in tree.body if isinstance(top, ast.FunctionDef)
+        and any(isinstance(node, ast.Call) and call_name(node) == name
+                for node in ast.walk(top)))
+
+
+def test_methods_builds_outputs_in_one_tail():
+    # Every driver hands its result to one tail that fills the report and
+    # bundles the output, so a report field is set in one place.
+    tree = package_trees()["methods"]
+    for name in ("SolveOutput", "ErrorReport"):
+        assert top_level_callers(tree, name) == ["_output"], name
+
+
+def test_cli_copies_reports_into_rows_once():
+    # The runners return their driver's output; only the task loop writes
+    # it into the row.
+    tree = package_trees()["cli"]
+    assert top_level_callers(tree, "_report_into_row") == ["_run_task"]
+
+
+def test_only_assembly_reads_the_default_boundary_condition():
+    # Which condition a tag left out of a `bc` map gets, and which kinds a
+    # map may name, are decided by `assembly.boundary_edges` alone.
+    readers = sorted(
+        module for module, tree in package_trees().items()
+        if any(isinstance(node, ast.Call) and call_name(node) == "get"
+               and len(node.args) == 2
+               and getattr(node.args[1], "value", None) == "robin"
+               for node in ast.walk(tree)))
+    assert readers == ["assembly"]
