@@ -27,38 +27,30 @@ in an elimination order too.  Volume integrals run one loop over
 element batches from `space.element_batches` (`_volume_parts`), taking
 local matrices from `space.element_matrices` and, where a load is asked
 for, the Galerkin source load or the (1,k) projection load from the
-same `space.element_tables` call.  The
-stiffness and mass data arrays do not depend on k, so they are summed
-once per space and volume rule and kept, read-only, with the space
-(`space.volume_data`): the rows of a k-sweep on one space, and the
-Galerkin, Gram and projection systems of one row, all take them from
-there, and later calls loop only for a load.  `boundary_edges` sorts
+same `space.element_tables` call.  The stiffness and mass data arrays
+do not depend on k, so they are summed once per space and volume rule
+and kept, read-only, with the space (`space.volume_data`): the rows of
+a k-sweep on one space, and the Galerkin, Gram and projection systems
+of one row, all take them from there, and later calls loop only for a
+load.  `boundary_edges` sorts
 the boundary edges by condition; the one place that knows a tag left
 out of a `bc` map is robin.  Boundary integrals of the Galerkin form
 make one pass over the Robin edges (`_boundary_parts`) that returns the
 boundary mass and the Robin load from one `space.eval_basis` call per
-batch.  Those and the skeleton
-forms of the Trefftz methods loop over the batches of edges that share
-an edge rule from `space.edge_batches` (a structured mesh has three edge
-lengths), the skeleton forms with both sides' traces from one
-`space.edge_tables` call per batch.
+batch.  Those and the skeleton forms of the Trefftz methods loop over
+the batches of edges that share an edge rule from `space.edge_batches`
+(a structured mesh has three edge lengths), the skeleton forms with both
+sides' traces from one `space.edge_tables` call per batch.
 
-`solve` has one path per kind of system.  Without an SVD cutoff (the
-square Galerkin and DG systems) it first factorizes in SuperLU's
-symmetric mode (one ordering for rows and columns, diagonal pivots),
-made for the complex symmetric Galerkin matrices: in the system's own
-elimination order when its space has one (`space.elimination_order`, a
-nested dissection of a conforming space on a large 2D mesh, which the
-conforming assemblers hand to the system), else in a minimum-degree
-ordering of A + A^T.  It keeps that solution only when it is finite
-with a relative residual of at most _LU_RESIDUAL_LIMIT; otherwise, and
-for every system assembled on a 1D mesh, it factorizes with COLAMD and
-partial pivoting.  With a cutoff (the possibly singular least-squares
-normal equations and Gram matrices) it runs the truncated SVD, but only
-when a COLAMD LU cannot certify, through its residual and a 1-norm
-condition estimate, that truncation would drop nothing.  `SolveResult`
-records the path that ran, the LU ordering and fill, the estimate and
-the dropped singular values.
+`solve` has one path per kind of system: without an SVD cutoff (the
+square Galerkin and DG systems) a sparse LU in SuperLU's symmetric mode,
+made for the complex symmetric Galerkin matrices, that falls back to
+COLAMD with partial pivoting; with one (the possibly singular
+least-squares normal equations and Gram matrices) the truncated SVD,
+unless a COLAMD LU certifies that truncation would drop nothing.  Every
+LU is one `_factor` call.  `SolveResult` records the path that ran, the
+LU ordering and fill, the condition estimate and the dropped singular
+values.
 
 The Galerkin matrix, the L2 mass matrix and the (1,k) Gram matrix are all
 built from one set of shared parts (stiffness, mass, boundary mass), so
@@ -626,41 +618,48 @@ def _accepted_residual(A, x, rhs):
     return residual if residual <= _LU_RESIDUAL_LIMIT else None
 
 
+def _factor(A, ordering):
+    """SuperLU factors of the square sparse A, None where SuperLU finds A
+    singular.  `ordering` 'COLAMD' pivots partially; 'NESTED_DISSECTION'
+    takes A as it stands, already in its elimination order (SuperLU's
+    'NATURAL'), and 'MMD_AT_PLUS_A' a minimum degree ordering of A + A^T,
+    both in SuperLU's symmetric mode: one ordering for rows and columns
+    and diagonal pivots (off the diagonal only at an exact zero), so the
+    factors keep the fill the ordering predicts.  On the 2D Galerkin
+    systems of the square at k = 40, p = 1..3 and 5k-37k unknowns the
+    minimum degree ordering halves COLAMD's fill and the nested
+    dissection of `spaces._Space.elimination_order` stores 5-20% less
+    than it; under partial pivoting the same orderings blow up (over
+    60 s at p = 3).
+    """
+    spec = "NATURAL" if ordering == "NESTED_DISSECTION" else ordering
+    options = {} if ordering == "COLAMD" else {
+        "diag_pivot_thresh": 0.0, "options": {"SymmetricMode": True}}
+    try:
+        return scipy.sparse.linalg.splu(A.tocsc(), permc_spec=spec, **options)
+    except RuntimeError:  # "Factor is exactly singular"
+        return None
+
+
 def _sparse_lu(A, rhs, ordering):
     """Sparse LU solution of A x = rhs; returns (x, ordering, lu_nnz,
     residual), the residual None where none was computed.
 
-    `ordering` asks for the first factorization: 'NESTED_DISSECTION'
-    takes A as it stands, already permuted into its elimination order
-    (SuperLU's 'NATURAL'), and 'MMD_AT_PLUS_A' a minimum degree ordering
-    of A + A^T, both in SuperLU's symmetric mode: one ordering for rows
-    and columns and diagonal pivots (an off-diagonal pivot only where the
-    diagonal entry is exactly zero), so the factors keep the fill the
-    ordering predicts.  On the 2D Galerkin systems of the square at
-    k = 40, p = 1..3 and 5k-37k unknowns the minimum degree ordering
-    halves COLAMD's fill, and the nested dissection of
-    `spaces._Space.elimination_order` stores 5-20% less than it; the same
-    orderings under partial pivoting are what blow up (more than 60 s at
-    p = 3).  That solution is kept, with the residual that checked it,
-    when `splu` does not raise and `_accepted_residual` accepts x;
-    otherwise, or with 'COLAMD', A is factorized with COLAMD and partial
-    pivoting.  lu_nnz is `SuperLU.nnz`, the entries stored for L and U,
-    zeros padded into supernodes included.
+    The solution of the `_factor` in `ordering` is kept, with the
+    residual that checked it, when `_accepted_residual` accepts it;
+    otherwise, or with 'COLAMD', that of a COLAMD factor, and a singular
+    A raises np.linalg.LinAlgError.  lu_nnz is `SuperLU.nnz`, the entries
+    of L and U, zeros padded into supernodes included.
     """
-    if ordering != "COLAMD":
-        spec = "NATURAL" if ordering == "NESTED_DISSECTION" else ordering
-        try:
-            lu = scipy.sparse.linalg.splu(
-                A.tocsc(), permc_spec=spec, diag_pivot_thresh=0.0,
-                options={"SymmetricMode": True})
-        except RuntimeError:
-            pass
-        else:
-            x = lu.solve(rhs)
-            residual = _accepted_residual(A, x, rhs)
-            if residual is not None:
-                return x, ordering, lu.nnz, residual
-    lu = scipy.sparse.linalg.splu(A.tocsc(), permc_spec="COLAMD")
+    lu = None if ordering == "COLAMD" else _factor(A, ordering)
+    if lu is not None:
+        x = lu.solve(rhs)
+        residual = _accepted_residual(A, x, rhs)
+        if residual is not None:
+            return x, ordering, lu.nnz, residual
+    lu = _factor(A, "COLAMD")
+    if lu is None:
+        raise np.linalg.LinAlgError("the system matrix is singular")
     return lu.solve(rhs), "COLAMD", lu.nnz, None
 
 
@@ -678,9 +677,8 @@ def _certified_lu(A, rhs, svd_cutoff):
     estimate falling short of kappa_1.
     """
     n = rhs.shape[0]
-    try:
-        lu = scipy.sparse.linalg.splu(A.tocsc(), permc_spec="COLAMD")
-    except RuntimeError:
+    lu = _factor(A, "COLAMD")
+    if lu is None:
         return None, None, None, None
     x = lu.solve(rhs)
     residual = _accepted_residual(A, x, rhs)

@@ -441,8 +441,9 @@ _KEYS = {
 
 
 def parse_config_text(text):
-    """Parse flat key-value config text into a dict of raw strings."""
-    raw = {}
+    """Parse flat key-value config text into a dict of raw strings; a
+    key set on two lines is refused."""
+    raw, set_on = {}, {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
         if not body:
@@ -454,7 +455,10 @@ def parse_config_text(text):
         key = key.strip()
         if key not in _KEYS:
             raise ConfigError(key, "unknown config key")
-        raw[key] = value.strip()
+        if key in set_on:
+            raise ConfigError(key, f"set on line {set_on[key]} and again "
+                                   f"on line {lineno}")
+        raw[key], set_on[key] = value.strip(), lineno
     return raw
 
 

@@ -386,36 +386,34 @@ def _point_in_polygon(points, verts):
 def triangulate(domain, target_h):
     """Structured conforming triangulation of a built-in polygon.
 
-    target_h is the grid pitch of the underlying square lattice (each
-    kept cell is split into two right triangles); the actual max element
-    diameter is sqrt(2) * pitch and is recorded on the mesh.  A 1D
-    polygon, the interval between its two vertices a < b, gets
-    ceil((b - a) / target_h) equal elements, its ends tagged with its
-    side tags in vertex order.
+    Its extent (the longer side of its bounding box) is cut into the
+    fewest cells of width at most target_h, up to a relative 1e-12 so
+    that target_h = extent / n gives n cells: the equal elements of an
+    interval, its ends tagged with its side tags in vertex order, or the
+    square lattice cells of a 2D polygon, each split into two right
+    triangles (max diameter sqrt(2) * pitch, recorded on the mesh).
     """
     if target_h <= 0:
         raise ValueError("target_h must be positive")
+    verts = np.asarray(domain.vertices, dtype=float)
+    lo, hi = verts.min(axis=0), verts.max(axis=0)
+    extent = (hi - lo).max()
+    n = max(1, int(math.ceil(extent / target_h * (1.0 - 1e-12))))
     if domain.dim == 1:
         (a,), (b,) = domain.vertices
-        n = max(1, int(math.ceil((b - a) / target_h)))
         return uniform_interval_mesh(n, a, b, domain.side_tags)
-    verts = np.asarray(domain.vertices, dtype=float)
-    xmin, ymin = verts.min(axis=0)
-    xmax, ymax = verts.max(axis=0)
-    extent = max(xmax - xmin, ymax - ymin)
-    n = max(1, int(math.ceil(extent / target_h - 1e-12)))
     pitch = extent / n
     # polygon vertices must land on lattice nodes for an exact boundary
     for _ in range(n + 4):
-        offs = (verts - np.array([xmin, ymin])) / pitch
+        offs = (verts - lo) / pitch
         if np.allclose(offs, np.round(offs), atol=1e-9):
             break
         n += 1
         pitch = extent / n
     else:
         raise ValueError("target_h incompatible with the polygon vertices")
-    nx = int(round((xmax - xmin) / pitch))
-    ny = int(round((ymax - ymin) / pitch))
+    nx, ny = (int(round(side / pitch)) for side in hi - lo)
+    xmin, ymin = lo
     xs = xmin + pitch * np.arange(nx + 1)
     ys = ymin + pitch * np.arange(ny + 1)
     gx, gy = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
@@ -647,23 +645,54 @@ def mesh_to_text(mesh):
 
 
 def mesh_from_text(text):
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    dim, nn, ne = (int(tok) for tok in lines[0].split())
-    pos = 1
-    nodes = []
-    for i in range(nn):
-        nodes.append([float(tok) for tok in lines[pos + i].split()])
-    pos += nn
-    elements = []
-    for i in range(ne):
-        elements.append([int(tok) for tok in lines[pos + i].split()])
-    pos += ne
-    tags = []
-    for ln in lines[pos:]:
-        toks = ln.split()
-        if toks[0] != "edge":
-            raise ValueError(f"unexpected line in mesh file: {ln!r}")
-        tags.append((int(toks[1]), int(toks[2]), toks[3]))
+    """The mesh of a `mesh_to_text` form; blank lines are skipped.
+
+    Malformed text raises ValueError naming its 1-based line and what
+    that line should hold: a header of dim (1 or 2) and positive node
+    and element counts, that many node lines of dim finite coordinates,
+    element lines of dim + 1 node indices and 'edge i j tag' lines, each
+    index naming a node.
+    """
+    lines = text.splitlines()
+    numbered = [(number, line.split())
+                for number, line in enumerate(lines, start=1) if line.strip()]
+
+    def checked(kind, accept):
+        def parse(token):
+            value = kind(token)
+            if not accept(value):
+                raise ValueError(token)
+            return value
+        return parse
+
+    def read(i, what, parsers):
+        number, tokens = (numbered[i] if i < len(numbered)
+                          else (len(lines) + 1, []))
+        try:
+            if len(tokens) != len(parsers):
+                raise ValueError(tokens)
+            return [parse(tok) for parse, tok in zip(parsers, tokens)]
+        except ValueError:
+            got = repr(" ".join(tokens)) if tokens else "the end of the text"
+            raise ValueError(f"mesh text line {number}: expected {what}, "
+                             f"got {got}") from None
+
+    positive = checked(int, lambda v: v >= 1)
+    dim, nn, ne = read(0, "the header 'dim n_nodes n_elements', dim 1 or 2 "
+                       "and positive counts",
+                       [checked(int, lambda v: v in (1, 2)), positive,
+                        positive])
+    node = checked(int, lambda v: 0 <= v < nn)
+    coordinate = checked(float, math.isfinite)
+    nodes = [read(1 + i, f"node {i + 1} of {nn}: {dim} finite "
+                  f"coordinate(s)", [coordinate] * dim) for i in range(nn)]
+    elements = [read(1 + nn + i, f"element {i + 1} of {ne}: {dim + 1} node "
+                     f"indices below {nn}", [node] * (dim + 1))
+                for i in range(ne)]
+    edge = checked(str, lambda v: v == "edge")
+    tags = [tuple(read(i, f"'edge i j tag' with i and j below {nn}",
+                       [edge, node, node, str])[1:])
+            for i in range(1 + nn + ne, len(numbered))]
     nodes = np.array(nodes, dtype=float)
     if dim == 1:
         nodes = nodes.ravel()

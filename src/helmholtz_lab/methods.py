@@ -516,9 +516,8 @@ def h1_best_approximation(problem, space):
         return np.zeros(g.shape[0], dtype=complex), g.reshape(g.shape[0], -1)
 
     b = assembly.project_rhs_1k(space, problem.k, gradient_only)
-    system = assembly.assemble_galerkin(
-        space, problem.k, f=problem.f, g=problem.g, bc=problem.bc,
-        robin_sign=problem.robin_sign)
+    system = assembly.assemble_galerkin(space, problem.k, bc=problem.bc,
+                                        robin_sign=problem.robin_sign)
     stiff = system.A.real + problem.k**2 * system.mass
     coeffs = assembly.solve(replace(system, A=stiff, rhs=b)).x
     h1, _, _ = analysis.relative_errors(space, coeffs, exact.eval, problem.k,
@@ -645,16 +644,15 @@ def infsup_constant(problem, space):
     """Discrete inf-sup constant of the Galerkin form of `problem` on a
     conforming `space`, measured in the (1,k) norm.
 
-    Assembles the Galerkin matrix and the (1,k) Gram matrix
-    (`assembly.assemble_gram_1k`), restricts both to the free DOFs of the
-    Galerkin system (`assembly.restrict`; the Gram matrix stays real) and
-    takes `assembly.infsup_probe` of the pair.  Returns a `SolveOutput`
-    without coefficients whose report carries the constant as gamma_n and
-    the free DOF count as dofs.
+    Assembles the Galerkin matrix, without its loads, and the (1,k) Gram
+    matrix (`assembly.assemble_gram_1k`), restricts both to the free DOFs
+    of the Galerkin system (`assembly.restrict`; the Gram matrix stays
+    real) and takes `assembly.infsup_probe` of the pair.  Returns a
+    `SolveOutput` without coefficients whose report carries the constant
+    as gamma_n and the free DOF count as dofs.
     """
-    system = assembly.assemble_galerkin(
-        space, problem.k, f=problem.f, g=problem.g, bc=problem.bc,
-        robin_sign=problem.robin_sign)
+    system = assembly.assemble_galerkin(space, problem.k, bc=problem.bc,
+                                        robin_sign=problem.robin_sign)
     gram = assembly.assemble_gram_1k(space, problem.k)
     gamma_n = assembly.infsup_probe(assembly.restrict(system.A, system.free),
                                     assembly.restrict(gram, system.free))

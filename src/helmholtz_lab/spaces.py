@@ -523,50 +523,45 @@ class H1Space(_Space):
 
     def __init__(self, mesh, p):
         self.mesh = mesh
-        self.order = self.p = int(p)
-        self._edge_base = 2 * self.p + 2
+        self.order = self.p = p = int(p)
+        self._edge_base = 2 * p + 2
+        ne = mesh.n_elements
         if mesh.dim == 1:
-            self.nloc = p + 1
-            self.ndof = mesh.n_nodes + mesh.n_elements * (p - 1)
+            element_edges = np.empty((ne, 0), dtype=np.int64)
+            edge_modes, interior_modes = 0, p - 1
         else:
-            self.nloc = _h1_local_dim_2d(p)
-            n_edges = len(mesh.edge_nodes)
-            n_bub = (p - 1) * (p - 2) // 2
-            self.ndof = mesh.n_nodes + n_edges * (p - 1) + mesh.n_elements * n_bub
-        self._dofs = None
-        self._signs = None
+            element_edges = mesh.element_edges
+            edge_modes, interior_modes = p - 1, (p - 1) * (p - 2) // 2
+        # The DOF layout: per kind of mesh entity, the entities of each
+        # element (ne, m), the modes of one entity and the first global
+        # DOF of the kind.  The vertices come first, one DOF each, then
+        # p - 1 modes per triangle edge in edge order, then the modes
+        # inside each element (the interval's p - 1 live there).
+        self._layout = []
+        offset = 0
+        for entities, count, modes in (
+                (mesh.elements, mesh.n_nodes, 1),
+                (element_edges, len(mesh.edge_nodes), edge_modes),
+                (np.arange(ne)[:, None], ne, interior_modes)):
+            self._layout.append((entities, modes, offset))
+            offset += count * modes
+        self.ndof = offset
+        self.nloc = sum(e.shape[1] * modes for e, modes, _ in self._layout)
 
     # -- connectivity ---------------------------------------------------
 
     def dof_matrix(self):
-        """Global DOF indices per element, shape (n_elements, nloc).
+        """Global DOF indices per element, shape (n_elements, nloc), in
+        the order of the layout: vertices, edge modes, interior modes."""
+        return self._dofs
 
-        Numbering: vertices, then p-1 modes per mesh edge in edge order,
-        then the bubbles of each element in element order.
-        """
-        if self._dofs is not None:
-            return self._dofs
-        mesh, p = self.mesh, self.p
-        ne, nn = mesh.n_elements, mesh.n_nodes
-        dofs = np.empty((ne, self.nloc), dtype=np.int64)
-        if mesh.dim == 1:
-            dofs[:, :2] = mesh.elements
-            for q in range(2, p + 1):
-                dofs[:, q] = nn + np.arange(ne) * (p - 1) + (q - 2)
-        else:
-            dofs[:, :3] = mesh.elements
-            pos = 3
-            for j in range(3):
-                for q in range(2, p + 1):
-                    dofs[:, pos] = nn + mesh.element_edges[:, j] * (p - 1) + (q - 2)
-                    pos += 1
-            n_bub = (p - 1) * (p - 2) // 2
-            if n_bub:
-                base = nn + len(mesh.edge_nodes) * (p - 1) + np.arange(ne) * n_bub
-                for b in range(n_bub):
-                    dofs[:, pos + b] = base + b
-        self._dofs = dofs
-        return dofs
+    @functools.cached_property
+    def _dofs(self):
+        ne = self.mesh.n_elements
+        return np.concatenate(
+            [(offset + entities[:, :, None] * modes
+              + np.arange(modes)).reshape(ne, -1)
+             for entities, modes, offset in self._layout], axis=1)
 
     def orientation_signs(self):
         """Per-element mode signs, shape (n_elements, nloc).
@@ -574,29 +569,27 @@ class H1Space(_Space):
         An edge mode of degree q picks up (-1)^q when the local traversal
         of the edge runs against the global index order.
         """
-        if self._signs is not None:
-            return self._signs
-        mesh, p = self.mesh, self.p
-        signs = np.ones((mesh.n_elements, self.nloc))
-        if mesh.dim == 2 and p >= 2:
-            pos = 3
-            for a, b in _LOCAL_EDGES:
-                reversed_ = mesh.elements[:, a] > mesh.elements[:, b]
-                for q in range(2, p + 1):
-                    if q % 2 == 1:
-                        signs[reversed_, pos] = -1.0
-                    pos += 1
-        self._signs = signs
+        return self._signs
+
+    @functools.cached_property
+    def _signs(self):
+        mesh, ne = self.mesh, self.mesh.n_elements
+        signs = np.ones((ne, self.nloc))
+        if mesh.dim == 2:
+            a, b = np.transpose(_LOCAL_EDGES)
+            against = mesh.elements[:, a] > mesh.elements[:, b]
+            odd = np.arange(2, self.p + 1) % 2 == 1
+            flips = (against[:, :, None] & odd).reshape(ne, -1)
+            signs[:, 3:3 + flips.shape[1]] = np.where(flips, -1.0, 1.0)
         return signs
 
     def boundary_dofs(self, edges):
         """The nodes of `edges` and, in 2D, their p-1 edge modes each."""
-        nodes = super().boundary_dofs(edges)
-        if self.mesh.dim == 1:
-            return nodes
-        modes = (self.mesh.n_nodes + np.asarray(edges)[:, None] * (self.p - 1)
-                 + np.arange(self.p - 1))
-        return np.union1d(nodes, modes)
+        edges = np.asarray(edges, dtype=np.int64)
+        _, modes, offset = self._layout[1]
+        return np.unique(np.concatenate([
+            self.mesh.edge_nodes[edges].ravel(),
+            (offset + edges[:, None] * modes + np.arange(modes)).ravel()]))
 
     # -- quadrature ------------------------------------------------------
 

@@ -704,6 +704,15 @@ class TestSolve:
         np.testing.assert_allclose(res.x, [2.0, 1.0], rtol=1e-15)
         assert res.residual <= 1e-15
 
+    @pytest.mark.parametrize("dim", [1, 2], ids=["colamd", "symmetric_mode"])
+    def test_singular_matrix_raises_linalg_error(self, dim):
+        # a zero column is exactly singular to SuperLU under every ordering
+        A = np.array([[1.0, 0.0], [2.0, 0.0]], dtype=complex)
+        rhs = np.array([1.0, 2.0], dtype=complex)
+        with pytest.raises(np.linalg.LinAlgError, match="singular"):
+            solve(ComplexSystem(A=A, rhs=rhs, meta={"dim": dim}))
+        assert assembly._factor(scipy.sparse.csc_matrix(A), "COLAMD") is None
+
     @pytest.mark.parametrize("A", [
         np.eye(5)[[1, 2, 3, 4, 0]],
         np.array([[1e-20, 1.0], [1.0, 1.0]]),

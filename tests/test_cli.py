@@ -67,6 +67,23 @@ class TestConfigParsing:
         with pytest.raises(cli.ConfigError):
             cli.parse_config_text("just some words\n")
 
+    def test_repeated_key_names_both_lines(self):
+        with pytest.raises(cli.ConfigError) as err:
+            cli.parse_config_text("k = 1\n# note\n\np = 2\nk = 2\n")
+        assert err.value.key == "k"
+        assert "line 1" in str(err.value) and "line 5" in str(err.value)
+
+    def test_repeated_key_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "res.csv"
+        path = write_config(tmp_path, SMALL_1D.format(out=out) + "k = 6\n")
+        assert cli.main(["run", path]) == 2
+        assert "'k'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_key_over_its_preset_is_not_a_repeat(self):
+        raw = cli.parse_config_text("preset = infsup_1d\nk = 8\n")
+        assert cli.build_config(raw)["k"] == [8.0]
+
     def test_bad_number_names_key(self):
         with pytest.raises(cli.ConfigError) as err:
             cli.build_config({"method": "fem", "domain": "interval",
@@ -365,6 +382,23 @@ class TestRunCommand:
             assert series == sorted(series)
             errs = [float(r["err_h1semi_rel"]) for r in rows if r["p"] == p]
             assert errs[-1] < errs[0]
+
+    def test_every_element_count_meshes_that_many_elements(self, tmp_path):
+        # in floating point 1 / (1/49) is 49.00000000000001, not 49
+        out = tmp_path / "res.csv"
+        path = write_config(tmp_path, f"method = fem\ndomain = interval\n"
+                            f"k = 10\np = 1\nn_elements = 48,49,50\n"
+                            f"out = {out}\n")
+        assert cli.main(["run", path]) == 0
+        assert [r["dofs"] for r in _read_rows(out)] == ["48", "49", "50"]
+
+    def test_infsup_meshes_k_over_khp_elements(self, tmp_path):
+        # at khp = 0.25, p = 1: 49 and 50 elements, one Dirichlet end
+        out = tmp_path / "res.csv"
+        path = write_config(tmp_path, f"preset = infsup_1d\nk = 12.25,12.5\n"
+                            f"p = 1\nout = {out}\n")
+        assert cli.main(["run", path]) == 0
+        assert [r["dofs"] for r in _read_rows(out)] == ["49", "50"]
 
     def test_rerun_is_byte_identical(self, tmp_path):
         out = tmp_path / "res.csv"

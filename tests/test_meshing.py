@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helmholtz_lab.meshing import (
     Polygon,
@@ -465,6 +467,79 @@ class TestTextRoundTrip:
         n1 = sum(e.length for e in mesh.boundary_edges() if e.tag == "neumann")
         n2 = sum(e.length for e in mesh2.boundary_edges() if e.tag == "neumann")
         assert n1 == pytest.approx(n2, abs=1e-15)
+
+
+# A triangle mesh with one element and a tagged edge; each malformed text
+# below breaks one line of it (or of its 1D counterpart).
+_GOOD_TEXT = "2 3 1\n0 0\n1 0\n0 1\n0 1 2\nedge 0 1 robin\n"
+
+
+class TestMalformedText:
+    def test_good_text_reads(self):
+        mesh = mesh_from_text(_GOOD_TEXT)
+        assert mesh.n_elements == 1
+        assert sorted(t for t in mesh.edge_tags if t) == ["robin"]
+
+    @pytest.mark.parametrize("text, line, expected", [
+        ("", 1, "header"),
+        ("2 3\n", 1, "header"),
+        ("2 3 1 4\n", 1, "header"),
+        ("3 3 1\n", 1, "dim 1 or 2"),
+        ("2 0 1\n", 1, "header"),
+        ("two 3 1\n", 1, "header"),
+        ("2 3 1\n0 0\n1 0\n", 4, "node 3 of 3"),
+        ("2 3 1\n0 0\n1\n0 1\n0 1 2\n", 3, "node 2 of 3"),
+        ("2 3 1\n0 0\n1 0\n0 inf\n0 1 2\n", 4, "finite"),
+        ("2 3 1\n0 0\n1 0\n0 x\n0 1 2\n", 4, "node 3 of 3"),
+        ("2 3 1\n0 0\n1 0\n0 1\n", 5, "element 1 of 1"),
+        ("2 3 1\n0 0\n1 0\n0 1\n0 1\n", 5, "3 node indices"),
+        ("2 3 1\n0 0\n1 0\n0 1\n0 1 3\n", 5, "below 3"),
+        ("2 3 1\n0 0\n1 0\n0 1\n0 -1 2\n", 5, "below 3"),
+        ("2 3 1\n0 0\n1 0\n0 1\n0 1 2.5\n", 5, "element 1 of 1"),
+        ("2 3 1\n0 0\n1 0\n0 1\n0 1 2\nedge 0 1\n", 6, "'edge i j tag'"),
+        ("2 3 1\n0 0\n1 0\n0 1\n0 1 2\nside 0 1 robin\n", 6, "'edge"),
+        ("2 3 1\n0 0\n1 0\n0 1\n0 1 2\nedge 0 7 robin\n", 6, "below 3"),
+        ("2 3 1\n\n0 0\n1 0\n\n0 1\n0 1 2\nedge 0 1 a b\n", 8, "'edge"),
+        ("1 2 1\n0\n1\n0 1 2\n", 4, "2 node indices"),
+        ("1 2 1\n0 0\n1\n0 1\n", 2, "1 finite coordinate"),
+    ])
+    def test_names_the_line_and_what_it_expected(self, text, line, expected):
+        with pytest.raises(ValueError, match=f"line {line}: expected") as err:
+            mesh_from_text(text)
+        assert expected in str(err.value)
+
+
+class TestCellCount:
+    """triangulate(P, extent / n) cuts the extent of P into n cells."""
+
+    def test_every_interval_count(self):
+        wrong = [n for n in range(1, 2001)
+                 if triangulate(unit_interval(), 1.0 / n).n_elements != n]
+        assert wrong == []
+
+    def test_every_square_and_lshape_count(self):
+        for n in range(1, 61):
+            assert triangulate(unit_square(), 1.0 / n).n_elements == 2 * n * n
+        for n in range(2, 61, 2):
+            # three of the four n/2 x n/2 quadrants of (-1, 1)^2
+            assert triangulate(l_shape(), 2.0 / n).n_elements == 3 * n * n // 2
+
+    @given(st.floats(min_value=1.0 / 64, max_value=2.0))
+    @settings(max_examples=200, deadline=None)
+    def test_fewest_cells_no_wider_than_h(self, h):
+        # n cells across: n elements on the interval, 2 n^2 on the square
+        across = [triangulate(unit_interval(), h).n_elements,
+                  math.isqrt(triangulate(unit_square(), h).n_elements // 2)]
+        for n in across:
+            assert 1.0 / n <= h * (1.0 + 2e-12)
+            assert n == 1 or 1.0 / (n - 1) > h
+        assert across[0] == across[1]
+
+    @given(st.integers(min_value=1, max_value=20000),
+           st.floats(min_value=-1e-13, max_value=1e-13))
+    @settings(max_examples=200, deadline=None)
+    def test_width_within_roundoff_of_extent_over_n(self, n, t):
+        assert triangulate(unit_interval(), (1.0 + t) / n).n_elements == n
 
 
 class TestValidator:

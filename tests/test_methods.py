@@ -752,6 +752,28 @@ class TestInfsupConstant:
         assert out.coeffs is None and out.result is None
         assert rep.h1_semi_rel is None and rep.l2_rel is None
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_loads_are_never_evaluated(self, dim):
+        # the constant and the H1 projection read only the Galerkin matrix:
+        # with source and Robin data that raise they give the same bits
+        def refuse(pts):
+            raise AssertionError("a load was evaluated")
+
+        if dim == 1:
+            problem, h = methods.model_problem_1d(12.0), 1.0 / 48
+        else:
+            problem, h = methods.plane_wave_problem(4.0), 0.25
+        silent = dataclasses.replace(problem, f=refuse, g=refuse)
+        mesh = meshing.triangulate(problem.domain, h)
+        results = []
+        for prob in (problem, silent):
+            space = spaces.h1_space(mesh, 2)
+            gamma = methods.infsup_constant(prob, space).report.gamma_n
+            coeffs, best = methods.h1_best_approximation(prob, space)
+            results.append((np.float64(gamma).tobytes(), coeffs.tobytes(),
+                            np.float64(best).tobytes()))
+        assert results[0] == results[1]
+
     def test_all_dofs_free_without_dirichlet(self):
         problem = methods.plane_wave_problem(4.0)
         space = spaces.h1_space(meshing.triangulate(problem.domain, 0.5), 1)

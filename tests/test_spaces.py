@@ -226,6 +226,47 @@ class TestDofNumbering:
                                           dict_dof_matrix(space))
 
 
+    @pytest.mark.parametrize("name", ["interval", "square", "graded"])
+    def test_layout_matches_mode_loops(self, name):
+        # the numbering, signs and Dirichlet DOFs of loops over local
+        # edges, mode degrees and bubbles, as the layout once was written
+        if name == "interval":
+            mesh = uniform_interval_mesh(5)
+        elif name == "square":
+            mesh = triangulate(unit_square(), 0.25)
+        else:
+            mesh = geometric_refine(triangulate(l_shape(), 0.5), [(0.0, 0.0)],
+                                    0.25, 3)
+        nn, ne = mesh.n_nodes, mesh.n_elements
+        boundary = np.flatnonzero(mesh.boundary_mask)
+        local_edges = ((0, 1), (1, 2), (0, 2)) if mesh.dim == 2 else ()
+        for p in range(1, 7):
+            space = h1_space(mesh, p)
+            n_edges = len(mesh.edge_nodes) if mesh.dim == 2 else 0
+            n_inner = p - 1 if mesh.dim == 1 else (p - 1) * (p - 2) // 2
+            assert space.ndof == nn + n_edges * (p - 1) + ne * n_inner
+            dofs = [list(row) for row in mesh.elements]
+            signs = np.ones((ne, space.nloc))
+            for e in range(ne):
+                for j, (a, b) in enumerate(local_edges):
+                    for q in range(2, p + 1):
+                        dofs[e].append(nn + mesh.element_edges[e, j] * (p - 1)
+                                       + q - 2)
+                        if q % 2 and mesh.elements[e, a] > mesh.elements[e, b]:
+                            signs[e, len(dofs[e]) - 1] = -1.0
+                base = nn + n_edges * (p - 1) + e * n_inner
+                dofs[e] += range(base, base + n_inner)
+            assert space.dof_matrix().tobytes() == np.array(dofs).tobytes()
+            assert space.orientation_signs().tobytes() == signs.tobytes()
+            assert space.dof_matrix() is space.dof_matrix()
+            want = set(mesh.edge_nodes[boundary].ravel())
+            if mesh.dim == 2:
+                for edge in boundary:
+                    want |= {nn + edge * (p - 1) + q for q in range(p - 1)}
+            np.testing.assert_array_equal(space.boundary_dofs(boundary),
+                                          sorted(want))
+
+
 def batch_points(mesh, elems, n, rng):
     return np.stack([random_points_in(mesh, ei, n, rng) for ei in elems])
 

@@ -82,6 +82,13 @@ def test_only_assembly_calls_splu():
     assert callers == ["assembly"]
 
 
+def test_only_factor_calls_splu():
+    # Every sparse LU, the symmetric-mode attempt and the COLAMD
+    # factorizations alike, takes its options from one function.
+    callers = top_level_callers(package_trees()["assembly"], "splu")
+    assert callers == ["_factor"]
+
+
 def test_cli_compares_no_method_name():
     # What depends on the method is a field of its `_METHODS` entry; a
     # comparison with a method's name would keep one of its facts
