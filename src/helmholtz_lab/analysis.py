@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spaces import _flat, _point_values
+from .spaces import _point_fields, _point_values
 
 
 @dataclass
@@ -107,9 +107,7 @@ def relative_errors(space, coeffs, exact, k, exclude_radius=0.0):
             pts, w = _apply_exclusion(pts, w, exclude_radius,
                                       mesh.centroids()[elems])
         u_n, g_n = space.field(elems, coeffs, rule)
-        u_e, g_e = exact(_flat(pts))
-        u_e = np.asarray(u_e, dtype=complex).reshape(w.shape)
-        g_e = np.asarray(g_e, dtype=complex).reshape(g_n.shape)
+        u_e, g_e = _point_fields(exact, pts)
         w = w.ravel()
         u_d = np.empty_like(u_e, order="C")
         g_d = np.empty_like(g_e, order="C")
@@ -144,12 +142,11 @@ def nodal_max_error(space, coeffs, exact_value):
 # -- skeleton DG norms --------------------------------------------------------
 
 
-def _exact_traces(space, edges, pts, exact):
-    """Values and plus-normal derivatives (E, Q) of the exact solution."""
-    u, g = exact(_flat(pts))
-    u = np.asarray(u, dtype=complex).reshape(pts.shape[:2])
-    g = np.asarray(g, dtype=complex).reshape(pts.shape)
-    return u, np.einsum("eqd,ed->eq", g, space.mesh.edge_normals[edges])
+def _exact_traces(mesh, edges, pts, exact):
+    """Values and plus-normal derivatives (E, Q) of the exact solution at
+    the points (E, Q[, 2]) of the `edges` of `mesh`."""
+    u, g = _point_fields(exact, pts)
+    return u, np.einsum("eqd,ed->eq", g, mesh.edge_normals[edges])
 
 
 def _dg_squares(space, coeffs, flux, k, exact=None):
@@ -168,7 +165,7 @@ def _dg_squares(space, coeffs, flux, k, exact=None):
         alpha, beta, _ = (a[:, None] for a in flux.on_edges(edges))
         pts, ((u_p, gn_p), (u_m, gn_m)) = space.edge_field(edges, coeffs, t)
         if exact is not None:
-            u_e, gn_e = _exact_traces(space, edges, pts, exact)
+            u_e, gn_e = _exact_traces(mesh, edges, pts, exact)
             u_p, u_m = u_e - u_p, u_e - u_m
             gn_p, gn_m = gn_e - gn_p, gn_e - gn_m
         sq = (beta / k * np.abs(gn_p - gn_m) ** 2
@@ -182,7 +179,7 @@ def _dg_squares(space, coeffs, flux, k, exact=None):
         delta = flux.on_edges(edges)[2][:, None]
         pts, ((u, gn),) = space.edge_field(edges, coeffs, t)
         if exact is not None:
-            u_e, gn_e = _exact_traces(space, edges, pts, exact)
+            u_e, gn_e = _exact_traces(mesh, edges, pts, exact)
             u, gn = u_e - u, gn_e - gn
         sq = delta / k * np.abs(gn) ** 2 + k * (1.0 - delta) * np.abs(u) ** 2
         sq_plus = sq + k / delta * np.abs(u) ** 2

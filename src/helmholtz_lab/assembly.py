@@ -42,15 +42,16 @@ the batches of edges that share an edge rule from `space.edge_batches`
 (a structured mesh has three edge lengths), the skeleton forms with both
 sides' traces from one `space.edge_tables` call per batch.
 
-`solve` has one path per kind of system: without an SVD cutoff (the
-square Galerkin and DG systems) a sparse LU in SuperLU's symmetric mode,
-made for the complex symmetric Galerkin matrices, that falls back to
-COLAMD with partial pivoting; with one (the possibly singular
-least-squares normal equations and Gram matrices) the truncated SVD,
-unless a COLAMD LU certifies that truncation would drop nothing.  Every
-LU is one `_factor` call.  `SolveResult` records the path that ran, the
-LU ordering and fill, the condition estimate and the dropped singular
-values.
+`solve` cuts and orders the system and hands it to one strategy per
+kind of system, which returns a complete `SolveResult`: without an SVD
+cutoff (the square Galerkin and DG systems) `_sparse_lu`, a sparse LU in
+SuperLU's symmetric mode, made for the complex symmetric Galerkin
+matrices, that falls back to COLAMD with partial pivoting; with one (the
+possibly singular least-squares normal equations and Gram matrices)
+`_truncated`, the truncated SVD unless a COLAMD LU certifies that
+truncation would drop nothing.  Every LU is one `_factor` call.
+`SolveResult` records the path that ran, the LU ordering and fill, the
+condition estimate and the dropped singular values.
 
 The Galerkin matrix, the L2 mass matrix and the (1,k) Gram matrix are all
 built from one set of shared parts (stiffness, mass, boundary mass), so
@@ -61,7 +62,7 @@ quadrature accuracy.  A Galerkin system builds its mass matrix only when
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg
@@ -275,9 +276,7 @@ def _source_load(fn, pts, w, vals):
 def _load_1k(k, target, pts, w, vals, grads):
     """Local (1,k) load k^2 (u, b_l) + (grad u, grad b_l), (nb, nloc), of
     one element batch from its `element_tables`."""
-    u, g = target(spaces._flat(pts))
-    uq = np.asarray(u, dtype=complex).reshape(w.shape)
-    gq = np.asarray(g, dtype=complex).reshape(grads.shape[:2] + grads.shape[3:])
+    uq, gq = spaces._point_fields(target, pts)
     return (k**2 * np.einsum("eq,eql->el", w * uq, np.conj(vals))
             + np.einsum("eq,eqd,eqld->el", w, gq, np.conj(grads)))
 
@@ -642,8 +641,7 @@ def _factor(A, ordering):
 
 
 def _sparse_lu(A, rhs, ordering):
-    """Sparse LU solution of A x = rhs; returns (x, ordering, lu_nnz,
-    residual), the residual None where none was computed.
+    """The sparse LU solution of A x = rhs.
 
     The solution of the `_factor` in `ordering` is kept, with the
     residual that checked it, when `_accepted_residual` accepts it;
@@ -652,70 +650,73 @@ def _sparse_lu(A, rhs, ordering):
     of L and U, zeros padded into supernodes included.
     """
     lu = None if ordering == "COLAMD" else _factor(A, ordering)
-    if lu is not None:
+    x = None if lu is None else lu.solve(rhs)
+    residual = None if lu is None else _accepted_residual(A, x, rhs)
+    if residual is None:
+        ordering, lu = "COLAMD", _factor(A, "COLAMD")
+        if lu is None:
+            raise np.linalg.LinAlgError("the system matrix is singular")
         x = lu.solve(rhs)
-        residual = _accepted_residual(A, x, rhs)
-        if residual is not None:
-            return x, ordering, lu.nnz, residual
-    lu = _factor(A, "COLAMD")
-    if lu is None:
-        raise np.linalg.LinAlgError("the system matrix is singular")
-    return lu.solve(rhs), "COLAMD", lu.nnz, None
+        residual = _relative_residual(A, x, rhs)
+    return SolveResult(x=x, residual=residual, strategy="sparse_lu",
+                       ordering=ordering, lu_nnz=lu.nnz)
 
 
-def _certified_lu(A, rhs, svd_cutoff):
-    """Sparse LU solution that provably equals the truncated-SVD one.
+def _truncated(A, rhs, svd_cutoff):
+    """The minimum-norm least-squares solution of A x = rhs after zeroing
+    singular values below svd_cutoff * sigma_max.
 
-    Returns (x, kappa_1, lu_nnz, residual), residual being the relative
-    residual of x, with x None when the certificate fails: `splu` finds
-    A singular, `_accepted_residual` refuses x, or
-    10 n kappa_1 >= 1/svd_cutoff, where kappa_1 is the 1-norm condition
-    number estimated by `onenormest` on A and on A^-1 applied through
-    the LU factors.  Since kappa_2 <= n kappa_1, a passing certificate
-    shows that truncation would drop no singular value, so the LU
-    solution is the minimum-norm solution; the factor 10 allows for the
-    estimate falling short of kappa_1.
+    A COLAMD LU solution is kept when it certifies that truncation would
+    drop nothing: `_accepted_residual` accepts it and
+    10 n kappa_1 < 1/svd_cutoff, where kappa_1 is the 1-norm condition
+    number estimated by `onenormest` on A and on A^-1 applied through the
+    LU factors.  Since kappa_2 <= n kappa_1, truncation would then drop
+    no singular value, so the LU solution is the minimum-norm one; the
+    factor 10 allows for the estimate falling short of kappa_1.  Else
+    the dense SVD solves, with `cond_est` the estimate where one was made.
     """
     n = rhs.shape[0]
     lu = _factor(A, "COLAMD")
-    if lu is None:
-        return None, None, None, None
-    x = lu.solve(rhs)
-    residual = _accepted_residual(A, x, rhs)
-    if residual is None:
-        return None, None, None, None
-    inverse = scipy.sparse.linalg.LinearOperator(
-        (n, n), dtype=complex, matvec=lu.solve, matmat=lu.solve,
-        rmatvec=lambda v: lu.solve(v, trans="H"),
-        rmatmat=lambda v: lu.solve(v, trans="H"))
-    # an A^-1 near overflow reads as an infinite, failing estimate
-    with np.errstate(over="ignore", invalid="ignore"):
-        kappa = float(scipy.sparse.linalg.onenormest(A)
-                      * scipy.sparse.linalg.onenormest(inverse))
-    if not 10.0 * n * kappa < 1.0 / svd_cutoff:
-        return None, kappa, None, None
-    return x, kappa, lu.nnz, residual
+    x = None if lu is None else lu.solve(rhs)
+    residual = None if lu is None else _accepted_residual(A, x, rhs)
+    kappa = None
+    if residual is not None:
+        inverse = scipy.sparse.linalg.LinearOperator(
+            (n, n), dtype=complex, matvec=lu.solve, matmat=lu.solve,
+            rmatvec=lambda v: lu.solve(v, trans="H"),
+            rmatmat=lambda v: lu.solve(v, trans="H"))
+        # an A^-1 near overflow reads as an infinite, failing estimate
+        with np.errstate(over="ignore", invalid="ignore"):
+            kappa = float(scipy.sparse.linalg.onenormest(A)
+                          * scipy.sparse.linalg.onenormest(inverse))
+        if 10.0 * n * kappa < 1.0 / svd_cutoff:
+            return SolveResult(x=x, residual=residual, strategy="sparse_lu",
+                               cond_est=kappa, ordering="COLAMD",
+                               lu_nnz=lu.nnz)
+    u, s, vh = np.linalg.svd(_dense(A))
+    keep = s > svd_cutoff * s[0]
+    inv = np.zeros_like(s)
+    inv[keep] = 1.0 / s[keep]
+    x = vh.conj().T @ (inv * (u.conj().T @ rhs))
+    return SolveResult(x=x, residual=_relative_residual(A, x, rhs),
+                       strategy="truncated_svd",
+                       svd_dropped=int(np.count_nonzero(~keep)),
+                       cond_est=kappa)
 
 
 def solve(system, svd_cutoff=None):
-    """Solve the assembled system; returns the solution and its residual.
+    """Solve the assembled system; returns its `SolveResult`.
 
-    Without `svd_cutoff`, a sparse LU: SuperLU's symmetric mode first,
-    falling back to COLAMD with partial pivoting (`_sparse_lu`).  The
-    symmetric mode eliminates the free DOFs in the system's `order` when
-    it has one (a conforming space on a large 2D mesh), cut and permuted
-    by one `restrict`, else in SuperLU's minimum degree ordering; systems
-    whose meta['dim'] is 1 go to COLAMD directly.  With it, the
-    minimum-norm least-squares solution after zeroing singular values
-    below svd_cutoff * sigma_max, for numerically singular normal
-    equations and Gram matrices of wave-based bases: a COLAMD LU that
-    certifies, by its residual and a condition estimate, that no singular
-    value would be dropped (`_certified_lu`), else the dense SVD, which
-    refuses systems above _DENSE_LIMIT unknowns.  `SolveResult.strategy`
-    names the path that ran ('sparse_lu' or 'truncated_svd'), `ordering`
-    and `lu_nnz` the LU that produced x, `cond_est` carries the condition
-    estimate when one was made, and `svd_dropped` counts the zeroed
-    values.  The matrix may be given in any form scipy.sparse accepts.
+    Without `svd_cutoff`, a sparse LU (`_sparse_lu`): in SuperLU's
+    symmetric mode, on the free DOFs in the system's `order` when it has
+    one (a conforming space on a large 2D mesh), cut and permuted by one
+    `restrict`, else in SuperLU's minimum degree ordering; systems whose
+    meta['dim'] is 1 go to COLAMD directly.  With it, the truncated
+    solve (`_truncated`), for numerically singular normal equations and
+    Gram matrices of wave-based bases; its dense SVD refuses systems
+    above _DENSE_LIMIT unknowns.  The DOFs the system fixes are zero in
+    x, and a non-finite x raises np.linalg.LinAlgError.  The matrix may
+    be given in any form scipy.sparse accepts.
     """
     index, ordering = system.free, None
     if svd_cutoff is None:
@@ -732,34 +733,15 @@ def solve(system, svd_cutoff=None):
     nred = rhs.shape[0]
     if A.shape != (nred, nred):
         raise ValueError("system matrix and right-hand side sizes disagree")
-    dropped = 0
-    cond_est = lu_nnz = residual = None
-    ran = "sparse_lu"
-    if svd_cutoff is None:
-        x, ordering, lu_nnz, residual = _sparse_lu(A, rhs, ordering)
-    else:
-        x, cond_est, lu_nnz, residual = _certified_lu(A, rhs, svd_cutoff)
-        if x is not None:
-            ordering = "COLAMD"
-        else:
-            ran = "truncated_svd"
-            u, s, vh = np.linalg.svd(_dense(A))
-            keep = s > svd_cutoff * s[0]
-            inv = np.zeros_like(s)
-            inv[keep] = 1.0 / s[keep]
-            x = vh.conj().T @ (inv * (u.conj().T @ rhs))
-            dropped = int(np.count_nonzero(~keep))
-    if not np.all(np.isfinite(x)):
+    result = (_sparse_lu(A, rhs, ordering) if svd_cutoff is None
+              else _truncated(A, rhs, svd_cutoff))
+    if not np.all(np.isfinite(result.x)):
         raise np.linalg.LinAlgError("solver produced non-finite values")
-    if residual is None:
-        residual = _relative_residual(A, x, rhs)
     if index is not None:
         full = np.zeros(system.ndof, dtype=complex)
-        full[index] = x
-        x = full
-    return SolveResult(x=x, residual=residual, strategy=ran,
-                       svd_dropped=dropped, cond_est=cond_est,
-                       ordering=ordering, lu_nnz=lu_nnz)
+        full[index] = result.x
+        result = replace(result, x=full)
+    return result
 
 
 def infsup_probe(b_matrix, gram):

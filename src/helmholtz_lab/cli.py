@@ -19,10 +19,14 @@ whose polygon `mesh-dump` meshes.
 import argparse
 import collections
 import concurrent.futures
+import contextlib
+import ctypes
+import importlib
 import itertools
 import math
 import os
 import sys
+import threading
 import time
 
 import numpy as np
@@ -635,7 +639,9 @@ def _run_task(cfg, task, shared):
     row["error"] = ""
     started = time.perf_counter()
     try:
-        _report_into_row(row, _METHODS[task["method"]].run(cfg, task, shared))
+        with _one_blas_thread():
+            out = _METHODS[task["method"]].run(cfg, task, shared)
+        _report_into_row(row, out)
     except Exception as exc:
         row["error"] = _sanitize(f"{type(exc).__name__}: {exc}")
         return row
@@ -662,6 +668,66 @@ def _sort_key(row):
         -(row["h"] if row["h"] is not None else 0.0),
         row["dofs"] if row["dofs"] is not None else -1,
     )
+
+
+# The OpenBLAS builds that numpy and scipy bundle: an extension module
+# that links each, and the name of its thread-count getter and setter.
+_BLAS_LIBRARIES = (
+    ("numpy._core._multiarray_umath", "scipy_openblas_{}_num_threads64_"),
+    ("scipy.linalg._fblas", "scipy_openblas_{}_num_threads"),
+)
+
+
+def _blas_thread_controls():
+    """The (getter, setter) pairs of the `_BLAS_LIBRARIES` found, and the
+    modules of those whose library or symbols are not found."""
+    found, missing = [], []
+    for module, symbol in _BLAS_LIBRARIES:
+        try:
+            lib = ctypes.CDLL(importlib.import_module(module).__file__)
+            found.append(tuple(getattr(lib, symbol.format(verb))
+                               for verb in ("get", "set")))
+        except (ImportError, OSError, AttributeError):
+            missing.append(module)
+    return found, missing
+
+
+# The pins open now, and the thread counts to restore when none is.
+_blas_lock = threading.Lock()
+_blas_pins = {"open": 0, "restore": []}
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the body with every BLAS library at one thread; the thread
+    counts are restored when the last of the pins open at once ends.
+
+    OpenBLAS splits a product over its threads, one per CPU by default,
+    and the roundoff depends on the split, so without the pin the bits
+    of a CSV would depend on the host's core count.  `run_config` pins
+    its run and `_run_task` each row, so a row run on its own gets the
+    bits of the same row in a run.  A library that is not found stays
+    unpinned, with one line on stderr.
+    """
+    with _blas_lock:
+        if not _blas_pins["open"]:
+            found, missing = _blas_thread_controls()
+            if missing:
+                print(f"note: BLAS thread count not pinned for "
+                      f"{', '.join(missing)}; the CSV may depend on it",
+                      file=sys.stderr)
+            _blas_pins["restore"] = [(put, get()) for get, put in found]
+            for put, _ in _blas_pins["restore"]:
+                put(1)
+        _blas_pins["open"] += 1
+    try:
+        yield
+    finally:
+        with _blas_lock:
+            _blas_pins["open"] -= 1
+            if not _blas_pins["open"]:
+                for put, count in _blas_pins["restore"]:
+                    put(count)
 
 
 def execute_runs(cfg, tasks):
@@ -733,7 +799,8 @@ def series_slopes(rows, spec):
 def run_config(cfg, echo=print):
     """Execute a built config: write its CSV, report slopes, return rows."""
     tasks = expand_runs(cfg)
-    rows, failed = execute_runs(cfg, tasks)
+    with _one_blas_thread():
+        rows, failed = execute_runs(cfg, tasks)
     text = rows_to_csv_text(rows)
     out_path = cfg["out"]
     out_dir = os.path.dirname(out_path)

@@ -234,6 +234,8 @@ class Mesh:
             x0 = self.nodes[self.elements[:, 0]]
             x1 = self.nodes[self.elements[:, 1]]
             lengths = self._cache["areas"] = np.abs(x1 - x0)
+            if np.any(lengths <= 0):
+                raise ValueError("element with zero length")
             self._cache["centroids"] = (x0 + x1) / 2.0
             self.h = float(np.max(lengths))
             self.h_min = float(np.min(lengths))
@@ -314,11 +316,12 @@ class Mesh:
         return self._cache["centroids"]
 
     def edge_points(self, edges, t):
-        """Points (E, Q, 2) at the parameters t on [0, 1] along each edge
-        of the index array `edges`, from its first node to its second."""
-        a = self.nodes[self.edge_nodes[edges, 0]]
-        b = self.nodes[self.edge_nodes[edges, 1]]
-        return a[:, None, :] + t[None, :, None] * (b - a)[:, None, :]
+        """Points (E, Q[, 2]) at the parameters t on [0, 1] along each edge
+        of the index array `edges`, from its first node to its second; an
+        interval's edge is an end node, its point for every t."""
+        a, b = (self.nodes[self.edge_nodes[edges, i]] for i in (0, 1))
+        t = t[:, None] if self.dim == 2 else t
+        return a[:, None] + t * (b - a)[:, None]
 
     # -- edge views ------------------------------------------------------
 
@@ -651,11 +654,21 @@ def mesh_from_text(text):
     that line should hold: a header of dim (1 or 2) and positive node
     and element counts, that many node lines of dim finite coordinates,
     element lines of dim + 1 node indices and 'edge i j tag' lines, each
-    index naming a node.
+    index naming a node.  An element of zero length (1D) or non-positive
+    area (2D), one on the nodes of an earlier element, whose line is
+    named too, and an edge line whose nodes bound no boundary edge are
+    refused alike.
     """
     lines = text.splitlines()
     numbered = [(number, line.split())
                 for number, line in enumerate(lines, start=1) if line.strip()]
+
+    def refuse(i, what):
+        number, tokens = (numbered[i] if i < len(numbered)
+                          else (len(lines) + 1, []))
+        got = repr(" ".join(tokens)) if tokens else "the end of the text"
+        raise ValueError(f"mesh text line {number}: expected {what}, "
+                         f"got {got}")
 
     def checked(kind, accept):
         def parse(token):
@@ -666,16 +679,13 @@ def mesh_from_text(text):
         return parse
 
     def read(i, what, parsers):
-        number, tokens = (numbered[i] if i < len(numbered)
-                          else (len(lines) + 1, []))
+        tokens = numbered[i][1] if i < len(numbered) else []
         try:
-            if len(tokens) != len(parsers):
-                raise ValueError(tokens)
-            return [parse(tok) for parse, tok in zip(parsers, tokens)]
+            if len(tokens) == len(parsers):
+                return [parse(tok) for parse, tok in zip(parsers, tokens)]
         except ValueError:
-            got = repr(" ".join(tokens)) if tokens else "the end of the text"
-            raise ValueError(f"mesh text line {number}: expected {what}, "
-                             f"got {got}") from None
+            pass
+        refuse(i, what)
 
     positive = checked(int, lambda v: v >= 1)
     dim, nn, ne = read(0, "the header 'dim n_nodes n_elements', dim 1 or 2 "
@@ -694,9 +704,32 @@ def mesh_from_text(text):
                        [edge, node, node, str])[1:])
             for i in range(1 + nn + ne, len(numbered))]
     nodes = np.array(nodes, dtype=float)
-    if dim == 1:
-        nodes = nodes.ravel()
-    return Mesh(dim, nodes, np.array(elements, dtype=np.int64), edge_tags=tags)
+    elements = np.array(elements, dtype=np.int64)
+    # the measure Mesh computes: the length, or half the cross product of
+    # the sides from the first node (the second side is unused in 1D)
+    pts = nodes[elements]
+    d1, d2 = pts[:, 1] - pts[:, 0], pts[:, -1] - pts[:, 0]
+    measure = (np.abs(d1[:, 0]) if dim == 1
+               else 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]))
+    first = {}
+    for i, elem in enumerate(elements):
+        if not measure[i] > 0:
+            refuse(1 + nn + i, f"element {i + 1} of {ne}: " + (
+                "two nodes at different points" if dim == 1 else
+                "counterclockwise nodes around a positive area"))
+        earlier = first.setdefault(frozenset(elem.tolist()), 1 + nn + i)
+        if earlier != 1 + nn + i:
+            refuse(1 + nn + i, f"element {i + 1} of {ne}: nodes other than "
+                   f"those of line {numbered[earlier][0]}")
+    mesh = Mesh(dim, nodes.ravel() if dim == 1 else nodes, elements)
+    bounding = {frozenset(pair.tolist())
+                for pair in mesh.edge_nodes[mesh.boundary_mask]}
+    for i, (a, b, _) in enumerate(tags, start=1 + nn + ne):
+        if frozenset((a, b)) not in bounding:
+            refuse(i, "'edge i j tag' with i and j the nodes of a boundary "
+                   "edge")
+    mesh._apply_tags(tags)
+    return mesh
 
 
 def save_mesh(mesh, path):

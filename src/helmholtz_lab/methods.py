@@ -364,7 +364,7 @@ def verify_exact_solution(problem, n_samples=20, rng=None, fd_step=None):
 def _boundary_data_residual(problem):
     """Max relative mismatch of the declared boundary data on a coarse
     mesh, from one evaluation per boundary condition kind at two points
-    per edge (the end node in 1D)."""
+    per edge (both the end node in 1D)."""
     exact = problem.exact
     k = problem.k
     s = problem.robin_sign
@@ -377,18 +377,8 @@ def _boundary_data_residual(problem):
                                                       problem.bc).items()):
         if len(edges) == 0:
             continue
-        if mesh.dim == 1:
-            pts = mesh.nodes[mesh.edge_nodes[edges, 0]]
-            vals, grads = exact.eval(pts)
-            dn = np.asarray(grads, dtype=complex) * mesh.edge_normals[edges, 0]
-        else:
-            batched = mesh.edge_points(edges, rule)
-            pts = spaces._flat(batched)
-            vals, grads = exact.eval(pts)
-            grads = np.asarray(grads, dtype=complex).reshape(batched.shape)
-            dn = np.einsum("eqd,ed->eq", grads,
-                           mesh.edge_normals[edges]).ravel()
-        vals = np.asarray(vals, dtype=complex)
+        pts = mesh.edge_points(edges, rule)
+        vals, dn = analysis._exact_traces(mesh, edges, pts, exact.eval)
         if kind == "dirichlet":
             resid = vals
         elif kind == "neumann":
@@ -396,7 +386,7 @@ def _boundary_data_residual(problem):
         else:
             trace = dn + s * 1j * k * vals
             data = (np.zeros_like(trace) if problem.g is None
-                    else np.asarray(problem.g(pts), dtype=complex))
+                    else spaces._point_values(problem.g, pts))
             resid = trace - data
             scale = max(scale, float(np.max(np.abs(trace))))
         scale = max(scale, float(np.max(np.abs(vals))) * k)
@@ -512,8 +502,7 @@ def h1_best_approximation(problem, space):
     exact = problem.exact
 
     def gradient_only(pts):
-        g = np.asarray(exact.gradient(pts), dtype=complex)
-        return np.zeros(g.shape[0], dtype=complex), g.reshape(g.shape[0], -1)
+        return np.zeros(len(pts)), exact.gradient(pts)
 
     b = assembly.project_rhs_1k(space, problem.k, gradient_only)
     system = assembly.assemble_galerkin(space, problem.k, bc=problem.bc,

@@ -282,6 +282,16 @@ def _point_values(fn, pts):
     return np.asarray(fn(_flat(pts)), dtype=complex).reshape(pts.shape[:2])
 
 
+def _point_fields(fn, pts):
+    """Complex values (nb, nq) and gradients (nb, nq, dim) of a (values,
+    gradients) point callback at batched points (nb, nq[, 2]); in 1D the
+    callback may give its gradients as (n,) or (n, 1)."""
+    u, g = fn(_flat(pts))
+    shape = pts.shape[:2]
+    return (np.asarray(u, dtype=complex).reshape(shape),
+            np.asarray(g, dtype=complex).reshape(shape + (-1,)))
+
+
 def _batched(eval_basis):
     """Let an int `elems` evaluate one element with unbatched shapes."""
 

@@ -657,7 +657,7 @@ def one_norm_square(space, coeffs, flux, k, plus, exact=None):
         alpha, beta, _ = (a[:, None] for a in flux.on_edges(edges))
         pts, ((u_p, gn_p), (u_m, gn_m)) = space.edge_field(edges, coeffs, t)
         if exact is not None:
-            u_e, gn_e = analysis._exact_traces(space, edges, pts, exact)
+            u_e, gn_e = analysis._exact_traces(space.mesh, edges, pts, exact)
             u_p, u_m = u_e - u_p, u_e - u_m
             gn_p, gn_m = gn_e - gn_p, gn_e - gn_m
         sq = (beta / k * np.abs(gn_p - gn_m) ** 2
@@ -670,7 +670,7 @@ def one_norm_square(space, coeffs, flux, k, plus, exact=None):
         delta = flux.on_edges(edges)[2][:, None]
         pts, ((u, gn),) = space.edge_field(edges, coeffs, t)
         if exact is not None:
-            u_e, gn_e = analysis._exact_traces(space, edges, pts, exact)
+            u_e, gn_e = analysis._exact_traces(space.mesh, edges, pts, exact)
             u, gn = u_e - u, gn_e - gn
         sq = delta / k * np.abs(gn) ** 2 + k * (1.0 - delta) * np.abs(u) ** 2
         if plus:

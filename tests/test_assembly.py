@@ -713,6 +713,28 @@ class TestSolve:
             solve(ComplexSystem(A=A, rhs=rhs, meta={"dim": dim}))
         assert assembly._factor(scipy.sparse.csc_matrix(A), "COLAMD") is None
 
+    @pytest.mark.parametrize("dim", [1, 2], ids=["colamd", "symmetric_mode"])
+    def test_infinite_solution_raises_linalg_error(self, dim, monkeypatch):
+        # a factor whose solutions overflow fails the symmetric-mode
+        # residual check, and the COLAMD solution then fails the
+        # finiteness check of `solve`
+        class Overflowing:
+            nnz = 2
+
+            def solve(self, rhs):
+                return np.full(rhs.shape, np.inf, dtype=complex)
+
+        orderings = []
+        monkeypatch.setattr(assembly, "_factor", lambda A, ordering:
+                            orderings.append(ordering) or Overflowing())
+        system = ComplexSystem(A=np.eye(2, dtype=complex),
+                               rhs=np.ones(2, dtype=complex),
+                               meta={"dim": dim})
+        with pytest.raises(np.linalg.LinAlgError, match="non-finite"):
+            solve(system)
+        assert orderings == (["COLAMD"] if dim == 1
+                             else ["MMD_AT_PLUS_A", "COLAMD"])
+
     @pytest.mark.parametrize("A", [
         np.eye(5)[[1, 2, 3, 4, 0]],
         np.array([[1e-20, 1.0], [1.0, 1.0]]),

@@ -706,6 +706,87 @@ class TestThreadInvariance:
         assert outputs[0] == outputs[1]
 
 
+def blas_thread_counts():
+    return [get() for get, _ in cli._blas_thread_controls()[0]]
+
+
+class TestBlasThreads:
+    def test_csv_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        # on two OpenBLAS threads the high-degree GHP rows of this preset
+        # take other roundoff unless the run pins BLAS to one thread
+        src = os.path.dirname(os.path.dirname(helmholtz_lab.__file__))
+        outputs = []
+        for blas in ("2", "1"):
+            out = tmp_path / f"res{blas}.csv"
+            path = write_config(tmp_path, "preset = approx_trefftz\n"
+                                f"p = 7,8,9,10\nout = {out}\n")
+            env = dict(os.environ, PYTHONPATH=src, HELMHOLTZ_THREADS="1",
+                       OPENBLAS_NUM_THREADS=blas)
+            proc = subprocess.run(
+                [sys.executable, "-m", "helmholtz_lab.cli", "run", path],
+                env=env, capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stderr == ""
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
+    @pytest.fixture
+    def two_blas_threads(self):
+        # a count other than 1, so that restoring it is seen
+        found, _ = cli._blas_thread_controls()
+        before = blas_thread_counts()
+        for _, put in found:
+            put(2)
+        yield [2] * len(found)
+        for (_, put), count in zip(found, before):
+            put(count)
+
+    def test_run_config_pins_and_restores_blas_threads(self, tmp_path,
+                                                       two_blas_threads):
+        during = []
+        execute_runs = cli.execute_runs
+
+        def spy(cfg, tasks):
+            during.append(blas_thread_counts())
+            return execute_runs(cfg, tasks)
+
+        cfg = cli.build_config(cli.parse_config_text(
+            SMALL_1D.format(out=tmp_path / "res.csv")))
+        with mock.patch.object(cli, "execute_runs", spy):
+            cli.run_config(cfg, echo=lambda line: None)
+        assert during == [[1] * len(two_blas_threads)]
+        assert blas_thread_counts() == two_blas_threads
+
+    def test_a_row_run_on_its_own_is_pinned(self, monkeypatch,
+                                            two_blas_threads):
+        during = []
+
+        def record(problem, space):
+            during.append(blas_thread_counts())
+            raise RuntimeError("recorded")
+
+        monkeypatch.setattr(cli.methods, "solve_fem", record)
+        cfg = cli.build_config(cli.parse_config_text(
+            SMALL_1D.format(out="unused.csv")))
+        row = cli._run_task(cfg, cli.expand_runs(cfg)[0], cli._Shared())
+        assert row["error"] == "RuntimeError: recorded"
+        assert during == [[1] * len(two_blas_threads)]
+        assert blas_thread_counts() == two_blas_threads
+
+    def test_missing_library_runs_unpinned_with_a_note(self, tmp_path,
+                                                       capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_BLAS_LIBRARIES", (
+            ("numpy._core._multiarray_umath", "no_such_symbol_{}"),
+            ("helmholtz_lab.no_such_module", "no_such_symbol_{}")))
+        out = tmp_path / "res.csv"
+        assert cli.main(["run", write_config(
+            tmp_path, SMALL_1D.format(out=out))]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "not pinned" in err[0]
+        assert "helmholtz_lab.no_such_module" in err[0]
+        assert len(_read_rows(out)) == 6
+
+
 def _readme_text():
     readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
     with open(readme) as fh:

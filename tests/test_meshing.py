@@ -122,6 +122,20 @@ class TestIntervalEdges:
         assert len(mesh.edge_tags) == len(normals)
         assert mesh.boundary_mask.sum() == 2
 
+    def test_edge_points_are_the_end_node(self):
+        mesh = uniform_interval_mesh(4)
+        edges = np.flatnonzero(mesh.boundary_mask)
+        for t in (np.array([0.5]), np.array([0.0, 0.3, 1.0])):
+            pts = mesh.edge_points(edges, t)
+            assert pts.shape == (len(edges), len(t))
+            np.testing.assert_array_equal(
+                pts, np.repeat(mesh.nodes[mesh.edge_nodes[edges, 0], None],
+                               len(t), axis=1))
+
+    def test_zero_length_element_refused(self):
+        with pytest.raises(ValueError, match="zero length"):
+            mesh_from_arrays(1, [0.0, 0.5, 0.5], [[0, 1], [1, 2]])
+
 
 class TestTriangulate:
     def test_square_single_cell(self):
@@ -502,6 +516,17 @@ class TestMalformedText:
         ("2 3 1\n\n0 0\n1 0\n\n0 1\n0 1 2\nedge 0 1 a b\n", 8, "'edge"),
         ("1 2 1\n0\n1\n0 1 2\n", 4, "2 node indices"),
         ("1 2 1\n0 0\n1\n0 1\n", 2, "1 finite coordinate"),
+        ("2 3 1\n0 0\n1 0\n0 1\n0 2 1\n", 5, "counterclockwise"),
+        ("2 3 1\n0 0\n1 0\n2 0\n0 1 2\n", 5, "positive area"),
+        ("2 3 2\n0 0\n1 0\n0 1\n0 1 2\n1 2 0\n", 6, "those of line 5"),
+        ("2 3 2\n0 0\n1 0\n0 1\n0 1 2\n\n0 1 2\n", 7, "those of line 5"),
+        ("2 3 1\n0 0\n1 0\n0 1\n0 1 2\nedge 0 0 robin\n", 6,
+         "boundary edge"),
+        ("2 4 1\n0 0\n1 0\n0 1\n5 5\n0 1 2\nedge 0 3 robin\n", 7,
+         "boundary edge"),
+        ("1 2 1\n0.5\n0.5\n0 1\n", 4, "two nodes at different points"),
+        ("1 2 2\n0\n1\n0 1\n1 0\n", 5, "those of line 4"),
+        ("1 2 1\n0\n1\n0 1\nedge 0 1 left\n", 5, "boundary edge"),
     ])
     def test_names_the_line_and_what_it_expected(self, text, line, expected):
         with pytest.raises(ValueError, match=f"line {line}: expected") as err:

@@ -151,3 +151,30 @@ def test_only_assembly_reads_the_default_boundary_condition():
                and getattr(node.args[1], "value", None) == "robin"
                for node in ast.walk(tree)))
     assert readers == ["assembly"]
+
+
+def test_only_the_strategies_build_solve_results():
+    # `solve` dispatches; each of its two strategies states what it ran
+    # in one complete result.
+    callers = top_level_callers(package_trees()["assembly"], "SolveResult")
+    assert callers == ["_sparse_lu", "_truncated"]
+
+
+def test_only_spaces_references_flat():
+    # The layout of callback data at batched points is read in one module
+    # (`spaces._point_values`, `spaces._point_fields`).
+    readers = sorted(
+        module for module, tree in package_trees().items()
+        if any(getattr(node, "id", getattr(node, "attr", None)) == "_flat"
+               for node in ast.walk(tree)))
+    assert readers == ["spaces"]
+
+
+def test_blas_thread_symbols_are_found():
+    # Both bundled OpenBLAS builds can be pinned; a missing one would
+    # leave the CSVs depending on the host's core count.
+    from helmholtz_lab import cli
+
+    found, missing = cli._blas_thread_controls()
+    assert missing == [] and len(found) == len(cli._BLAS_LIBRARIES) == 2
+    assert all(get() >= 1 for get, _ in found)
