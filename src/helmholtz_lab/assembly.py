@@ -374,10 +374,18 @@ def assemble_galerkin(space, k, f=None, g=None, bc=None, robin_sign=1.0):
         keep = np.ones(space.ndof, dtype=bool)
         keep[space.boundary_dofs(edges["dirichlet"])] = False
         free = np.flatnonzero(keep)
-    meta = {"dim": space.mesh.dim, "boundary_mass": _csr(pattern, bd)}
-    return ComplexSystem(A=A, rhs=rhs, free=free, meta=meta,
-                         mass_data=(pattern, mass),
-                         order=space.elimination_order)
+    return _space_system(space, A, rhs, free=free,
+                         meta={"boundary_mass": _csr(pattern, bd)},
+                         mass_data=(pattern, mass))
+
+
+def _space_system(space, A, rhs, meta=None, **fields):
+    """The `ComplexSystem` of a square system on the DOFs of a conforming
+    space, with what `solve` orders its sparse LU by: the space's
+    `elimination_order` and meta['dim'], the dimension of its mesh."""
+    return ComplexSystem(A=A, rhs=rhs, meta={"dim": space.mesh.dim,
+                                             **(meta or {})},
+                         order=space.elimination_order, **fields)
 
 
 def assemble_gram_1k(space, k):
@@ -412,8 +420,8 @@ def assemble_projection_1k(space, k, target):
     k = float(k)
     stiff, mass, rhs = _volume_parts(
         space, k, load=functools.partial(_load_1k, k, target))
-    return ComplexSystem(A=_csr(space.element_pattern, stiff + k**2 * mass),
-                         rhs=rhs, order=space.elimination_order)
+    return _space_system(space, _csr(space.element_pattern,
+                                     stiff + k**2 * mass), rhs)
 
 
 # -- skeleton assembly for Trefftz methods -----------------------------------
@@ -711,7 +719,8 @@ def solve(system, svd_cutoff=None):
     symmetric mode, on the free DOFs in the system's `order` when it has
     one (a conforming space on a large 2D mesh), cut and permuted by one
     `restrict`, else in SuperLU's minimum degree ordering; systems whose
-    meta['dim'] is 1 go to COLAMD directly.  With it, the truncated
+    meta['dim'] is 1 (`_space_system` sets it on every Galerkin and
+    projection system) go to COLAMD directly.  With it, the truncated
     solve (`_truncated`), for numerically singular normal equations and
     Gram matrices of wave-based bases; its dense SVD refuses systems
     above _DENSE_LIMIT unknowns.  The DOFs the system fixes are zero in

@@ -14,6 +14,7 @@ import numpy as np
 __all__ = [
     "Polygon",
     "Mesh",
+    "MeshError",
     "Edge",
     "unit_interval",
     "unit_square",
@@ -118,16 +119,35 @@ def l_shape(neumann_gamma=False):
     )
 
 
+class MeshError(ValueError):
+    """A refusal by `Mesh`, in the order it checks them: `kind` is
+    'measure' (a descending or zero-length interval, a clockwise or flat
+    triangle), 'non-manifold' (a facet of three or more elements),
+    'orientation' (two elements on one side of a shared facet) or 'tag'
+    (a tagged pair on no boundary edge).  `elements` holds the ascending
+    indices of the offending elements, `tag` the refused (i, j, tag)."""
+
+    def __init__(self, kind, text, elements=(), tag=None):
+        self.kind = kind
+        self.elements = tuple(sorted(int(e) for e in elements))
+        self.tag = tag
+        # `elements` may hold a whole reversed mesh; the text names eight
+        named = ", ".join(map(str, self.elements[:8]))
+        if len(self.elements) > 8:
+            named += f" and {len(self.elements) - 8} more"
+        super().__init__(f"{text} (elements {named})" if named else text)
+
+
 class Mesh:
     """Simplicial mesh with explicit skeleton topology.
 
     nodes:     (nv,) in 1D, (nv, 2) in 2D
-    elements:  (ne, 2) or (ne, 3) int, counterclockwise in 2D
+    elements:  (ne, 2) ascending or (ne, 3) counterclockwise int
     Edge normals point out of edge_elems[:, 0]; boundary edges have
     edge_elems[:, 1] == -1.  In 2D, element_edges (ne, 3) holds the edge
     index of the sides joining local vertices (0,1), (1,2) and (2,0).
     h is the max element diameter, shape_reg the max ratio
-    diameter/inradius over elements (2D).
+    diameter/inradius over elements (2D).  Every refusal is a `MeshError`.
     """
 
     def __init__(self, dim, nodes, elements, edge_tags=None):
@@ -135,52 +155,34 @@ class Mesh:
         self.nodes = np.asarray(nodes, dtype=float)
         self.elements = np.asarray(elements, dtype=np.int64)
         self._cache = {}
+        self._metrics()
         self._build_edges()
         if edge_tags:
             self._apply_tags(edge_tags)
-        self._metrics()
 
     # -- topology ------------------------------------------------------
 
     def _build_edges(self):
+        """The skeleton from one sort of the element facets.
+
+        Facet s of element e sits at s * ne + e: an interval's right end
+        node, then its left one (key: the node); a triangle's sides (0,1),
+        (1,2) and (2,0), each running from `starts` to `ends` (key: the
+        node pair).  A facet bounds at most two elements, the second one
+        from the other side: a left end after a right end, a side run
+        backwards.
+        """
+        el = self.elements
+        ne = len(el)
         if self.dim == 1:
-            self._build_edges_1d()
+            starts = ends = key = el[:, ::-1].T.ravel()
         else:
-            self._build_edges_2d()
-
-    def _build_edges_1d(self):
-        nn = len(self.nodes)
-        ids = np.arange(len(self.elements), dtype=np.int64)
-        # the element to the right of each node (the node is its left
-        # end) and to its left; the later element wins on repeats
-        right_of = np.full(nn, -1, dtype=np.int64)
-        left_of = np.full(nn, -1, dtype=np.int64)
-        np.maximum.at(right_of, self.elements[:, 0], ids)
-        np.maximum.at(left_of, self.elements[:, 1], ids)
-        v = np.flatnonzero(np.bincount(self.elements.ravel(), minlength=nn))
-        has_left = left_of[v] >= 0
-        plus = np.where(has_left, left_of[v], right_of[v])
-        minus = np.where(has_left, right_of[v], -1)
-        minus[minus == plus] = -1
-        self.edge_nodes = np.column_stack([v, v])
-        self.edge_elems = np.column_stack([plus, minus])
-        # outward from the plus element: +1 at its right end, -1 at left
-        self.edge_normals = np.where(has_left, 1.0, -1.0)[:, None]
-        self.edge_lengths = np.ones(len(v))  # point measure
-        self.edge_tags = [None] * len(v)
-        self.boundary_mask = minus == -1
-
-    def _build_edges_2d(self):
-        tri = self.elements
-        ne = len(tri)
-        # directed side s of element e sits at s * ne + e and runs from
-        # `starts` to `ends`
-        starts = tri.T.ravel()
-        ends = tri[:, [1, 2, 0]].T.ravel()
-        # one int64 key per unordered node pair; the stable sort keeps
-        # the sides of an edge in directed order, as a lexsort would
-        key = (np.minimum(starts, ends) * len(self.nodes)
-               + np.maximum(starts, ends))
+            starts = el.T.ravel()
+            ends = el[:, [1, 2, 0]].T.ravel()
+            # one int64 key per unordered node pair; the stable sort keeps
+            # the sides of an edge in directed order, as a lexsort would
+            key = (np.minimum(starts, ends) * len(self.nodes)
+                   + np.maximum(starts, ends))
         order = np.argsort(key, kind="stable")
         key_s = key[order]
         new_edge = np.ones(len(key_s), dtype=bool)
@@ -190,32 +192,43 @@ class Mesh:
         first_ids = np.flatnonzero(new_edge)
         n_edges = len(first_ids)
         run_len = np.diff(np.append(first_ids, len(key_s)))
-        if np.any(run_len > 2):
-            raise ValueError("non-manifold edge: shared by more than two elements")
+        crowded = np.flatnonzero(run_len > 2)
+        if len(crowded):
+            run = first_ids[crowded[0]] + np.arange(run_len[crowded[0]])
+            raise MeshError("non-manifold", "non-manifold edge: shared by "
+                            "more than two elements", order[run] % ne)
         first = order[first_ids]
-        edge_nodes = np.column_stack([starts[first], ends[first]])
         plus = first % ne
         minus = -np.ones(n_edges, dtype=np.int64)
         has_two = run_len == 2
         second = order[first_ids[has_two] + 1]
         minus[has_two] = second % ne
-        # conformity: the second appearance must be the reversed pair
-        if np.any(starts[second] != ends[first[has_two]]) or np.any(
-            ends[second] != starts[first[has_two]]
-        ):
-            raise ValueError("inconsistent element orientation across an edge")
-        t = self.nodes[edge_nodes[:, 1]] - self.nodes[edge_nodes[:, 0]]
-        lengths = np.hypot(t[:, 0], t[:, 1])
-        if np.any(lengths <= 0):
-            raise ValueError("degenerate edge")
-        normals = np.column_stack([t[:, 1], -t[:, 0]]) / lengths[:, None]
-        self.edge_nodes = edge_nodes
+        paired = first[has_two]
+        if self.dim == 1:
+            turned = (paired < ne) & (second >= ne)
+        else:
+            turned = (starts[second] == ends[paired]) & (
+                ends[second] == starts[paired])
+        if not np.all(turned):
+            bad = np.argmin(turned)
+            raise MeshError("orientation", "inconsistent element orientation "
+                            "across an edge", (paired[bad] % ne,
+                                               second[bad] % ne))
+        self.edge_nodes = np.column_stack([starts[first], ends[first]])
         self.edge_elems = np.column_stack([plus, minus])
-        self.element_edges = np.ascontiguousarray(edge_of.reshape(3, ne).T)
-        self.edge_normals = normals
-        self.edge_lengths = lengths
         self.edge_tags = [None] * n_edges
         self.boundary_mask = minus == -1
+        if self.dim == 1:
+            # a point of unit measure, outward from the plus element
+            self.edge_normals = np.where(first < ne, 1.0, -1.0)[:, None]
+            self.edge_lengths = np.ones(n_edges)
+            return
+        t = (self.nodes[self.edge_nodes[:, 1]]
+             - self.nodes[self.edge_nodes[:, 0]])
+        self.edge_lengths = np.hypot(t[:, 0], t[:, 1])
+        self.edge_normals = (np.column_stack([t[:, 1], -t[:, 0]])
+                             / self.edge_lengths[:, None])
+        self.element_edges = np.ascontiguousarray(edge_of.reshape(3, ne).T)
 
     def _apply_tags(self, tags):
         """tags: iterable of (i, j, tag) with unordered node pair."""
@@ -226,16 +239,19 @@ class Mesh:
         for i, j, tag in tags:
             idx = lookup.get(frozenset((int(i), int(j))))
             if idx is None:
-                raise ValueError(f"tagged pair ({i}, {j}) is not a boundary edge")
+                raise MeshError("tag", f"tagged pair ({i}, {j}) is not a "
+                                f"boundary edge", tag=(i, j, tag))
             self.edge_tags[idx] = tag
 
     def _metrics(self):
         if self.dim == 1:
             x0 = self.nodes[self.elements[:, 0]]
             x1 = self.nodes[self.elements[:, 1]]
-            lengths = self._cache["areas"] = np.abs(x1 - x0)
+            lengths = self._cache["areas"] = x1 - x0
             if np.any(lengths <= 0):
-                raise ValueError("element with zero length")
+                raise MeshError("measure", "element with zero length or "
+                                "descending nodes",
+                                np.flatnonzero(lengths <= 0))
             self._cache["centroids"] = (x0 + x1) / 2.0
             self.h = float(np.max(lengths))
             self.h_min = float(np.min(lengths))
@@ -252,7 +268,8 @@ class Mesh:
         area = self._cache["areas"] = 0.5 * (d1[:, 0] * d2[:, 1]
                                              - d1[:, 1] * d2[:, 0])
         if np.any(area <= 0):
-            raise ValueError("element with non-positive area (orientation?)")
+            raise MeshError("measure", "element with non-positive area "
+                            "(orientation?)", np.flatnonzero(area <= 0))
         # sides (0,1), (1,2), (2,0), the last one -d2; the lengths take
         # np.linalg.norm's sqrt(dx*dx + dy*dy) bit for bit, which np.hypot
         # does not
@@ -295,7 +312,7 @@ class Mesh:
         (nb, nq) in 1D or (nb, nq, 2) in 2D, and weights (nb, nq).
         """
         if self.dim == 1:
-            ends = np.sort(self.nodes[self.elements[elems]], axis=1)
+            ends = self.nodes[self.elements[elems]]
             x0 = ends[:, :1]
             h = ends[:, 1:] - x0
             return x0 + h * rule.points, h * rule.weights
@@ -361,13 +378,15 @@ def uniform_interval_mesh(n, a=0.0, b=1.0, tags=("left", "right")):
         raise ValueError("need at least one element")
     if not a < b:
         raise ValueError("an interval needs a < b")
-    nodes = np.linspace(a, b, n + 1)
-    elements = np.column_stack([np.arange(n), np.arange(1, n + 1)])
-    mesh = Mesh(1, nodes, elements)
-    for idx in np.flatnonzero(mesh.boundary_mask):
-        at_a = mesh.edge_nodes[idx, 0] == 0
-        mesh.edge_tags[idx] = tags[0] if at_a else tags[1]
-    return mesh
+    return _chain(np.linspace(a, b, n + 1), tags)
+
+
+def _chain(nodes, tags):
+    """The interval mesh of ascending nodes, an element between each two
+    neighbours; the first node tagged tags[0], the last tags[1]."""
+    n = len(nodes) - 1
+    return Mesh(1, nodes, np.column_stack([np.arange(n), np.arange(1, n + 1)]),
+                edge_tags=[(0, 0, tags[0]), (n, n, tags[1])])
 
 
 def _point_in_polygon(points, verts):
@@ -531,34 +550,22 @@ def _corner_node(mesh, corner):
 
 
 def _geometric_refine_1d(mesh, corners, sigma, layers):
-    coords = list(mesh.nodes)
-    breakpoints = set(float(x) for x in coords)
+    breakpoints = set(mesh.nodes.tolist())
     for corner in corners:
         ci = _corner_node(mesh, corner)
         cx = float(mesh.nodes[ci])
-        # the element incident to the corner
-        incident = [
-            (a, b)
-            for a, b in mesh.elements
-            if a == ci or b == ci
-        ]
-        if not incident:
+        # the first element incident to the corner, and its other end
+        rows, ends = np.nonzero(mesh.elements == ci)
+        if not len(rows):
             continue
-        a, b = incident[0]
-        other = float(mesh.nodes[b if a == ci else a])
+        other = float(mesh.nodes[mesh.elements[rows[0], 1 - ends[0]]])
         for j in range(1, layers + 1):
             breakpoints.add(cx + (sigma ** j) * (other - cx))
     nodes = np.array(sorted(breakpoints))
-    elements = np.column_stack([np.arange(len(nodes) - 1), np.arange(1, len(nodes))])
-    out = Mesh(1, nodes, elements)
     # endpoint tags carry over by position
-    old_tags = {}
-    for idx in np.flatnonzero(mesh.boundary_mask):
-        old_tags[float(mesh.nodes[mesh.edge_nodes[idx, 0]])] = mesh.edge_tags[idx]
-    for idx in np.flatnonzero(out.boundary_mask):
-        x = float(out.nodes[out.edge_nodes[idx, 0]])
-        out.edge_tags[idx] = old_tags.get(x)
-    return out
+    tags = {float(mesh.nodes[mesh.edge_nodes[i, 0]]): mesh.edge_tags[i]
+            for i in np.flatnonzero(mesh.boundary_mask)}
+    return _chain(nodes, [tags.get(x) for x in nodes[[0, -1]].tolist()])
 
 
 def _geometric_refine_2d(mesh, corners, sigma, layers):
@@ -654,10 +661,9 @@ def mesh_from_text(text):
     that line should hold: a header of dim (1 or 2) and positive node
     and element counts, that many node lines of dim finite coordinates,
     element lines of dim + 1 node indices and 'edge i j tag' lines, each
-    index naming a node.  An element of zero length (1D) or non-positive
-    area (2D), one on the nodes of an earlier element, whose line is
-    named too, and an edge line whose nodes bound no boundary edge are
-    refused alike.
+    index naming a node.  A `MeshError` of the arrays is refused at the
+    line of the element or edge line it names, as one on the nodes of an
+    earlier element (whose line is named too) where it is one.
     """
     lines = text.splitlines()
     numbered = [(number, line.split())
@@ -704,32 +710,30 @@ def mesh_from_text(text):
                        [edge, node, node, str])[1:])
             for i in range(1 + nn + ne, len(numbered))]
     nodes = np.array(nodes, dtype=float)
-    elements = np.array(elements, dtype=np.int64)
-    # the measure Mesh computes: the length, or half the cross product of
-    # the sides from the first node (the second side is unused in 1D)
-    pts = nodes[elements]
-    d1, d2 = pts[:, 1] - pts[:, 0], pts[:, -1] - pts[:, 0]
-    measure = (np.abs(d1[:, 0]) if dim == 1
-               else 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]))
-    first = {}
-    for i, elem in enumerate(elements):
-        if not measure[i] > 0:
-            refuse(1 + nn + i, f"element {i + 1} of {ne}: " + (
-                "two nodes at different points" if dim == 1 else
-                "counterclockwise nodes around a positive area"))
-        earlier = first.setdefault(frozenset(elem.tolist()), 1 + nn + i)
-        if earlier != 1 + nn + i:
-            refuse(1 + nn + i, f"element {i + 1} of {ne}: nodes other than "
-                   f"those of line {numbered[earlier][0]}")
-    mesh = Mesh(dim, nodes.ravel() if dim == 1 else nodes, elements)
-    bounding = {frozenset(pair.tolist())
-                for pair in mesh.edge_nodes[mesh.boundary_mask]}
-    for i, (a, b, _) in enumerate(tags, start=1 + nn + ne):
-        if frozenset((a, b)) not in bounding:
-            refuse(i, "'edge i j tag' with i and j the nodes of a boundary "
-                   "edge")
-    mesh._apply_tags(tags)
-    return mesh
+    try:
+        return Mesh(dim, nodes.ravel() if dim == 1 else nodes, elements,
+                    edge_tags=tags)
+    except MeshError as err:
+        if err.tag is not None:
+            refuse(1 + nn + ne + tags.index(err.tag), "'edge i j tag' with i "
+                   "and j the nodes of a boundary edge")
+        # the first element of too small a measure; the last one of a facet
+        named = err.elements[:1] if err.kind == "measure" else err.elements
+        sets = [frozenset(elem) for elem in elements]
+        for e in named:
+            if sets[e] in sets[:e]:
+                refuse(1 + nn + e, f"element {e + 1} of {ne}: nodes other "
+                       f"than those of line "
+                       f"{numbered[1 + nn + sets.index(sets[e])][0]}")
+        *earlier, e = named
+        lines = " and ".join(str(numbered[1 + nn + o][0]) for o in earlier)
+        refuse(1 + nn + e, f"element {e + 1} of {ne}: " + {
+            "measure": ("two nodes at different points, in ascending order"
+                        if dim == 1 else
+                        "counterclockwise nodes around a positive area"),
+            "orientation": f"no overlap with the element of line {lines}",
+            "non-manifold": f"no {'node' if dim == 1 else 'edge'} that "
+                            f"lines {lines} already share"}[err.kind])
 
 
 def save_mesh(mesh, path):
@@ -743,21 +747,16 @@ def load_mesh(path):
 
 
 def validate_mesh(mesh, max_shape_reg=None):
-    """Conformity and orientation checks; raises on violation.
+    """Checks beyond the refusals of `Mesh`; raises on violation.
 
     Shape regularity is only enforced when max_shape_reg is given:
     structured meshes stay below 5, while strongly graded corner fans
     (sigma << 1) are legitimately anisotropic.
     """
     if mesh.dim == 1:
-        lengths = mesh.nodes[mesh.elements[:, 1]] - mesh.nodes[mesh.elements[:, 0]]
-        if np.any(lengths <= 0):
-            raise ValueError("1D elements must be ascending")
         if np.sum(mesh.boundary_mask) != 2:
             raise ValueError("interval mesh must have exactly two boundary nodes")
         return True
-    if np.any(mesh.areas() <= 0):
-        raise ValueError("non-positive element area")
     # every element edge accounted for exactly once
     counts = np.where(mesh.boundary_mask, 1, 2)
     if counts.sum() != 3 * mesh.n_elements:

@@ -780,6 +780,18 @@ class TestSolve:
         assert np.array_equal(res.x, lu.solve(system.rhs))
         assert res.lu_nnz == lu.nnz
 
+    def test_every_1d_sparse_lu_takes_colamd(self):
+        # the Galerkin and the (1,k) projection systems of one interval
+        # space both reach the 1D rule of `solve`
+        problem = methods.model_problem_1d(10.0)
+        space = h1_space(triangulate(problem.domain, 1.0 / 32), 3)
+        fem = methods.solve_fem(problem, space)
+        proj = methods.best_approximation_1k(problem.exact, space, None)
+        assert fem.result.ordering == proj.result.ordering == "COLAMD"
+        lu = scipy.sparse.linalg.splu(proj.system.A.astype(complex).tocsc(),
+                                      permc_spec="COLAMD")
+        assert np.array_equal(proj.coeffs, lu.solve(proj.system.rhs))
+
 
 class TestNestedDissection:
     """The sparse LU of a large 2D conforming system in the space's

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helmholtz_lab.meshing import (
+    MeshError,
     Polygon,
     geometric_refine,
     l_shape,
@@ -100,7 +101,8 @@ def _edges_1d_reference(nodes, elements):
 
 
 class TestIntervalEdges:
-    @pytest.mark.parametrize("case", ["uniform", "graded", "shuffled"])
+    @pytest.mark.parametrize("case", ["uniform", "graded", "shuffled",
+                                      "shuffled_nodes"])
     def test_matches_loop_reference(self, case):
         if case == "uniform":
             mesh = uniform_interval_mesh(7)
@@ -111,6 +113,11 @@ class TestIntervalEdges:
             nodes = np.sort(rng.uniform(0.0, 1.0, 9))
             nodes[0], nodes[-1] = 0.0, 1.0
             elements = np.column_stack([np.arange(8), np.arange(1, 9)])
+            if case == "shuffled_nodes":
+                # node j of the sorted nodes gets the number number[j]
+                number = rng.permutation(9)
+                nodes[number] = nodes.copy()
+                elements = number[elements]
             mesh = mesh_from_arrays(1, nodes, elements[rng.permutation(8)])
         edge_nodes, edge_elems, normals = _edges_1d_reference(mesh.nodes,
                                                               mesh.elements)
@@ -527,6 +534,11 @@ class TestMalformedText:
         ("1 2 1\n0.5\n0.5\n0 1\n", 4, "two nodes at different points"),
         ("1 2 2\n0\n1\n0 1\n1 0\n", 5, "those of line 4"),
         ("1 2 1\n0\n1\n0 1\nedge 0 1 left\n", 5, "boundary edge"),
+        ("2 4 2\n0 0\n1 0\n0 1\n0.5 0.5\n0 1 2\n0 1 3\n", 7,
+         "no overlap with the element of line 6"),
+        ("1 4 3\n0\n1\n2\n0.5\n0 1\n1 2\n3 1\n", 8,
+         "no node that lines 6 and 7 already share"),
+        ("1 2 1\n1\n0\n0 1\n", 4, "in ascending order"),
     ])
     def test_names_the_line_and_what_it_expected(self, text, line, expected):
         with pytest.raises(ValueError, match=f"line {line}: expected") as err:
@@ -588,6 +600,34 @@ class TestValidator:
         # right isoceles triangle: diameter/inradius = 2 + 2*sqrt(2) ~ 4.83
         assert mesh.shape_reg == pytest.approx(2.0 + 2.0 * math.sqrt(2.0), rel=1e-12)
         assert validate_mesh(mesh, max_shape_reg=5.0)
+
+    @pytest.mark.parametrize("dim, nodes, elements, kind, named", [
+        # the later element of a repeated interval took both end nodes
+        (1, [0.0, 1.0], [[0, 1], [0, 1]], "orientation", (0, 1)),
+        (1, [0.0, 1.0], [[0, 1], [1, 0]], "measure", (1,)),
+        (1, [0.0, 1.0, 2.0, 0.5], [[0, 1], [1, 2], [3, 1]], "non-manifold",
+         (0, 1, 2)),
+        (1, [0.0, 1.0, 2.0], [[0, 1], [2, 1]], "measure", (1,)),
+        # both counterclockwise and above the side from node 0 to node 1
+        (2, [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.5, 0.5]],
+         [[0, 1, 2], [0, 1, 3]], "orientation", (0, 1)),
+    ], ids=["repeated_interval", "repeated_interval_reversed",
+            "node_of_three_intervals", "descending_interval",
+            "overlapping_triangles"])
+    def test_array_refusals_name_their_elements(self, dim, nodes, elements,
+                                                kind, named):
+        with pytest.raises(MeshError) as err:
+            mesh_from_arrays(dim, nodes, elements)
+        assert (err.value.kind, err.value.elements) == (kind, named)
+        assert err.value.tag is None
+        assert f"(elements {', '.join(map(str, named))})" in str(err.value)
+
+    def test_tag_refusal_names_the_triple(self):
+        with pytest.raises(MeshError, match="not a boundary edge") as err:
+            mesh_from_arrays(1, [0.0, 0.5, 1.0], [[0, 1], [1, 2]],
+                             edge_tags=[(0, 0, "left"), (1, 1, "mid")])
+        assert (err.value.kind, err.value.tag) == ("tag", (1, 1, "mid"))
+        assert err.value.elements == ()
 
     def test_graded_fan_allowed_without_bound(self):
         coarse = triangulate(unit_square(), 0.5)

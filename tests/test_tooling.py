@@ -178,3 +178,18 @@ def test_blas_thread_symbols_are_found():
     found, missing = cli._blas_thread_controls()
     assert missing == [] and len(found) == len(cli._BLAS_LIBRARIES) == 2
     assert all(get() >= 1 for get, _ in found)
+
+
+def test_only_mesh_builds_the_skeleton():
+    # One facet sort builds the skeleton of interval and triangle meshes
+    # alike, so that both dimensions get the same refusals.
+    def assigns_edge_elems(function):
+        return any(isinstance(node, ast.Attribute)
+                   and node.attr == "edge_elems"
+                   and isinstance(node.ctx, ast.Store)
+                   for node in ast.walk(function))
+
+    assigners = sorted(
+        node.name for node in ast.walk(package_trees()["meshing"])
+        if isinstance(node, ast.FunctionDef) and assigns_edge_elems(node))
+    assert assigners == ["_build_edges"]
