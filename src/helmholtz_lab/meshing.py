@@ -521,9 +521,10 @@ def geometric_refine(mesh, corners, sigma, layers):
     triangles: scaled copies of its far edge at radii sigma^j, j=1..L,
     leaving the innermost triangle of size ~sigma^L.  Neighboring fans
     subdivide their shared edge identically, so the result is conforming
-    without any closure step.  In 1D the corner element is split at
-    sigma^j * h0.  Each corner is a mesh node given by mesh.dim
-    coordinates (a number in 1D); any other corner raises ValueError.
+    without any closure step.  In 1D every element touching a corner is
+    split at sigma^j * h0 from the corner, h0 its length.  Each corner
+    is a mesh node given by mesh.dim coordinates (a number in 1D); any
+    other corner raises ValueError.
     """
     if not 0.0 < sigma < 1.0:
         raise ValueError("sigma must be in (0, 1)")
@@ -554,13 +555,11 @@ def _geometric_refine_1d(mesh, corners, sigma, layers):
     for corner in corners:
         ci = _corner_node(mesh, corner)
         cx = float(mesh.nodes[ci])
-        # the first element incident to the corner, and its other end
+        # every element incident to the corner, graded toward its other end
         rows, ends = np.nonzero(mesh.elements == ci)
-        if not len(rows):
-            continue
-        other = float(mesh.nodes[mesh.elements[rows[0], 1 - ends[0]]])
-        for j in range(1, layers + 1):
-            breakpoints.add(cx + (sigma ** j) * (other - cx))
+        for other in mesh.nodes[mesh.elements[rows, 1 - ends]].tolist():
+            for j in range(1, layers + 1):
+                breakpoints.add(cx + (sigma ** j) * (other - cx))
     nodes = np.array(sorted(breakpoints))
     # endpoint tags carry over by position
     tags = {float(mesh.nodes[mesh.edge_nodes[i, 0]]): mesh.edge_tags[i]

@@ -16,10 +16,16 @@ gradients as (nb, nq, nloc, dim); an int `elems` with points (nq,) or
 (nq, 2) drops the leading axis.  On top of these, `element_matrices`
 (local stiffness and mass) and `field` (values and gradients of a
 discrete function) integrate a reference quadrature rule over a batch of
-elements; the 2D polynomial space computes both by pulling reference
-tables back through each element's Jacobian, the others from
-`element_tables` (the mapped rule and `eval_basis` there), which a caller
-needing both the tables and the matrices hands to `element_matrices`.
+elements.  Where each space evaluates its basis for them: the 2D
+polynomial space evaluates it once per rule on the reference triangle
+and pulls those tables back through each element's Jacobian; a Trefftz
+space's `field` evaluates its local basis once per distinct Jacobian
+(element shape) of the batch, at y = J (xi - xi_c), because a basis
+centred at the centroid sees the element only through J; every other
+integral (the 1D spaces, PUM, the Trefftz element matrices and loads)
+takes `element_tables`: `eval_basis` at each element's images of the
+rule points (`Mesh.map_rule`), which a caller needing both the tables
+and the matrices hands to `element_matrices`.
 `element_batches` splits the mesh
 into batches of at most `_BATCH_POINTS` points whose per-point basis
 tables hold at most `_BATCH_ENTRIES` numbers.  Edge integrals have the
@@ -306,6 +312,16 @@ def _batched(eval_basis):
     return wrapper
 
 
+def _contract(vals, grads, c):
+    """Values (nb, nq) and gradients (nb, nq, dim) of the functions with
+    local coefficients c (nb, nloc) from per-element basis tables."""
+    u = np.matmul(vals.astype(complex, copy=False), c[:, :, None])[..., 0]
+    # one gradient component at a time: no complex copy of the table
+    g = np.stack([np.einsum("eql,el->eq", grads[..., d], c)
+                  for d in range(grads.shape[-1])], axis=-1)
+    return u, g
+
+
 class _Space:
     """Element integrals shared by all spaces, built on `eval_basis`.
 
@@ -453,12 +469,7 @@ class _Space:
         function with global coefficients `coeffs` at the images of the
         reference `rule` points."""
         _, _, vals, grads = self.element_tables(elems, rule)
-        c = coeffs[self.dof_matrix()[elems]]
-        u = np.matmul(vals.astype(complex, copy=False), c[:, :, None])[..., 0]
-        # one gradient component at a time: no complex copy of the table
-        g = np.stack([np.einsum("eql,el->eq", grads[..., d], c)
-                      for d in range(grads.shape[-1])], axis=-1)
-        return u, g
+        return _contract(vals, grads, coeffs[self.dof_matrix()[elems]])
 
     def edge_batches(self, k, edges):
         """The 2D mesh edges `edges` grouped by `edge_rule`, in batches.
@@ -929,6 +940,37 @@ class TrefftzSpace(_Space):
     @_batched
     def eval_basis(self, elems, pts):
         return self.local.eval(pts - self.mesh.centroids()[elems][:, None, :])
+
+    def _shape_tables(self, elems, rule):
+        """Basis values (nb, nq, nloc) and gradients (nb, nq, nloc, 2) at
+        the images of the reference `rule` points, from one evaluation of
+        the local basis per distinct Jacobian (element shape) of `elems`.
+
+        At a reference point xi the basis of element e depends on its
+        Jacobian J_e alone, through y = J_e (xi - xi_c) with xi_c the
+        reference centroid (1/3, 1/3).  Elements of one shape share the
+        bytes of one table.  Each y_i = J_i0 a + J_i1 b is formed
+        elementwise, not by a matrix product, so its bits do not depend
+        on which elements share the batch.
+        """
+        jac = self.mesh.jacobians()[elems].reshape(-1, 4)
+        shapes, inverse = np.unique(jac, axis=0, return_inverse=True)
+        if len(shapes) == len(jac):
+            # every element has a shape of its own: evaluate them in
+            # batch order and copy no table
+            shapes, inverse = jac, slice(None)
+        a, b = (rule.points - 1.0 / 3.0).T
+        # (shapes, nq, 2): row i of each shape's Jacobian times (a, b)
+        y = (shapes[:, None, 0::2] * a[:, None]
+             + shapes[:, None, 1::2] * b[:, None])
+        vals, grads = self.local.eval(y)
+        return vals[inverse], grads[inverse]
+
+    def field(self, elems, coeffs, rule):
+        """As `_Space.field`, with the tables of `_shape_tables` in place
+        of `eval_basis` at the mapped rule points."""
+        vals, grads = self._shape_tables(elems, rule)
+        return _contract(vals, grads, coeffs[self.dof_matrix()[elems]])
 
 
 # -- factories -----------------------------------------------------------

@@ -940,6 +940,26 @@ class TestSparseForm:
         A = assemble_galerkin(space, k).A
         assert abs(A - A.T).max() <= 1e-14 * abs(A).max()
 
+    @pytest.mark.parametrize("robin_sign", [1.0, -1.0])
+    def test_pum_galerkin_skew_part_is_the_impedance_term(self, robin_sign):
+        # The plane-wave enrichment is complex, so the PUM matrix is not
+        # complex symmetric; stiffness and mass are Hermitian, and the
+        # skew-Hermitian part is the Robin term alone:
+        # (A - A^H) / 2i = robin_sign k B with B Hermitian PSD.
+        k = 5.0
+        space = pum_space(triangulate(unit_square(), 0.25), k,
+                          PlaneWaveBasis(k=k, p=4))
+        system = assemble_galerkin(space, k, robin_sign=robin_sign)
+        A = dense(system.A)
+        B = dense(system.meta["boundary_mass"])
+        assert np.abs(A - A.T).max() > 0.3 * np.abs(A).max()
+        skew = (A - A.conj().T) / 2j
+        assert (np.linalg.norm(skew - robin_sign * k * B)
+                <= 1e-16 * np.linalg.norm(A))
+        assert np.abs(B - B.conj().T).max() <= 1e-15 * np.abs(B).max()
+        w = np.linalg.eigvalsh(B)
+        assert w.min() >= -1e-14 * w.max()
+
 
 class TestInfsupProbe:
     def test_whitened_identity(self):

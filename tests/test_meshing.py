@@ -219,6 +219,25 @@ class TestGeometricRefine:
         tags = {out.edge_tags[i] for i in np.flatnonzero(out.boundary_mask)}
         assert tags == {"left", "right"}
 
+    def test_interval_interior_corner_grades_both_sides(self):
+        # like the 2D fans: every element touching the corner is graded
+        out = geometric_refine(uniform_interval_mesh(2), [0.5], 0.5, 3)
+        np.testing.assert_array_equal(
+            out.nodes, [0.0, 0.25, 0.375, 0.4375, 0.5, 0.5625, 0.625, 0.75,
+                        1.0])
+        assert out.n_elements == 8
+
+    def test_interval_end_corners_keep_their_knots(self):
+        # an end corner has one element: the knots corner + sigma^j (x - corner)
+        mesh = uniform_interval_mesh(5, -1.0, 2.0)
+        sigma, layers = 0.3, 4
+        out = geometric_refine(mesh, [-1.0, 2.0], sigma, layers)
+        knots = set(mesh.nodes.tolist())
+        for corner, other in ((-1.0, mesh.nodes[1]), (2.0, mesh.nodes[4])):
+            knots.update(corner + sigma ** j * (float(other) - corner)
+                         for j in range(1, layers + 1))
+        assert out.nodes.tobytes() == np.array(sorted(knots)).tobytes()
+
     def test_lshape_grading(self):
         coarse = triangulate(l_shape(neumann_gamma=True), 0.5)
         fine = geometric_refine(coarse, [(0.0, 0.0)], 0.125, 10)

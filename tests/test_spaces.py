@@ -12,6 +12,7 @@ from helmholtz_lab import spaces
 from helmholtz_lab.meshing import (
     geometric_refine,
     l_shape,
+    mesh_from_arrays,
     triangulate,
     uniform_interval_mesh,
     unit_square,
@@ -727,10 +728,30 @@ def three_operand_field(space, elems, coeffs, rule):
     of a complex copy of the gradient table."""
     pts, _ = space.mesh.map_rule(elems, rule)
     vals, grads = space.eval_basis(elems, pts)
-    c = coeffs[space.dof_matrix()[elems]]
+    return contract_three_operand(vals, grads,
+                                  coeffs[space.dof_matrix()[elems]])
+
+
+def contract_three_operand(vals, grads, c):
     u = np.matmul(vals.astype(complex, copy=False), c[:, :, None])[..., 0]
     g = np.einsum("eqld,el->eqd", grads.astype(complex, copy=False), c)
     return u, g
+
+
+def trefftz_tables_reference(space, elems, rule):
+    """A Trefftz space's basis tables at the reference `rule` points, the
+    local basis evaluated element by element at y = J_e (xi - xi_c)."""
+    a, b = (rule.points - 1.0 / 3.0).T
+    tables = [space.local.eval(jac[:, 0] * a[:, None] + jac[:, 1] * b[:, None])
+              for jac in space.mesh.jacobians()[elems]]
+    return tuple(np.stack(t) for t in zip(*tables))
+
+
+def trefftz_reference_field(space, elems, coeffs, rule):
+    """The Trefftz field from `trefftz_tables_reference`, with all
+    gradient components in one contraction."""
+    return contract_three_operand(*trefftz_tables_reference(space, elems, rule),
+                                  coeffs[space.dof_matrix()[elems]])
 
 
 # (kind, order) of every space on the shared `_Space` path: H1 in 1D at
@@ -791,8 +812,100 @@ class TestTwoOperandContractions:
         rng = np.random.default_rng(seed)
         coeffs = (rng.standard_normal(space.ndof)
                   + 1j * rng.standard_normal(space.ndof))
+        # a Trefftz space evaluates its basis once per element shape
+        reference = (trefftz_reference_field if kind in ("pw", "ghp")
+                     else three_operand_field)
         assert_same_bytes(space.field(elems, coeffs, rule),
-                          three_operand_field(space, elems, coeffs, rule))
+                          reference(space, elems, coeffs, rule))
+
+
+def perturbed(mesh, seed=0):
+    """The mesh with every interior node moved by up to a fifth of h in
+    each coordinate: no two elements share a Jacobian."""
+    rng = np.random.default_rng(seed)
+    nodes = mesh.nodes.copy()
+    inner = ~np.isin(np.arange(mesh.n_nodes), mesh.edge_nodes[mesh.boundary_mask])
+    nodes[inner] += rng.uniform(-0.2, 0.2, nodes[inner].shape) * mesh.h
+    return mesh_from_arrays(mesh.dim, nodes, mesh.elements)
+
+
+def distinct_jacobians(mesh, elems):
+    return len(np.unique(mesh.jacobians()[elems].reshape(-1, 4), axis=0))
+
+
+class TestTrefftzShapeTables:
+    @pytest.mark.parametrize("local", [PlaneWaveBasis(k=7.0, p=9),
+                                       GhpBasis(k=7.0, p=4)], ids=["pw", "ghp"])
+    @pytest.mark.parametrize("name", ["square", "graded_lshape",
+                                      "square_one_node_moved"])
+    def test_equal_jacobians_get_equal_tables(self, name, local):
+        if name == "graded_lshape":
+            mesh = geometric_refine(triangulate(l_shape(), 0.5),
+                                    [(0.0, 0.0)], 0.3, 2)
+        else:
+            mesh = triangulate(unit_square(), 0.25)
+        if name == "square_one_node_moved":
+            # six elements get shapes of their own, the rest keep two
+            nodes = mesh.nodes.copy()
+            nodes[np.argmin(np.abs(nodes - 0.5).sum(axis=1))] += (0.03, -0.02)
+            mesh = mesh_from_arrays(2, nodes, mesh.elements)
+        space = trefftz_space(mesh, 7.0, local)
+        rule = quad_triangle(9)
+        elems = np.arange(mesh.n_elements)[::-1]
+        vals, grads = space._shape_tables(elems, rule)
+        jac = mesh.jacobians()[elems].reshape(-1, 4)
+        keys = [row.tobytes() for row in jac]
+        tables = [vals[i].tobytes() + grads[i].tobytes()
+                  for i in range(len(elems))]
+        first = {}
+        for key, table in zip(keys, tables):
+            assert first.setdefault(key, table) == table
+        assert len(set(tables)) == len(first) == distinct_jacobians(mesh, elems)
+        assert len(first) < mesh.n_elements
+        # each table is that of its own element
+        assert_same_bytes((vals, grads),
+                          trefftz_tables_reference(space, elems, rule))
+
+
+# (kind, order) of every space kind; the field of each against the
+# contraction of `eval_basis` at the mapped rule points
+FIELD_KINDS = [("h1_1d", 4), ("nodal", 1), ("h1_2d", 4), ("pum_pw", 5),
+               ("pum_ghp", 3), ("pw", 11), ("ghp", 7)]
+
+
+def field_kind_space(kind, p, k, mesh):
+    if kind.startswith("h1"):
+        return h1_space(mesh, p)
+    if kind == "nodal":
+        return nodally_exact_space_1d(mesh, k)
+    local = (GhpBasis if kind.endswith("ghp") else PlaneWaveBasis)(k=k, p=p)
+    return (pum_space if kind.startswith("pum") else trefftz_space)(mesh, k, local)
+
+
+@pytest.mark.parametrize("perturb", [False, True],
+                         ids=["uniform", "perturbed"])
+@pytest.mark.parametrize("kind, p", FIELD_KINDS,
+                         ids=[kind for kind, _ in FIELD_KINDS])
+def test_field_matches_eval_basis_at_mapped_points(kind, p, perturb):
+    k = 9.0
+    mesh = (uniform_interval_mesh(16) if kind in ("h1_1d", "nodal")
+            else triangulate(unit_square(), 0.125))
+    if perturb:
+        mesh = perturbed(mesh)
+        if mesh.dim == 2:
+            assert distinct_jacobians(mesh, slice(None)) == mesh.n_elements
+    space = field_kind_space(kind, p, k, mesh)
+    rule = space.error_rule(k)
+    rng = np.random.default_rng(5)
+    coeffs = rng.standard_normal(space.ndof) + 1j * rng.standard_normal(space.ndof)
+    elems = np.arange(mesh.n_elements)
+    got = space.field(elems, coeffs, rule)
+    want = three_operand_field(space, elems, coeffs, rule)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape
+        scale = np.abs(b).reshape(len(elems), -1).max(axis=1)
+        err = np.abs(a - b).reshape(len(elems), -1).max(axis=1)
+        assert np.all(err <= 1e-13 * scale)
 
 
 def einsum_stiffness_2d(space, elems, rule):

@@ -193,3 +193,40 @@ def test_only_mesh_builds_the_skeleton():
         node.name for node in ast.walk(package_trees()["meshing"])
         if isinstance(node, ast.FunctionDef) and assigns_edge_elems(node))
     assert assigners == ["_build_edges"]
+
+
+def test_trefftz_field_evaluates_each_shape_once(monkeypatch):
+    # The error pass evaluates a Trefftz space's local basis once per
+    # distinct Jacobian of an element batch, not once per element: the
+    # h = 1/8 square has two element shapes.
+    import numpy as np
+
+    from helmholtz_lab.analysis import relative_errors
+    from helmholtz_lab.meshing import triangulate, unit_square
+    from helmholtz_lab.spaces import PlaneWaveBasis, trefftz_space
+
+    k = 10.0
+    mesh = triangulate(unit_square(), 0.125)
+    space = trefftz_space(mesh, k, PlaneWaveBasis(k=k, p=7))
+    nq = len(space.error_rule(k).weights)
+    jac = mesh.jacobians().reshape(-1, 4)
+    shapes = [len(np.unique(jac[elems], axis=0))
+              for elems in space.element_batches(nq)]
+    assert shapes == [2]
+
+    points = []
+    evaluate = PlaneWaveBasis.eval
+
+    def counting(basis, y):
+        points.append(np.prod(np.shape(y)[:-1]))
+        return evaluate(basis, y)
+
+    monkeypatch.setattr(PlaneWaveBasis, "eval", counting)
+    d = np.array([0.6, 0.8])
+
+    def exact(pts):
+        u = np.exp(1j * k * (pts @ d))
+        return u, 1j * k * u[:, None] * d
+
+    relative_errors(space, np.ones(space.ndof, dtype=complex), exact, k)
+    assert sum(points) == sum(shapes) * nq
