@@ -116,7 +116,7 @@ PRESET_INFO = {
     "infsup_1d": ("<1 s",
                   "discrete inf-sup constant of the 1D model vs k at fixed"
                   " kh/p"),
-    "approx_trefftz": ("~1 s",
+    "approx_trefftz": ("<1 s",
                        "best-approximation study of plane-wave and"
                        " evanescent-augmented local bases"),
     "nodal_exact_1d": ("<1 s",

@@ -451,18 +451,39 @@ class _Space:
         b_m conj(b_l), over element elems[e] with the reference `rule`.
         A caller that already holds `element_tables(elems, rule)` passes
         them as `tables`, so the basis is not evaluated again.  The
-        weights go onto the conjugated factor before a two-operand
-        contraction; that gives the bits of the three-operand contraction
-        with the weights as a third operand (tests/test_spaces.py checks
-        every space kind) in less time.
+        weights go onto the conjugated factor.  On a 2D mesh each local
+        matrix is one GEMM per element of a batched matmul: stiffness
+        (E, L, 2Q) @ (E, 2Q, L), the gradient components stacked under
+        the points and the weights repeated per component, and mass
+        (E, L, Q) @ (E, Q, L).  An element's bits do not depend on the
+        batch it is in; they agree with the three-operand contraction to
+        roundoff, not bit for bit.
         """
         if tables is None:
             tables = self.element_tables(elems, rule)
         _, w, vals, grads = tables
-        stiff = np.einsum("eqld,eqmd->elm", w[..., None, None] * np.conj(grads),
-                          grads)
-        mass = np.einsum("eql,eqm->elm", w[..., None] * np.conj(vals), vals)
-        return stiff, mass
+        if self.mesh.dim == 1:
+            # The einsum keeps the bits of the three-operand contraction
+            # on the 1D shared spaces (the H1 space, the nodally exact
+            # one).  The fig1 k=1, p=4 rows sit on their roundoff floor,
+            # and the GEMM moved three of them beyond perfbench's 1e-6
+            # relative check (n=192: 2.5e-13 to 1.5e-12).  This branch
+            # goes when that check gets absolute floors (ROADMAP item 4).
+            return (np.einsum("eqld,eqmd->elm",
+                              w[..., None, None] * np.conj(grads), grads),
+                    np.einsum("eql,eqm->elm", w[..., None] * np.conj(vals),
+                              vals))
+        nb, nq, nl = vals.shape
+        # (E, 2Q, L), row 2q + d holding the d-derivatives at point q,
+        # and its weighted conjugate: the two table-sized temporaries
+        g = grads.transpose(0, 1, 3, 2).reshape(nb, 2 * nq, nl)
+        wg = np.conj(g)
+        wg *= np.repeat(w, 2, axis=1)[..., None]
+        stiff = np.matmul(wg.transpose(0, 2, 1), g)
+        del g, wg
+        wv = np.conj(vals)
+        wv *= w[..., None]
+        return stiff, np.matmul(wv.transpose(0, 2, 1), vals)
 
     def field(self, elems, coeffs, rule):
         """Values (nb, nq) and gradients (nb, nq, dim) of the discrete
@@ -668,10 +689,12 @@ class H1Space(_Space):
 
     # The 2D element integrals pull one reference table back through each
     # element's affine map instead of evaluating the basis at physical
-    # points (the shared _Space path): on a 2-CPU machine that path took
-    # 3-9x longer for the element matrices and 1.2-4.6x longer for the
-    # error sums, from p=1 at 73k elements to p=8 at 32 elements.  So the
-    # 2D element matrices do not use `tables` (see _Space).
+    # points (the shared _Space path): on a 2-CPU machine that path, with
+    # its batched GEMMs, took 4-18x longer for the element matrices
+    # (p=1 at 73k elements 5x, p=2 at 8k 14x, p=4 at 512 18x, p=8 at 32
+    # 4x) and 1.2-4.6x longer for the error sums, from p=1 at 73k
+    # elements to p=8 at 32 elements.  So the 2D element matrices do not
+    # use `tables` (see _Space).
 
     def element_matrices(self, elems, rule, tables=None):
         if self.mesh.dim == 1:

@@ -648,6 +648,34 @@ class TestValidator:
         assert (err.value.kind, err.value.tag) == ("tag", (1, 1, "mid"))
         assert err.value.elements == ()
 
+    # validate_mesh no longer re-checks the skeleton: `Mesh` refuses an
+    # edge of three elements (test_flags_nonmanifold), a clockwise element
+    # or two on one side of an edge, which would turn a normal into its
+    # plus element (test_flags_bad_orientation, overlapping_triangles
+    # above), and an element of zero or non-finite measure, whose normals
+    # would not be unit vectors (here)
+    @pytest.mark.parametrize("nodes", [
+        [[0.0, 0.0], [1.0, 0.0], [1.0, 0.0]],
+        [[0.0, 0.0], [1.0, 0.0], [math.nan, 1.0]],
+        [[0.0, 0.0], [math.inf, 0.0], [0.0, 1.0]],
+    ], ids=["zero_length_edge", "nan_node", "infinite_node"])
+    def test_mesh_refuses_a_triangle_without_unit_normals(self, nodes):
+        with pytest.raises(MeshError) as err:
+            mesh_from_arrays(2, np.array(nodes), [[0, 1, 2]])
+        assert (err.value.kind, err.value.elements) == ("measure", (0,))
+
+    @pytest.mark.parametrize("nodes", [[0.0, math.nan], [0.0, math.inf]],
+                             ids=["nan", "infinite"])
+    def test_mesh_refuses_a_non_finite_interval(self, nodes):
+        with pytest.raises(MeshError, match="non-finite") as err:
+            mesh_from_arrays(1, nodes, [[0, 1]])
+        assert (err.value.kind, err.value.elements) == ("measure", (0,))
+
+    def test_disjoint_intervals_pass_mesh_but_not_the_validator(self):
+        mesh = mesh_from_arrays(1, [0.0, 1.0, 2.0, 3.0], [[0, 1], [2, 3]])
+        with pytest.raises(ValueError, match="two boundary nodes"):
+            validate_mesh(mesh)
+
     def test_graded_fan_allowed_without_bound(self):
         coarse = triangulate(unit_square(), 0.5)
         fine = geometric_refine(coarse, [(0.0, 0.0)], 0.125, 6)

@@ -723,6 +723,24 @@ def three_operand_element_matrices(space, elems, rule):
             np.einsum("eq,eql,eqm->elm", w, np.conj(vals), vals))
 
 
+def gemm_element_matrices(space, elems, rule):
+    """The 2D shared element matrices element by element, each a
+    product (L, 2Q) @ (2Q, L), resp. (L, Q) @ (Q, L), of the weighted
+    conjugate table with the table; row 2q + d of a gradient table holds
+    the d-derivatives at point q."""
+    pts, w = space.mesh.map_rule(elems, rule)
+    vals, grads = space.eval_basis(elems, pts)
+    nb, nq, nl = vals.shape
+    stiff = np.empty((nb, nl, nl), dtype=complex)
+    mass = np.empty((nb, nl, nl), dtype=complex)
+    for e in range(nb):
+        g = np.empty((2 * nq, nl), dtype=complex)
+        g[0::2], g[1::2] = grads[e, :, :, 0], grads[e, :, :, 1]
+        stiff[e] = (np.conj(g) * np.repeat(w[e], 2)[:, None]).T @ g
+        mass[e] = (np.conj(vals[e]) * w[e][:, None]).T @ vals[e]
+    return stiff, mass
+
+
 def three_operand_field(space, elems, coeffs, rule):
     """The shared field with all gradient components in one contraction
     of a complex copy of the gradient table."""
@@ -800,7 +818,10 @@ class TestTwoOperandContractions:
     @given(data=st.data())
     def test_element_matrices_bitwise(self, kind, p, data):
         space, elems, rule, _ = data.draw(shared_path_batches(kind, p))
-        want = three_operand_element_matrices(space, elems, rule)
+        # on a 2D mesh each local matrix is one GEMM
+        reference = (three_operand_element_matrices if space.mesh.dim == 1
+                     else gemm_element_matrices)
+        want = reference(space, elems, rule)
         assert_same_bytes(space.element_matrices(elems, rule), want)
         tables = space.element_tables(elems, rule)
         assert_same_bytes(space.element_matrices(elems, rule, tables), want)
@@ -817,6 +838,36 @@ class TestTwoOperandContractions:
                      else three_operand_field)
         assert_same_bytes(space.field(elems, coeffs, rule),
                           reference(space, elems, coeffs, rule))
+
+
+# (kind, order) of the 2D spaces on the shared `_Space` path: plane-wave
+# and GHP Trefftz spaces at p = 1, 6 and 11, and every PUM case
+GEMM_CASES = [(kind, p) for kind, p in SHARED_PATH_CASES
+              if kind in ("pw", "ghp") and p in (1, 6, 11)
+              or kind.startswith("pum")]
+
+
+@pytest.mark.parametrize("kind, p", GEMM_CASES,
+                         ids=[f"{kind}-p{p}" for kind, p in GEMM_CASES])
+class TestSharedElementMatrices2D:
+    @CONTRACTION_SETTINGS
+    @given(data=st.data())
+    def test_agree_with_three_operand_contraction(self, kind, p, data):
+        space, elems, rule, _ = data.draw(shared_path_batches(kind, p))
+        got = space.element_matrices(elems, rule)
+        for a, b in zip(got, three_operand_element_matrices(space, elems, rule)):
+            scale = np.max(np.abs(b), axis=(1, 2))[:, None, None]
+            assert np.all(np.abs(a - b) <= 1e-13 * scale)
+
+    @CONTRACTION_SETTINGS
+    @given(data=st.data())
+    def test_batch_gives_the_bits_of_single_elements(self, kind, p, data):
+        # _block_sum sums batches of any size to the bits of one batch
+        space, elems, rule, _ = data.draw(shared_path_batches(kind, p))
+        batch = space.element_matrices(elems, rule)
+        for i in range(len(elems)):
+            one = space.element_matrices(elems[i:i + 1], rule)
+            assert_same_bytes(one, [m[i:i + 1] for m in batch])
 
 
 def perturbed(mesh, seed=0):

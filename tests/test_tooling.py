@@ -230,3 +230,30 @@ def test_trefftz_field_evaluates_each_shape_once(monkeypatch):
 
     relative_errors(space, np.ones(space.ndof, dtype=complex), exact, k)
     assert sum(points) == sum(shapes) * nq
+
+
+def test_2d_shared_element_matrices_make_no_einsum(monkeypatch):
+    # The Trefftz (1,k) projection and the PUM Galerkin matrix take their
+    # local matrices from one batched GEMM each, not from an einsum.
+    import numpy as np
+
+    from helmholtz_lab import spaces
+    from helmholtz_lab.meshing import triangulate, unit_square
+
+    k = 10.0
+    mesh = triangulate(unit_square(), 0.25)
+    trefftz = spaces.trefftz_space(mesh, k, spaces.GhpBasis(k=k, p=3))
+    pum = spaces.pum_space(mesh, k, spaces.PlaneWaveBasis(k=k, p=5))
+    elems = np.arange(mesh.n_elements)
+    batches = []
+    for space in (trefftz, pum):
+        rule = space.volume_rule(k)
+        batches.append((space, rule, space.element_tables(elems, rule)))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("einsum on the 2D shared element path")
+
+    monkeypatch.setattr(spaces.np, "einsum", refuse)
+    for space, rule, tables in batches:
+        stiff, mass = space.element_matrices(elems, rule, tables)
+        assert stiff.shape == mass.shape == (len(elems),) + (space.nloc,) * 2
