@@ -46,8 +46,10 @@ sides' traces from one `space.edge_tables` call per batch.
 kind of system, which returns a complete `SolveResult`: without an SVD
 cutoff (the square Galerkin and DG systems) `_sparse_lu`, a sparse LU in
 SuperLU's symmetric mode, made for the complex symmetric Galerkin
-matrices, that falls back to COLAMD with partial pivoting; with one (the
-possibly singular least-squares normal equations and Gram matrices)
+matrices, that falls back to COLAMD with partial pivoting (in
+nested-dissection order the factor is first made in complex64 and its
+solution refined in complex128, `_refined`); with one (the possibly
+singular least-squares normal equations and Gram matrices)
 `_truncated`, the truncated SVD unless a COLAMD LU certifies that
 truncation would drop nothing.  Every LU is one `_factor` call.
 `SolveResult` records the path that ran, the LU ordering and fill, the
@@ -80,6 +82,10 @@ _DENSE_LIMIT = 4608
 # a symmetric-mode solution above it is recomputed with COLAMD, and a
 # truncated-SVD certificate above it fails.
 _LU_RESIDUAL_LIMIT = 1e-10
+
+# Most correction steps of the refinement of a complex64 factor's
+# solution (LAPACK zcgesv's ITERMAX).
+_REFINE_MAX_STEPS = 30
 
 
 @dataclass
@@ -121,8 +127,11 @@ class SolveResult:
     estimate of the truncated-SVD certificate (None when none was made).
     `ordering` is the column ordering of the sparse LU that produced x
     ('NESTED_DISSECTION', the system's own `order`, or 'MMD_AT_PLUS_A' in
-    symmetric mode, 'COLAMD' otherwise; None on the dense SVD) and
-    `lu_nnz` the entries SuperLU stores for its L and U factors.
+    symmetric mode, 'COLAMD' otherwise; None on the dense SVD),
+    `lu_nnz` the entries SuperLU stores for the L and U factors that
+    produced x, and `refine_steps` the correction steps that refined the
+    solution of a complex64 factor to double accuracy (None where x
+    comes from a complex128 factor or the SVD).
     """
 
     x: np.ndarray
@@ -132,6 +141,7 @@ class SolveResult:
     cond_est: float = None
     ordering: str = None
     lu_nnz: int = None
+    refine_steps: int = None
 
 
 @dataclass(frozen=True)
@@ -627,7 +637,9 @@ def _accepted_residual(A, x, rhs):
 
 def _factor(A, ordering):
     """SuperLU factors of the square sparse A, None where SuperLU finds A
-    singular.  `ordering` 'COLAMD' pivots partially; 'NESTED_DISSECTION'
+    singular.  The factors take A's precision: complex128, or complex64
+    for the first factor of a nested-dissection solve (`_refined`).
+    `ordering` 'COLAMD' pivots partially; 'NESTED_DISSECTION'
     takes A as it stands, already in its elimination order (SuperLU's
     'NATURAL'), and 'MMD_AT_PLUS_A' a minimum degree ordering of A + A^T,
     both in SuperLU's symmetric mode: one ordering for rows and columns
@@ -648,18 +660,68 @@ def _factor(A, ordering):
         return None
 
 
+def _refined(A, rhs):
+    """The solution of A x = rhs from a complex64 factor of A in
+    nested-dissection order, refined in complex128 to double accuracy.
+
+    Mixed-precision iterative refinement, as LAPACK's zcgesv (Buttari et
+    al., ACM TOMS 34(4), 2008): x = LU^-1 rhs, then r = rhs - A x with
+    the complex128 A and x, and x += LU^-1 r, each LU^-1 in complex64,
+    until ||r||_inf <= ||x||_inf ||A||_inf eps sqrt(n), eps the float64
+    epsilon.  Returns (lu, x, residual, steps), the factor, the refined
+    x, the residual `_accepted_residual` accepted it with and the
+    correction steps taken; None when SuperLU finds the cast singular, a
+    value is not finite, a step fails to halve ||r||_inf or
+    _REFINE_MAX_STEPS steps do not meet the test.  The casts ignore
+    overflow: an entry beyond complex64's range turns infinite, and the
+    refinement gives up.  The complex64 copy of A is the one copy held
+    while the factor runs; the factor stores half the bytes of a
+    complex128 one.
+    """
+    with np.errstate(over="ignore"):
+        lu = _factor(A.astype(np.complex64), "NESTED_DISSECTION")
+    if lu is None:
+        return None
+
+    def correction(v):
+        with np.errstate(over="ignore"):
+            return lu.solve(v.astype(np.complex64)).astype(complex)
+
+    tol = (scipy.sparse.linalg.norm(A, np.inf) * np.finfo(float).eps
+           * math.sqrt(rhs.shape[0]))
+    x, last, steps = correction(rhs), np.inf, 0
+    while True:
+        r = rhs - A @ x
+        r_norm, x_norm = np.abs(r).max(), np.abs(x).max()
+        if not (np.isfinite(r_norm) and np.isfinite(x_norm)):
+            return None
+        if r_norm <= x_norm * tol:
+            break
+        if r_norm > 0.5 * last or steps == _REFINE_MAX_STEPS:
+            return None
+        x, last, steps = x + correction(r), r_norm, steps + 1
+    residual = _accepted_residual(A, x, rhs)
+    return None if residual is None else (lu, x, residual, steps)
+
+
 def _sparse_lu(A, rhs, ordering):
     """The sparse LU solution of A x = rhs.
 
-    The solution of the `_factor` in `ordering` is kept, with the
-    residual that checked it, when `_accepted_residual` accepts it;
-    otherwise, or with 'COLAMD', that of a COLAMD factor, and a singular
-    A raises np.linalg.LinAlgError.  lu_nnz is `SuperLU.nnz`, the entries
-    of L and U, zeros padded into supernodes included.
+    With 'NESTED_DISSECTION', the refined solution of a complex64 factor
+    (`_refined`) is kept when it meets its test.  Otherwise the solution
+    of a complex128 `_factor` in `ordering` is kept, with the residual
+    that checked it, when `_accepted_residual` accepts it; otherwise, or
+    with 'COLAMD', that of a COLAMD factor, and a singular A raises
+    np.linalg.LinAlgError.  lu_nnz is `SuperLU.nnz` of the factor that
+    produced x, the entries of L and U, zeros padded into supernodes
+    included.
     """
-    lu = None if ordering == "COLAMD" else _factor(A, ordering)
-    x = None if lu is None else lu.solve(rhs)
-    residual = None if lu is None else _accepted_residual(A, x, rhs)
+    refined = _refined(A, rhs) if ordering == "NESTED_DISSECTION" else None
+    lu, x, residual, steps = refined or (None, None, None, None)
+    if residual is None and ordering != "COLAMD":
+        lu = _factor(A, ordering)
+        x = None if lu is None else lu.solve(rhs)
+        residual = None if lu is None else _accepted_residual(A, x, rhs)
     if residual is None:
         ordering, lu = "COLAMD", _factor(A, "COLAMD")
         if lu is None:
@@ -667,7 +729,7 @@ def _sparse_lu(A, rhs, ordering):
         x = lu.solve(rhs)
         residual = _relative_residual(A, x, rhs)
     return SolveResult(x=x, residual=residual, strategy="sparse_lu",
-                       ordering=ordering, lu_nnz=lu.nnz)
+                       ordering=ordering, lu_nnz=lu.nnz, refine_steps=steps)
 
 
 def _truncated(A, rhs, svd_cutoff):
@@ -718,7 +780,9 @@ def solve(system, svd_cutoff=None):
     Without `svd_cutoff`, a sparse LU (`_sparse_lu`): in SuperLU's
     symmetric mode, on the free DOFs in the system's `order` when it has
     one (a conforming space on a large 2D mesh), cut and permuted by one
-    `restrict`, else in SuperLU's minimum degree ordering; systems whose
+    `restrict` and factorized in complex64 with its solution refined to
+    double accuracy (`_refined`), else in SuperLU's minimum degree
+    ordering; systems whose
     meta['dim'] is 1 (`_space_system` sets it on every Galerkin and
     projection system) go to COLAMD directly.  With it, the truncated
     solve (`_truncated`), for numerically singular normal equations and

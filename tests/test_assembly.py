@@ -842,16 +842,111 @@ class TestNestedDissection:
         assert mmd.ordering == "MMD_AT_PLUS_A"
         assert nested.lu_nnz <= mmd.lu_nnz
 
-    @pytest.mark.parametrize("tiny", [1e-20, 1e-310],
+    @staticmethod
+    def unstable(tiny, scale=1.0):
+        """A 3x3 system whose nested-dissection order keeps the tiny
+        diagonal pivot first; its solution is (2, 1, 3)."""
+        A = scale * np.array([[tiny, 1.0, 0.0], [1.0, tiny, 0.0],
+                              [0.0, 0.0, 1.0]], dtype=complex)
+        rhs = scale * np.array([1.0, 2.0, 3.0], dtype=complex)
+        return ComplexSystem(A=A, rhs=rhs, order=np.array([1, 0, 2]))
+
+    @pytest.mark.parametrize("tiny, steps", [(1e-20, 1), (1e-310, 0)],
                              ids=["residual", "singular_pivot"])
-    def test_unstable_diagonal_pivots_fall_back_to_colamd(self, tiny):
-        A = np.array([[tiny, 1.0, 0.0], [1.0, tiny, 0.0], [0.0, 0.0, 1.0]],
-                     dtype=complex)
-        rhs = np.array([1.0, 2.0, 3.0], dtype=complex)
-        res = solve(ComplexSystem(A=A, rhs=rhs, order=np.array([1, 0, 2])))
-        assert res.ordering == "COLAMD"
+    def test_unstable_diagonal_pivots_are_refined(self, tiny, steps):
+        # In complex64 the 1e-20 pivot still leaves a residual of order
+        # one, which one correction step repairs; 1e-310 rounds to an
+        # exact zero, where SuperLU takes the off-diagonal pivot and
+        # solves exactly.
+        res = solve(self.unstable(tiny))
+        assert res.ordering == "NESTED_DISSECTION"
+        assert res.refine_steps == steps
         np.testing.assert_allclose(res.x, [2.0, 1.0, 3.0], rtol=1e-15)
         assert res.residual <= 1e-15
+
+    @pytest.mark.filterwarnings("error")
+    def test_unstable_diagonal_pivots_fall_back_to_colamd(self):
+        # Scaled past complex64's range, the cast turns infinite without
+        # a warning and refinement gives up; the complex128 factor keeps
+        # the tiny pivot and fails its residual check.
+        res = solve(self.unstable(1e-20, scale=1e39))
+        assert res.ordering == "COLAMD" and res.refine_steps is None
+        np.testing.assert_allclose(res.x, [2.0, 1.0, 3.0], rtol=1e-15)
+        assert res.residual <= 1e-15
+
+    def test_failed_refinement_runs_the_complex128_chain(self, monkeypatch):
+        # a complex64 factor whose solutions are not finite hands the
+        # solve to the complex128 chain, whose result it keeps bit for bit
+        calls = []
+        factor = assembly._factor
+
+        class NonFinite:
+            def __init__(self, lu):
+                self.nnz = lu.nnz
+
+            def solve(self, rhs):
+                return np.full(rhs.shape, np.nan, dtype=rhs.dtype)
+
+        def recording(A, ordering):
+            calls.append((A.dtype, ordering))
+            lu = factor(A, ordering)
+            return NonFinite(lu) if A.dtype == np.complex64 else lu
+
+        monkeypatch.setattr(assembly, "_factor", recording)
+        single = (np.complex64, "NESTED_DISSECTION")
+        double = (np.complex128, "NESTED_DISSECTION")
+        res = solve(self.unstable(1e-20))
+        assert calls == [single, double, (np.complex128, "COLAMD")]
+        assert res.ordering == "COLAMD" and res.refine_steps is None
+        np.testing.assert_allclose(res.x, [2.0, 1.0, 3.0], rtol=1e-15)
+
+        calls.clear()
+        system = self.galerkin(24, 1)
+        res = solve(system)
+        assert calls == [single, double]
+        assert res.ordering == "NESTED_DISSECTION"
+        assert res.refine_steps is None
+        block, rhs = assembly._reduce(system, assembly._free_in_order(system))
+        lu = factor(block.tocsc(), "NESTED_DISSECTION")
+        assert res.lu_nnz == lu.nnz
+        x = np.zeros(system.ndof, dtype=complex)
+        x[assembly._free_in_order(system)] = lu.solve(rhs)
+        assert np.array_equal(res.x, x)
+
+    @pytest.mark.parametrize("case", ["p1", "p2", "p3", "p2_dirichlet",
+                                      "gram"])
+    def test_refined_solution_agrees_with_complex128(self, case):
+        # the refined x meets zcgesv's backward-error test and differs
+        # from the complex128 factor's solution at roundoff only
+        if case == "gram":
+            space = h1_space(triangulate(unit_square(), 1.0 / 24), 2)
+            system = assemble_projection_1k(space, 3.0,
+                                            methods.plane_wave_2d(3.0).eval)
+        else:
+            bc = {"wall": "dirichlet"} if "dirichlet" in case else None
+            system = self.galerkin(24, int(case[1]), bc)
+        res = solve(system)
+        assert res.ordering == "NESTED_DISSECTION"
+        assert res.refine_steps >= 1
+        index = assembly._free_in_order(system)
+        A, rhs = assembly._reduce(system, index)
+        x = res.x[index]
+        tol = (scipy.sparse.linalg.norm(A, np.inf) * np.finfo(float).eps
+               * math.sqrt(len(rhs)))
+        assert np.abs(rhs - A @ x).max() <= np.abs(x).max() * tol
+        want = assembly._factor(A.tocsc(), "NESTED_DISSECTION").solve(rhs)
+        assert np.linalg.norm(x - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_minimum_degree_solve_keeps_complex128_bitwise(self):
+        # below the crossover no factor is cast: the solve is splu's own
+        system = replace(self.galerkin(16, 2), order=None)
+        res = solve(system)
+        assert res.ordering == "MMD_AT_PLUS_A" and res.refine_steps is None
+        lu = scipy.sparse.linalg.splu(
+            system.A.tocsc(), permc_spec="MMD_AT_PLUS_A",
+            diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+        assert np.array_equal(res.x, lu.solve(system.rhs))
+        assert res.lu_nnz == lu.nnz
 
     def test_cutoff_solves_keep_the_certified_colamd(self):
         system = self.galerkin(24, 1)

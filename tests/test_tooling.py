@@ -257,3 +257,25 @@ def test_2d_shared_element_matrices_make_no_einsum(monkeypatch):
     for space, rule, tables in batches:
         stiff, mass = space.element_matrices(elems, rule, tables)
         assert stiff.shape == mass.shape == (len(elems),) + (space.nloc,) * 2
+
+
+def test_only_sparse_lu_lowers_precision():
+    # A single-precision factor is a fast path that `_sparse_lu` checks
+    # by refinement and its residual; every other computation of the
+    # package stays in double precision.
+    single = {"complex64", "float32", "csingle", "single", "float16",
+              "half"}
+
+    def lowers(node):
+        return any(getattr(sub, "id", getattr(sub, "attr", None)) in single
+                   or (isinstance(sub, ast.Constant)
+                       and isinstance(sub.value, str) and sub.value in single)
+                   for sub in ast.walk(node))
+
+    users = sorted(
+        (module, getattr(top, "name", "<module>"))
+        for module, tree in package_trees().items()
+        for top in tree.body if lowers(top))
+    assert users == [("assembly", "_refined")]
+    assert top_level_callers(package_trees()["assembly"],
+                             "_refined") == ["_sparse_lu"]
