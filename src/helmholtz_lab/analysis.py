@@ -81,6 +81,16 @@ def _weighted_square_sum(w, z, out):
     return float((w @ sq).sum())
 
 
+def _coefficients(space, coeffs):
+    """`coeffs` as a complex vector of the space's length; a vector of any
+    other shape raises ValueError naming both lengths."""
+    coeffs = np.asarray(coeffs, dtype=complex)
+    if coeffs.shape != (space.ndof,):
+        raise ValueError(f"coefficient vector of shape {coeffs.shape} for a "
+                         f"space of {space.ndof} DOFs")
+    return coeffs
+
+
 def relative_errors(space, coeffs, exact, k, exclude_radius=0.0):
     """Relative L2, H1-seminorm, and (1,k)-norm errors vs an exact solution.
 
@@ -89,15 +99,21 @@ def relative_errors(space, coeffs, exact, k, exclude_radius=0.0):
     it is called once per element batch, and the arrays it returns are
     only read, so it may return the same arrays on every call.  Relative
     norms divide by the exact solution's norm computed with the same
-    quadrature.  Per batch, the exact norms are summed first; the errors
-    are then formed and squared in place in two buffers of this call.  A
+    quadrature.  Per batch, the errors are formed and squared in place in
+    the arrays that `space.field` returns, which then take the squares of
+    the exact solution: a batch allocates no buffer of its own.  A
     positive exclude_radius drops quadrature points inside the disk around
     the origin, the re-entrant corner of the L-shape; used for solutions
     whose gradient is singular there (`ExactSolution.exclude_radius`).
 
+    A coefficient vector whose length is not `space.ndof` raises
+    ValueError, as does a sum that is not finite: the exact solution's
+    norm (a NaN or infinite exact value) or the error's (a NaN or
+    infinite discrete field).
+
     Returns (h1_semi_rel, l2_rel, norm_1k_rel).
     """
-    coeffs = np.asarray(coeffs, dtype=complex)
+    coeffs = _coefficients(space, coeffs)
     mesh = space.mesh
     rule = space.error_rule(k)
     num_l2 = den_l2 = num_h1 = den_h1 = 0.0
@@ -109,14 +125,20 @@ def relative_errors(space, coeffs, exact, k, exclude_radius=0.0):
         u_n, g_n = space.field(elems, coeffs, rule)
         u_e, g_e = _point_fields(exact, pts)
         w = w.ravel()
-        u_d = np.empty_like(u_e, order="C")
-        g_d = np.empty_like(g_e, order="C")
-        den_l2 += _weighted_square_sum(w, u_e, out=u_d)
-        den_h1 += _weighted_square_sum(w, g_e, out=g_d)
-        num_l2 += _weighted_square_sum(w, np.subtract(u_e, u_n, out=u_d),
-                                       out=u_d)
-        num_h1 += _weighted_square_sum(w, np.subtract(g_e, g_n, out=g_d),
-                                       out=g_d)
+        num_l2 += _weighted_square_sum(w, np.subtract(u_e, u_n, out=u_n),
+                                       out=u_n)
+        num_h1 += _weighted_square_sum(w, np.subtract(g_e, g_n, out=g_n),
+                                       out=g_n)
+        den_l2 += _weighted_square_sum(w, u_e, out=u_n)
+        den_h1 += _weighted_square_sum(w, g_e, out=g_n)
+    if not (math.isfinite(den_l2) and math.isfinite(den_h1)):
+        raise ValueError(f"the exact solution's squared L2 and H1 norms are "
+                         f"{den_l2} and {den_h1}: it is not finite at every "
+                         f"quadrature point")
+    if not (math.isfinite(num_l2) and math.isfinite(num_h1)):
+        raise ValueError(f"the error's squared L2 and H1 norms are {num_l2} "
+                         f"and {num_h1}: the discrete field is not finite at "
+                         f"every quadrature point")
     kk = float(k) ** 2
     return (
         _rel(num_h1, den_h1),
@@ -126,9 +148,10 @@ def relative_errors(space, coeffs, exact, k, exclude_radius=0.0):
 
 
 def nodal_max_error(space, coeffs, exact_value):
-    """Largest |u_N - u| over the mesh nodes."""
+    """Largest |u_N - u| over the mesh nodes; a coefficient vector whose
+    length is not `space.ndof` raises ValueError."""
+    coeffs = _coefficients(space, coeffs)
     mesh = space.mesh
-    coeffs = np.asarray(coeffs, dtype=complex)
     vals = np.zeros(mesh.n_nodes, dtype=complex)
     for elems in space.element_batches(mesh.elements.shape[1]):
         nd = mesh.elements[elems]

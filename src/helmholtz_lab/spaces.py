@@ -26,10 +26,12 @@ integral (the 1D spaces, PUM, the Trefftz element matrices and loads)
 takes `element_tables`: `eval_basis` at each element's images of the
 rule points (`Mesh.map_rule`), which a caller needing both the tables
 and the matrices hands to `element_matrices`.
-`element_batches` splits the mesh
-into batches of at most `_BATCH_POINTS` points whose per-point basis
-tables hold at most `_BATCH_ENTRIES` numbers.  Edge integrals have the
-same facility on a 2D mesh: `edge_batches` groups edges by their edge
+`element_batches` splits the mesh into batches of at most
+`_BATCH_POINTS` (16,384) points, which keeps the per-point arrays of the
+error pass near one core's L2 cache, and whose per-point basis tables
+hold at most `_BATCH_ENTRIES` numbers.  `field` returns new arrays,
+which the caller owns and may overwrite.  Edge integrals have the same
+facility on a 2D mesh: `edge_batches` groups edges by their edge
 rule into batches bounded by `_BATCH_ENTRIES`, `edge_tables` gives the
 edge points (`Mesh.edge_points`) and both sides' basis values and
 plus-normal derivatives there, and `edge_field` those of a discrete
@@ -63,13 +65,19 @@ _LOCAL_EDGES = ((0, 1), (1, 2), (0, 2))
 
 # Bounds on one element batch of every volume loop: the numbers held by
 # its basis table or local matrices (16 MB as floats, 32 MB as complex),
-# and its quadrature points.  The point bound keeps each per-point array
-# of the error pass (values, gradients, exact solution, differences) at
-# 1-2 MB: on the 192 x 192 square at p=1 one `relative_errors` call
-# peaks at 12 MB of allocations, against 68 MB with batches bounded by
-# table entries alone, and runs faster.
+# and its quadrature points.  The point bound keeps the per-point arrays
+# of the error pass (points, weights, exact and discrete values and
+# gradients: about 175 B a point) near the 2 MB L2 cache of one core of
+# the 2-CPU machine measured: on the 192 x 192 square at p=1 one
+# `relative_errors` call peaks at 2.9 MB of allocations (11.5 MB with
+# 65,536 points a batch, 68 MB with batches bounded by table entries
+# alone).  The six error passes of perfbench's `fem2d_h` alone, best of
+# 10 interleaved rounds, one BLAS thread: 0.357 s at 65,536 points,
+# 0.324 at 32,768, 0.322 at 24,576, 0.321 at 16,384, 0.326 at 12,288
+# and 0.333 at 8,192; 0.436 s at 65,536 for a pass that also allocated
+# two difference buffers and evaluated the reference tables per batch.
 _BATCH_ENTRIES = 2_000_000
-_BATCH_POINTS = 65_536
+_BATCH_POINTS = 16_384
 
 # Fewest elements of a 2D mesh on which a conforming space has an
 # `elimination_order`.  Measured against SuperLU's minimum degree ordering
@@ -488,7 +496,8 @@ class _Space:
     def field(self, elems, coeffs, rule):
         """Values (nb, nq) and gradients (nb, nq, dim) of the discrete
         function with global coefficients `coeffs` at the images of the
-        reference `rule` points."""
+        reference `rule` points, as new C-ordered arrays that the caller
+        may overwrite."""
         _, _, vals, grads = self.element_tables(elems, rule)
         return _contract(vals, grads, coeffs[self.dof_matrix()[elems]])
 
@@ -692,9 +701,10 @@ class H1Space(_Space):
     # points (the shared _Space path): on a 2-CPU machine that path, with
     # its batched GEMMs, took 4-18x longer for the element matrices
     # (p=1 at 73k elements 5x, p=2 at 8k 14x, p=4 at 512 18x, p=8 at 32
-    # 4x) and 1.2-4.6x longer for the error sums, from p=1 at 73k
-    # elements to p=8 at 32 elements.  So the 2D element matrices do not
-    # use `tables` (see _Space).
+    # 4x) and 2.5-33x longer for the error sums at k=40 (p=1 at 73k
+    # elements 2.5-2.7x, p=2 at 8k 6.2x, p=4 at 512 13x, p=8 at 32
+    # 26-33x; best of 5, one BLAS thread).  So the 2D element matrices
+    # do not use `tables` (see _Space).
 
     def element_matrices(self, elems, rule, tables=None):
         if self.mesh.dim == 1:
@@ -719,18 +729,42 @@ class H1Space(_Space):
     def field(self, elems, coeffs, rule):
         if self.mesh.dim == 1:
             return super().field(elems, coeffs, rule)
-        vals, grads = self.reference_tables(rule.points)
+        vals_t, table = self._field_tables(rule)
         c = coeffs[self.dof_matrix()[elems]] * self.orientation_signs()[elems]
-        nb, nq = len(elems), len(vals)
-        u = c @ vals.T
+        nb, nq = len(elems), vals_t.shape[1]
+        u = c @ vals_t
         # grad u = invJt . sum_l c_l grad_ref b_l: fold each element's
-        # inverse transposed Jacobian into its coefficients, (E, 2, 2L),
-        # so that both physical components come from one (2E, 2L) @ (2L, Q)
-        # product with the stacked reference gradient tables
+        # inverse transposed Jacobian into its coefficients, (E, 4L), so
+        # that the gradients come from one (E, 4L) @ (4L, 2Q) product in
+        # the (E, Q, 2) layout of the exact solution's gradients
         folded = self.mesh.inv_jacobians_t()[elems][..., None] * c[:, None, None]
-        table = grads.transpose(2, 1, 0).reshape(2 * self.nloc, nq)
-        g = (folded.reshape(2 * nb, 2 * self.nloc) @ table).reshape(nb, 2, nq)
-        return u, g.transpose(0, 2, 1)
+        g = folded.reshape(nb, 4 * self.nloc) @ table
+        return u, g.reshape(nb, nq, 2)
+
+    @functools.cached_property
+    def _field_cache(self):
+        """`_field_tables` per rule, keyed by the rule's points."""
+        return {}
+
+    def _field_tables(self, rule):
+        """The reference tables of the 2D `field` at the points of `rule`,
+        built on first use of the rule and kept, read-only, with the
+        space: the values (L, Q) and the gradients as a (4L, 2Q) matrix,
+        block diagonal in the physical component d, row (d, r, l) and
+        column (q, d) holding the r-derivative of b_l at xi_q.  A volume
+        loop of many batches thus evaluates the shape functions once."""
+        key = rule.points.tobytes()
+        if key not in self._field_cache:
+            vals, grads = self.reference_tables(rule.points)
+            nq, nl = vals.shape
+            table = np.zeros((2, 2, nl, nq, 2))
+            for d in range(2):
+                table[d, ..., d] = grads.transpose(2, 1, 0)
+            kept = np.ascontiguousarray(vals.T), table.reshape(4 * nl, 2 * nq)
+            for array in kept:
+                array.flags.writeable = False
+            self._field_cache[key] = kept
+        return self._field_cache[key]
 
 
 class NodallyExact1D(_Space):
