@@ -732,6 +732,39 @@ def _sparse_lu(A, rhs, ordering):
                        ordering=ordering, lu_nnz=lu.nnz, refine_steps=steps)
 
 
+def _inverse_norm_1(lu, n):
+    """A lower estimate of ||A^-1||_1 from solves with the LU factors of
+    A and of A^H: Hager's method with Higham's refinements, as in
+    LAPACK's zlacn2.  It starts from x = (1/n, ..., 1/n), steps to the
+    unit vector e_j of the largest |A^-H (y/|y|)|_j, y = A^-1 x, while the
+    estimate grows, at most five times, and ends with the alternating
+    vector x_i = (-1)^i (1 + i/(n-1)).  Each estimate is
+    ||A^-1 x||_1 / ||x||_1 for some x, the largest is returned.  It uses
+    no random numbers, so it is the same in every thread and leaves
+    NumPy's global generator alone.
+    """
+    y = lu.solve(np.full(n, 1.0 / n, dtype=complex))
+    est = np.abs(y).sum()
+    if n == 1:
+        return est
+    j = -1
+    for _ in range(5):
+        size = np.abs(y)
+        phases = np.divide(y, size, out=np.ones_like(y), where=size > 0.0)
+        z = lu.solve(phases, trans="H")
+        last, j = j, int(np.argmax(np.abs(z)))
+        if j == last:
+            break
+        y = lu.solve(np.eye(1, n, j, dtype=complex)[0])
+        norm = np.abs(y).sum()
+        if not norm > est:
+            break
+        est = norm
+    alt = (1.0 + np.arange(n) / (n - 1.0)) * (-1.0) ** np.arange(n)
+    y = lu.solve(alt.astype(complex))
+    return max(est, np.abs(y).sum() / np.abs(alt).sum())
+
+
 def _truncated(A, rhs, svd_cutoff):
     """The minimum-norm least-squares solution of A x = rhs after zeroing
     singular values below svd_cutoff * sigma_max.
@@ -739,11 +772,12 @@ def _truncated(A, rhs, svd_cutoff):
     A COLAMD LU solution is kept when it certifies that truncation would
     drop nothing: `_accepted_residual` accepts it and
     10 n kappa_1 < 1/svd_cutoff, where kappa_1 is the 1-norm condition
-    number estimated by `onenormest` on A and on A^-1 applied through the
-    LU factors.  Since kappa_2 <= n kappa_1, truncation would then drop
-    no singular value, so the LU solution is the minimum-norm one; the
-    factor 10 allows for the estimate falling short of kappa_1.  Else
-    the dense SVD solves, with `cond_est` the estimate where one was made.
+    number: ||A||_1 exactly times ||A^-1||_1 estimated through the LU
+    factors (`_inverse_norm_1`).  Since kappa_2 <= n kappa_1, truncation
+    would then drop no singular value, so the LU solution is the
+    minimum-norm one; the factor 10 allows for the estimate falling short
+    of kappa_1.  Else the dense SVD solves, with `cond_est` the estimate
+    where one was made.
     """
     n = rhs.shape[0]
     lu = _factor(A, "COLAMD")
@@ -751,14 +785,9 @@ def _truncated(A, rhs, svd_cutoff):
     residual = None if lu is None else _accepted_residual(A, x, rhs)
     kappa = None
     if residual is not None:
-        inverse = scipy.sparse.linalg.LinearOperator(
-            (n, n), dtype=complex, matvec=lu.solve, matmat=lu.solve,
-            rmatvec=lambda v: lu.solve(v, trans="H"),
-            rmatmat=lambda v: lu.solve(v, trans="H"))
         # an A^-1 near overflow reads as an infinite, failing estimate
         with np.errstate(over="ignore", invalid="ignore"):
-            kappa = float(scipy.sparse.linalg.onenormest(A)
-                          * scipy.sparse.linalg.onenormest(inverse))
+            kappa = float(abs(A).sum(axis=0).max() * _inverse_norm_1(lu, n))
         if 10.0 * n * kappa < 1.0 / svd_cutoff:
             return SolveResult(x=x, residual=residual, strategy="sparse_lu",
                                cond_est=kappa, ordering="COLAMD",

@@ -106,12 +106,13 @@ def bessel_singular(k):
         ju = jn.copy()
         if np.any(tiny):
             ju[tiny] = bessel_j(nu, k * r[tiny])
-        du_dr = k * 0.5 * (jm - jp) * np.cos(nu * phi)
+        angular = np.cos(nu * phi)
+        du_dr = k * 0.5 * (jm - jp) * angular
         du_dphi_over_r = -nu * jn * np.sin(nu * phi) / r_safe
         cos_p, sin_p = np.cos(phi), np.sin(phi)
         gx = du_dr * cos_p - du_dphi_over_r * sin_p
         gy = du_dr * sin_p + du_dphi_over_r * cos_p
-        return (ju * np.cos(nu * phi) + 0.0j,
+        return (ju * angular + 0.0j,
                 np.stack([gx, gy], axis=1) + 0.0j)
 
     return ExactSolution(id="bessel_singular", k=k, eval=evaluate,

@@ -5,6 +5,19 @@ recurrence with sum normalization, Lanczos approximation) so that basis
 evaluations do not depend on an external special-function library, plus
 Gauss-Legendre rules on [0, 1] and collapsed tensor rules on the
 reference triangle.
+
+The Bessel kernels keep their bits: the power series and the recurrence
+run in place, with the operations of each point in a fixed order, so a
+row of a ladder of orders equals the call with that order alone, and a
+kernel rewritten for speed must equal the one it replaces bit for bit
+(the tests pin both against plain references).  The series tests its
+convergence every few terms and the recurrence tests for rescaling only
+once an a-priori bound allows it; neither changes a result.  Refused,
+with a ValueError naming the value before anything is allocated: integer
+orders outside 0..60, non-integer orders outside (-1, 14.5], where the
+Neumann normalization of the recurrence overflows, a negative order at
+x = 0, and non-finite or negative x.  gamma refuses x outside
+(0, 171.62], where Gamma overflows a double.
 """
 
 import functools
@@ -23,10 +36,20 @@ __all__ = [
 ]
 
 _MAX_INT_ORDER = 60
+# Largest non-integer order.  The Neumann weights grow like k^(nu-1) up to
+# k = m_top/2 ~ x_max/2, and the recurrence values up to ~1e253 before a
+# rescale; their products overflow for large orders.  On a grid of orders
+# up to 14.89, every call matched mpmath to 1e-10 absolute without a
+# warning, for x in (0, 1e4] alone and in mixed arrays, and 14.9
+# overflows for x = [9.01, 1e4].  The worst case of the bound, x_min just
+# above 9 with x_max = 1e4, passes the largest double from 14.75.
+_MAX_FRAC_ORDER = 14.5
 _SERIES_CUTOFF = 9.0  # below this the power series keeps ~13 digits
+_SERIES_CHECK = 4  # terms between convergence tests of the series
 
 # Lanczos g=7, 9 coefficients (double precision set).
 _LANCZOS_G = 7.0
+_GAMMA_MAX = 171.62  # Gamma(x) passes the largest double at x = 171.6244
 _LANCZOS_C = (
     0.99999999999980993,
     676.5203681218851,
@@ -50,10 +73,14 @@ class QuadratureRule:
 
 
 def gamma(x):
-    """Gamma function on the positive real axis (Lanczos, g=7)."""
+    """Gamma function on the positive real axis (Lanczos, g=7).
+
+    Refuses x outside (0, _GAMMA_MAX], Gamma overflowing a double above
+    it, with a ValueError naming x.
+    """
     x = float(x)
-    if x <= 0.0:
-        raise ValueError(f"gamma requires x > 0, got {x}")
+    if not 0.0 < x <= _GAMMA_MAX:
+        raise ValueError(f"gamma requires 0 < x <= {_GAMMA_MAX}, got {x}")
     if x < 0.5:
         # reflection keeps the Lanczos sum in its accurate range
         return math.pi / (math.sin(math.pi * x) * gamma(1.0 - x))
@@ -62,14 +89,19 @@ def gamma(x):
     for i in range(1, 9):
         acc += _LANCZOS_C[i] / (z + i)
     t = z + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * math.exp(-t) * acc
+    if x < 142.0:
+        return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * math.exp(-t) * acc
+    # t ** (z + 0.5) overflows from x = 142.5 on: take it in two halves
+    root = t ** (0.5 * (z + 0.5))
+    return math.sqrt(2.0 * math.pi) * root * math.exp(-t) * root * acc
 
 
 def bessel_j(order, x):
     """Bessel function of the first kind J_order(x) for finite x >= 0.
 
-    Supported orders: integers 0..60 and non-integer real orders > -1
-    (fractional orders appear in corner-singular solutions).  Scalar or
+    Supported orders: integers 0..60 and non-integer real orders in
+    (-1, 14.5] (fractional orders appear in corner-singular solutions);
+    fractional orders are checked against x up to 1e4.  Scalar or
     array x.  Small arguments (x <= 9) use the power series; larger
     arguments use downward recurrence normalized either by the even-order
     sum identity (integer order) or by the Neumann series for (x/2)^order
@@ -105,9 +137,10 @@ def bessel_j(order, x):
     if np.any(small):
         out[:, small] = _bessel_series(orders, flat[small])
     if not np.all(small):
-        big = flat[~small]
+        big = ~small
+        points = flat[big]
         for row, nu in zip(out, orders):
-            row[~small] = _bessel_miller(nu, big)
+            row[big] = _bessel_miller(nu, points)
 
     if ladder:
         return out.reshape((len(orders),) + arr.shape)
@@ -168,6 +201,10 @@ def _checked_orders(order):
                 raise ValueError(f"unsupported integer order {int(nu)}")
         elif nu <= -1.0:
             raise ValueError(f"unsupported order {nu}")
+        elif nu > _MAX_FRAC_ORDER:
+            raise ValueError(f"unsupported order {nu}: non-integer orders "
+                             f"above {_MAX_FRAC_ORDER} overflow the Neumann "
+                             f"normalization")
     return orders
 
 
@@ -175,28 +212,39 @@ def _bessel_series(orders, x):
     """Defining power series for every order at every x, rows following
     `orders`; reliable for x <= ~9.
 
-    The recurrence runs until every point of every order has converged.
-    A term added after a point converged is below 1e-20 of its sum, so it
-    leaves the double unchanged, and m*(m+nu) rounds the same for a
-    scalar nu and a column of orders: each row equals a one-order call.
+    The recurrence runs in place until every point of every order has
+    converged, tested every _SERIES_CHECK terms.  A term added after a
+    point converged is below 1e-20 of its sum, so it leaves the double
+    unchanged, and m*(m+nu) rounds the same for a scalar nu and a column
+    of orders: each row equals a one-order call.
     """
     nu_col = np.array(orders)[:, None]
-    half2 = (0.5 * x) ** 2
+    neg_half2 = -((0.5 * x) ** 2)
     term = np.ones((len(orders), x.size))
     total = np.ones_like(term)
+    size, bound = np.empty_like(term), np.empty_like(term)
+    done = np.empty(term.shape, dtype=bool)
     for m in range(1, 80):
-        term = term * (-half2) / (m * (m + nu_col))
-        total = total + term
-        if np.all(np.abs(term) <= 1e-20 * np.maximum(np.abs(total), 1e-280)):
-            break
-    out = np.empty_like(total)
-    pos = x > 0.0
+        term *= neg_half2
+        term /= m * (m + nu_col)
+        total += term
+        if m % _SERIES_CHECK == 0:
+            np.abs(total, out=bound)
+            np.maximum(bound, 1e-280, out=bound)
+            bound *= 1e-20
+            if np.less_equal(np.abs(term, out=size), bound, out=done).all():
+                break
     # One order at a time with a Python-float exponent: np.power with a
     # broadcast array of exponents rounds differently (order 2 by 1 ulp).
-    for row, tot, nu in zip(out, total, orders):
-        row[pos] = np.power(0.5 * x[pos], nu) * tot[pos] / gamma(nu + 1.0)
-        row[~pos] = 1.0 if nu == 0.0 else 0.0
-    return out
+    # At x = 0 the power is 0, or 1 for order 0 (a negative order is
+    # refused there), and the row is set to the limit.
+    half_x = 0.5 * x
+    zero = np.flatnonzero(x == 0.0)
+    for row, nu in zip(total, orders):
+        row *= np.power(half_x, nu, out=size[0])
+        row /= gamma(nu + 1.0)
+        row[zero] = 1.0 if nu == 0.0 else 0.0
+    return total
 
 
 def _miller_start(order, xmax):
@@ -232,27 +280,45 @@ def _bessel_miller(nu, x):
             if k > 1:
                 ratio = ratio * (nu + k - 1.0) / k
             weights[k] = (nu + 2.0 * k) * ratio
+    # In place on two rotating buffers and a scratch one.  |jc| and |jp|
+    # stay below `growth`, which starts at 1e-30 and grows by
+    # 2|base+m|/x_min + 1 a step.  Until it passes 1e240 (a margin of
+    # 1e10 for the rounding of the recurrence) no point can pass 1e250
+    # and the rescale test is skipped; from then on it runs every step,
+    # so each rescale happens at the step where it would with a test at
+    # every step.
+    xmin = float(np.min(x))
     jp = np.zeros_like(x)  # unnormalized J_{base+m+1}
     jc = np.full_like(x, 1e-30)  # unnormalized J_{base+m_top}
+    step = np.empty_like(x)
+    hot = np.empty(x.shape, dtype=bool)
     target = np.zeros_like(x)
     ssum = weights[m_top // 2] * jc  # m_top is even by construction
+    growth = 1e-30
     for m in range(m_top, 0, -1):
-        jm1 = (2.0 * (base + m) / x) * jc - jp
-        jp, jc = jc, jm1
+        twice = 2.0 * (base + m)
+        np.divide(twice, x, out=step)
+        step *= jc
+        np.subtract(step, jp, out=jp)
+        jp, jc = jc, jp
         mm = m - 1
         if mm == rung:
-            target = jc.copy()
+            np.copyto(target, jc)
         if mm % 2 == 0 and mm > 0:
-            ssum = ssum + weights[mm // 2] * jc
-        hot = np.abs(jc) > 1e250
-        if np.any(hot):
+            ssum += np.multiply(jc, weights[mm // 2], out=step)
+        growth *= abs(twice) / xmin + 1.0
+        if growth > 1e240 and np.greater(np.abs(jc, out=step), 1e250,
+                                         out=hot).any():
             scale = np.where(hot, 1e-250, 1.0)
-            jc = jc * scale
-            jp = jp * scale
-            ssum = ssum * scale
-            target = target * scale
-    ssum = ssum + weights[0] * jc  # jc now holds the unnormalized J_base
-    return target * np.power(0.5 * x, base) / ssum
+            jc *= scale
+            jp *= scale
+            ssum *= scale
+            target *= scale
+    ssum += np.multiply(jc, weights[0], out=step)  # jc: unnormalized J_base
+    if base:  # (x/2)^0 is 1
+        target *= np.power(0.5 * x, base)
+    target /= ssum
+    return target
 
 
 @functools.lru_cache(maxsize=256)

@@ -95,26 +95,44 @@ _MORTON_SPREAD = ((16, 0x0000FFFF0000FFFF), (8, 0x00FF00FF00FF00FF),
                   (1, 0x5555555555555555))
 
 
-def _legendre_table(x, nmax):
-    """Legendre polynomials P_0..P_nmax and first two derivatives at x.
+def _legendre_table(x, nmax, second=False):
+    """Legendre polynomials P_0..P_nmax and their first derivatives at x,
+    and with `second` their second derivatives.
 
-    Returns three arrays of shape (nmax+1,) + x.shape, built from the
-    three-term recurrence and its differentiated forms.
+    Returns (vals, der1, der2), arrays of shape (nmax+1,) + x.shape built
+    in place from the three-term recurrence and its differentiated forms,
+    each row with the operations of its formula in their order; der2 is
+    None without `second`.
     """
     x = np.asarray(x, dtype=float)
-    shape = (nmax + 1,) + x.shape
-    vals = np.zeros(shape)
-    der1 = np.zeros(shape)
-    der2 = np.zeros(shape)
+    flat = x.reshape(-1)
+    vals = np.zeros((nmax + 1, flat.size))
+    der1 = np.zeros_like(vals)
+    der2 = np.zeros_like(vals) if second else None
+    tmp = np.empty_like(flat)
     vals[0] = 1.0
     if nmax >= 1:
-        vals[1] = x
+        vals[1] = flat
         der1[1] = 1.0
     for n in range(1, nmax):
-        vals[n + 1] = ((2 * n + 1) * x * vals[n] - n * vals[n - 1]) / (n + 1)
-        der1[n + 1] = ((2 * n + 1) * (vals[n] + x * der1[n]) - n * der1[n - 1]) / (n + 1)
-        der2[n + 1] = ((2 * n + 1) * (2 * der1[n] + x * der2[n]) - n * der2[n - 1]) / (n + 1)
-    return vals, der1, der2
+        row = np.multiply(flat, 2 * n + 1, out=vals[n + 1])
+        row *= vals[n]
+        row -= np.multiply(vals[n - 1], n, out=tmp)
+        row /= n + 1
+        row = np.multiply(flat, der1[n], out=der1[n + 1])
+        row += vals[n]
+        row *= 2 * n + 1
+        row -= np.multiply(der1[n - 1], n, out=tmp)
+        row /= n + 1
+        if second:
+            row = np.multiply(flat, der2[n], out=der2[n + 1])
+            row += np.multiply(der1[n], 2, out=tmp)
+            row *= 2 * n + 1
+            row -= np.multiply(der2[n - 1], n, out=tmp)
+            row /= n + 1
+    shape = (nmax + 1,) + x.shape
+    return (vals.reshape(shape), der1.reshape(shape),
+            None if der2 is None else der2.reshape(shape))
 
 
 def integrated_legendre(t, q):
@@ -159,58 +177,60 @@ def _shape_functions_2d(p, lam, grad_lam):
 
     `lam` has shape (nb, nq, 3) and `grad_lam` (nb, 3, 2) holds each
     element's constant barycentric gradients.  Edge modes follow the local
-    vertex order; the caller applies the orientation signs.  All modes of
-    one edge, and all bubbles, come from one broadcast each, with the
-    operations of one mode in the order of a loop over the modes.
+    vertex order; the caller applies the orientation signs.  The modes of
+    all three edges come from one broadcast, and all bubbles from
+    another, with the operations of one mode in the order of a loop over
+    the edges and modes.  They are computed mode-major, values (L, nb, nq)
+    and gradients (L, 2, nb, nq), so that every operation runs along the
+    points, and transposed once at the end.
     """
     nb, nq = lam.shape[:2]
     nloc = _h1_local_dim_2d(p)
-    vals = np.zeros((nb, nq, nloc))
-    grads = np.zeros((nb, nq, nloc, 2))
-    gl = grad_lam[:, None, :, :]
-    vals[..., :3] = lam
-    grads[..., :3, :] = gl
-    pos = 3
+    vals = np.empty((nloc, nb, nq))
+    grads = np.empty((nloc, 2, nb, nq))
+    lam = np.ascontiguousarray(lam.transpose(2, 0, 1))
+    gl = grad_lam.transpose(1, 2, 0)[..., None]  # (3, 2, nb, 1)
+    vals[:3] = lam
+    grads[:3] = gl
+    end = 3 + 3 * (p - 1)
     if p >= 2:
-        coeff = np.array([_edge_kernel_coeff(q) for q in range(2, p + 1)])
-        for a, b in _LOCAL_EDGES:
-            xi = lam[..., b] - lam[..., a]
-            _, der1, der2 = _legendre_table(xi, p - 1)
-            prod = lam[..., a] * lam[..., b]
-            dprod = lam[..., b, None] * gl[..., a, :] + lam[..., a, None] * gl[..., b, :]
-            dxi = gl[..., b, :] - gl[..., a, :]
-            # modes q = 2..p along a leading axis, kernels from P'_{q-1}
-            kern = coeff[:, None, None] * der1[1:]
-            dkern = coeff[:, None, None] * der2[1:]
-            modes = slice(pos, pos + p - 1)
-            vals[..., modes] = (prod * kern).transpose(1, 2, 0)
-            grads[..., modes, :] = (dprod * kern[..., None]
-                                    + (prod * dkern)[..., None] * dxi
-                                    ).transpose(1, 2, 0, 3)
-            pos += p - 1
+        # edges (a, b) first, then the modes q = 2..p, with kernels from
+        # P'_{q-1}
+        a, b = np.array(_LOCAL_EDGES).T
+        _, kern, dkern = _legendre_table(lam[b] - lam[a], p - 1, second=True)
+        coeff = np.array([_edge_kernel_coeff(q)
+                          for q in range(2, p + 1)])[:, None, None, None]
+        kern = (kern[1:] * coeff).transpose(1, 0, 2, 3)
+        dkern = (dkern[1:] * coeff).transpose(1, 0, 2, 3)
+        prod = (lam[a] * lam[b])[:, None]
+        dprod = lam[b][:, None] * gl[a] + lam[a][:, None] * gl[b]
+        edge_vals = vals[3:end].reshape(3, p - 1, nb, nq)
+        edge_grads = grads[3:end].reshape(3, p - 1, 2, nb, nq)
+        np.multiply(prod, kern, out=edge_vals)
+        np.multiply(dprod[:, None], kern[:, :, None], out=edge_grads)
+        dkern *= prod
+        edge_grads += dkern[:, :, None] * (gl[b] - gl[a])[:, None]
     if p >= 3:
-        eta1 = lam[..., 1] - lam[..., 0]
-        eta2 = 2.0 * lam[..., 2] - 1.0
-        p1, d1, _ = _legendre_table(eta1, p - 3)
-        p2, d2, _ = _legendre_table(eta2, p - 3)
-        bub = lam[..., 0] * lam[..., 1] * lam[..., 2]
-        dbub = (
-            (lam[..., 1] * lam[..., 2])[..., None] * gl[..., 0, :]
-            + (lam[..., 0] * lam[..., 2])[..., None] * gl[..., 1, :]
-            + (lam[..., 0] * lam[..., 1])[..., None] * gl[..., 2, :]
-        )
-        deta1 = gl[..., 1, :] - gl[..., 0, :]
-        deta2 = 2.0 * gl[..., 2, :]
-        # bubble (i, j) for i + j <= p - 3, j fastest, along a leading axis
+        tab, der, _ = _legendre_table(
+            np.stack([lam[1] - lam[0], 2.0 * lam[2] - 1.0]), p - 3)
+        bub = lam[0] * lam[1] * lam[2]
+        dbub = ((lam[1] * lam[2]) * gl[0] + (lam[0] * lam[2]) * gl[1]
+                + (lam[0] * lam[1]) * gl[2])
+        deta1 = gl[1] - gl[0]
+        deta2 = 2.0 * gl[2]
+        # bubble (i, j) for i + j <= p - 3, j fastest
         i, j = np.array([(i, j) for i in range(p - 2)
                          for j in range(p - 2 - i)]).T
-        f = p1[i] * p2[j]
-        df = ((d1[i] * p2[j])[..., None] * deta1
-              + (p1[i] * d2[j])[..., None] * deta2)
-        vals[..., pos:] = (bub * f).transpose(1, 2, 0)
-        grads[..., pos:, :] = (dbub * f[..., None]
-                               + bub[..., None] * df).transpose(1, 2, 0, 3)
-    return vals, grads
+        p1, p2 = tab[i, 0], tab[j, 1]
+        f = p1 * p2
+        np.multiply(bub, f, out=vals[end:])
+        bubble_grads = np.multiply(dbub, f[:, None], out=grads[end:])
+        df = (der[i, 0] * p2)[:, None] * deta1
+        df += (p1 * der[j, 1])[:, None] * deta2
+        df *= bub
+        bubble_grads += df
+    return (np.ascontiguousarray(vals.transpose(1, 2, 0)),
+            np.ascontiguousarray(grads.transpose(2, 3, 0, 1)))
 
 
 def _reference_rule(dim, degree):
@@ -660,7 +680,9 @@ class H1Space(_Space):
         lam, grad_lam = _barycentric(self.mesh, elems, pts)
         vals, grads = _shape_functions_2d(self.p, lam, grad_lam)
         signs = self.orientation_signs()[elems][:, None, :]
-        return vals * signs, grads * signs[..., None]
+        vals *= signs
+        grads *= signs[..., None]
+        return vals, grads
 
     def _eval_basis_1d(self, elems, pts):
         mesh, p = self.mesh, self.p

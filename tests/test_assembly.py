@@ -637,6 +637,33 @@ class TestSolve:
         np.testing.assert_allclose(res.x, x_svd, rtol=0,
                                    atol=1e-8 * np.abs(x_svd).max())
 
+    def test_condition_estimate_is_deterministic(self):
+        # The kappa_1 estimate draws no random numbers: it is the same
+        # under any global seed, leaves the global generator as it was,
+        # and stays within a factor 3 below the exact kappa_1.
+        mesh = triangulate(unit_square(), 0.25)
+        k = 10.0
+        space = trefftz_space(mesh, k, PlaneWaveBasis(k=k, p=7))
+        g = lambda pts: np.exp(1j * k * (0.6 * pts[:, 0] + 0.8 * pts[:, 1]))
+        system = assemble_least_squares(space, k, g)
+        saved = np.random.get_state()
+        try:
+            estimates = []
+            for seed in (0, 1):
+                np.random.seed(seed)
+                state = np.random.get_state()
+                estimates.append(solve(system, svd_cutoff=1e-12).cond_est)
+                after = np.random.get_state()
+                assert after[1].tobytes() == state[1].tobytes()
+                assert after[2:] == state[2:]
+        finally:
+            np.random.set_state(saved)
+        assert estimates[0] == estimates[1]
+        dense = system.A.toarray()
+        exact = (np.abs(dense).sum(axis=0).max()
+                 * np.abs(np.linalg.inv(dense)).sum(axis=0).max())
+        assert exact / 3.0 <= estimates[0] <= exact * (1.0 + 1e-8)
+
     def test_svd_fallback_reports_its_path(self):
         near = ComplexSystem(A=np.diag([1.0, 1e-16]).astype(complex),
                              rhs=np.array([2.0, 1.0], dtype=complex))

@@ -9,6 +9,7 @@ Quadrature rules are checked against closed-form monomial integrals.
 
 import math
 import tracemalloc
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -17,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helmholtz_lab.numerics import (
+    _MAX_FRAC_ORDER,
     QuadratureRule,
     _bessel_miller,
     _miller_start,
@@ -76,6 +78,18 @@ class TestGamma:
             gamma(0.0)
         with pytest.raises(ValueError):
             gamma(-1.5)
+
+    @pytest.mark.parametrize("x", [141.9, 142.0, 142.5, 143.0, 157.25,
+                                   171.0, 171.62])
+    def test_large_arguments_stay_finite(self, x):
+        # t ** (z + 0.5) alone overflows from x = 142.5, Gamma only past
+        # 171.6244
+        assert gamma(x) == pytest.approx(float(mpmath.gamma(x)), rel=1e-12)
+
+    @pytest.mark.parametrize("x", [171.63, 200.0, math.inf, math.nan])
+    def test_overflowing_arguments_raise_naming_x(self, x):
+        with pytest.raises(ValueError, match=f"got {x}"):
+            gamma(x)
 
 
 class TestBesselInteger:
@@ -176,6 +190,18 @@ class TestBesselFractional:
         with pytest.raises(ValueError):
             bessel_j(-1.0 / 3.0, 0.0)
 
+    @pytest.mark.parametrize("nu", [_MAX_FRAC_ORDER, 12.5, 7.25],
+                             ids=["cap", "12.5", "7.25"])
+    def test_orders_up_to_the_cap_match_mpmath_on_mixed_arrays(self, nu):
+        # The recurrence starts from the largest argument of a call, so an
+        # argument near 9 next to 1e4 sees the largest Neumann weights
+        # times the fastest growth; warnings are errors in this suite.
+        x = np.array([1e-3, 1.0, 9.0, 9.01, 50.0, 1e3, 1e4])
+        for pts in (x, np.array([9.01, 1e4]), np.array([50.0, 1e4])):
+            want = [float(mpmath.besselj(nu, v)) for v in pts]
+            np.testing.assert_allclose(bessel_j(nu, pts), want, rtol=0,
+                                       atol=1e-10)
+
 
 def one_order_series(nu, x):
     """The power series for one order with a scalar exponent, as a
@@ -240,6 +266,18 @@ class TestBesselLadder:
         assert bessel_j([0, 1, 2, 3], x)[2].tobytes() == want.tobytes()
         assert bessel_j(2, x).tobytes() == want.tobytes()
 
+    def test_twelve_order_ladder_on_a_batch_of_points(self):
+        # the in-place series, tested for convergence every few terms,
+        # against the plain one, at the size of one error-pass batch
+        x = np.random.default_rng(3).uniform(0.0, 9.0, 16_384)
+        x[:3] = 0.0, 1e-300, 9.0
+        rows = bessel_j(range(12), x)
+        for nu, row in enumerate(rows):
+            assert row.tobytes() == one_order_series(float(nu), x).tobytes()
+        fractional = [2.0 / 3.0 + i for i in range(12)]
+        for nu, row in zip(fractional, bessel_j(fractional, x)):
+            assert row.tobytes() == one_order_series(nu, x).tobytes()
+
     def test_shapes(self):
         x = np.linspace(0.0, 20.0, 12).reshape(3, 4)
         assert bessel_j(range(5), x).shape == (5, 3, 4)
@@ -258,8 +296,13 @@ class TestBesselLadder:
         ([[0, 1], [2, 3]], 1.0, r"shape \(2, 2\)"),
         ([0, float("nan")], 1.0, "order nan"),
         (float("nan"), 1.0, "order nan"),
+        ([12.5, 30.5], [50.0, 1e4], "order 30.5"),
+        (100.5, 10.0, "order 100.5"),
+        (150.5, 5.0, "order 150.5"),
+        (_MAX_FRAC_ORDER + 0.01, 1.0, f"order {_MAX_FRAC_ORDER + 0.01}"),
     ], ids=["above_60", "minus_one", "below_minus_one", "negative_at_zero",
-            "empty", "two_d", "nan_in_ladder", "nan"])
+            "empty", "two_d", "nan_in_ladder", "nan", "fractional_30.5",
+            "fractional_100.5", "fractional_150.5", "above_the_cap"])
     def test_bad_orders_raise_before_allocating(self, orders, x, message):
         big = np.full(200_000, 1.0)
         if np.ndim(x):
@@ -376,6 +419,23 @@ class TestMillerRecurrence:
         x = np.array(x)
         want = miller_int(int(nu), x) if nu.is_integer() else miller_frac(nu, x)
         assert _bessel_miller(nu, x).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("nu, x, rescales", [
+        (7.25, [9.01, 1000.0], 8),
+        (3.0, [9.5, 2000.0, 40.0], 31),
+    ])
+    def test_rescales_at_the_same_steps(self, nu, x, rescales):
+        # The recurrence skips the |jc| > 1e250 test while its growth
+        # bound rules a rescale out; each rescale is one np.where call.
+        x = np.array(x)
+        reference = miller_int if nu.is_integer() else miller_frac
+        with mock.patch.object(np, "where", wraps=np.where) as where:
+            want = reference(int(nu) if nu.is_integer() else nu, x)
+        assert where.call_count == rescales
+        with mock.patch.object(np, "where", wraps=np.where) as where:
+            got = _bessel_miller(nu, x)
+        assert where.call_count == rescales
+        assert got.tobytes() == want.tobytes()
 
 
 class TestGaussInterval:

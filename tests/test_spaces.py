@@ -126,6 +126,23 @@ class TestH1Shape:
             assert abs(integrated_legendre(np.array(1.0), q)) < 1e-14
             assert abs(integrated_legendre(np.array(-1.0), q)) < 1e-14
 
+    def test_legendre_second_derivatives_only_on_request(self):
+        x = np.random.default_rng(4).uniform(-1.0, 1.0, (7, 5))
+        vals, der1, der2 = spaces._legendre_table(x, 9)
+        assert der2 is None
+        vals2, der12, der22 = spaces._legendre_table(x, 9, second=True)
+        assert vals.tobytes() == vals2.tobytes()
+        assert der1.tobytes() == der12.tobytes()
+        assert vals.shape == der1.shape == der22.shape == (10, 7, 5)
+        # Legendre's equation (1 - x^2) P'' - 2x P' + n(n+1) P = 0
+        n = np.arange(10)[:, None, None]
+        residual = (1.0 - x**2) * der22 - 2.0 * x * der12 + n * (n + 1) * vals2
+        np.testing.assert_allclose(residual, 0.0, atol=1e-11)
+        scalar = spaces._legendre_table(0.3, 4)
+        assert scalar[0].shape == (5,)
+        assert scalar[0].tobytes() == spaces._legendre_table(
+            np.array([0.3]), 4)[0].ravel().tobytes()
+
     def test_edge_trace_is_integrated_legendre(self):
         # on an edge the mode of degree q restricts to N_q(xi)
         mesh = triangulate(unit_square(), 1.0)
@@ -1104,7 +1121,7 @@ def looped_shape_functions_2d(p, lam, grad_lam):
     if p >= 2:
         for a, b in spaces._LOCAL_EDGES:
             xi = lam[..., b] - lam[..., a]
-            _, der1, der2 = spaces._legendre_table(xi, p - 1)
+            _, der1, der2 = spaces._legendre_table(xi, p - 1, second=True)
             prod = lam[..., a] * lam[..., b]
             dprod = (lam[..., b, None] * gl[..., a, :]
                      + lam[..., a, None] * gl[..., b, :])

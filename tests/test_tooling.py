@@ -61,6 +61,22 @@ def test_analysis_imports_nothing_from_assembly():
     assert not any(name.split(".")[-1] == "assembly" for name in imported)
 
 
+def test_numerics_imports_nothing_from_scipy_special():
+    # The Bessel and Gamma kernels are written out in numerics, and their
+    # bitwise contract rests on that: a scipy.special routine would bring
+    # bits that move with the SciPy build.
+    names = set()
+    for node in ast.walk(package_trees()["numerics"]):
+        if isinstance(node, ast.ImportFrom):
+            names.update(f"{node.module}.{alias.name}" for alias in node.names)
+        elif isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Attribute):
+            names.add(f"{getattr(node.value, 'id', '')}.{node.attr}")
+    assert not [name for name in names
+                if (name + ".").startswith("scipy.special.")]
+
+
 def test_only_spaces_reads_the_batch_entry_bound():
     # The batch sizes of element and edge loops are decided in one module.
     readers = sorted(
